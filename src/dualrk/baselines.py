@@ -22,7 +22,12 @@ import numpy as np
 from . import harness
 from .errors import NonFiniteState
 from .graph import LaplacianGraph, laplacian_apply
-from .objectives import dual_value_transformed, stacked_conjugate
+from .objectives import (
+    dual_value_transformed,
+    project_to_simplex,
+    stacked_conjugate,
+    stacked_gradient,
+)
 
 __all__ = [
     "BaselineResult",
@@ -53,11 +58,11 @@ def _check_finite(x: np.ndarray, method: str, k: int) -> None:
 _SIMPLEX_FLOOR = 1e-16
 
 
-def _feasible(objective, x: np.ndarray) -> np.ndarray:
-    x = objective.project(x)
-    if objective.domain == "simplex":
-        x = np.maximum(x, _SIMPLEX_FLOOR)
-        x = x / x.sum()
+def _feasible(simplex: bool, x: np.ndarray) -> np.ndarray:
+    """Project ``x``, or each row of ``x``, onto the domain (simplex or all of R^p)."""
+    if simplex:
+        x = np.maximum(project_to_simplex(x), _SIMPLEX_FLOOR)
+        x = x / x.sum(axis=-1, keepdims=True)
     return x
 
 
@@ -81,12 +86,13 @@ def cgd_run(
     if reference is None:
         reference = harness.reference_optimum(objectives)
     n = len(objectives)
+    simplex = objectives[0].domain == "simplex"
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
     records = []
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
-        grad = np.sum([obj.gradient(x) for obj in objectives], axis=0)
-        x = _feasible(objectives[0], x - step * grad)
+        grad = stacked_gradient(objectives, np.tile(x, n)).reshape(n, -1).sum(axis=0)
+        x = _feasible(simplex, x - step * grad)
         _check_finite(x, "cgd", k)
         records.append(
             harness.evaluate_metrics(
@@ -134,6 +140,7 @@ def dgd_run(
         reference = harness.reference_optimum(objectives)
     n = graph.node_count
     p = objectives[0].dim
+    simplex = objectives[0].domain == "simplex"
     if start is None:
         blocks = np.tile(objectives[0].initial_point(), (n, 1))
     else:
@@ -142,9 +149,10 @@ def dgd_run(
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
         step_k = step / np.sqrt(k) if decaying_step else step
-        mixed = blocks - mixing * laplacian_apply(graph, blocks.reshape(-1), p).reshape(n, p)
-        for i, obj in enumerate(objectives):
-            blocks[i] = _feasible(obj, mixed[i] - step_k * obj.gradient(blocks[i]))
+        stack = blocks.reshape(-1)
+        mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
+        grads = stacked_gradient(objectives, stack).reshape(n, p)
+        blocks = _feasible(simplex, mixed - step_k * grads)
         _check_finite(blocks, "dgd", k)
         records.append(
             harness.evaluate_metrics(

@@ -68,9 +68,12 @@ class ExperimentConfig:
     tableau_file: str | None = None
 
     def resolve_tableau(self) -> ButcherTableau:
-        if self.tableau_file:
-            return load_tableau(self.tableau_file)
-        return tableau_for_order(self.order)
+        try:
+            if self.tableau_file:
+                return load_tableau(self.tableau_file)
+            return tableau_for_order(self.order)
+        except ValueError as err:
+            raise ConfigError(f"tableau: {err}") from err
 
 
 _KEY_ALIASES = {
@@ -91,7 +94,14 @@ _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a raw string mapping."""
+    """Parse ``key = value`` lines into a raw string mapping.
+
+    Raises
+    ------
+    ConfigError
+        On a line without ``=``, or on a key set twice, directly or through
+        an alias (``s = 2`` then ``order = 4``).
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -101,7 +111,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = stripped.split("=", 1)
         key = key.strip().lower()
-        raw[_KEY_ALIASES.get(key, key)] = value.strip()
+        canonical = _KEY_ALIASES.get(key, key)
+        if canonical in raw:
+            raise ConfigError(f"line {lineno}: {key!r} sets {canonical!r} a second time")
+        raw[canonical] = value.strip()
     return raw
 
 
@@ -171,7 +184,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolve_instance(cfg: ExperimentConfig) -> tuple[LaplacianGraph, list]:
-    """Build the graph and the per-agent objectives a config describes."""
+    """Build the graph and the per-agent objectives a config describes.
+
+    Raises
+    ------
+    ConfigError
+        When the graph or an objective rejects a configured value, or a
+        dataset file does not parse (both raise ``ValueError``).
+    """
+    try:
+        return _build_instance(cfg)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _build_instance(cfg: ExperimentConfig) -> tuple[LaplacianGraph, list]:
     topology = Topology(
         kind=cfg.graph_kind,
         node_count=cfg.node_count,

@@ -16,6 +16,12 @@ and only the Laplacian itself appears.  A Laplacian row touches nothing but
 a node's own block and its neighbors' conjugate solutions, so each agent can
 evaluate its slice of the field from received broadcasts alone.
 
+The field is available in three forms with the same per-element
+arithmetic: :func:`agent_field` (one agent, from a mailbox of broadcasts;
+the per-agent oracle), :func:`round_field` (every agent at once, from the
+Laplacian rows; the simulator's engine), and :func:`heavy_ball_field` (the
+monolithic single-vector field).
+
 State layouts
 -------------
 agent      ``[v_hat_i (p), y_hat_i (p), t]``       length ``2p + 1``
@@ -41,6 +47,7 @@ __all__ = [
     "initial_stacked_state",
     "stack_agent_states",
     "agent_field",
+    "round_field",
     "heavy_ball_field",
     "untransformed_field",
     "transform_state",
@@ -99,8 +106,9 @@ def agent_field(
     neighbor_x_stars : mapping or ndarray
         Either ``{neighbor: x_star}`` covering exactly the agent's neighbors,
         or the full ``(n, p)`` mailbox of broadcasts, of which only neighbor
-        rows are read.  The neighbor sum runs in sorted index order so the
-        result is bitwise identical to the monolithic Laplacian application.
+        rows are read.  The neighbor sum runs in sorted index order, as in
+        :func:`~dualrk.graph.laplacian_apply`, so for ``p >= 2`` the result is
+        bitwise identical to the batched and monolithic fields.
     """
     block_dim = own_x_star.shape[0]
     t = state[-1]
@@ -124,12 +132,32 @@ def agent_field(
     return out
 
 
+def round_field(points: np.ndarray, lap_rows: np.ndarray) -> np.ndarray:
+    """Every agent's slice of the transformed field in one array operation.
+
+    ``points`` holds one ``[v_hat, y_hat, t]`` stage point per agent, shape
+    ``(n, 2p + 1)``, and ``lap_rows`` the matching ``(n, p)`` rows of
+    ``(L (x) I_p) x*``.  Row ``i`` of the result is bitwise equal to
+    :func:`agent_field` for agent ``i`` given the same Laplacian row.
+    """
+    block_dim = lap_rows.shape[1]
+    t = points[:, -1:]
+    if np.any(t <= 0.0):
+        raise NonPositiveTime(f"time coordinate {float(t.min())} is not positive")
+    v_hat = points[:, :block_dim]
+    out = np.empty_like(points)
+    out[:, :block_dim] = -(DAMPING / t) * v_hat - GRADIENT_WEIGHT * lap_rows
+    out[:, block_dim : 2 * block_dim] = v_hat
+    out[:, -1] = 1.0
+    return out
+
+
 def heavy_ball_field(graph: LaplacianGraph, objectives):
     """Monolithic transformed field over the stacked state.
 
-    Serves both as the correctness oracle for the per-agent evaluation and
-    as a convenient single-vector reference path; the simulator's stacked
-    trajectory must coincide with integrating this field.
+    The single-vector reference path: the simulator's stacked trajectory
+    must coincide with integrating this field (see
+    :func:`~dualrk.simulator.run_heavy_ball_monolithic`).
     """
     block_dim = objectives[0].dim
     total = graph.node_count * block_dim

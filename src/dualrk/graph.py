@@ -4,13 +4,15 @@ Graphs are static, undirected, unweighted, and connected.  The Laplacian
 ``L = D - A`` is carried row-wise through per-node *sorted* neighbor lists;
 the dense matrix (and its positive-semidefinite square root) is materialized
 only for spectra, debugging exports, and test oracles.  Runtime code applies
-``L`` block-wise through :func:`laplacian_apply`, which is exactly the
-operation a node can perform from its neighbors' broadcasts.
+``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
+the operation a node can perform from its neighbors' broadcasts, and all
+rows are computed together from a padded neighbor table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +105,21 @@ class LaplacianGraph:
     def total_degree(self) -> int:
         """Sum of all node degrees (= twice the edge count)."""
         return sum(len(nb) for nb in self.neighbor_lists)
+
+    @cached_property
+    def padded_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(degrees, table)`` for gathering every node's neighbors at once.
+
+        ``degrees`` has shape ``(n, 1)``.  Row ``i`` of the ``(n, max
+        degree)`` index table lists node ``i``'s sorted neighbors, padded
+        with ``n``, the index of a row :func:`laplacian_apply` appends.
+        """
+        n = self.node_count
+        degrees = np.array([len(nb) for nb in self.neighbor_lists], dtype=float)
+        table = np.full((n, int(degrees.max(initial=0))), n, dtype=np.intp)
+        for i, nb in enumerate(self.neighbor_lists):
+            table[i, : len(nb)] = nb
+        return degrees[:, None], table
 
     def laplacian_row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Sparse Laplacian row of ``node`` as ``(indices, values)``."""
@@ -221,10 +238,14 @@ def dense_laplacian(graph: LaplacianGraph) -> np.ndarray:
 def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.ndarray:
     """Apply the block Laplacian ``(L (x) I_p)`` to a stacked vector.
 
-    Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``, with the
-    neighbor sum accumulated in sorted neighbor order.  The fixed order makes
-    this bitwise-reproducible against the per-agent evaluation path, which
-    assembles the same sum from received broadcasts.
+    Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``.  All
+    nodes are computed in one array operation: the blocks are gathered
+    through the graph's padded neighbor table (see
+    :attr:`LaplacianGraph.padded_neighbors`) and summed along the neighbor
+    axis in sorted neighbor order.  For ``block_dim >= 2`` that sum is
+    sequential, so the result is bitwise equal to assembling each row from
+    received broadcasts (:func:`dualrk.dynamics.agent_field`); for
+    ``block_dim == 1`` numpy may sum pairwise, which agrees to roundoff.
 
     Parameters
     ----------
@@ -237,11 +258,11 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     n = graph.node_count
     if x.size != n * block_dim:
         raise DimensionMismatch(f"expected {n * block_dim} entries, got {x.size}")
+    degrees, table = graph.padded_neighbors
     blocks = x.reshape(n, block_dim)
-    out = np.empty_like(blocks)
-    for i, nb in enumerate(graph.neighbor_lists):
-        out[i] = len(nb) * blocks[i] - blocks[nb].sum(axis=0)
-    return out.reshape(x.shape)
+    # Pad slots read an extra row of -0.0, which leaves every sum unchanged.
+    padded = np.concatenate([blocks, np.full((1, block_dim), -0.0)])
+    return (degrees * blocks - padded[table].sum(axis=1)).reshape(x.shape)
 
 
 def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:

@@ -142,7 +142,7 @@ def reference_optimum(objectives, graph: LaplacianGraph | None = None) -> Refere
         if evals[0] <= p * np.finfo(float).eps * max(evals[-1], 0.0):
             raise SingularSystem("aggregated normal equations are singular; add a ridge")
         x_star = np.linalg.solve(system, rhs)
-    f_star = float(sum(obj.value(x_star) for obj in objectives))
+    f_star = stacked_value(objectives, np.tile(x_star, len(objectives)))
     return ReferenceOptimum(x_star=x_star, f_star=f_star)
 
 
@@ -160,13 +160,15 @@ def projected_gradient_optimum(
     keep the entropy gradient finite.
     """
     simplex = objectives[0].domain == "simplex"
+    n = len(objectives)
     x = objectives[0].initial_point()
 
+    # The shared variable replicated to every block, through the stacked kernels.
     def total_value(v):
-        return float(sum(obj.value(v) for obj in objectives))
+        return stacked_value(objectives, np.tile(v, n))
 
     def total_gradient(v):
-        return np.sum([obj.gradient(v) for obj in objectives], axis=0)
+        return stacked_gradient(objectives, np.tile(v, n)).reshape(n, -1).sum(axis=0)
 
     def feasible(v):
         v = objectives[0].project(v)
@@ -268,7 +270,7 @@ def evaluate_metrics(
         lap_x = laplacian_apply(graph, x_stack, objectives[0].dim)
         consensus_norm = float(np.linalg.norm(lap_x))
         consensus_quad = max(float(x_stack @ lap_x), 0.0)
-    diff = x_stack - np.tile(reference.x_star, n)
+    diff = (x_stack.reshape(n, -1) - reference.x_star).reshape(-1)
     dist_sq = float(diff @ diff)
     if per_agent_normalized:
         signed /= n

@@ -11,8 +11,8 @@ it carry time inside the state vector with derivative one, which is why the
 tableaux need no node coefficients.
 
 The stage and combination sums here accumulate left to right.  The network
-simulator reproduces the same arithmetic per agent, which keeps the
-distributed and monolithic trajectories bitwise comparable.
+simulator uses the same arithmetic on its ``(n, 2p + 1)`` agent states,
+which keeps the distributed and monolithic trajectories bitwise comparable.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ class ButcherTableau:
                 raise ValueError(
                     f"stage {l} must have exactly {l} coefficients (explicit method), got {len(row)}"
                 )
+        coefficients = [v for row in self.a for v in row] + list(self.b)
+        if not all(math.isfinite(v) for v in coefficients):
+            raise ValueError("tableau coefficients must be finite")
         if abs(math.fsum(self.b) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 (consistency)")
 

@@ -9,17 +9,24 @@ objective, and for strongly convex ``f`` it is single-valued and
 Two families are provided: regularized linear least squares
 (:class:`QuadraticLocal`) and KL divergence to a reference distribution on
 the probability simplex (:class:`KLLocal`).
+
+The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
+:func:`stacked_gradient`) group a list of blocks by family and evaluate each
+family's blocks in one array operation on stacked parameters, which are
+built once per objective list and reused across calls.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import scipy.linalg
 from scipy.special import rel_entr
 
-from .errors import DimensionMismatch, DualRKError, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 from .graph import LaplacianGraph, sqrt_apply, sqrt_laplacian
 
 __all__ = [
@@ -109,9 +116,9 @@ class QuadraticLocal(DualFriendlyObjective):
     r"""Scaled linear least squares, ``f(x) = (scale/2)||targets - design x||^2
     + (ridge/2)||x||^2``.
 
-    The conjugate maximizer solves ``(scale D^T D + ridge I) x = z + scale D^T t``
-    through a Cholesky factorization cached at construction, since the solve
-    runs once per stage per iteration.
+    The conjugate maximizer solves ``(scale D^T D + ridge I) x = z + scale D^T t``.
+    The inverse of that Hessian is formed once at construction from its
+    Cholesky factor, so each solve is one matrix-vector product.
 
     Raises
     ------
@@ -145,8 +152,10 @@ class QuadraticLocal(DualFriendlyObjective):
         self.gradient_lipschitz = float(evals[-1])
         # Gradient-norm bound over the unit ball around the local minimizer.
         self.lipschitz_hint = float(evals[-1])
-        self._cho = scipy.linalg.cho_factor(self.hessian)
+        cho = scipy.linalg.cho_factor(self.hessian)
+        self._inverse = scipy.linalg.cho_solve(cho, np.eye(self.dim))
         self._shift = self.scale * (design.T @ targets)
+        self._offset = 0.5 * self.scale * float(targets @ targets)
 
     def value(self, x):
         r = self.design @ x - self.targets
@@ -162,7 +171,8 @@ class QuadraticLocal(DualFriendlyObjective):
         return g
 
     def conjugate_argmax(self, z):
-        return scipy.linalg.cho_solve(self._cho, np.asarray(z, dtype=float) + self._shift)
+        z = np.asarray(z, dtype=float)
+        return _quadratic_conjugate(self._inverse[None], self._shift[None], z[None])[0]
 
 
 class KLLocal(DualFriendlyObjective):
@@ -207,8 +217,7 @@ class KLLocal(DualFriendlyObjective):
 
     def conjugate_argmax(self, z):
         z = np.asarray(z, dtype=float)
-        w = self.reference * np.exp(z - z.max())
-        return w / w.sum()
+        return _kl_conjugate(self.reference[None], z[None])[0]
 
     def project(self, x):
         return project_to_simplex(np.asarray(x, dtype=float))
@@ -218,66 +227,151 @@ class KLLocal(DualFriendlyObjective):
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the unit simplex."""
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
+    """Euclidean projection onto the unit simplex of ``v``, or of each row of ``v``."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(u, axis=-1) - 1.0
+    ranks = np.arange(1, v.shape[-1] + 1)
     feasible = u - cumulative / ranks > 0
-    rho = ranks[feasible][-1]
-    threshold = cumulative[feasible][-1] / rho
+    # Index of the last feasible rank in each row.
+    last = v.shape[-1] - 1 - np.argmax(feasible[..., ::-1], axis=-1)
+    threshold = np.take_along_axis(cumulative, last[..., None], axis=-1) / ranks[last][..., None]
     return np.maximum(v - threshold, 0.0)
 
 
-def _check_stack(objectives, z) -> np.ndarray:
+def _quadratic_conjugate(inverse, shift, z):
+    """Rows ``inverse_i (z_i + shift_i)`` for stacked ``(g, p, p)`` inverses."""
+    return np.matmul(inverse, (z + shift)[..., None])[..., 0]
+
+
+def _kl_conjugate(reference, z):
+    """Row-wise softmax reweighting of stacked ``(g, p)`` references."""
+    w = reference * np.exp(z - z.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class _QuadraticFamily:
+    """Stacked parameters of quadratic blocks in the Hessian form.
+
+    ``f_i(x) = x'H_i x / 2 - shift_i'x + offset_i`` needs no design matrix,
+    so blocks with different row counts stack.
+    """
+
+    def __init__(self, members):
+        self.inverse = np.stack([m._inverse for m in members])
+        self.hessian = np.stack([m.hessian for m in members])
+        self.shift = np.stack([m._shift for m in members])
+        self.offset = np.array([m._offset for m in members])
+
+    def conjugate(self, z):
+        return _quadratic_conjugate(self.inverse, self.shift, z)
+
+    def values(self, x):
+        hx = np.matmul(self.hessian, x[..., None])[..., 0]
+        return 0.5 * np.sum(x * hx, axis=1) - np.sum(self.shift * x, axis=1) + self.offset
+
+    def gradients(self, x):
+        return np.matmul(self.hessian, x[..., None])[..., 0] - self.shift
+
+
+class _KLFamily:
+    """Stacked reference distributions of KL blocks, one per row."""
+
+    def __init__(self, members):
+        self.reference = np.stack([m.reference for m in members])
+
+    def conjugate(self, z):
+        return _kl_conjugate(self.reference, z)
+
+    def values(self, x):
+        return rel_entr(x, self.reference).sum(axis=1)
+
+    def gradients(self, x):
+        return np.log(x / self.reference) + 1.0
+
+
+QuadraticLocal._family = _QuadraticFamily
+KLLocal._family = _KLFamily
+
+# Stacked parameters of the most recently used objective lists, keyed on the
+# members' ids.  Each entry holds the members themselves, so an id in a key
+# cannot be reused by a new object while the entry lives.
+_FAMILY_MEMO: OrderedDict = OrderedDict()
+_FAMILY_MEMO_SIZE = 2
+_FAMILY_MEMO_LOCK = threading.Lock()
+
+
+def _families(objectives):
+    """``(members, p, [(rows, family), ...])`` for an objective list, memoized.
+
+    ``rows`` selects the family's blocks: a full slice for a one-family
+    list, an index array otherwise.
+    """
+    key = tuple(map(id, objectives))
+    with _FAMILY_MEMO_LOCK:
+        entry = _FAMILY_MEMO.get(key)
+        if entry is not None:
+            _FAMILY_MEMO.move_to_end(key)
+            return entry
+    members = tuple(objectives)
+    dims = {obj.dim for obj in members}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"stacked blocks must share one dimension, got {sorted(dims)}")
+    by_family: dict = {}
+    for i, obj in enumerate(members):
+        family = getattr(type(obj), "_family", None)
+        if family is None:
+            raise TypeError(f"{type(obj).__name__} has no stacked kernels")
+        by_family.setdefault(family, []).append(i)
+    groups = [
+        (slice(None) if len(rows) == len(members) else np.array(rows, dtype=np.intp),
+         family([members[i] for i in rows]))
+        for family, rows in by_family.items()
+    ]
+    entry = (members, dims.pop(), groups)
+    with _FAMILY_MEMO_LOCK:
+        _FAMILY_MEMO[key] = entry
+        if len(_FAMILY_MEMO) > _FAMILY_MEMO_SIZE:
+            _FAMILY_MEMO.popitem(last=False)
+    return entry
+
+
+def _rows(objectives, z):
+    """Family groups plus ``z`` viewed as one row per block."""
+    members, p, groups = _families(objectives)
     z = np.asarray(z, dtype=float)
-    total = sum(o.dim for o in objectives)
-    if z.size != total:
-        raise DimensionMismatch(f"expected {total} stacked entries, got {z.size}")
-    return z
+    if z.size != len(members) * p:
+        raise DimensionMismatch(f"expected {len(members) * p} stacked entries, got {z.size}")
+    return groups, z.reshape(len(members), p)
 
 
 def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     """Per-block conjugate maximizers of a stacked vector.
 
-    Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``;
-    blocks are independent, mirroring the agent-local computation.  Errors
-    from a block are re-raised with the agent index attached.
+    Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
+    bitwise: each family solves all of its blocks in one array operation,
+    of which the per-object method is the one-row case.
     """
-    z = _check_stack(objectives, z)
-    out = np.empty_like(z)
-    offset = 0
-    for i, obj in enumerate(objectives):
-        block = slice(offset, offset + obj.dim)
-        try:
-            out[block] = obj.conjugate_argmax(z[block])
-        except DualRKError as err:
-            err.args = (f"agent {i}: {err}",)
-            raise
-        offset += obj.dim
-    return out
+    groups, rows = _rows(objectives, z)
+    out = np.empty_like(rows)
+    for sel, family in groups:
+        out[sel] = family.conjugate(rows[sel])
+    return out.reshape(np.shape(z))
 
 
 def stacked_value(objectives, x: np.ndarray) -> float:
     """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector."""
-    x = _check_stack(objectives, x)
-    total = 0.0
-    offset = 0
-    for obj in objectives:
-        total += obj.value(x[offset : offset + obj.dim])
-        offset += obj.dim
-    return total
+    groups, rows = _rows(objectives, x)
+    return float(sum(family.values(rows[sel]).sum() for sel, family in groups))
 
 
 def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
     """Block-wise gradient of the aggregated objective."""
-    x = _check_stack(objectives, x)
-    out = np.empty_like(x)
-    offset = 0
-    for obj in objectives:
-        block = slice(offset, offset + obj.dim)
-        out[block] = obj.gradient(x[block])
-        offset += obj.dim
-    return out
+    groups, rows = _rows(objectives, x)
+    out = np.empty_like(rows)
+    for sel, family in groups:
+        out[sel] = family.gradients(rows[sel])
+    return out.reshape(np.shape(x))
 
 
 def dual_value(

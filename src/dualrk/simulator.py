@@ -1,18 +1,37 @@
 """Synchronous-round network simulator for the distributed heavy-ball method.
 
-One iteration runs ``S`` communication rounds, one per integrator stage:
-every agent forms its stage point from its own state and previously stored
-stage derivatives, solves its local conjugate there, broadcasts the solution
-to its neighbors, and, after the synchronous barrier, evaluates its slice of
-the vector field.  After the last stage each agent applies the weighted
-Runge-Kutta combination locally.  No global state is read anywhere; the
-only inter-agent coupling is the per-stage broadcast.
+One iteration runs ``S`` communication rounds, one per integrator stage.  In
+a round every agent forms its stage point from its own state and previously
+stored stage derivatives, solves its local conjugate there, broadcasts the
+solution to its neighbors, and, after the synchronous barrier, evaluates its
+slice of the vector field.  After the last stage each agent applies the
+weighted Runge-Kutta combination locally.  The only inter-agent coupling is
+the per-stage broadcast.
 
-The per-agent arithmetic reproduces the monolithic integrator expression by
-expression (same accumulation order, same sorted neighbor sums), so the
-stacked trajectory of a simulated run coincides with single-vector
-integration of the transformed field, which is the central correctness
-property tested against :func:`run_heavy_ball_monolithic`.
+:func:`run_heavy_ball` executes a round as three array operations over the
+``(n, 2p + 1)`` agent states: one :func:`~dualrk.objectives.stacked_conjugate`
+over the stage points, one :func:`~dualrk.graph.laplacian_apply` (the
+broadcast and neighbor sum), and one :func:`~dualrk.dynamics.round_field`.
+Row ``i`` of each operation is agent ``i``'s own computation, so any
+schedule honoring the stage barrier gives the same result.  The conjugate
+solved at an iteration's end state (the primal iterate its metrics use) is
+reused as the first stage of the next iteration, which starts at that same
+state, so a run makes ``n (S N + 1)`` conjugate evaluations.
+
+Two reference paths check the engine:
+
+- :func:`run_heavy_ball_per_agent` is the per-agent oracle: one
+  ``conjugate_argmax`` call per agent, then :func:`~dualrk.dynamics.agent_field`
+  per agent over the mailbox of broadcasts, with no stacked evaluation and
+  no Laplacian apply.
+- :func:`run_heavy_ball_monolithic` integrates the single-vector field
+  :func:`~dualrk.dynamics.heavy_ball_field` with
+  :func:`~dualrk.integrator.rk_step`.
+
+Both use the same per-element arithmetic as the engine, and the tests and
+the invariant suite require trajectories equal to 1e-12 relative.  In fact
+they agree bitwise whenever ``p >= 2`` (see
+:func:`~dualrk.graph.laplacian_apply` for the one-dimensional case).
 """
 
 from __future__ import annotations
@@ -30,10 +49,11 @@ from .dynamics import (
     initial_agent_states,
     initial_stacked_state,
     kernel_residual,
+    round_field,
     stack_agent_states,
 )
 from .errors import NonFiniteState
-from .graph import LaplacianGraph
+from .graph import LaplacianGraph, laplacian_apply
 from .integrator import ButcherTableau, rk_step
 from .objectives import stacked_conjugate
 
@@ -45,6 +65,7 @@ __all__ = [
     "suggested_h0",
     "primal_extract",
     "run_heavy_ball",
+    "run_heavy_ball_per_agent",
     "run_heavy_ball_monolithic",
 ]
 
@@ -130,10 +151,10 @@ def suggested_h0(
 
 
 def primal_extract(agent_states: np.ndarray, objectives) -> np.ndarray:
-    """Stacked conjugate solutions at the agents' current dual blocks.
+    """Stacked conjugate solutions at the dual blocks of per-agent states.
 
-    This is the primal iterate all metrics are computed on; each block is an
-    agent-local computation.
+    At an iteration's end state this is the primal iterate all metrics are
+    computed on; each block is an agent-local computation.
     """
     block_dim = objectives[0].dim
     y_hat = np.asarray(agent_states)[:, block_dim : 2 * block_dim].reshape(-1)
@@ -154,10 +175,10 @@ def run_heavy_ball(
 ) -> RunResult:
     """Execute the distributed method for ``num_iterations`` iterations.
 
-    Deterministic given graph, objectives, and parameters: agents run
-    sequentially here, but each one reads only the immutable previous-stage
-    snapshot, so any parallel schedule honoring the stage barrier produces
-    identical results.
+    Deterministic given graph, objectives, and parameters.  Each round is
+    executed for all agents at once (see the module docstring); row ``i``
+    of every operation reads only agent ``i``'s state and its neighbors'
+    broadcasts from the same round.
 
     Parameters
     ----------
@@ -204,8 +225,7 @@ def run_heavy_ball(
     simplex = objectives[0].domain == "simplex"
 
     states = initial_agent_states(n, p)
-    derivs = np.zeros((stages, n, 2 * p + 1))
-    mailbox = np.empty((n, p))
+    derivs = np.empty((stages, n, 2 * p + 1))
     records: list[harness.MetricsRecord] = []
     messages: list[MessageRecord] | None = [] if log_messages else None
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
@@ -216,27 +236,28 @@ def run_heavy_ball(
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Stage 0 of every iteration sits at the current state, whose
+        # conjugate the previous iteration already solved for its metrics.
+        x_stack = primal_extract(states, objectives)
         for k in range(1, num_iterations + 1):
             tic = time.perf_counter()
             for l in range(stages):
                 if l == 0:
                     points = states
+                    x_star = x_stack
                 else:
                     acc = a[l][0] * derivs[0]
                     for j in range(1, l):
                         acc = acc + a[l][j] * derivs[j]
                     points = states + h * acc
-                # Local conjugate solves, then one broadcast round.
-                for i in range(n):
-                    mailbox[i] = objectives[i].conjugate_argmax(points[i, p : 2 * p])
+                    x_star = primal_extract(points, objectives)
+                # One broadcast round, then every agent's field slice.
                 rounds += 1
                 if messages is not None:
                     for i in range(n):
                         for j in graph.neighbor_lists[i]:
                             messages.append(MessageRecord(rounds, i, int(j), p))
-                # Barrier passed: all stage-l broadcasts are visible.
-                for i in range(n):
-                    derivs[l, i] = agent_field(graph, i, points[i], mailbox[i], mailbox)
+                derivs[l] = round_field(points, laplacian_apply(graph, x_star, p).reshape(n, p))
                 if not np.all(np.isfinite(derivs[l])):
                     raise NonFiniteState(
                         f"non-finite stage derivative at iteration {k}, stage {l + 1}",
@@ -280,6 +301,52 @@ def run_heavy_ball(
         trajectory=np.array(trajectory) if trajectory is not None else None,
         messages=messages,
     )
+
+
+def run_heavy_ball_per_agent(
+    graph: LaplacianGraph,
+    objectives,
+    tableau: ButcherTableau,
+    num_iterations: int,
+    h0: float | None = None,
+) -> np.ndarray:
+    """Stacked trajectory of the per-agent reference round (test oracle).
+
+    Runs the rounds agent by agent: at every stage each agent calls its own
+    ``conjugate_argmax``, the solutions go to a mailbox, and each agent
+    evaluates :func:`~dualrk.dynamics.agent_field` from the mailbox.  It uses
+    no stacked evaluation and no Laplacian apply, and solves ``S + 1``
+    sweeps per iteration, so it checks :func:`run_heavy_ball` independently.
+    Returns the ``(num_iterations + 1, 2np + 1)`` trajectory in the
+    monolithic layout.
+    """
+    n = graph.node_count
+    p = objectives[0].dim
+    h = step_size(h0 if h0 is not None else default_h0(graph, objectives), num_iterations, tableau.order)
+    a, b = tableau.a, tableau.b
+    states = initial_agent_states(n, p)
+    derivs = np.zeros((tableau.stages, n, 2 * p + 1))
+    mailbox = np.empty((n, p))
+    trajectory = [stack_agent_states(states, p)]
+    for _ in range(num_iterations):
+        for l in range(tableau.stages):
+            if l == 0:
+                points = states
+            else:
+                acc = a[l][0] * derivs[0]
+                for j in range(1, l):
+                    acc = acc + a[l][j] * derivs[j]
+                points = states + h * acc
+            for i in range(n):
+                mailbox[i] = objectives[i].conjugate_argmax(points[i, p : 2 * p])
+            for i in range(n):
+                derivs[l, i] = agent_field(graph, i, points[i], mailbox[i], mailbox)
+        acc = b[0] * derivs[0]
+        for j in range(1, tableau.stages):
+            acc = acc + b[j] * derivs[j]
+        states = states + h * acc
+        trajectory.append(stack_agent_states(states, p))
+    return np.array(trajectory)
 
 
 def run_heavy_ball_monolithic(

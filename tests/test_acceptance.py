@@ -17,6 +17,7 @@ from dualrk.cli import reproduce
 from dualrk.graph import sqrt_apply, sqrt_laplacian
 from dualrk.harness import fit_rate, read_metrics_csv
 from dualrk.objectives import stacked_conjugate
+from dualrk.simulator import run_heavy_ball_per_agent
 
 # The desk regression instance: uniform square design blocks are nearly
 # singular (strong convexity ~1e-8, making the dual dynamics stiffer than
@@ -61,7 +62,8 @@ def _desk_kl():
 
 @pytest.fixture(scope="module")
 def equivalence_runs():
-    """Ten random configurations, simulated and integrated monolithically."""
+    """Ten random configurations: simulated, integrated monolithically, and
+    run through the per-agent oracle (``run_heavy_ball_per_agent``)."""
     rng = np.random.default_rng(2024)
     runs = []
     start = time.perf_counter()
@@ -83,7 +85,8 @@ def equivalence_runs():
         mono = dualrk.run_heavy_ball_monolithic(
             graph, objs, tab, 15, h0=h0, keep_trajectory=True
         )
-        runs.append((sim, mono))
+        oracle = run_heavy_ball_per_agent(graph, objs, tab, 15, h0=h0)
+        runs.append((sim, mono, oracle))
     return runs, time.perf_counter() - start
 
 
@@ -136,10 +139,11 @@ def baseline_runs():
 def test_distributed_monolithic_equivalence(equivalence_runs):
     runs, elapsed = equivalence_runs
     assert len(runs) == 10
-    for sim, mono in runs:
-        scale = 1.0 + np.abs(mono.trajectory).max()
-        worst = np.abs(sim.trajectory - mono.trajectory).max()
-        assert worst <= 1e-12 * scale
+    for sim, mono, oracle in runs:
+        for reference in (mono.trajectory, oracle):
+            scale = 1.0 + np.abs(reference).max()
+            worst = np.abs(sim.trajectory - reference).max()
+            assert worst <= 1e-12 * scale
     assert elapsed < 10.0
 
 
@@ -171,7 +175,7 @@ def test_conjugate_kkt(rng=None):
 @criterion(3, "kernel-orthogonality invariant")
 def test_kernel_sums_across_matrix(equivalence_runs, rate_runs, baseline_runs):
     runs, _ = equivalence_runs
-    for sim, mono in runs:
+    for sim, mono, _oracle in runs:
         assert sim.max_kernel_residual <= 1e-9
         assert mono.max_kernel_residual <= 1e-9
     sweeps, _ = rate_runs

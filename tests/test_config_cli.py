@@ -47,6 +47,13 @@ def test_parse_config_rejects_garbage():
         parse_config_text("just words without assignment")
 
 
+def test_parse_config_rejects_duplicate_keys():
+    with pytest.raises(ConfigError, match="order"):
+        parse_config_text("s = 2\norder = 4\n")
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config_text("seed = 1\nSEED = 2\n")
+
+
 def test_load_config_validates(tmp_path):
     path = _write_config(tmp_path / "cfg.txt")
     cfg = load_config(path)
@@ -143,6 +150,12 @@ def test_custom_quadratic_dataset(tmp_path):
     assert main(["run", str(path)]) == 0
 
 
+def test_single_node_config_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path / "cfg.txt", n=1)
+    assert main(["run", str(path)]) == 2
+    assert "node_count" in capsys.readouterr().err
+
+
 def test_custom_config_requires_paths(tmp_path):
     path = _write_config(tmp_path / "cfg.txt", experiment="custom", objective="quadratic")
     assert main(["run", str(path)]) == 2
@@ -158,6 +171,16 @@ def test_custom_tableau_from_file(tmp_path):
     assert main(["run", str(path), "--out", str(out)]) == 0
     records = read_metrics_csv(out)
     assert records[-1].comm_rounds == 40  # two stages per iteration
+
+
+def test_non_finite_tableau_file_exits_2(tmp_path, capsys):
+    import json
+
+    tab_path = tmp_path / "nan.json"
+    tab_path.write_text(json.dumps({"order": 1, "a": [[]], "b": [float("nan")]}))
+    path = _write_config(tmp_path / "cfg.txt", tableau=str(tab_path), iterations=5)
+    assert main(["run", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_verify_command_passes(capsys):

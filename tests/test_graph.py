@@ -101,6 +101,24 @@ def test_laplacian_apply_matches_dense_kron():
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
+def test_laplacian_apply_bitwise_matches_per_node_sorted_sum():
+    rng = np.random.default_rng(12)
+    graphs = [
+        build_graph(Topology("star", 9)),
+        build_graph(Topology("cycle", 2)),
+        build_graph(Topology("cycle", 7)),
+        build_graph(Topology("erdos_renyi", 20, edge_probability=0.3, rng_seed=5)),
+    ]
+    for graph in graphs:
+        n, p = graph.node_count, 3
+        x = rng.normal(size=n * p)
+        blocks = x.reshape(n, p)
+        want = np.stack(
+            [len(nb) * blocks[i] - blocks[nb].sum(axis=0) for i, nb in enumerate(graph.neighbor_lists)]
+        )
+        assert laplacian_apply(graph, x, p).tobytes() == want.reshape(-1).tobytes()
+
+
 def test_laplacian_apply_block_sums_vanish():
     rng = np.random.default_rng(11)
     graph = build_graph(Topology("erdos_renyi", 10, edge_probability=0.5, rng_seed=3))

@@ -103,6 +103,11 @@ def test_tableau_validation():
         ButcherTableau(order=1, a=((),), b=(0.9,))  # weights must sum to 1
     with pytest.raises(ValueError):
         tableau("rk9")
+    # abs(nan - 1) > 1e-12 is False, so the weight-sum check alone lets these pass
+    with pytest.raises(ValueError):
+        ButcherTableau(order=1, a=((),), b=(float("nan"),))
+    with pytest.raises(ValueError):
+        ButcherTableau(order=2, a=((), (float("inf"),)), b=(0.0, 1.0))
 
 
 def test_non_finite_field_raises():

@@ -17,6 +17,7 @@ from dualrk.objectives import (
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
+    stacked_gradient,
     stacked_value,
 )
 
@@ -136,6 +137,52 @@ def test_stacked_conjugate_matches_per_block_calls():
     stacked = stacked_conjugate(objs, z)
     for i, obj in enumerate(objs):
         assert np.array_equal(stacked[3 * i : 3 * i + 3], obj.conjugate_argmax(z[3 * i : 3 * i + 3]))
+
+
+def _assert_stacked_matches_blocks(objs, x):
+    p = objs[0].dim
+    blocks = x.reshape(len(objs), p)
+    want_value = sum(obj.value(b) for obj, b in zip(objs, blocks))
+    want_grad = np.concatenate([obj.gradient(b) for obj, b in zip(objs, blocks)])
+    assert abs(stacked_value(objs, x) - want_value) <= 1e-12 * abs(want_value)
+    got_grad = stacked_gradient(objs, x)
+    assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+    for i in range(len(objs)):
+        block = slice(i * p, (i + 1) * p)
+        assert np.linalg.norm(got_grad[block] - want_grad[block]) <= 1e-12 * np.linalg.norm(
+            want_grad[block]
+        )
+
+
+def test_stacked_value_and_gradient_mixed_families():
+    rng = np.random.default_rng(6)
+    quads = random_regression_instance(3, 4, 6, seed=6, ridge=1e-3)
+    kls = random_kl_instance(3, 4, seed=6)
+    objs = [quads[0], kls[0], kls[1], quads[1], quads[2], kls[2]]
+    x = rng.normal(size=(6, 4))
+    for i, obj in enumerate(objs):
+        if obj.domain == "simplex":
+            x[i] = obj.conjugate_argmax(x[i])  # an interior point of the simplex
+    _assert_stacked_matches_blocks(objs, x.reshape(-1))
+
+
+def test_stacked_value_and_gradient_unequal_row_counts():
+    rng = np.random.default_rng(8)
+    objs = [
+        QuadraticLocal(rng.uniform(size=(rows, 5)), rng.uniform(size=rows), scale=0.1, ridge=0.01)
+        for rows in (2, 5, 11, 1)
+    ]
+    _assert_stacked_matches_blocks(objs, rng.normal(scale=2.0, size=20))
+
+
+def test_stacked_quadratic_conjugate_kkt_at_paper_shape():
+    objs = random_regression_instance(100, 100, 100, seed=3, ridge=1e-3)
+    z = np.random.default_rng(3).normal(scale=5.0, size=100 * 100)
+    x = stacked_conjugate(objs, z)
+    for i, obj in enumerate(objs):
+        block = slice(100 * i, 100 * (i + 1))
+        residual = obj.kkt_residual(z[block], x[block])
+        assert residual <= 1e-8 * (1.0 + np.linalg.norm(z[block]))
 
 
 def test_stacked_conjugate_dimension_check():

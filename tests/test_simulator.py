@@ -7,17 +7,20 @@ from dualrk.errors import NonFiniteState
 from dualrk.graph import Topology, build_graph
 from dualrk.harness import read_metrics_csv, write_metrics_csv
 from dualrk.integrator import tableau, tableau_for_order
+from dualrk import simulator
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
     random_kl_instance,
     random_regression_instance,
+    stacked_conjugate,
 )
 from dualrk.simulator import (
     default_h0,
     primal_extract,
     run_heavy_ball,
     run_heavy_ball_monolithic,
+    run_heavy_ball_per_agent,
     step_size,
     suggested_h0,
 )
@@ -67,8 +70,30 @@ def test_simulator_matches_monolithic_reference():
             mono = run_heavy_ball_monolithic(graph, objs, tab, 20, h0=h0, keep_trajectory=True)
             scale = 1.0 + np.abs(mono.trajectory).max()
             assert np.abs(sim.trajectory - mono.trajectory).max() <= 1e-12 * scale
+            oracle = run_heavy_ball_per_agent(graph, objs, tab, 20, h0=h0)
+            assert np.abs(sim.trajectory - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
             for rec_s, rec_m in zip(sim.records, mono.records):
                 assert rec_s.suboptimality == pytest.approx(rec_m.suboptimality, rel=1e-9, abs=1e-14)
+
+
+def test_end_state_conjugate_is_reused(monkeypatch):
+    graph = build_graph(Topology("erdos_renyi", 6, edge_probability=0.6, rng_seed=2))
+    objs = random_regression_instance(6, 3, 5, seed=2)
+    evaluations = []
+
+    def counting(objectives, z):
+        evaluations.append(np.size(z) // 3)
+        return stacked_conjugate(objectives, z)
+
+    monkeypatch.setattr(simulator, "stacked_conjugate", counting)
+    for order in (1, 2, 4):
+        tab = tableau_for_order(order)
+        evaluations.clear()
+        result = run_heavy_ball(graph, objs, tab, 9, h0=0.5, keep_trajectory=True)
+        # one sweep per stage plus the start state, not S + 1 per iteration
+        assert sum(evaluations) == 6 * (tab.stages * 9 + 1)
+        oracle = run_heavy_ball_per_agent(graph, objs, tab, 9, h0=0.5)
+        assert np.array_equal(result.trajectory, oracle)
 
 
 def test_communication_accounting():
