@@ -7,7 +7,7 @@ explicit Runge-Kutta method; after a change of variables each integrator
 stage costs exactly one broadcast of conjugate solutions between neighbors.
 Higher integrator orders buy faster decay per communication round.
 
-The package is a plain numpy/scipy library: graphs and spectra
+The package is a numpy-only library: graphs and spectra
 (:mod:`dualrk.graph`), dual-friendly objectives (:mod:`dualrk.objectives`),
 Runge-Kutta machinery (:mod:`dualrk.integrator`), the transformed dynamics
 (:mod:`dualrk.dynamics`), the synchronous network simulator

@@ -23,8 +23,6 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-import scipy.linalg
-from scipy.special import rel_entr
 
 from .errors import DimensionMismatch, SingularSystem
 from .graph import LaplacianGraph, sqrt_apply, sqrt_laplacian
@@ -117,8 +115,9 @@ class QuadraticLocal(DualFriendlyObjective):
     + (ridge/2)||x||^2``.
 
     The conjugate maximizer solves ``(scale D^T D + ridge I) x = z + scale D^T t``.
-    The inverse of that Hessian is formed once at construction from its
-    Cholesky factor, so each solve is one matrix-vector product.
+    The inverse of that Hessian is formed once at construction by an LU
+    solve against the identity (``numpy.linalg.solve``), so each conjugate
+    solve is one matrix-vector product.
 
     Raises
     ------
@@ -152,8 +151,7 @@ class QuadraticLocal(DualFriendlyObjective):
         self.gradient_lipschitz = float(evals[-1])
         # Gradient-norm bound over the unit ball around the local minimizer.
         self.lipschitz_hint = float(evals[-1])
-        cho = scipy.linalg.cho_factor(self.hessian)
-        self._inverse = scipy.linalg.cho_solve(cho, np.eye(self.dim))
+        self._inverse = np.linalg.solve(self.hessian, np.eye(self.dim))
         self._shift = self.scale * (design.T @ targets)
         self._offset = 0.5 * self.scale * float(targets @ targets)
 
@@ -194,6 +192,8 @@ class KLLocal(DualFriendlyObjective):
         q = np.atleast_1d(np.asarray(reference, dtype=float))
         if q.ndim != 1 or q.size < 2:
             raise ValueError("reference must be a vector with at least two entries")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("reference entries must be finite")
         if np.any(q <= 0.0):
             raise ValueError("reference entries must be strictly positive")
         if abs(q.sum() - 1.0) > 1e-12:
@@ -210,7 +210,7 @@ class KLLocal(DualFriendlyObjective):
         return cls(w / w.sum())
 
     def value(self, x):
-        return float(rel_entr(np.asarray(x, dtype=float), self.reference).sum())
+        return float(_rel_entr(np.asarray(x, dtype=float), self.reference).sum())
 
     def gradient(self, x):
         return np.log(np.asarray(x, dtype=float) / self.reference) + 1.0
@@ -237,6 +237,23 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     last = v.shape[-1] - 1 - np.argmax(feasible[..., ::-1], axis=-1)
     threshold = np.take_along_axis(cumulative, last[..., None], axis=-1) / ranks[last][..., None]
     return np.maximum(v - threshold, 0.0)
+
+
+def _rel_entr(x, q):
+    """Elementwise ``x log(x / q)`` for a strictly positive reference ``q``.
+
+    Follows ``scipy.special.rel_entr``: the logarithm is ``log1p((x - q) / q)``
+    where ``x / q`` lies in (0.5, 2), which is more accurate there, and
+    ``log(x / q)`` elsewhere; the result is 0 where ``x == 0`` and ``+inf``
+    where ``x < 0``, and NaN in ``x`` propagates.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / q
+        near = (ratio > 0.5) & (ratio < 2.0)
+        terms = x * np.where(near, np.log1p((x - q) / q), np.log(ratio))
+    if np.all(x > 0):
+        return terms
+    return np.where(x == 0, 0.0, np.where(x < 0, np.inf, terms))
 
 
 def _quadratic_conjugate(inverse, shift, z):
@@ -284,7 +301,7 @@ class _KLFamily:
         return _kl_conjugate(self.reference, z)
 
     def values(self, x):
-        return rel_entr(x, self.reference).sum(axis=1)
+        return _rel_entr(x, self.reference).sum(axis=1)
 
     def gradients(self, x):
         return np.log(x / self.reference) + 1.0

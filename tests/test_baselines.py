@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from dualrk import baselines
 from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
-from dualrk.graph import Topology, build_graph, dense_laplacian
-from dualrk.harness import reference_optimum
+from dualrk.graph import Topology, build_graph, dense_laplacian, laplacian_apply
+from dualrk.harness import evaluate_metrics, reference_optimum
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
+    dual_value_transformed,
     random_kl_instance,
     random_regression_instance,
+    stacked_conjugate,
 )
 
 
@@ -146,3 +149,56 @@ def test_baselines_share_record_schema():
             assert record.iteration == k
             assert record.comm_rounds == k  # one round per iteration
             assert record.consensus_quadratic >= 0.0
+
+
+def _dual_descent_reference(graph, objs, step, num_iterations, reference, momentum):
+    """Dual descent that solves the conjugate afresh for every use: the anchor,
+    the metrics, the dual gap and the final stack."""
+    n, p = graph.node_count, objs[0].dim
+    y_hat = y_prev = z_hat = np.zeros(n * p)
+    records, gaps = [], []
+    for k in range(1, num_iterations + 1):
+        anchor = z_hat if momentum else y_hat
+        y_new = anchor - step * laplacian_apply(graph, stacked_conjugate(objs, anchor), p)
+        if momentum:
+            z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
+            y_prev = y_new
+        y_hat = y_new
+        x_stack = stacked_conjugate(objs, y_hat)
+        gaps.append(dual_value_transformed(objs, y_hat) + reference.f_star)
+        records.append(evaluate_metrics(x_stack, reference, graph, objs, k, k))
+    return records, gaps, stacked_conjugate(objs, y_hat)
+
+
+@pytest.mark.parametrize(
+    "runner, momentum, sweeps", [(dual_gd_run, False, 13), (dual_nag_run, True, 24)]
+)
+def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, sweeps):
+    graph = build_graph(Topology("erdos_renyi", 6, edge_probability=0.6, rng_seed=4))
+    objs = random_regression_instance(6, 3, 5, seed=4, ridge=1e-3)
+    reference = reference_optimum(objs)
+    calls = []
+
+    def counting(objectives, z):
+        calls.append(1)
+        return stacked_conjugate(objectives, z)
+
+    monkeypatch.setattr(baselines, "stacked_conjugate", counting)
+    result = runner(graph, objs, 0.5, 12, reference=reference, record_dual_gap=True)
+    # dual_gd: N + 1 sweeps (start, then one per iterate); dual_nag adds the
+    # N - 1 momentum anchors that differ from the iterate.
+    assert len(calls) == sweeps
+    records, gaps, final_stack = _dual_descent_reference(graph, objs, 0.5, 12, reference, momentum)
+    fields = (
+        "iteration",
+        "comm_rounds",
+        "suboptimality",
+        "consensus_L_norm",
+        "consensus_quadratic",
+        "dist_to_optimum_sq",
+        "suboptimality_signed",
+    )
+    for got, want in zip(result.records, records, strict=True):
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert result.dual_gaps == gaps
+    assert np.array_equal(result.final_stack, final_stack)

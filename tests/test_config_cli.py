@@ -150,6 +150,21 @@ def test_custom_quadratic_dataset(tmp_path):
     assert main(["run", str(path)]) == 0
 
 
+def test_nan_reference_csv_exits_2(tmp_path, capsys):
+    np.savetxt(tmp_path / "q.csv", [[0.5, 0.5], [np.nan, 0.5], [0.25, 0.75]], delimiter=",")
+    path = _write_config(
+        tmp_path / "cfg.txt",
+        experiment="custom",
+        objective="kl",
+        q_csv=str(tmp_path / "q.csv"),
+        n=3,
+        p=2,
+        iterations=10,
+    )
+    assert main(["run", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_single_node_config_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path / "cfg.txt", n=1)
     assert main(["run", str(path)]) == 2

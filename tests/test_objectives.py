@@ -1,14 +1,21 @@
 """Conjugate oracles, KKT residuals, and dual-function checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dualrk
 from dualrk.errors import DimensionMismatch, SingularSystem
 from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
 from dualrk.harness import reference_optimum
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
+    _rel_entr,
     dual_value,
     dual_value_transformed,
     load_kl_csv,
@@ -117,6 +124,9 @@ def test_kl_reference_validation():
         KLLocal(np.array([0.5, 0.6]))  # does not sum to one
     with pytest.raises(ValueError):
         KLLocal(np.array([1.0, 0.0]))  # boundary entry
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KLLocal(np.array([bad, 0.5]))
 
 
 def test_stacked_conjugate_identity_case():
@@ -300,3 +310,42 @@ def test_csv_ingestion_roundtrip(tmp_path):
     kobs = load_kl_csv(tmp_path / "q.csv")
     assert len(kobs) == 3
     assert np.allclose(kobs[1].reference, q[1])
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(dualrk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, dualrk, dualrk.cli\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_rel_entr_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(11)
+    q = rng.dirichlet(np.ones(10), size=200)
+    x = rng.dirichlet(np.full(10, 0.5), size=200)
+    want = special.rel_entr(x, q)
+    # numpy's log and log1p may differ from the C library's by 1 ulp, and the
+    # product with x rounds once more.
+    assert np.all(np.abs(_rel_entr(x, q) - want) <= 2 * np.spacing(np.abs(want)))
+    edges = np.array([0.0, -0.0, -0.25, np.nan, -np.inf, np.inf, 1e-300, 0.4, 0.1])
+    q_edges = np.full(9, 0.2)
+    np.testing.assert_array_equal(_rel_entr(edges, q_edges), special.rel_entr(edges, q_edges))
+
+
+@pytest.mark.parametrize("n, p, rows", [(20, 10, 10), (100, 100, 100)])
+def test_quadratic_inverse_matches_cholesky_oracle(n, p, rows):
+    linalg = pytest.importorskip("scipy.linalg")
+    for obj in random_regression_instance(n, p, rows, seed=9, ridge=1e-3):
+        want = linalg.cho_solve(linalg.cho_factor(obj.hessian), np.eye(p))
+        assert np.linalg.norm(obj._inverse - want) <= 1e-12 * np.linalg.norm(want)
