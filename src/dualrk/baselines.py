@@ -1,8 +1,9 @@
 """Comparison methods: centralized GD, distributed GD, and dual Nesterov.
 
 All baselines emit the same :class:`~dualrk.harness.MetricsRecord` schema as
-the main method, so traces are directly comparable on a shared
-communication-round axis.
+the main method, through the same :class:`~dualrk.harness.TraceRecorder`
+(metric records evaluated in blocks once the iterations are done), so traces
+are directly comparable on a shared communication-round axis.
 
 ``dual_nag_run`` runs Nesterov's accelerated gradient on the dual in the
 same transformed coordinates the heavy-ball method uses (``y_hat`` lives in
@@ -83,25 +84,14 @@ def cgd_run(
     n = len(objectives)
     simplex = objectives[0].domain == "simplex"
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
-    records = []
+    recorder = harness.TraceRecorder(reference, None, objectives, per_agent_normalized)
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
         grad = stacked_gradient(objectives, np.tile(x, n)).reshape(n, -1).sum(axis=0)
         x = _feasible(simplex, x - step * grad)
         _check_finite(x, "cgd", k)
-        records.append(
-            harness.evaluate_metrics(
-                np.tile(x, n),
-                reference,
-                None,
-                objectives,
-                iteration=k,
-                comm_rounds=k,
-                wall_time_ms=(time.perf_counter() - tic) * 1e3,
-                per_agent_normalized=per_agent_normalized,
-            )
-        )
-    return BaselineResult(records=records, final_stack=np.tile(x, n))
+        recorder.push(np.tile(x, n), k, k, (time.perf_counter() - tic) * 1e3)
+    return BaselineResult(records=recorder.flush(), final_stack=np.tile(x, n))
 
 
 def dgd_run(
@@ -140,7 +130,7 @@ def dgd_run(
         blocks = np.tile(objectives[0].initial_point(), (n, 1))
     else:
         blocks = np.asarray(start, dtype=float).reshape(n, p).copy()
-    records = []
+    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
         step_k = step / np.sqrt(k) if decaying_step else step
@@ -149,19 +139,8 @@ def dgd_run(
         grads = stacked_gradient(objectives, stack).reshape(n, p)
         blocks = _feasible(simplex, mixed - step_k * grads)
         _check_finite(blocks, "dgd", k)
-        records.append(
-            harness.evaluate_metrics(
-                blocks.reshape(-1),
-                reference,
-                graph,
-                objectives,
-                iteration=k,
-                comm_rounds=k,
-                wall_time_ms=(time.perf_counter() - tic) * 1e3,
-                per_agent_normalized=per_agent_normalized,
-            )
-        )
-    return BaselineResult(records=records, final_stack=blocks.reshape(-1).copy())
+        recorder.push(blocks.reshape(-1), k, k, (time.perf_counter() - tic) * 1e3)
+    return BaselineResult(records=recorder.flush(), final_stack=blocks.reshape(-1).copy())
 
 
 def _dual_descent(
@@ -187,7 +166,7 @@ def _dual_descent(
     # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
     # next plain-descent anchor and the final stack, so each is solved once.
     x_stack = stacked_conjugate(objectives, y_hat)
-    records = []
+    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
     gaps: list[float] | None = [] if record_dual_gap else None
     max_kres = 0.0
     for k in range(1, num_iterations + 1):
@@ -209,20 +188,9 @@ def _dual_descent(
         if gaps is not None:
             dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)
             gaps.append(dual + reference.f_star)
-        records.append(
-            harness.evaluate_metrics(
-                x_stack,
-                reference,
-                graph,
-                objectives,
-                iteration=k,
-                comm_rounds=k,
-                wall_time_ms=(time.perf_counter() - tic) * 1e3,
-                per_agent_normalized=per_agent_normalized,
-            )
-        )
+        recorder.push(x_stack, k, k, (time.perf_counter() - tic) * 1e3)
     return BaselineResult(
-        records=records,
+        records=recorder.flush(),
         final_stack=x_stack,
         max_kernel_residual=max_kres,
         dual_gaps=gaps,

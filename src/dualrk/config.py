@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .graph import LaplacianGraph, Topology, build_graph
 from .integrator import ButcherTableau, load_tableau, tableau_for_order
 from .objectives import (
@@ -190,11 +190,12 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[LaplacianGraph, list]:
     ------
     ConfigError
         When the graph or an objective rejects a configured value, or a
-        dataset file does not parse (both raise ``ValueError``).
+        dataset file does not parse (both raise ``ValueError``) or does not
+        fit the configured agents (``DimensionMismatch``).
     """
     try:
         return _build_instance(cfg)
-    except ValueError as err:
+    except (ValueError, DimensionMismatch) as err:
         raise ConfigError(str(err)) from err
 
 

@@ -121,13 +121,6 @@ class LaplacianGraph:
             table[i, : len(nb)] = nb
         return degrees[:, None], table
 
-    def laplacian_row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse Laplacian row of ``node`` as ``(indices, values)``."""
-        nb = self.neighbor_lists[node]
-        idx = np.concatenate(([node], nb))
-        val = np.concatenate(([float(len(nb))], -np.ones(len(nb))))
-        return idx, val
-
 
 def _star_neighbors(n: int) -> list[np.ndarray]:
     lists = [np.arange(1, n, dtype=np.intp)]
@@ -236,7 +229,7 @@ def dense_laplacian(graph: LaplacianGraph) -> np.ndarray:
 
 
 def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.ndarray:
-    """Apply the block Laplacian ``(L (x) I_p)`` to a stacked vector.
+    """Apply the block Laplacian ``(L (x) I_p)`` to a stacked vector, or to each row of a block.
 
     Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``.  All
     nodes are computed in one array operation: the blocks are gathered
@@ -247,22 +240,34 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     received broadcasts (:func:`dualrk.dynamics.agent_field`); for
     ``block_dim == 1`` numpy may sum pairwise, which agrees to roundoff.
 
+    A ``(K, n p)`` block of stacked vectors adds the neighbor slots one at a
+    time in the same sorted order, which is sequential for every
+    ``block_dim`` and needs no ``(K, n, max degree, p)`` gather.
+
     Parameters
     ----------
     x : ndarray
-        Stacked vector with ``node_count * block_dim`` entries.
+        Stacked vector with ``node_count * block_dim`` entries, or a
+        ``(K, node_count * block_dim)`` block of them.
     block_dim : int
         Per-node block dimension ``p``.
     """
     x = np.asarray(x, dtype=float)
     n = graph.node_count
-    if x.size != n * block_dim:
-        raise DimensionMismatch(f"expected {n * block_dim} entries, got {x.size}")
+    if x.shape[-1:] != (n * block_dim,) or x.ndim > 2:
+        raise DimensionMismatch(f"expected {n * block_dim} entries per row, got {x.shape}")
     degrees, table = graph.padded_neighbors
-    blocks = x.reshape(n, block_dim)
+    blocks = x.reshape(*x.shape[:-1], n, block_dim)
     # Pad slots read an extra row of -0.0, which leaves every sum unchanged.
-    padded = np.concatenate([blocks, np.full((1, block_dim), -0.0)])
-    return (degrees * blocks - padded[table].sum(axis=1)).reshape(x.shape)
+    padded = np.concatenate([blocks, np.full((*x.shape[:-1], 1, block_dim), -0.0)], axis=-2)
+    if x.ndim == 1:
+        neighbor_sum = padded[table].sum(axis=1)
+    else:
+        # A single-node graph has no neighbor slots; its sum is empty.
+        neighbor_sum = padded[:, table[:, 0]] if table.size else np.zeros_like(blocks)
+        for slot in table.T[1:]:
+            neighbor_sum += padded[:, slot]
+    return (degrees * blocks - neighbor_sum).reshape(x.shape)
 
 
 def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:

@@ -4,6 +4,10 @@ Everything downstream of a run lives here: the consensus-problem reference
 solution (closed form checked against an independent projected-gradient
 solver), the per-iteration metric record and its CSV schema, log-log slope
 fitting over trace tails, and the compactness-ball diagnostics.
+
+Run loops push their iterates into a :class:`TraceRecorder`, which evaluates
+the records a block at a time with :func:`evaluate_trace`, or after every
+iteration for a run with an ``on_record`` callback.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ __all__ = [
     "reference_optimum",
     "projected_gradient_optimum",
     "verify_reference",
+    "evaluate_trace",
     "evaluate_metrics",
+    "TRACE_BLOCK_BYTES",
+    "TraceRecorder",
     "consensus_projection",
     "fit_rate",
     "theory_diagnostics",
@@ -57,7 +64,8 @@ class MetricsRecord:
     ``suboptimality`` is reported as ``|F(x_k) - F*|`` (the usual figure
     axis); the signed value is kept alongside but is not part of the CSV
     schema.  With ``per_agent_normalized`` reporting, suboptimality and the
-    squared distance are divided by the agent count.
+    squared distance are divided by the agent count.  ``wall_time_ms`` is
+    the iteration's own method time; its metrics are evaluated later, in blocks.
     """
 
     iteration: int
@@ -245,6 +253,51 @@ def consensus_projection(x_stack: np.ndarray, n: int) -> np.ndarray:
     return np.tile(blocks.mean(axis=0), n)
 
 
+def _row_dots(a, b):
+    """Row-wise dot products; matmul reduces each ``(1, m) @ (m, 1)`` with BLAS ``dot``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def evaluate_trace(
+    x_block: np.ndarray,
+    reference: ReferenceOptimum,
+    graph: LaplacianGraph | None,
+    objectives,
+    stamps,
+    per_agent_normalized: bool = False,
+) -> list[MetricsRecord]:
+    """Metric records of a ``(K, n p)`` block of stacked primal iterates.
+
+    ``stamps[k]`` is the ``(iteration, comm_rounds, wall_time_ms)`` of row
+    ``k``.  One array pass covers the block: the stacked values over its
+    leading axis, the batched block Laplacian, and row-wise BLAS dot
+    products, the same reductions a single row gets, so each record is
+    bitwise independent of the rows it is batched with.  ``graph=None`` is
+    allowed for replicated (consensus) stacks, whose consensus terms vanish
+    identically; centralized baselines use this.
+    """
+    x_block = np.asarray(x_block, dtype=float)
+    rows, n = x_block.shape[0], len(objectives)
+    signed = stacked_value(objectives, x_block) - reference.f_star
+    if graph is None:
+        norm = quad = np.zeros(rows)
+    else:
+        lap_x = laplacian_apply(graph, x_block, objectives[0].dim)
+        norm = np.sqrt(_row_dots(lap_x, lap_x))
+        quad = _row_dots(x_block, lap_x)
+        quad = np.where(quad < 0.0, 0.0, quad)  # max(quad, 0.0) row by row
+    diff = (x_block.reshape(rows, n, -1) - reference.x_star).reshape(rows, -1)
+    dist_sq = _row_dots(diff, diff)
+    if per_agent_normalized:
+        signed /= n
+        dist_sq /= n
+    columns = zip(signed.tolist(), norm.tolist(), quad.tolist(), dist_sq.tolist())
+    return [
+        MetricsRecord(k, r, abs(s), c, q, d, ms, s)
+        for (k, r, ms), (s, c, q, d) in zip(stamps, columns)
+    ]
+
+
 def evaluate_metrics(
     x_stack: np.ndarray,
     reference: ReferenceOptimum,
@@ -255,36 +308,58 @@ def evaluate_metrics(
     wall_time_ms: float = 0.0,
     per_agent_normalized: bool = False,
 ) -> MetricsRecord:
-    """Compute the full metric record for a stacked primal iterate.
+    """Metric record of one stacked primal iterate: the one-row :func:`evaluate_trace`."""
+    x_block = np.asarray(x_stack, dtype=float)[None]
+    stamp = (iteration, comm_rounds, wall_time_ms)
+    return evaluate_trace(x_block, reference, graph, objectives, [stamp], per_agent_normalized)[0]
 
-    ``graph=None`` is allowed for replicated (consensus) stacks, whose
-    consensus terms vanish identically; centralized baselines use this.
+
+#: Bytes of primal iterates a :class:`TraceRecorder` evaluates as one block:
+#: 20 iterates at the desk shape (n = 20, p = 10), one at the paper shape.
+TRACE_BLOCK_BYTES = 32 * 1024
+
+
+class TraceRecorder:
+    """A run's metric trace, evaluated by :func:`evaluate_trace` a block at a time.
+
+    The run loop pushes its primal iterate once per iteration and flushes
+    when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` flushes on
+    its own.  With ``on_record`` every push flushes and hands the record to
+    the callback, so it fires before the run's next iteration starts.
+    ``min_entry`` is the smallest iterate entry flushed so far (None before any).
     """
-    x_stack = np.asarray(x_stack, dtype=float)
-    n = len(objectives)
-    signed = stacked_value(objectives, x_stack) - reference.f_star
-    if graph is None:
-        consensus_norm = 0.0
-        consensus_quad = 0.0
-    else:
-        lap_x = laplacian_apply(graph, x_stack, objectives[0].dim)
-        consensus_norm = float(np.linalg.norm(lap_x))
-        consensus_quad = max(float(x_stack @ lap_x), 0.0)
-    diff = (x_stack.reshape(n, -1) - reference.x_star).reshape(-1)
-    dist_sq = float(diff @ diff)
-    if per_agent_normalized:
-        signed /= n
-        dist_sq /= n
-    return MetricsRecord(
-        iteration=iteration,
-        comm_rounds=comm_rounds,
-        suboptimality=abs(signed),
-        consensus_L_norm=consensus_norm,
-        consensus_quadratic=consensus_quad,
-        dist_to_optimum_sq=dist_sq,
-        wall_time_ms=wall_time_ms,
-        suboptimality_signed=signed,
-    )
+
+    def __init__(self, reference, graph, objectives, per_agent_normalized=False, on_record=None):
+        width = len(objectives) * objectives[0].dim
+        self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
+        self._block = np.empty((self.capacity, width))
+        self._stamps: list[tuple[int, int, float]] = []
+        self._problem = (reference, graph, objectives)
+        self._per_agent_normalized = per_agent_normalized
+        self._on_record = on_record
+        self.records: list[MetricsRecord] = []
+        self.min_entry: float | None = None
+
+    def push(self, x_stack, iteration: int, comm_rounds: int, wall_time_ms: float) -> None:
+        """Copy in one iteration's primal iterate; flush once the block is full."""
+        self._block[len(self._stamps)] = x_stack
+        self._stamps.append((iteration, comm_rounds, wall_time_ms))
+        if len(self._stamps) == self.capacity:
+            self.flush()
+
+    def flush(self) -> list[MetricsRecord]:
+        """Evaluate the pushed iterates; return every record of the run so far."""
+        if self._stamps:
+            block = self._block[: len(self._stamps)]
+            fresh = evaluate_trace(block, *self._problem, self._stamps, self._per_agent_normalized)
+            low = float(block.min())
+            self.min_entry = low if self.min_entry is None else min(self.min_entry, low)
+            self._stamps.clear()
+            self.records.extend(fresh)
+            if self._on_record is not None:
+                for record in fresh:
+                    self._on_record(record)
+        return self.records
 
 
 def fit_rate(
@@ -409,21 +484,13 @@ def write_metrics_csv(records, path, timings: bool = False) -> None:
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
     """Read a trace written by :func:`write_metrics_csv`."""
-    records = []
+    # CSV_COLUMNS names the record's first fields in order: two counts, then floats.
+    counts, values = CSV_COLUMNS[:2], CSV_COLUMNS[2:]
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                MetricsRecord(
-                    iteration=int(row["iteration"]),
-                    comm_rounds=int(row["comm_rounds"]),
-                    suboptimality=float(row["suboptimality"]),
-                    consensus_L_norm=float(row["consensus_L_norm"]),
-                    consensus_quadratic=float(row["consensus_quadratic"]),
-                    dist_to_optimum_sq=float(row["dist_to_optimum_sq"]),
-                    wall_time_ms=float(row["wall_time_ms"]),
-                )
-            )
-    return records
+        return [
+            MetricsRecord(*(int(row[c]) for c in counts), *(float(row[c]) for c in values))
+            for row in csv.DictReader(fh)
+        ]
 
 
 def write_rate_fits_json(fits, path, extra: dict | None = None) -> None:

@@ -13,7 +13,8 @@ the probability simplex (:class:`KLLocal`).
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
 :func:`stacked_gradient`) group a list of blocks by family and evaluate each
 family's blocks in one array operation on stacked parameters, which are
-built once per objective list and reused across calls.
+built once per objective list and reused across calls.  Each also takes a
+``(K, n p)`` block of stacked vectors, row by row.
 """
 
 from __future__ import annotations
@@ -63,15 +64,11 @@ class DualFriendlyObjective(abc.ABC):
         objectives restricted to the unit simplex.
     strong_convexity : float
         Strong convexity modulus ``mu > 0`` (over the domain).
-    lipschitz_hint : float
-        Heuristic bound on the gradient norm over the working region; used
-        in diagnostics and step-size heuristics only.
     """
 
     dim: int
     domain = "real"
     strong_convexity: float
-    lipschitz_hint: float
 
     @abc.abstractmethod
     def value(self, x: np.ndarray) -> float:
@@ -149,8 +146,6 @@ class QuadraticLocal(DualFriendlyObjective):
             )
         self.strong_convexity = float(evals[0])
         self.gradient_lipschitz = float(evals[-1])
-        # Gradient-norm bound over the unit ball around the local minimizer.
-        self.lipschitz_hint = float(evals[-1])
         self._inverse = np.linalg.solve(self.hessian, np.eye(self.dim))
         self._shift = self.scale * (design.T @ targets)
         self._offset = 0.5 * self.scale * float(targets @ targets)
@@ -201,7 +196,6 @@ class KLLocal(DualFriendlyObjective):
         self.reference = q
         self.dim = q.size
         self.strong_convexity = 1.0
-        self.lipschitz_hint = 1.0 + abs(float(np.log(q.min())))
 
     @classmethod
     def from_weights(cls, weights) -> "KLLocal":
@@ -263,8 +257,8 @@ def _quadratic_conjugate(inverse, shift, z):
 
 def _kl_conjugate(reference, z):
     """Row-wise softmax reweighting of stacked ``(g, p)`` references."""
-    w = reference * np.exp(z - z.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
+    w = reference * np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class _QuadraticFamily:
@@ -285,7 +279,7 @@ class _QuadraticFamily:
 
     def values(self, x):
         hx = np.matmul(self.hessian, x[..., None])[..., 0]
-        return 0.5 * np.sum(x * hx, axis=1) - np.sum(self.shift * x, axis=1) + self.offset
+        return 0.5 * np.sum(x * hx, axis=-1) - np.sum(self.shift * x, axis=-1) + self.offset
 
     def gradients(self, x):
         return np.matmul(self.hessian, x[..., None])[..., 0] - self.shift
@@ -301,7 +295,7 @@ class _KLFamily:
         return _kl_conjugate(self.reference, z)
 
     def values(self, x):
-        return _rel_entr(x, self.reference).sum(axis=1)
+        return _rel_entr(x, self.reference).sum(axis=-1)
 
     def gradients(self, x):
         return np.log(x / self.reference) + 1.0
@@ -354,12 +348,12 @@ def _families(objectives):
 
 
 def _rows(objectives, z):
-    """Family groups plus ``z`` viewed as one row per block."""
+    """Family groups plus ``z`` viewed as one row per block, after any batch axes."""
     members, p, groups = _families(objectives)
     z = np.asarray(z, dtype=float)
-    if z.size != len(members) * p:
-        raise DimensionMismatch(f"expected {len(members) * p} stacked entries, got {z.size}")
-    return groups, z.reshape(len(members), p)
+    if z.shape[-1:] != (len(members) * p,):
+        raise DimensionMismatch(f"expected {len(members) * p} stacked entries, got {z.shape}")
+    return groups, z.reshape(*z.shape[:-1], len(members), p)
 
 
 def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
@@ -372,14 +366,15 @@ def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     groups, rows = _rows(objectives, z)
     out = np.empty_like(rows)
     for sel, family in groups:
-        out[sel] = family.conjugate(rows[sel])
+        out[..., sel, :] = family.conjugate(rows[..., sel, :])
     return out.reshape(np.shape(z))
 
 
-def stacked_value(objectives, x: np.ndarray) -> float:
-    """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector."""
+def stacked_value(objectives, x: np.ndarray):
+    """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector, or per row of a block."""
     groups, rows = _rows(objectives, x)
-    return float(sum(family.values(rows[sel]).sum() for sel, family in groups))
+    total = sum(family.values(rows[..., sel, :]).sum(axis=-1) for sel, family in groups)
+    return float(total) if rows.ndim == 2 else total
 
 
 def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
@@ -387,7 +382,7 @@ def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
     groups, rows = _rows(objectives, x)
     out = np.empty_like(rows)
     for sel, family in groups:
-        out[sel] = family.gradients(rows[sel])
+        out[..., sel, :] = family.gradients(rows[..., sel, :])
     return out.reshape(np.shape(x))
 
 
@@ -462,6 +457,10 @@ def load_regression_csv(design_path, targets_path, n: int, ridge: float = 0.0) -
     """
     design = np.atleast_2d(np.loadtxt(design_path, delimiter=","))
     targets = np.atleast_1d(np.loadtxt(targets_path, delimiter=","))
+    if targets.shape[0] != design.shape[0]:
+        raise DimensionMismatch(
+            f"design has {design.shape[0]} rows but targets has {targets.shape[0]} entries"
+        )
     if design.shape[0] % n != 0:
         raise DimensionMismatch(f"{design.shape[0]} rows do not split across {n} agents")
     rows = design.shape[0] // n

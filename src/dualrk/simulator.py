@@ -16,7 +16,10 @@ Row ``i`` of each operation is agent ``i``'s own computation, so any
 schedule honoring the stage barrier gives the same result.  The conjugate
 solved at an iteration's end state (the primal iterate its metrics use) is
 reused as the first stage of the next iteration, which starts at that same
-state, so a run makes ``n (S N + 1)`` conjugate evaluations.
+state, so a run makes ``n (S N + 1)`` conjugate evaluations.  The metric
+records of those iterates are evaluated in blocks by a
+:class:`~dualrk.harness.TraceRecorder`, or before the next iteration starts
+when ``on_record`` is given.
 
 Two reference paths check the engine:
 
@@ -188,7 +191,8 @@ def run_heavy_ball(
     reference : ReferenceOptimum, optional
         Precomputed reference optimum; computed on the fly when omitted.
     on_record : callable, optional
-        Metric sink invoked with each :class:`~dualrk.harness.MetricsRecord`.
+        Metric sink invoked with each :class:`~dualrk.harness.MetricsRecord`
+        before the next iteration starts.
 
     Raises
     ------
@@ -204,34 +208,20 @@ def run_heavy_ball(
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
     if reference is None:
         reference = harness.reference_optimum(objectives)
-    if num_iterations == 0:
-        states = initial_agent_states(n, p)
-        return RunResult(
-            records=[],
-            final_states=states,
-            comm_rounds=0,
-            resolved_step=float("nan"),
-            max_kernel_residual=0.0,
-            min_primal_entry=None,
-            trajectory=stack_agent_states(states, p)[None, :] if keep_trajectory else None,
-            messages=[] if log_messages else None,
-        )
-
     if h0 is None:
         h0 = default_h0(graph, objectives)
-    h = step_size(h0, num_iterations, tableau.order)
+    # A zero-iteration run returns the initial state and no step.
+    h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
     stages = tableau.stages
     a, b = tableau.a, tableau.b
-    simplex = objectives[0].domain == "simplex"
 
     states = initial_agent_states(n, p)
     derivs = np.empty((stages, n, 2 * p + 1))
-    records: list[harness.MetricsRecord] = []
+    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized, on_record)
     messages: list[MessageRecord] | None = [] if log_messages else None
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
     max_kres = 0.0
-    min_entry = np.inf
 
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
@@ -273,31 +263,17 @@ def run_heavy_ball(
             stacked = stack_agent_states(states, p)
             max_kres = max(max_kres, kernel_residual(stacked, n, p))
             x_stack = primal_extract(states, objectives)
-            if simplex:
-                min_entry = min(min_entry, float(x_stack.min()))
-            record = harness.evaluate_metrics(
-                x_stack,
-                reference,
-                graph,
-                objectives,
-                iteration=k,
-                comm_rounds=rounds,
-                wall_time_ms=(time.perf_counter() - tic) * 1e3,
-                per_agent_normalized=per_agent_normalized,
-            )
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
+            recorder.push(x_stack, k, rounds, (time.perf_counter() - tic) * 1e3)
             if trajectory is not None:
                 trajectory.append(stacked)
 
     return RunResult(
-        records=records,
+        records=recorder.flush(),
         final_states=states,
         comm_rounds=rounds,
         resolved_step=h,
         max_kernel_residual=max_kres,
-        min_primal_entry=None if not simplex else float(min_entry),
+        min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
         trajectory=np.array(trajectory) if trajectory is not None else None,
         messages=messages,
     )
@@ -369,27 +345,15 @@ def run_heavy_ball_monolithic(
     p = objectives[0].dim
     if reference is None:
         reference = harness.reference_optimum(objectives)
-    if num_iterations == 0:
-        state = initial_stacked_state(n, p)
-        return RunResult(
-            records=[],
-            final_states=state,
-            comm_rounds=0,
-            resolved_step=float("nan"),
-            max_kernel_residual=0.0,
-            trajectory=state[None, :] if keep_trajectory else None,
-        )
     if h0 is None:
         h0 = default_h0(graph, objectives)
-    h = step_size(h0, num_iterations, tableau.order)
+    h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
     field_fn = heavy_ball_field(graph, objectives)
     state = initial_stacked_state(n, p)
     total = n * p
-    simplex = objectives[0].domain == "simplex"
-    records: list[harness.MetricsRecord] = []
+    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
     trajectory = [state.copy()] if keep_trajectory else None
     max_kres = 0.0
-    min_entry = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, num_iterations + 1):
             tic = time.perf_counter()
@@ -399,28 +363,15 @@ def run_heavy_ball_monolithic(
                 raise NonFiniteState(f"iteration {k}: {err}", iteration=k) from err
             max_kres = max(max_kres, kernel_residual(state, n, p))
             x_stack = stacked_conjugate(objectives, state[total : 2 * total])
-            if simplex:
-                min_entry = min(min_entry, float(x_stack.min()))
-            records.append(
-                harness.evaluate_metrics(
-                    x_stack,
-                    reference,
-                    graph,
-                    objectives,
-                    iteration=k,
-                    comm_rounds=k * tableau.stages,
-                    wall_time_ms=(time.perf_counter() - tic) * 1e3,
-                    per_agent_normalized=per_agent_normalized,
-                )
-            )
+            recorder.push(x_stack, k, k * tableau.stages, (time.perf_counter() - tic) * 1e3)
             if trajectory is not None:
                 trajectory.append(state.copy())
     return RunResult(
-        records=records,
+        records=recorder.flush(),
         final_states=state,
         comm_rounds=num_iterations * tableau.stages,
         resolved_step=h,
         max_kernel_residual=max_kres,
-        min_primal_entry=None if not simplex else float(min_entry),
+        min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
         trajectory=np.array(trajectory) if trajectory is not None else None,
     )

@@ -150,6 +150,35 @@ def test_custom_quadratic_dataset(tmp_path):
     assert main(["run", str(path)]) == 0
 
 
+def _custom_quadratic_config(tmp_path, design_rows, target_rows):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "h.csv", rng.uniform(size=(design_rows, 2)), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", rng.uniform(size=target_rows), delimiter=",")
+    return _write_config(
+        tmp_path / "cfg.txt",
+        experiment="custom",
+        objective="quadratic",
+        h_csv=str(tmp_path / "h.csv"),
+        b_csv=str(tmp_path / "b.csv"),
+        n=4,
+        p=2,
+        iterations=5,
+        method="cgd",
+    )
+
+
+def test_short_targets_csv_exits_2(tmp_path, capsys):
+    path = _custom_quadratic_config(tmp_path, 40, 10)
+    assert main(["run", str(path)]) == 2
+    assert "design has 40 rows but targets has 10 entries" in capsys.readouterr().err
+
+
+def test_design_rows_not_splitting_across_agents_exits_2(tmp_path, capsys):
+    path = _custom_quadratic_config(tmp_path, 39, 39)
+    assert main(["run", str(path)]) == 2
+    assert "39 rows do not split across 4 agents" in capsys.readouterr().err
+
+
 def test_nan_reference_csv_exits_2(tmp_path, capsys):
     np.savetxt(tmp_path / "q.csv", [[0.5, 0.5], [np.nan, 0.5], [0.25, 0.75]], delimiter=",")
     path = _write_config(

@@ -42,6 +42,10 @@ def test_zero_iterations_is_a_no_op():
     assert result.comm_rounds == 0
     assert np.array_equal(result.final_states[:, :4], np.zeros((3, 4)))
     assert np.array_equal(result.final_states[:, -1], np.ones(3))
+    assert np.isnan(result.resolved_step) and result.min_primal_entry is None
+    mono = run_heavy_ball_monolithic(graph, objs, tableau("rk4"), 0, keep_trajectory=True)
+    assert mono.records == [] and mono.comm_rounds == 0 and mono.min_primal_entry is None
+    assert mono.trajectory.shape == (1, 13) and np.array_equal(mono.trajectory[0], mono.final_states)
 
 
 def test_edge_graph_consensus_shrinks():

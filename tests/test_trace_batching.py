@@ -1,0 +1,316 @@
+"""Batched metric traces: block evaluation and the shared run-loop recorder.
+
+The oracles here are test-local copies of the per-iteration code the run
+loops used before metric records were evaluated in blocks: one
+``stacked_value``, one ``laplacian_apply`` and three BLAS dot products per
+iterate.  Every comparison is bitwise, because the CSV bytes of a trace must
+not depend on how its records were batched.
+"""
+
+import numpy as np
+import pytest
+
+from dualrk import simulator
+from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_nag_run
+from dualrk.graph import Topology, build_graph, laplacian_apply
+from dualrk.harness import (
+    TRACE_BLOCK_BYTES,
+    MetricsRecord,
+    ReferenceOptimum,
+    TraceRecorder,
+    evaluate_metrics,
+    evaluate_trace,
+    reference_optimum,
+)
+from dualrk.integrator import tableau
+from dualrk.objectives import (
+    random_kl_instance,
+    random_regression_instance,
+    stacked_conjugate,
+    stacked_gradient,
+    stacked_value,
+)
+from dualrk.simulator import (
+    run_heavy_ball,
+    run_heavy_ball_monolithic,
+    run_heavy_ball_per_agent,
+    suggested_h0,
+)
+
+FIELDS = (
+    "iteration",
+    "comm_rounds",
+    "suboptimality",
+    "consensus_L_norm",
+    "consensus_quadratic",
+    "dist_to_optimum_sq",
+    "suboptimality_signed",
+)
+
+# 16 agents with 16-dimensional blocks: 2 KiB per iterate, so a block of
+# TRACE_BLOCK_BYTES holds K = 16 iterates.
+N_AGENTS, DIM = 16, 16
+K = TRACE_BLOCK_BYTES // (8 * N_AGENTS * DIM)
+
+
+def _old_metrics(x_stack, reference, graph, objectives, iteration, comm_rounds, normalized=False):
+    """The per-iterate metric record as it was computed before batching."""
+    n = len(objectives)
+    signed = stacked_value(objectives, x_stack) - reference.f_star
+    if graph is None:
+        norm = quad = 0.0
+    else:
+        lap_x = laplacian_apply(graph, x_stack, objectives[0].dim)
+        norm = float(np.linalg.norm(lap_x))
+        quad = max(float(x_stack @ lap_x), 0.0)
+    diff = (x_stack.reshape(n, -1) - reference.x_star).reshape(-1)
+    dist_sq = float(diff @ diff)
+    if normalized:
+        signed /= n
+        dist_sq /= n
+    return MetricsRecord(iteration, comm_rounds, abs(signed), norm, quad, dist_sq, 0.0, signed)
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert type(x) is type(y) and repr(x) == repr(y), (a.iteration, name, x, y)
+
+
+def _mixed_instance(n, p, seed):
+    kl = random_kl_instance(n, p, seed=seed)
+    quad = random_regression_instance(n, p, p + 2, seed=seed, ridge=1e-3)
+    return [kl[i] if i % 3 else quad[i] for i in range(n)]
+
+
+CASES = {
+    "quadratic": (lambda: random_regression_instance(12, 5, 7, seed=1), "erdos_renyi", False),
+    "kl": (lambda: random_kl_instance(12, 5, seed=2), "cycle", False),
+    "mixed": (lambda: _mixed_instance(12, 5, 3), "erdos_renyi", False),
+    "no_graph": (lambda: random_regression_instance(12, 5, 7, seed=4), None, False),
+    "star": (lambda: random_kl_instance(12, 5, seed=5), "star", False),
+    "per_agent_normalized": (lambda: random_regression_instance(12, 5, 7, seed=6), "star", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_evaluate_trace_matches_per_row_metrics(case):
+    make, kind, normalized = CASES[case]
+    objs = make()
+    graph = None if kind is None else build_graph(
+        Topology(kind, 12, edge_probability=0.4, rng_seed=7)
+    )
+    rng = np.random.default_rng(11)
+    # Any point serves as the reference here (the mixed list has no closed form).
+    reference = ReferenceOptimum(x_star=rng.uniform(0.1, 0.3, size=5), f_star=0.37)
+    block = rng.uniform(0.01, 1.0, size=(9, 60)) * 10.0 ** rng.uniform(-3, 3, size=(9, 60))
+    block[4] = np.tile(reference.x_star, 12)  # a consensus row at the reference point
+    stamps = [(k, 3 * k, 0.5) for k in range(1, 10)]
+    records = evaluate_trace(block, reference, graph, objs, stamps, normalized)
+    want = [
+        _old_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), normalized)
+        for k, x in enumerate(block)
+    ]
+    _assert_bitwise(records, want)
+    _assert_bitwise(
+        records,
+        [
+            evaluate_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), 0.5, normalized)
+            for k, x in enumerate(block)
+        ],
+    )
+    assert [r.wall_time_ms for r in records] == [0.5] * 9
+    # A record does not depend on the rows batched with it.
+    _assert_bitwise(
+        evaluate_trace(block[3:5], reference, graph, objs, stamps[3:5], normalized),
+        want[3:5],
+    )
+
+
+def test_batched_laplacian_sums_neighbors_in_sorted_order():
+    # Star hub: 39 neighbor slots, with entries spread over twelve orders of
+    # magnitude so that any other summation order changes the last bits.
+    graph = build_graph(Topology("star", 40))
+    objs = random_regression_instance(40, 3, 4, seed=8)
+    reference = reference_optimum(objs)
+    rng = np.random.default_rng(8)
+    block = rng.normal(size=(5, 120)) * 10.0 ** rng.uniform(-6, 6, size=(5, 120))
+    records = evaluate_trace(block, reference, graph, objs, [(k, k, 0.0) for k in range(5)])
+    for x, record in zip(block, records):
+        blocks = x.reshape(40, 3)
+        want = np.empty_like(blocks)
+        for i, nb in enumerate(graph.neighbor_lists):
+            acc = blocks[nb[0]].copy()
+            for j in nb[1:]:
+                acc = acc + blocks[j]
+            want[i] = len(nb) * blocks[i] - acc
+        want = want.reshape(-1)
+        assert repr(record.consensus_L_norm) == repr(float(np.linalg.norm(want)))
+        assert repr(record.consensus_quadratic) == repr(max(float(x @ want), 0.0))
+    batched = laplacian_apply(graph, block, 3)
+    assert batched.tobytes() == np.stack([laplacian_apply(graph, x, 3) for x in block]).tobytes()
+
+
+def test_stacked_kernels_over_a_batch_axis_are_bitwise_per_row():
+    rng = np.random.default_rng(9)
+    for objs in (
+        random_regression_instance(7, 4, 6, seed=9),
+        random_kl_instance(7, 4, seed=9),
+        _mixed_instance(7, 4, 9),
+    ):
+        block = rng.uniform(0.05, 1.0, size=(6, 28))
+        values = stacked_value(objs, block)
+        assert values.shape == (6,)
+        assert [repr(v) for v in values.tolist()] == [repr(stacked_value(objs, x)) for x in block]
+        for kernel in (stacked_conjugate, stacked_gradient):
+            rows = np.stack([kernel(objs, x) for x in block])
+            assert kernel(objs, block).tobytes() == rows.tobytes()
+
+
+def test_recorder_block_size_is_bounded_by_bytes():
+    objs = random_kl_instance(N_AGENTS, DIM, seed=0)
+    reference = reference_optimum(objs)
+    assert TraceRecorder(reference, None, objs).capacity == K == 16
+    assert TraceRecorder(reference, None, objs, on_record=print).capacity == 1
+    wide = random_kl_instance(64, 64, seed=0)  # 32 KiB per iterate, as at the paper shape
+    assert TraceRecorder(reference_optimum(wide), None, wide).capacity == 1
+
+
+def test_recorder_flushes_full_blocks_and_the_tail():
+    objs = random_kl_instance(N_AGENTS, DIM, seed=1)
+    recorder = TraceRecorder(reference_optimum(objs), None, objs)
+    iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS * DIM))
+    iterates[K // 2, 5] = 0.01  # the smallest entry sits inside the first block
+    for k, x in enumerate(iterates, start=1):
+        recorder.push(x, k, 2 * k, 0.25)
+        assert len(recorder.records) == (k // K) * K
+    assert recorder.min_entry == 0.01
+    records = recorder.flush()
+    assert [r.iteration for r in records] == list(range(1, K + 4))
+    assert [r.comm_rounds for r in records] == list(range(2, 2 * K + 7, 2))
+    assert recorder.flush() is records and len(records) == K + 3
+
+
+def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
+    trajectory = run_heavy_ball_per_agent(graph, objs, tab, num_iterations, h0=h0)
+    total = N_AGENTS * DIM
+    reference = reference_optimum(objs)
+    return [
+        _old_metrics(
+            stacked_conjugate(objs, state[total : 2 * total]),
+            reference, graph, objs, k, k * tab.stages, normalized,
+        )
+        for k, state in enumerate(trajectory[1:], start=1)
+    ]
+
+
+def _cgd_old(objs, step, num_iterations, normalized):
+    n = len(objs)
+    reference = reference_optimum(objs)
+    simplex = objs[0].domain == "simplex"
+    x = objs[0].initial_point()
+    records = []
+    for k in range(1, num_iterations + 1):
+        grad = stacked_gradient(objs, np.tile(x, n)).reshape(n, -1).sum(axis=0)
+        x = _feasible(simplex, x - step * grad)
+        records.append(_old_metrics(np.tile(x, n), reference, None, objs, k, k, normalized))
+    return records
+
+
+def _dgd_old(graph, objs, step, mixing, num_iterations, normalized):
+    n, p = len(objs), objs[0].dim
+    reference = reference_optimum(objs)
+    simplex = objs[0].domain == "simplex"
+    blocks = np.tile(objs[0].initial_point(), (n, 1))
+    records = []
+    for k in range(1, num_iterations + 1):
+        stack = blocks.reshape(-1)
+        mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
+        grads = stacked_gradient(objs, stack).reshape(n, p)
+        blocks = _feasible(simplex, mixed - step / np.sqrt(k) * grads)
+        records.append(_old_metrics(blocks.reshape(-1), reference, graph, objs, k, k, normalized))
+    return records
+
+
+def _dual_nag_old(graph, objs, step, num_iterations, normalized):
+    n, p = len(objs), objs[0].dim
+    reference = reference_optimum(objs)
+    y_hat = y_prev = z_hat = np.zeros(n * p)
+    records = []
+    for k in range(1, num_iterations + 1):
+        y_new = z_hat - step * laplacian_apply(graph, stacked_conjugate(objs, z_hat), p)
+        z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
+        y_prev = y_hat = y_new
+        x_stack = stacked_conjugate(objs, y_hat)
+        records.append(_old_metrics(x_stack, reference, graph, objs, k, k, normalized))
+    return records
+
+
+@pytest.mark.parametrize("num_iterations", [1, K - 1, K, K + 1])
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
+    graph = build_graph(Topology("erdos_renyi", N_AGENTS, edge_probability=0.3, rng_seed=3))
+    if family == "quadratic":
+        objs = random_regression_instance(N_AGENTS, DIM, DIM + 2, seed=3, ridge=1e-3)
+    else:
+        objs = random_kl_instance(N_AGENTS, DIM, seed=3)
+    normalized = family == "kl"
+    tab = tableau("rk4")
+    h0 = suggested_h0(graph, objs, tab, num_iterations)
+    step = 0.5 / graph.lambda_max
+    heavy_ball_want = _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized)
+    runs = [
+        (run_heavy_ball(graph, objs, tab, num_iterations, h0=h0, per_agent_normalized=normalized),
+         heavy_ball_want),
+        (run_heavy_ball_monolithic(graph, objs, tab, num_iterations, h0=h0,
+                                   per_agent_normalized=normalized),
+         heavy_ball_want),
+        (cgd_run(objs, 0.1, num_iterations, per_agent_normalized=normalized),
+         _cgd_old(objs, 0.1, num_iterations, normalized)),
+        (dgd_run(graph, objs, 0.1, step, num_iterations, per_agent_normalized=normalized),
+         _dgd_old(graph, objs, 0.1, step, num_iterations, normalized)),
+        (dual_nag_run(graph, objs, step, num_iterations, per_agent_normalized=normalized),
+         _dual_nag_old(graph, objs, step, num_iterations, normalized)),
+    ]
+    for result, want in runs:
+        _assert_bitwise(result.records, want)
+        assert all(r.wall_time_ms > 0.0 for r in result.records)
+
+
+def test_on_record_fires_before_the_next_iteration(monkeypatch):
+    graph = build_graph(Topology("cycle", N_AGENTS))
+    objs = random_kl_instance(N_AGENTS, DIM, seed=4)
+    tab = tableau("rk4")
+    h0 = suggested_h0(graph, objs, tab, K + 3)
+    events = []
+    round_field = simulator.round_field
+
+    def logged_round(*args):
+        events.append("round")
+        return round_field(*args)
+
+    monkeypatch.setattr(simulator, "round_field", logged_round)
+    seen = []
+
+    def sink(record):
+        seen.append(record)
+        events.append(record.iteration)
+
+    result = run_heavy_ball(graph, objs, tab, K + 3, h0=h0, on_record=sink)
+    assert events == [e for k in range(1, K + 4) for e in ["round"] * tab.stages + [k]]
+    assert all(a is b for a, b in zip(seen, result.records)) and len(seen) == K + 3
+    monkeypatch.setattr(simulator, "round_field", round_field)
+    _assert_bitwise(result.records, run_heavy_ball(graph, objs, tab, K + 3, h0=h0).records)
+
+
+def test_min_primal_entry_covers_every_iterate():
+    graph = build_graph(Topology("star", N_AGENTS))
+    objs = random_kl_instance(N_AGENTS, DIM, seed=6)
+    tab = tableau("rk4")
+    h0 = suggested_h0(graph, objs, tab, K + 5)
+    result = run_heavy_ball(graph, objs, tab, K + 5, h0=h0, keep_trajectory=True)
+    total = N_AGENTS * DIM
+    want = min(float(stacked_conjugate(objs, s[total : 2 * total]).min()) for s in result.trajectory[1:])
+    assert result.min_primal_entry == want
