@@ -15,6 +15,7 @@ claiming any specific parameterization, hence the neutral name.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,7 +46,7 @@ class BaselineResult:
 
 
 def _check_finite(x: np.ndarray, method: str, k: int) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteState(f"{method}: non-finite iterate at iteration {k}", iteration=k)
 
 
@@ -84,14 +85,17 @@ def cgd_run(
     n = len(objectives)
     simplex = objectives[0].domain == "simplex"
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
+    replicated = np.tile(x, (n, 1))  # the consensus stack of x, rewritten in place
+    stack = replicated.reshape(-1)
     recorder = harness.TraceRecorder(reference, None, objectives, per_agent_normalized)
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
-        grad = stacked_gradient(objectives, np.tile(x, n)).reshape(n, -1).sum(axis=0)
+        grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
         x = _feasible(simplex, x - step * grad)
         _check_finite(x, "cgd", k)
-        recorder.push(np.tile(x, n), k, k, (time.perf_counter() - tic) * 1e3)
-    return BaselineResult(records=recorder.flush(), final_stack=np.tile(x, n))
+        replicated[:] = x
+        recorder.push(stack, k, k, (time.perf_counter() - tic) * 1e3)
+    return BaselineResult(records=recorder.flush(), final_stack=stack.copy())
 
 
 def dgd_run(
@@ -133,7 +137,7 @@ def dgd_run(
     recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
     for k in range(1, num_iterations + 1):
         tic = time.perf_counter()
-        step_k = step / np.sqrt(k) if decaying_step else step
+        step_k = step / math.sqrt(k) if decaying_step else step
         stack = blocks.reshape(-1)
         mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
         grads = stacked_gradient(objectives, stack).reshape(n, p)
@@ -183,7 +187,7 @@ def _dual_descent(
         y_hat = y_new
         _check_finite(y_hat, method, k)
         sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
-        max_kres = max(max_kres, float(sums / (1.0 + np.linalg.norm(y_hat))))
+        max_kres = max(max_kres, float(sums / (1.0 + math.sqrt(y_hat.dot(y_hat)))))
         x_stack = stacked_conjugate(objectives, y_hat)
         if gaps is not None:
             dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, ConnectivityFailure, DimensionMismatch
 from .graph import LaplacianGraph, Topology, build_graph
 from .integrator import ButcherTableau, load_tableau, tableau_for_order
 from .objectives import (
@@ -191,11 +191,13 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[LaplacianGraph, list]:
     ConfigError
         When the graph or an objective rejects a configured value, or a
         dataset file does not parse (both raise ``ValueError``) or does not
-        fit the configured agents (``DimensionMismatch``).
+        fit the configured agents (``DimensionMismatch``), or no connected
+        Erdos-Renyi graph exists at the configured edge probability
+        (``ConnectivityFailure``).
     """
     try:
         return _build_instance(cfg)
-    except (ValueError, DimensionMismatch) as err:
+    except (ValueError, DimensionMismatch, ConnectivityFailure) as err:
         raise ConfigError(str(err)) from err
 
 

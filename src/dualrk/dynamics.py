@@ -34,6 +34,7 @@ kernel-orthogonality invariant tracked by the simulator.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -132,21 +133,24 @@ def agent_field(
     return out
 
 
-def round_field(points: np.ndarray, lap_rows: np.ndarray) -> np.ndarray:
+def round_field(points: np.ndarray, lap_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Every agent's slice of the transformed field in one array operation.
 
     ``points`` holds one ``[v_hat, y_hat, t]`` stage point per agent, shape
     ``(n, 2p + 1)``, and ``lap_rows`` the matching ``(n, p)`` rows of
-    ``(L (x) I_p) x*``.  Row ``i`` of the result is bitwise equal to
+    ``(L (x) I_p) x*``.  The derivatives are written into ``out``, an array
+    of the shape of ``points`` (the simulator passes its preallocated stage
+    slot), which is returned.  Row ``i`` of the result is bitwise equal to
     :func:`agent_field` for agent ``i`` given the same Laplacian row.
     """
     block_dim = lap_rows.shape[1]
     t = points[:, -1:]
-    if np.any(t <= 0.0):
+    if t.min() <= 0.0:
         raise NonPositiveTime(f"time coordinate {float(t.min())} is not positive")
     v_hat = points[:, :block_dim]
-    out = np.empty_like(points)
-    out[:, :block_dim] = -(DAMPING / t) * v_hat - GRADIENT_WEIGHT * lap_rows
+    # (-DAMPING) / t is -(DAMPING / t) exactly: negation commutes with rounding.
+    dv_hat = np.multiply((-DAMPING) / t, v_hat, out=out[:, :block_dim])
+    dv_hat -= GRADIENT_WEIGHT * lap_rows
     out[:, block_dim : 2 * block_dim] = v_hat
     out[:, -1] = 1.0
     return out
@@ -227,7 +231,7 @@ def kernel_residual(stacked_state: np.ndarray, n: int, block_dim: int) -> float:
     ``1 + ||y_hat||``.
     """
     total = n * block_dim
-    v_sums = np.abs(stacked_state[:total].reshape(n, block_dim).sum(axis=0)).max()
+    # Row 0 sums the v_hat blocks, row 1 the y_hat blocks, agent by agent.
+    sums = np.add.reduce(stacked_state[: 2 * total].reshape(2, n, block_dim), axis=1)
     y_hat = stacked_state[total : 2 * total]
-    y_sums = np.abs(y_hat.reshape(n, block_dim).sum(axis=0)).max()
-    return float(max(v_sums, y_sums) / (1.0 + np.linalg.norm(y_hat)))
+    return float(np.abs(sums).max() / (1.0 + math.sqrt(y_hat.dot(y_hat))))

@@ -101,11 +101,6 @@ class LaplacianGraph:
     def degree(self, node: int) -> int:
         return len(self.neighbor_lists[node])
 
-    @property
-    def total_degree(self) -> int:
-        """Sum of all node degrees (= twice the edge count)."""
-        return sum(len(nb) for nb in self.neighbor_lists)
-
     @cached_property
     def padded_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """``(degrees, table)`` for gathering every node's neighbors at once.
@@ -240,6 +235,9 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     received broadcasts (:func:`dualrk.dynamics.agent_field`); for
     ``block_dim == 1`` numpy may sum pairwise, which agrees to roundoff.
 
+    The blocks and the pad row that unused table slots point at are written
+    into one fresh buffer, one allocation per call: at the desk shape the
+    one-vector path is bound by numpy per-call overhead, not arithmetic.
     A ``(K, n p)`` block of stacked vectors adds the neighbor slots one at a
     time in the same sorted order, which is sequential for every
     ``block_dim`` and needs no ``(K, n, max degree, p)`` gather.
@@ -259,9 +257,11 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     degrees, table = graph.padded_neighbors
     blocks = x.reshape(*x.shape[:-1], n, block_dim)
     # Pad slots read an extra row of -0.0, which leaves every sum unchanged.
-    padded = np.concatenate([blocks, np.full((*x.shape[:-1], 1, block_dim), -0.0)], axis=-2)
+    padded = np.empty((*x.shape[:-1], n + 1, block_dim))
+    padded[..., :n, :] = blocks
+    padded[..., n, :] = -0.0
     if x.ndim == 1:
-        neighbor_sum = padded[table].sum(axis=1)
+        neighbor_sum = np.add.reduce(padded.take(table, axis=0), axis=1)
     else:
         # A single-node graph has no neighbor slots; its sum is empty.
         neighbor_sum = padded[:, table[:, 0]] if table.size else np.zeros_like(blocks)

@@ -170,13 +170,21 @@ def projected_gradient_optimum(
     simplex = objectives[0].domain == "simplex"
     n = len(objectives)
     x = objectives[0].initial_point()
+    # The shared variable replicated to every block, through the stacked
+    # kernels; one buffer is rewritten for every evaluation.
+    replicated = np.empty((n, x.size))
+    stack = replicated.reshape(-1)
 
-    # The shared variable replicated to every block, through the stacked kernels.
     def total_value(v):
-        return stacked_value(objectives, np.tile(v, n))
+        replicated[:] = v
+        return stacked_value(objectives, stack)
 
     def total_gradient(v):
-        return stacked_gradient(objectives, np.tile(v, n)).reshape(n, -1).sum(axis=0)
+        replicated[:] = v
+        return stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
+
+    def norm(v):
+        return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
 
     def feasible(v):
         v = objectives[0].project(v)
@@ -204,10 +212,10 @@ def projected_gradient_optimum(
                 break
         if step < 1e-18:
             break
-        moved = float(np.linalg.norm(diff))
+        moved = norm(diff)
         x, fx = trial, f_trial
         step = min(step * 1.5, 1e8)
-        if moved <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
+        if moved <= 1e-13 * (1.0 + norm(x)):
             break
 
     # Power iteration on gradient differences estimates the local gradient
@@ -228,9 +236,9 @@ def projected_gradient_optimum(
 
     for _ in range(polish_iterations):
         trial = feasible(x - step * total_gradient(x))
-        moved = float(np.linalg.norm(trial - x))
-        scale = 1.0 + float(np.linalg.norm(x))
-        if not np.all(np.isfinite(trial)) or moved > 1e3 * scale:
+        moved = norm(trial - x)
+        scale = 1.0 + norm(x)
+        if not np.isfinite(trial).all() or moved > 1e3 * scale:
             step *= 0.5  # divergence guard; the curvature estimate was low
             if step < 1e-18:
                 break

@@ -20,8 +20,6 @@ built once per objective list and reused across calls.  Each also takes a
 from __future__ import annotations
 
 import abc
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -304,12 +302,14 @@ class _KLFamily:
 QuadraticLocal._family = _QuadraticFamily
 KLLocal._family = _KLFamily
 
-# Stacked parameters of the most recently used objective lists, keyed on the
-# members' ids.  Each entry holds the members themselves, so an id in a key
-# cannot be reused by a new object while the entry lives.
-_FAMILY_MEMO: OrderedDict = OrderedDict()
+# Stacked parameters of the most recently used objective lists, newest first,
+# as ``(key, entry)`` pairs keyed on the members' ids.  Each entry holds the
+# members themselves, so an id in a key cannot be reused by a new object
+# while the entry lives.  The tuple is replaced, never mutated: a reader
+# sees one consistent snapshot without a lock, and a racing writer can only
+# drop an entry, which costs a rebuild, never a wrong hit.
+_FAMILY_MEMO: tuple = ()
 _FAMILY_MEMO_SIZE = 2
-_FAMILY_MEMO_LOCK = threading.Lock()
 
 
 def _families(objectives):
@@ -318,11 +318,11 @@ def _families(objectives):
     ``rows`` selects the family's blocks: a full slice for a one-family
     list, an index array otherwise.
     """
+    global _FAMILY_MEMO
     key = tuple(map(id, objectives))
-    with _FAMILY_MEMO_LOCK:
-        entry = _FAMILY_MEMO.get(key)
-        if entry is not None:
-            _FAMILY_MEMO.move_to_end(key)
+    memo = _FAMILY_MEMO
+    for cached_key, entry in memo:
+        if cached_key == key:
             return entry
     members = tuple(objectives)
     dims = {obj.dim for obj in members}
@@ -340,10 +340,7 @@ def _families(objectives):
         for family, rows in by_family.items()
     ]
     entry = (members, dims.pop(), groups)
-    with _FAMILY_MEMO_LOCK:
-        _FAMILY_MEMO[key] = entry
-        if len(_FAMILY_MEMO) > _FAMILY_MEMO_SIZE:
-            _FAMILY_MEMO.popitem(last=False)
+    _FAMILY_MEMO = ((key, entry),) + memo[: _FAMILY_MEMO_SIZE - 1]
     return entry
 
 
@@ -356,18 +353,27 @@ def _rows(objectives, z):
     return groups, z.reshape(*z.shape[:-1], len(members), p)
 
 
+def _per_block(kernel: str, objectives, x):
+    """Apply the family method ``kernel`` to every block of ``x``; see :func:`stacked_conjugate`."""
+    groups, rows = _rows(objectives, x)
+    if len(groups) == 1:
+        return getattr(groups[0][1], kernel)(rows).reshape(*rows.shape[:-2], -1)
+    out = np.empty_like(rows)
+    for sel, family in groups:
+        out[..., sel, :] = getattr(family, kernel)(rows[..., sel, :])
+    return out.reshape(*rows.shape[:-2], -1)
+
+
 def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     """Per-block conjugate maximizers of a stacked vector.
 
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
     bitwise: each family solves all of its blocks in one array operation,
-    of which the per-object method is the one-row case.
+    of which the per-object method is the one-row case.  A one-family list
+    returns that operation's result as it is, with no output array to
+    allocate and fill; a mixed list scatters each family's rows into one.
     """
-    groups, rows = _rows(objectives, z)
-    out = np.empty_like(rows)
-    for sel, family in groups:
-        out[..., sel, :] = family.conjugate(rows[..., sel, :])
-    return out.reshape(np.shape(z))
+    return _per_block("conjugate", objectives, z)
 
 
 def stacked_value(objectives, x: np.ndarray):
@@ -378,12 +384,8 @@ def stacked_value(objectives, x: np.ndarray):
 
 
 def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
-    """Block-wise gradient of the aggregated objective."""
-    groups, rows = _rows(objectives, x)
-    out = np.empty_like(rows)
-    for sel, family in groups:
-        out[..., sel, :] = family.gradients(rows[..., sel, :])
-    return out.reshape(np.shape(x))
+    """Block-wise gradient of the aggregated objective (one-family lists as in :func:`stacked_conjugate`)."""
+    return _per_block("gradients", objectives, x)
 
 
 def dual_value(

@@ -21,6 +21,12 @@ records of those iterates are evaluated in blocks by a
 :class:`~dualrk.harness.TraceRecorder`, or before the next iteration starts
 when ``on_record`` is given.
 
+At the desk shape a round costs numpy per-call overhead more than
+arithmetic, so each round writes its stage derivatives into its slot of one
+``(S, n, 2p + 1)`` array allocated per run, and the kernels it calls keep
+their own per-call work small (see :func:`~dualrk.objectives.stacked_conjugate`
+and :func:`~dualrk.graph.laplacian_apply`).
+
 Two reference paths check the engine:
 
 - :func:`run_heavy_ball_per_agent` is the per-agent oracle: one
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +67,6 @@ from .integrator import ButcherTableau, rk_step
 from .objectives import stacked_conjugate
 
 __all__ = [
-    "MessageRecord",
     "RunResult",
     "step_size",
     "default_h0",
@@ -71,16 +76,6 @@ __all__ = [
     "run_heavy_ball_per_agent",
     "run_heavy_ball_monolithic",
 ]
-
-
-@dataclass(frozen=True)
-class MessageRecord:
-    """One logged broadcast: round counter, edge endpoints, payload size."""
-
-    round: int
-    sender: int
-    receiver: int
-    payload_dim: int
 
 
 @dataclass
@@ -102,7 +97,6 @@ class RunResult:
     max_kernel_residual: float
     min_primal_entry: float | None = None
     trajectory: np.ndarray | None = None
-    messages: list[MessageRecord] | None = field(default=None, repr=False)
 
 
 def step_size(h0: float, num_iterations: int, order: int) -> float:
@@ -173,7 +167,6 @@ def run_heavy_ball(
     reference: harness.ReferenceOptimum | None = None,
     per_agent_normalized: bool = False,
     keep_trajectory: bool = False,
-    log_messages: bool = False,
     on_record=None,
 ) -> RunResult:
     """Execute the distributed method for ``num_iterations`` iterations.
@@ -216,9 +209,9 @@ def run_heavy_ball(
     a, b = tableau.a, tableau.b
 
     states = initial_agent_states(n, p)
+    # Every round writes its stage derivatives into its slot of this array.
     derivs = np.empty((stages, n, 2 * p + 1))
     recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized, on_record)
-    messages: list[MessageRecord] | None = [] if log_messages else None
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
     max_kres = 0.0
@@ -233,31 +226,20 @@ def run_heavy_ball(
             tic = time.perf_counter()
             for l in range(stages):
                 if l == 0:
-                    points = states
-                    x_star = x_stack
+                    points, x_star = states, x_stack
                 else:
-                    acc = a[l][0] * derivs[0]
-                    for j in range(1, l):
-                        acc = acc + a[l][j] * derivs[j]
-                    points = states + h * acc
+                    points = _combine(states, h, a[l], derivs)
                     x_star = primal_extract(points, objectives)
                 # One broadcast round, then every agent's field slice.
                 rounds += 1
-                if messages is not None:
-                    for i in range(n):
-                        for j in graph.neighbor_lists[i]:
-                            messages.append(MessageRecord(rounds, i, int(j), p))
-                derivs[l] = round_field(points, laplacian_apply(graph, x_star, p).reshape(n, p))
-                if not np.all(np.isfinite(derivs[l])):
+                round_field(points, laplacian_apply(graph, x_star, p).reshape(n, p), derivs[l])
+                if not np.isfinite(derivs[l]).all():
                     raise NonFiniteState(
                         f"non-finite stage derivative at iteration {k}, stage {l + 1}",
                         iteration=k,
                     )
-            acc = b[0] * derivs[0]
-            for j in range(1, stages):
-                acc = acc + b[j] * derivs[j]
-            states = states + h * acc
-            if not np.all(np.isfinite(states)):
+            states = _combine(states, h, b, derivs)
+            if not np.isfinite(states).all():
                 raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
 
             stacked = stack_agent_states(states, p)
@@ -275,8 +257,15 @@ def run_heavy_ball(
         max_kernel_residual=max_kres,
         min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
         trajectory=np.array(trajectory) if trajectory is not None else None,
-        messages=messages,
     )
+
+
+def _combine(states, h, weights, derivs):
+    """``states + h * sum_j weights[j] * derivs[j]``: a stage point or the step's end state."""
+    acc = weights[0] * derivs[0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * derivs[j]
+    return states + h * acc
 
 
 def run_heavy_ball_per_agent(
@@ -306,21 +295,12 @@ def run_heavy_ball_per_agent(
     trajectory = [stack_agent_states(states, p)]
     for _ in range(num_iterations):
         for l in range(tableau.stages):
-            if l == 0:
-                points = states
-            else:
-                acc = a[l][0] * derivs[0]
-                for j in range(1, l):
-                    acc = acc + a[l][j] * derivs[j]
-                points = states + h * acc
+            points = states if l == 0 else _combine(states, h, a[l], derivs)
             for i in range(n):
                 mailbox[i] = objectives[i].conjugate_argmax(points[i, p : 2 * p])
             for i in range(n):
                 derivs[l, i] = agent_field(graph, i, points[i], mailbox[i], mailbox)
-        acc = b[0] * derivs[0]
-        for j in range(1, tableau.stages):
-            acc = acc + b[j] * derivs[j]
-        states = states + h * acc
+        states = _combine(states, h, b, derivs)
         trajectory.append(stack_agent_states(states, p))
     return np.array(trajectory)
 

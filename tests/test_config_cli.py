@@ -200,6 +200,14 @@ def test_single_node_config_exits_2(tmp_path, capsys):
     assert "node_count" in capsys.readouterr().err
 
 
+def test_unconnectable_erdos_renyi_config_exits_2(tmp_path, capsys):
+    # No graph key: the default Erdos-Renyi probability 0.1 is too low for n = 4.
+    path = tmp_path / "cfg.txt"
+    path.write_text("experiment = regression\nmethod = cgd\nn = 4\niterations = 5\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "trace.csv")]) == 2
+    assert "no connected Erdos-Renyi sample with n=4, p=0.1" in capsys.readouterr().err
+
+
 def test_custom_config_requires_paths(tmp_path):
     path = _write_config(tmp_path / "cfg.txt", experiment="custom", objective="quadratic")
     assert main(["run", str(path)]) == 2

@@ -25,6 +25,7 @@ from dualrk.objectives import (
     QuadraticLocal,
     random_kl_instance,
     random_regression_instance,
+    stacked_gradient,
     stacked_value,
 )
 from dualrk.simulator import run_heavy_ball, suggested_h0
@@ -244,3 +245,88 @@ def test_csv_timings_flag(tmp_path):
     write_metrics_csv(records, timed, timings=True)
     assert all(r.wall_time_ms == 0.0 for r in read_metrics_csv(silent))
     assert all(r.wall_time_ms == 12.5 for r in read_metrics_csv(timed))
+
+
+def _reference_projected_gradient(objectives, max_iterations=20_000, polish_iterations=300_000):
+    """The projected-gradient oracle as it stood before its per-iteration work was trimmed."""
+    simplex = objectives[0].domain == "simplex"
+    n = len(objectives)
+    x = objectives[0].initial_point()
+
+    def total_value(v):
+        return stacked_value(objectives, np.tile(v, n))
+
+    def total_gradient(v):
+        return stacked_gradient(objectives, np.tile(v, n)).reshape(n, -1).sum(axis=0)
+
+    def feasible(v):
+        v = objectives[0].project(v)
+        if simplex:
+            v = np.maximum(v, 1e-16)
+            v = v / v.sum()
+        return v
+
+    def gradient_probe(v):
+        return total_gradient(np.maximum(v, 1e-12) if simplex else v)
+
+    fx = total_value(x)
+    step = 1.0
+    for _ in range(max_iterations):
+        grad = total_gradient(x)
+        while True:
+            trial = feasible(x - step * grad)
+            diff = trial - x
+            f_trial = total_value(trial)
+            if f_trial <= fx + float(grad @ diff) + float(diff @ diff) / (2.0 * step) + 1e-18:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                break
+        if step < 1e-18:
+            break
+        moved = float(np.linalg.norm(diff))
+        x, fx = trial, f_trial
+        step = min(step * 1.5, 1e8)
+        if moved <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
+            break
+    rng = np.random.default_rng(12345)
+    direction = rng.normal(size=x.size)
+    direction /= np.linalg.norm(direction)
+    probe_eps = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    curvature = 0.0
+    for _ in range(15):
+        diff = gradient_probe(x + probe_eps * direction) - gradient_probe(x - probe_eps * direction)
+        norm_diff = float(np.linalg.norm(diff))
+        curvature = max(curvature, norm_diff / (2.0 * probe_eps))
+        if norm_diff == 0.0:
+            break
+        direction = diff / norm_diff
+    step = 0.45 / max(curvature, 1e-12)
+    for _ in range(polish_iterations):
+        trial = feasible(x - step * total_gradient(x))
+        moved = float(np.linalg.norm(trial - x))
+        scale = 1.0 + float(np.linalg.norm(x))
+        if not np.all(np.isfinite(trial)) or moved > 1e3 * scale:
+            step *= 0.5
+            if step < 1e-18:
+                break
+            continue
+        x = trial
+        if moved <= 1e-15 * scale:
+            break
+    return x, total_value(x)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_projected_gradient_oracle_matches_the_reference_iteration_bitwise(family, seed):
+    if family == "quadratic":
+        objs = random_regression_instance(20, 10, 10, seed=seed, ridge=1e-3)
+    else:
+        objs = random_kl_instance(20, 10, seed=seed)
+    x, value = projected_gradient_optimum(objs)
+    want_x, want_value = _reference_projected_gradient(objs)
+    assert x.tobytes() == want_x.tobytes()
+    assert repr(value) == repr(want_value)
+    reference = reference_optimum(objs)
+    assert repr(verify_reference(objs, reference)) == repr(float(np.linalg.norm(reference.x_star - want_x)))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -142,11 +143,21 @@ def test_stacked_conjugate_kl_pairs():
 
 
 def test_stacked_conjugate_matches_per_block_calls():
-    objs = random_regression_instance(2, 3, 5, seed=5) + random_kl_instance(2, 3, seed=5)
+    quads = random_regression_instance(2, 3, 5, seed=5)
+    kls = random_kl_instance(2, 3, seed=5)
     z = np.random.default_rng(2).normal(size=12)
-    stacked = stacked_conjugate(objs, z)
-    for i, obj in enumerate(objs):
-        assert np.array_equal(stacked[3 * i : 3 * i + 3], obj.conjugate_argmax(z[3 * i : 3 * i + 3]))
+    for objs in (quads + kls, quads, kls):
+        stacked = stacked_conjugate(objs, z[: 3 * len(objs)])
+        for i, obj in enumerate(objs):
+            want = obj.conjugate_argmax(z[3 * i : 3 * i + 3])
+            assert stacked[3 * i : 3 * i + 3].tobytes() == want.tobytes()
+    # A one-family list returns its kernel's result directly; a mixed list
+    # scatters each family's rows.  Both give every block the same bits.
+    x = np.random.default_rng(3).uniform(0.1, 1.0, size=12)
+    for kernel in (stacked_conjugate, stacked_gradient):
+        whole = kernel(quads + kls, x)
+        assert kernel(quads, x[:6]).tobytes() == whole[:6].tobytes()
+        assert kernel(kls, x[6:]).tobytes() == whole[6:].tobytes()
 
 
 def _assert_stacked_matches_blocks(objs, x):
@@ -193,6 +204,39 @@ def test_stacked_quadratic_conjugate_kkt_at_paper_shape():
         block = slice(100 * i, 100 * (i + 1))
         residual = obj.kkt_residual(z[block], x[block])
         assert residual <= 1e-8 * (1.0 + np.linalg.norm(z[block]))
+
+
+def test_stacked_kernels_are_safe_under_concurrent_calls():
+    # More objective lists than the stacked-parameter memo holds, used from
+    # more threads than cores with a short switch interval, so lookups and
+    # replacements of the memo interleave.
+    lists = [random_kl_instance(5, 3, seed=s) for s in range(3)]
+    lists += [random_regression_instance(5, 3, 4, seed=s, ridge=1e-3) for s in range(3)]
+    z = np.random.default_rng(4).normal(size=15)
+    want = [
+        np.concatenate([obj.conjugate_argmax(z[3 * i : 3 * i + 3]) for i, obj in enumerate(objs)])
+        for objs in lists
+    ]
+    errors = []
+
+    def worker(offset):
+        for step in range(300):
+            index = (offset + step) % len(lists)
+            if stacked_conjugate(lists[index], z).tobytes() != want[index].tobytes():
+                errors.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_stacked_conjugate_dimension_check():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from dualrk.dynamics import initial_agent_states, stack_agent_states
 from dualrk.errors import NonFiniteState
 from dualrk.graph import Topology, build_graph
-from dualrk.harness import read_metrics_csv, write_metrics_csv
+from dualrk.harness import TraceRecorder, read_metrics_csv, reference_optimum, write_metrics_csv
 from dualrk.integrator import tableau, tableau_for_order
 from dualrk import simulator
 from dualrk.objectives import (
@@ -104,15 +105,8 @@ def test_communication_accounting():
     graph = build_graph(Topology("star", 5))
     objs = random_kl_instance(5, 2, seed=3)
     tab = tableau("rk4")
-    result = run_heavy_ball(graph, objs, tab, 3, h0=1.0, log_messages=True)
+    result = run_heavy_ball(graph, objs, tab, 3, h0=1.0)
     assert result.comm_rounds == 3 * tab.stages
-    # each agent broadcasts once per stage over each incident edge
-    per_iteration = tab.stages * graph.total_degree
-    assert len(result.messages) == 3 * per_iteration
-    rounds = {m.round for m in result.messages}
-    assert rounds == set(range(1, 13))
-    for record in result.messages:
-        assert int(record.receiver) in {int(j) for j in graph.neighbor_lists[record.sender]}
 
 
 def test_determinism_and_csv_bytes(tmp_path):
@@ -202,3 +196,97 @@ def test_min_primal_entry_logged_for_simplex_runs():
     quads = random_regression_instance(4, 2, 4, seed=9)
     result = run_heavy_ball(graph, quads, tableau("rk4"), 5, h0=0.01)
     assert result.min_primal_entry is None
+
+
+# A copy of the round loop as it stood before stage derivatives were written
+# in place, with the per-call kernels it used: a fresh pad row for the
+# neighbor gather, a freshly allocated field, the two-reduction kernel
+# residual, and per-object conjugates (bitwise equal to the stacked ones).
+def _reference_laplacian(graph, x, p):
+    n = graph.node_count
+    degrees, table = graph.padded_neighbors
+    blocks = x.reshape(n, p)
+    padded = np.concatenate([blocks, np.full((1, p), -0.0)], axis=0)
+    return (degrees * blocks - padded[table].sum(axis=1)).reshape(x.shape)
+
+
+def _reference_field(points, lap_rows):
+    p = lap_rows.shape[1]
+    t = points[:, -1:]
+    out = np.empty_like(points)
+    out[:, :p] = -(5.0 / t) * points[:, :p] - 4.0 * lap_rows
+    out[:, p : 2 * p] = points[:, :p]
+    out[:, -1] = 1.0
+    return out
+
+
+def _reference_kernel_residual(stacked, n, p):
+    total = n * p
+    v_sums = np.abs(stacked[:total].reshape(n, p).sum(axis=0)).max()
+    y_hat = stacked[total : 2 * total]
+    y_sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
+    return float(max(v_sums, y_sums) / (1.0 + np.linalg.norm(y_hat)))
+
+
+def _reference_run(graph, objs, tab, num_iterations, h0):
+    n, p = graph.node_count, objs[0].dim
+
+    def conjugates(agent_states):
+        return np.concatenate(
+            [obj.conjugate_argmax(row[p : 2 * p]) for obj, row in zip(objs, agent_states)]
+        )
+
+    h = step_size(h0, num_iterations, tab.order)
+    a, b = tab.a, tab.b
+    states = initial_agent_states(n, p)
+    derivs = np.empty((tab.stages, n, 2 * p + 1))
+    recorder = TraceRecorder(reference_optimum(objs), graph, objs)
+    rounds, max_kres = 0, 0.0
+    x_stack = conjugates(states)
+    for k in range(1, num_iterations + 1):
+        for l in range(tab.stages):
+            if l == 0:
+                points, x_star = states, x_stack
+            else:
+                acc = a[l][0] * derivs[0]
+                for j in range(1, l):
+                    acc = acc + a[l][j] * derivs[j]
+                points = states + h * acc
+                x_star = conjugates(points)
+            rounds += 1
+            derivs[l] = _reference_field(points, _reference_laplacian(graph, x_star, p).reshape(n, p))
+        acc = b[0] * derivs[0]
+        for j in range(1, tab.stages):
+            acc = acc + b[j] * derivs[j]
+        states = states + h * acc
+        max_kres = max(max_kres, _reference_kernel_residual(stack_agent_states(states, p), n, p))
+        x_stack = conjugates(states)
+        recorder.push(x_stack, k, rounds, 0.0)
+    records = recorder.flush()
+    min_entry = recorder.min_entry if objs[0].domain == "simplex" else None
+    return records, states, rounds, max_kres, min_entry
+
+
+def _bitwise_fields(record):
+    return [repr(v) for name, v in vars(record).items() if name != "wall_time_ms"]
+
+
+@pytest.mark.parametrize("kind", ["star", "cycle", "erdos_renyi"])
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_engine_matches_the_reference_round_loop_bitwise(kind, family, order):
+    n, p, num_iterations = 12, 4, 30
+    graph = build_graph(Topology(kind, n, edge_probability=0.4, rng_seed=2))
+    if family == "quadratic":
+        objs = random_regression_instance(n, p, p + 2, seed=2, ridge=1e-3)
+    else:
+        objs = random_kl_instance(n, p, seed=2)
+    tab = tableau_for_order(order)
+    h0 = suggested_h0(graph, objs, tab, num_iterations)
+    records, states, rounds, max_kres, min_entry = _reference_run(graph, objs, tab, num_iterations, h0)
+    result = run_heavy_ball(graph, objs, tab, num_iterations, h0=h0)
+    assert [_bitwise_fields(r) for r in result.records] == [_bitwise_fields(r) for r in records]
+    assert result.final_states.tobytes() == states.tobytes()
+    assert result.comm_rounds == rounds == num_iterations * tab.stages
+    assert repr(result.max_kernel_residual) == repr(max_kres)
+    assert repr(result.min_primal_entry) == repr(min_entry)
