@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harness
-from .errors import NonFiniteState
+from .errors import InvalidArgument, NonFiniteState
 from .graph import LaplacianGraph, laplacian_apply
 from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient, stacked_value
 
@@ -79,22 +79,21 @@ def cgd_run(
     consensus-replicated stack, whose consensus terms vanish identically.
     """
     if step <= 0:
-        raise ValueError("step must be positive")
-    if reference is None:
-        reference = harness.reference_optimum(objectives)
+        raise InvalidArgument("step must be positive")
     n = len(objectives)
     simplex = objectives[0].domain == "simplex"
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
     replicated = np.tile(x, (n, 1))  # the consensus stack of x, rewritten in place
     stack = replicated.reshape(-1)
     recorder = harness.TraceRecorder(reference, None, objectives, per_agent_normalized)
-    for k in range(1, num_iterations + 1):
-        tic = time.perf_counter()
-        grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
-        x = _feasible(simplex, x - step * grad)
-        _check_finite(x, "cgd", k)
-        replicated[:] = x
-        recorder.push(stack, k, k, (time.perf_counter() - tic) * 1e3)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
+        for k in range(1, num_iterations + 1):
+            tic = time.perf_counter()
+            grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
+            x = _feasible(simplex, x - step * grad)
+            _check_finite(x, "cgd", k)
+            replicated[:] = x
+            recorder.push(stack, k, k, (time.perf_counter() - tic) * 1e3)
     return BaselineResult(records=recorder.flush(), final_stack=stack.copy())
 
 
@@ -122,11 +121,9 @@ def dgd_run(
     independent local descents.
     """
     if not 0.0 <= mixing < 2.0 / graph.lambda_max:
-        raise ValueError(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
+        raise InvalidArgument(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
     if step < 0:
-        raise ValueError("step must be nonnegative")
-    if reference is None:
-        reference = harness.reference_optimum(objectives)
+        raise InvalidArgument("step must be nonnegative")
     n = graph.node_count
     p = objectives[0].dim
     simplex = objectives[0].domain == "simplex"
@@ -135,15 +132,16 @@ def dgd_run(
     else:
         blocks = np.asarray(start, dtype=float).reshape(n, p).copy()
     recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
-    for k in range(1, num_iterations + 1):
-        tic = time.perf_counter()
-        step_k = step / math.sqrt(k) if decaying_step else step
-        stack = blocks.reshape(-1)
-        mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
-        grads = stacked_gradient(objectives, stack).reshape(n, p)
-        blocks = _feasible(simplex, mixed - step_k * grads)
-        _check_finite(blocks, "dgd", k)
-        recorder.push(blocks.reshape(-1), k, k, (time.perf_counter() - tic) * 1e3)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
+        for k in range(1, num_iterations + 1):
+            tic = time.perf_counter()
+            step_k = step / math.sqrt(k) if decaying_step else step
+            stack = blocks.reshape(-1)
+            mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
+            grads = stacked_gradient(objectives, stack).reshape(n, p)
+            blocks = _feasible(simplex, mixed - step_k * grads)
+            _check_finite(blocks, "dgd", k)
+            recorder.push(blocks.reshape(-1), k, k, (time.perf_counter() - tic) * 1e3)
     return BaselineResult(records=recorder.flush(), final_stack=blocks.reshape(-1).copy())
 
 
@@ -159,9 +157,7 @@ def _dual_descent(
     method: str,
 ) -> BaselineResult:
     if step <= 0:
-        raise ValueError("step must be positive")
-    if reference is None:
-        reference = harness.reference_optimum(objectives)
+        raise InvalidArgument("step must be positive")
     n = graph.node_count
     p = objectives[0].dim
     y_hat = np.zeros(n * p)
@@ -173,26 +169,27 @@ def _dual_descent(
     recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
     gaps: list[float] | None = [] if record_dual_gap else None
     max_kres = 0.0
-    for k in range(1, num_iterations + 1):
-        tic = time.perf_counter()
-        # At k = 1 the momentum anchor z_hat is still y_hat.
-        if momentum and k > 1:
-            anchor, x_anchor = z_hat, stacked_conjugate(objectives, z_hat)
-        else:
-            anchor, x_anchor = y_hat, x_stack
-        y_new = anchor - step * laplacian_apply(graph, x_anchor, p)
-        if momentum:
-            z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
-            y_prev = y_new
-        y_hat = y_new
-        _check_finite(y_hat, method, k)
-        sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
-        max_kres = max(max_kres, float(sums / (1.0 + math.sqrt(y_hat.dot(y_hat)))))
-        x_stack = stacked_conjugate(objectives, y_hat)
-        if gaps is not None:
-            dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)
-            gaps.append(dual + reference.f_star)
-        recorder.push(x_stack, k, k, (time.perf_counter() - tic) * 1e3)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
+        for k in range(1, num_iterations + 1):
+            tic = time.perf_counter()
+            # At k = 1 the momentum anchor z_hat is still y_hat.
+            if momentum and k > 1:
+                anchor, x_anchor = z_hat, stacked_conjugate(objectives, z_hat)
+            else:
+                anchor, x_anchor = y_hat, x_stack
+            y_new = anchor - step * laplacian_apply(graph, x_anchor, p)
+            if momentum:
+                z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
+                y_prev = y_new
+            y_hat = y_new
+            _check_finite(y_hat, method, k)
+            sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
+            max_kres = max(max_kres, float(sums / (1.0 + math.sqrt(y_hat.dot(y_hat)))))
+            x_stack = stacked_conjugate(objectives, y_hat)
+            if gaps is not None:
+                dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)
+                gaps.append(dual + recorder.reference.f_star)
+            recorder.push(x_stack, k, k, (time.perf_counter() - tic) * 1e3)
     return BaselineResult(
         records=recorder.flush(),
         final_stack=x_stack,
@@ -223,15 +220,8 @@ def dual_nag_run(
     ``phi(y_k) - phi(y*)`` is recorded in ``dual_gaps``.
     """
     return _dual_descent(
-        graph,
-        objectives,
-        step,
-        num_iterations,
-        reference,
-        per_agent_normalized,
-        record_dual_gap,
-        momentum=True,
-        method="dual_nag",
+        graph, objectives, step, num_iterations, reference, per_agent_normalized,
+        record_dual_gap, momentum=True, method="dual_nag",
     )
 
 
@@ -251,13 +241,6 @@ def dual_gd_run(
     accelerated variant must beat.
     """
     return _dual_descent(
-        graph,
-        objectives,
-        step,
-        num_iterations,
-        reference,
-        per_agent_normalized,
-        record_dual_gap,
-        momentum=False,
-        method="dual_gd",
+        graph, objectives, step, num_iterations, reference, per_agent_normalized,
+        record_dual_gap, momentum=False, method="dual_gd",
     )

@@ -15,6 +15,10 @@ Subcommands
 Exit codes: 0 success, 1 invariant violation or unclassified failure,
 2 configuration errors, 3 runtime divergence (with the iteration index),
 4 I/O errors.
+
+A new method goes into ``config.METHODS``, :func:`_default_step` (which
+``run --dry-run`` prints) and the dispatch :func:`_run_baseline` (which
+``run`` and ``reproduce`` share): the only code that branches on its name.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pathlib import Path
 
 from . import baselines, harness
 from .config import ExperimentConfig, load_config, resolve_instance
-from .errors import ConfigError, DualRKError, NonFiniteState
+from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
 from .graph import LaplacianGraph, Topology, build_graph
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance
@@ -56,20 +60,49 @@ _ORDER_SWEEP_SAFETY = {1: 0.15, 2: 0.8, 4: 0.9}
 
 def _default_step(method: str, graph: LaplacianGraph, objectives) -> float:
     """Standard-theory step defaults for the baselines (documented heuristics)."""
-    mu = min(obj.strong_convexity for obj in objectives)
-    if method == "cgd":
-        lipschitz = [getattr(obj, "gradient_lipschitz", None) for obj in objectives]
-        if all(v is not None for v in lipschitz):
-            return 1.0 / sum(lipschitz)
-        return 0.5 / len(objectives)
-    if method == "dgd":
-        lipschitz = [getattr(obj, "gradient_lipschitz", None) for obj in objectives]
-        if all(v is not None for v in lipschitz):
-            return 1.0 / max(lipschitz)
-        return 0.1
     if method == "dual_nag":
-        return mu / graph.lambda_max
+        return min(obj.strong_convexity for obj in objectives) / graph.lambda_max
+    lipschitz = [getattr(obj, "gradient_lipschitz", None) for obj in objectives]
+    known = None not in lipschitz
+    if method == "cgd":
+        return 1.0 / sum(lipschitz) if known else 0.5 / len(objectives)
+    if method == "dgd":
+        return 1.0 / max(lipschitz) if known else 0.1
     raise ValueError(f"no step default for method {method!r}")
+
+
+def _run_baseline(cfg: ExperimentConfig, graph, objectives, iterations: int, reference):
+    """Run the baseline ``cfg.method`` and return its records: the one dispatch on its name.
+
+    An unset step is :func:`_default_step`'s, an unset dgd mixing ``1 / lambda_max``.
+    Runners are looked up in :mod:`~dualrk.baselines` at call time, so a
+    replacement there is seen; their ``InvalidArgument`` becomes ``ConfigError``.
+    """
+    method = cfg.method
+    step = cfg.step if cfg.step is not None else _default_step(method, graph, objectives)
+    common = dict(reference=reference, per_agent_normalized=cfg.report_style == "theorem1")
+    try:
+        if method == "cgd":
+            result = baselines.cgd_run(objectives, step, iterations, **common)
+        elif method == "dgd":
+            mixing = cfg.mixing if cfg.mixing is not None else 1.0 / graph.lambda_max
+            result = baselines.dgd_run(
+                graph, objectives, step, mixing, iterations,
+                decaying_step=not cfg.dgd_constant_step, **common,
+            )
+        else:
+            result = baselines.dual_nag_run(graph, objectives, step, iterations, **common)
+    except InvalidArgument as err:
+        raise ConfigError(f"{method}: {err}") from err
+    return result.records
+
+
+def _heavy_ball_h0(cfg: ExperimentConfig, tab, instance=None) -> float:
+    """The configured ``h0``, else :func:`suggested_h0` on ``instance`` (resolved if not given)."""
+    if cfg.h0 is not None:
+        return cfg.h0
+    graph, objectives = instance if instance is not None else resolve_instance(cfg)
+    return suggested_h0(graph, objectives, tab, cfg.iterations)
 
 
 def run_experiment(cfg: ExperimentConfig, timings: bool = False):
@@ -79,44 +112,15 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     """
     graph, objectives = resolve_instance(cfg)
     reference = harness.reference_optimum(objectives)
-    normalized = cfg.report_style == "theorem1"
     if cfg.method == "heavy_ball_rk":
         tab = cfg.resolve_tableau()
-        h0 = cfg.h0 if cfg.h0 is not None else suggested_h0(graph, objectives, tab, cfg.iterations)
-        result = run_heavy_ball(
-            graph,
-            objectives,
-            tab,
-            cfg.iterations,
-            h0=h0,
-            reference=reference,
-            per_agent_normalized=normalized,
-        )
-        records = result.records
-    elif cfg.method == "cgd":
-        step = cfg.step if cfg.step is not None else _default_step("cgd", graph, objectives)
-        records = baselines.cgd_run(
-            objectives, step, cfg.iterations, reference=reference, per_agent_normalized=normalized
-        ).records
-    elif cfg.method == "dgd":
-        step = cfg.step if cfg.step is not None else _default_step("dgd", graph, objectives)
-        mixing = cfg.mixing if cfg.mixing is not None else 1.0 / graph.lambda_max
-        records = baselines.dgd_run(
-            graph,
-            objectives,
-            step,
-            mixing,
-            cfg.iterations,
-            reference=reference,
-            decaying_step=not cfg.dgd_constant_step,
-            per_agent_normalized=normalized,
+        h0 = _heavy_ball_h0(cfg, tab, (graph, objectives))
+        records = run_heavy_ball(
+            graph, objectives, tab, cfg.iterations, h0=h0, reference=reference,
+            per_agent_normalized=cfg.report_style == "theorem1",
         ).records
     else:
-        step = cfg.step if cfg.step is not None else _default_step("dual_nag", graph, objectives)
-        records = baselines.dual_nag_run(
-            graph, objectives, step, cfg.iterations, reference=reference,
-            per_agent_normalized=normalized,
-        ).records
+        records = _run_baseline(cfg, graph, objectives, cfg.iterations, reference)
     out_path = Path(cfg.out)
     harness.write_metrics_csv(records, out_path, timings=timings)
     return records, reference, out_path
@@ -156,10 +160,7 @@ def _cmd_run(args) -> int:
         print(f"config ok: {cfg.experiment} / {cfg.method} on {graph_note}")
         if cfg.method == "heavy_ball_rk":
             tab = cfg.resolve_tableau()
-            h0 = cfg.h0
-            if h0 is None:
-                graph, objectives = resolve_instance(cfg)
-                h0 = suggested_h0(graph, objectives, tab, cfg.iterations)
+            h0 = _heavy_ball_h0(cfg, tab)
             resolved = step_size(h0, cfg.iterations, tab.order)
             print(
                 f"resolved step h = {h0:.6e} * {cfg.iterations}^(-{tab.order}/{tab.order + 1}) "
@@ -206,12 +207,12 @@ def _figure_traces(figure: str, scale: str, seed: int):
 
 
 def _heavy_ball_with_sweep(graph, objectives, tab, iterations, h0, reference):
-    """Run the main method, halving ``h0`` on divergence (bounded sweep)."""
+    """Records of the main method, halving ``h0`` on divergence (bounded sweep)."""
     for _ in range(8):
         try:
             return run_heavy_ball(
                 graph, objectives, tab, iterations, h0=h0, reference=reference
-            )
+            ).records
         except NonFiniteState:
             h0 *= 0.5
     raise NonFiniteState(f"heavy-ball run still diverges at h0={h0:.3e}")
@@ -223,7 +224,6 @@ def reproduce(
     out_dir=".",
     seed: int = 0,
     rounds_budget: int | None = None,
-    verify_references: bool = True,
 ) -> list[Path]:
     """Run the full method matrix behind a figure and write its CSV bundle.
 
@@ -246,44 +246,25 @@ def reproduce(
     fit_labels: list[str] = []
     slope_by_order: dict[int, float] = {}
     previous_objectives = None
-    reference = None
     for name, graph, objectives, method, order in _figure_traces(figure, scale, seed):
         if objectives is not previous_objectives:
             # one instance per graph group; certify its reference once
             reference = harness.reference_optimum(objectives)
-            if verify_references:
-                deviation = harness.verify_reference(objectives, reference)
-                if deviation > 1e-9:
-                    raise DualRKError(
-                        f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
-                    )
+            deviation = harness.verify_reference(objectives, reference)
+            if deviation > 1e-9:
+                raise DualRKError(
+                    f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
+                )
             previous_objectives = objectives
         if method == "heavy_ball_rk":
             tab = tableau_for_order(order)
             iterations = max(budget // tab.stages, 1)
             safety = _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None
             h0 = suggested_h0(graph, objectives, tab, iterations, safety=safety)
-            records = _heavy_ball_with_sweep(
-                graph, objectives, tab, iterations, h0, reference
-            ).records
-        elif method == "cgd":
-            records = baselines.cgd_run(
-                objectives, _default_step("cgd", graph, objectives), budget, reference=reference
-            ).records
-        elif method == "dgd":
-            records = baselines.dgd_run(
-                graph,
-                objectives,
-                _default_step("dgd", graph, objectives),
-                1.0 / graph.lambda_max,
-                budget,
-                reference=reference,
-            ).records
+            records = _heavy_ball_with_sweep(graph, objectives, tab, iterations, h0, reference)
         else:
-            records = baselines.dual_nag_run(
-                graph, objectives, _default_step("dual_nag", graph, objectives), budget,
-                reference=reference,
-            ).records
+            cfg = ExperimentConfig(method=method)  # a figure runs each baseline at its defaults
+            records = _run_baseline(cfg, graph, objectives, budget, reference)
         path = out_dir / f"{name}.csv"
         harness.write_metrics_csv(records, path)
         written.append(path)

@@ -35,11 +35,10 @@ kernel-orthogonality invariant tracked by the simulator.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveTime
+from .errors import NonPositiveTime
 from .graph import LaplacianGraph, laplacian_apply, sqrt_apply, sqrt_laplacian
 from .objectives import stacked_conjugate
 
@@ -94,7 +93,7 @@ def agent_field(
     agent: int,
     state: np.ndarray,
     own_x_star: np.ndarray,
-    neighbor_x_stars,
+    mailbox: np.ndarray,
 ) -> np.ndarray:
     """Agent slice of the transformed field from local data and broadcasts.
 
@@ -104,9 +103,8 @@ def agent_field(
         The agent's ``[v_hat, y_hat, t]`` stage point.
     own_x_star : ndarray
         The agent's conjugate solution at the stage point.
-    neighbor_x_stars : mapping or ndarray
-        Either ``{neighbor: x_star}`` covering exactly the agent's neighbors,
-        or the full ``(n, p)`` mailbox of broadcasts, of which only neighbor
+    mailbox : ndarray
+        The full ``(n, p)`` mailbox of broadcasts, of which only neighbor
         rows are read.  The neighbor sum runs in sorted index order, as in
         :func:`~dualrk.graph.laplacian_apply`, so for ``p >= 2`` the result is
         bitwise identical to the batched and monolithic fields.
@@ -116,15 +114,7 @@ def agent_field(
     if t <= 0.0:
         raise NonPositiveTime(f"agent {agent}: time coordinate {t} is not positive")
     nb = graph.neighbor_lists[agent]
-    if isinstance(neighbor_x_stars, Mapping):
-        if len(neighbor_x_stars) != len(nb):
-            raise DimensionMismatch(
-                f"agent {agent}: got {len(neighbor_x_stars)} broadcasts for {len(nb)} neighbors"
-            )
-        block = np.array([neighbor_x_stars[int(j)] for j in nb])
-    else:
-        block = np.asarray(neighbor_x_stars, dtype=float)[nb]
-    lap_row = len(nb) * own_x_star - block.sum(axis=0)
+    lap_row = len(nb) * own_x_star - np.asarray(mailbox, dtype=float)[nb].sum(axis=0)
     v_hat = state[:block_dim]
     out = np.empty_like(state)
     out[:block_dim] = -(DAMPING / t) * v_hat - GRADIENT_WEIGHT * lap_row

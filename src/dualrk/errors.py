@@ -11,6 +11,7 @@ __all__ = [
     "InsufficientData",
     "NonPositiveMetric",
     "ConfigError",
+    "InvalidArgument",
 ]
 
 
@@ -56,3 +57,7 @@ class NonPositiveMetric(DualRKError):
 
 class ConfigError(DualRKError):
     """Experiment configuration is missing keys or holds invalid values."""
+
+
+class InvalidArgument(DualRKError, ValueError):
+    """A method argument (a step or a mixing weight) lies outside its valid range."""

@@ -56,6 +56,16 @@ CSV_COLUMNS = (
     "wall_time_ms",
 )
 
+# Iteration budgets of the projected-gradient oracle's Armijo and polish
+# phases, and the rate-fit window: the share of the round range dropped as
+# transient, the fewest points a fit takes, and the value at or below which
+# a point ends the window.
+_ORACLE_ITERATIONS = 20_000
+_ORACLE_POLISH_ITERATIONS = 300_000
+_FIT_WINDOW_START = 0.2
+_FIT_MIN_POINTS = 50
+_FIT_FLOOR = 0.0
+
 
 @dataclass
 class MetricsRecord:
@@ -121,19 +131,18 @@ class TheoryDiagnostics:
         return asdict(self)
 
 
-def reference_optimum(objectives, graph: LaplacianGraph | None = None) -> ReferenceOptimum:
+def reference_optimum(objectives) -> ReferenceOptimum:
     """Closed-form solution of the consensus problem ``min_x sum_i f_i(x)``.
 
     Quadratic family: aggregated normal equations.  KL family: normalized
-    geometric mean of the reference distributions.  The graph argument is
-    accepted for interface symmetry; the optimizer does not depend on it.
+    geometric mean of the reference distributions.  The list holds one
+    family, read from its first member; the optimizer needs no graph.
 
     Raises
     ------
     SingularSystem
         If the aggregated quadratic system is not positive definite.
     """
-    del graph
     domain = objectives[0].domain
     p = objectives[0].dim
     if domain == "simplex":
@@ -154,18 +163,16 @@ def reference_optimum(objectives, graph: LaplacianGraph | None = None) -> Refere
     return ReferenceOptimum(x_star=x_star, f_star=f_star)
 
 
-def projected_gradient_optimum(
-    objectives, max_iterations: int = 20_000, polish_iterations: int = 300_000
-) -> tuple[np.ndarray, float]:
+def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     """Independent projected-gradient solver for the consensus problem.
 
     Brute-force oracle: uses only value/gradient/projection, never the
     closed forms, so it can certify :func:`reference_optimum` outputs.  An
-    Armijo phase gets near the optimum; value comparisons then drown in
-    cancellation noise, so a gradient-only polish phase (fixed step sized
-    from a power-iteration curvature estimate) pushes the error to roundoff
-    level.  Simplex iterates are floored at 1e-16 (then renormalized) to
-    keep the entropy gradient finite.
+    Armijo phase (at most 20,000 steps) gets near the optimum; value
+    comparisons then drown in cancellation noise, so a gradient-only polish
+    phase (at most 300,000 steps of a fixed size from a power-iteration
+    curvature estimate) pushes the error to roundoff level.  Simplex iterates
+    are floored at 1e-16 (then renormalized) to keep the entropy gradient finite.
     """
     simplex = objectives[0].domain == "simplex"
     n = len(objectives)
@@ -199,7 +206,7 @@ def projected_gradient_optimum(
 
     fx = total_value(x)
     step = 1.0
-    for _ in range(max_iterations):
+    for _ in range(_ORACLE_ITERATIONS):
         grad = total_gradient(x)
         while True:
             trial = feasible(x - step * grad)
@@ -234,7 +241,7 @@ def projected_gradient_optimum(
         direction = diff / norm_diff
     step = 0.45 / max(curvature, 1e-12)
 
-    for _ in range(polish_iterations):
+    for _ in range(_ORACLE_POLISH_ITERATIONS):
         trial = feasible(x - step * total_gradient(x))
         moved = norm(trial - x)
         scale = 1.0 + norm(x)
@@ -334,10 +341,14 @@ class TraceRecorder:
     when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` flushes on
     its own.  With ``on_record`` every push flushes and hands the record to
     the callback, so it fires before the run's next iteration starts.
+    A ``reference`` of None is computed with :func:`reference_optimum`.
     ``min_entry`` is the smallest iterate entry flushed so far (None before any).
     """
 
     def __init__(self, reference, graph, objectives, per_agent_normalized=False, on_record=None):
+        if reference is None:
+            reference = reference_optimum(objectives)
+        self.reference = reference
         width = len(objectives) * objectives[0].dim
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
         self._block = np.empty((self.capacity, width))
@@ -370,41 +381,35 @@ class TraceRecorder:
         return self.records
 
 
-def fit_rate(
-    records,
-    metric: str,
-    window_start: float = 0.2,
-    min_points: int = 50,
-    floor: float = 0.0,
-) -> RateFit:
+def fit_rate(records, metric: str) -> RateFit:
     """Fit the tail log-log slope of a metric against communication rounds.
 
-    The window drops the first ``window_start`` fraction of the round range
-    (transient).  Points at or below ``floor`` terminate the window early
-    (solver-tolerance plateau); the fit then runs on the pre-floor part.
+    The window is fixed: it drops the first 20 % of the round range
+    (transient), and the first nonpositive point ends it early
+    (solver-tolerance plateau); the fit then runs on the part before it.
 
     Raises
     ------
     NonPositiveMetric
         If no positive points remain in the window.
     InsufficientData
-        If fewer than ``min_points`` usable points remain.
+        If fewer than 50 usable points remain.
     """
     rounds = np.array([r.comm_rounds for r in records], dtype=float)
     values = np.array([getattr(r, metric) for r in records], dtype=float)
     if rounds.size == 0:
         raise InsufficientData("empty trace")
-    cutoff = window_start * rounds.max()
+    cutoff = _FIT_WINDOW_START * rounds.max()
     mask = rounds > max(cutoff, 0.0)
     rounds, values = rounds[mask], values[mask]
-    bad = np.flatnonzero(values <= floor)
+    bad = np.flatnonzero(values <= _FIT_FLOOR)
     if bad.size:
         if bad[0] == 0:
             raise NonPositiveMetric(f"{metric} is nonpositive at the window start")
         rounds, values = rounds[: bad[0]], values[: bad[0]]
-    if rounds.size < min_points:
+    if rounds.size < _FIT_MIN_POINTS:
         raise InsufficientData(
-            f"{rounds.size} usable points in the tail window, need {min_points}"
+            f"{rounds.size} usable points in the tail window, need {_FIT_MIN_POINTS}"
         )
     log_r = np.log(rounds)
     log_v = np.log(values)

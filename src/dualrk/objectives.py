@@ -11,10 +11,11 @@ Two families are provided: regularized linear least squares
 the probability simplex (:class:`KLLocal`).
 
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
-:func:`stacked_gradient`) group a list of blocks by family and evaluate each
-family's blocks in one array operation on stacked parameters, which are
-built once per objective list and reused across calls.  Each also takes a
-``(K, n p)`` block of stacked vectors, row by row.
+:func:`stacked_gradient`) take a list of blocks of one family and evaluate
+them all in one array operation on stacked parameters, which are built once
+per objective list and reused across calls; a list that mixes families
+raises ``TypeError``.  Each also takes a ``(K, n p)`` block of stacked
+vectors, row by row.
 """
 
 from __future__ import annotations
@@ -313,10 +314,10 @@ _FAMILY_MEMO_SIZE = 2
 
 
 def _families(objectives):
-    """``(members, p, [(rows, family), ...])`` for an objective list, memoized.
+    """``(members, p, family)`` for a one-family objective list, memoized.
 
-    ``rows`` selects the family's blocks: a full slice for a one-family
-    list, an index array otherwise.
+    Raises ``TypeError`` for a list that mixes families or holds a type
+    without stacked kernels.
     """
     global _FAMILY_MEMO
     key = tuple(map(id, objectives))
@@ -328,63 +329,53 @@ def _families(objectives):
     dims = {obj.dim for obj in members}
     if len(dims) != 1:
         raise DimensionMismatch(f"stacked blocks must share one dimension, got {sorted(dims)}")
-    by_family: dict = {}
-    for i, obj in enumerate(members):
-        family = getattr(type(obj), "_family", None)
-        if family is None:
-            raise TypeError(f"{type(obj).__name__} has no stacked kernels")
-        by_family.setdefault(family, []).append(i)
-    groups = [
-        (slice(None) if len(rows) == len(members) else np.array(rows, dtype=np.intp),
-         family([members[i] for i in rows]))
-        for family, rows in by_family.items()
-    ]
-    entry = (members, dims.pop(), groups)
+    families = {getattr(type(obj), "_family", None) for obj in members}
+    if len(families) != 1 or None in families:
+        names = sorted({type(obj).__name__ for obj in members})
+        raise TypeError(f"stacked blocks must share one family with stacked kernels, got {names}")
+    entry = (members, dims.pop(), families.pop()(members))
     _FAMILY_MEMO = ((key, entry),) + memo[: _FAMILY_MEMO_SIZE - 1]
     return entry
 
 
 def _rows(objectives, z):
-    """Family groups plus ``z`` viewed as one row per block, after any batch axes."""
-    members, p, groups = _families(objectives)
+    """The list's family plus ``z`` viewed as one row per block, after any batch axes."""
+    members, p, family = _families(objectives)
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (len(members) * p,):
         raise DimensionMismatch(f"expected {len(members) * p} stacked entries, got {z.shape}")
-    return groups, z.reshape(*z.shape[:-1], len(members), p)
+    return family, z.reshape(*z.shape[:-1], len(members), p)
 
 
 def _per_block(kernel: str, objectives, x):
     """Apply the family method ``kernel`` to every block of ``x``; see :func:`stacked_conjugate`."""
-    groups, rows = _rows(objectives, x)
-    if len(groups) == 1:
-        return getattr(groups[0][1], kernel)(rows).reshape(*rows.shape[:-2], -1)
-    out = np.empty_like(rows)
-    for sel, family in groups:
-        out[..., sel, :] = getattr(family, kernel)(rows[..., sel, :])
-    return out.reshape(*rows.shape[:-2], -1)
+    family, rows = _rows(objectives, x)
+    return getattr(family, kernel)(rows).reshape(*rows.shape[:-2], -1)
 
 
 def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     """Per-block conjugate maximizers of a stacked vector.
 
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
-    bitwise: each family solves all of its blocks in one array operation,
-    of which the per-object method is the one-row case.  A one-family list
-    returns that operation's result as it is, with no output array to
-    allocate and fill; a mixed list scatters each family's rows into one.
+    bitwise: the list's family solves all of its blocks in one array
+    operation, of which the per-object method is the one-row case, and that
+    operation's result is returned as it is.  The list holds one family.
     """
     return _per_block("conjugate", objectives, z)
 
 
 def stacked_value(objectives, x: np.ndarray):
-    """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector, or per row of a block."""
-    groups, rows = _rows(objectives, x)
-    total = sum(family.values(rows[..., sel, :]).sum(axis=-1) for sel, family in groups)
+    """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector, or per row of a block.
+
+    The list holds one family, as in :func:`stacked_conjugate`.
+    """
+    family, rows = _rows(objectives, x)
+    total = family.values(rows).sum(axis=-1)
     return float(total) if rows.ndim == 2 else total
 
 
 def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
-    """Block-wise gradient of the aggregated objective (one-family lists as in :func:`stacked_conjugate`)."""
+    """Block-wise gradient of the aggregated objective of a one-family list."""
     return _per_block("gradients", objectives, x)
 
 

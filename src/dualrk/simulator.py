@@ -199,8 +199,6 @@ def run_heavy_ball(
         raise ValueError(f"{len(objectives)} objectives for {n} nodes")
     if n == 1:
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
-    if reference is None:
-        reference = harness.reference_optimum(objectives)
     if h0 is None:
         h0 = default_h0(graph, objectives)
     # A zero-iteration run returns the initial state and no step.
@@ -323,8 +321,6 @@ def run_heavy_ball_monolithic(
     """
     n = graph.node_count
     p = objectives[0].dim
-    if reference is None:
-        reference = harness.reference_optimum(objectives)
     if h0 is None:
         h0 = default_h0(graph, objectives)
     h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")

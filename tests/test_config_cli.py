@@ -1,10 +1,12 @@
 """Config parsing, CLI exit codes, and output determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from dualrk.cli import main
-from dualrk.config import load_config, parse_config_text
+from dualrk.config import load_config, parse_config_text, resolve_instance
 from dualrk.errors import ConfigError
 from dualrk.harness import read_metrics_csv
 
@@ -84,6 +86,21 @@ def test_dry_run_prints_resolved_step(tmp_path, capsys):
     assert "1.000000e+00" in out
 
 
+@pytest.mark.parametrize("method", ["cgd", "dgd", "dual_nag"])
+def test_baseline_dry_run_prints_default_step(tmp_path, capsys, method):
+    path = _write_config(tmp_path / "cfg.txt", method=method)
+    graph, objs = resolve_instance(load_config(path))
+    lipschitz = [obj.gradient_lipschitz for obj in objs]
+    want = {
+        "cgd": 1.0 / sum(lipschitz),
+        "dgd": 1.0 / max(lipschitz),
+        "dual_nag": min(obj.strong_convexity for obj in objs) / graph.lambda_max,
+    }[method]
+    assert main(["run", str(path), "--dry-run"]) == 0
+    assert f"resolved step = {want:.6e}\n" in capsys.readouterr().out
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_run_writes_row_per_iteration(tmp_path, capsys):
     path = _write_config(tmp_path / "cfg.txt", iterations=100, order=1)
     assert main(["run", str(path)]) == 0
@@ -113,6 +130,25 @@ def test_divergent_run_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path / "cfg.txt", h0=1e6, iterations=200, order=1)
     assert main(["run", str(path)]) == 3
     assert "iteration" in capsys.readouterr().err
+
+
+def test_out_of_range_dgd_mixing_exits_2(tmp_path, capsys):
+    # Star on 5 nodes: lambda_max = 5, so mixing must lie below 2 / 5.
+    path = _write_config(tmp_path / "cfg.txt", method="dgd", mixing=100)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "mixing must be in [0, 0.4)" in err
+
+
+@pytest.mark.parametrize("method", ["cgd", "dgd", "dual_nag"])
+def test_divergent_baseline_exits_3_without_numpy_warnings(tmp_path, capsys, method):
+    path = _write_config(tmp_path / "cfg.txt", method=method, step=1e300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path)]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"diverged: {method}:") and "RuntimeWarning" not in err
 
 
 def test_baseline_methods_run_from_config(tmp_path):

@@ -13,7 +13,7 @@ from dualrk.dynamics import (
     transform_state,
     untransformed_field,
 )
-from dualrk.errors import DimensionMismatch, NonPositiveTime
+from dualrk.errors import NonPositiveTime
 from dualrk.graph import Topology, build_graph, laplacian_apply, sqrt_apply, sqrt_laplacian
 from dualrk.objectives import random_kl_instance, random_regression_instance, stacked_conjugate
 
@@ -51,18 +51,18 @@ def test_velocity_damping_without_coupling():
     assert out[-1] == 1.0
 
 
-def test_agent_field_accepts_neighbor_mapping():
+def test_agent_field_reads_only_neighbor_rows():
     graph = build_graph(Topology("star", 4))
     objs = random_regression_instance(4, 2, 4, seed=0)
     states = initial_agent_states(4, 2) + 0.1
     states[:, -1] = 1.0
     mailbox = np.stack([objs[i].conjugate_argmax(states[i, 2:4]) for i in range(4)])
-    mapping = {int(j): mailbox[j] for j in graph.neighbor_lists[0]}
-    via_map = agent_field(graph, 0, states[0], mailbox[0], mapping)
-    via_array = agent_field(graph, 0, states[0], mailbox[0], mailbox)
-    assert np.array_equal(via_map, via_array)
-    with pytest.raises(DimensionMismatch):
-        agent_field(graph, 0, states[0], mailbox[0], {1: mailbox[1]})
+    for agent, nb in enumerate(graph.neighbor_lists):
+        poisoned = np.full_like(mailbox, np.nan)  # every row the agent must not read
+        poisoned[nb] = mailbox[nb]
+        want = agent_field(graph, agent, states[agent], mailbox[agent], mailbox)
+        got = agent_field(graph, agent, states[agent], mailbox[agent], poisoned)
+        assert np.array_equal(got, want)
 
 
 def test_agent_fields_stack_to_monolithic_field():

@@ -146,18 +146,11 @@ def test_stacked_conjugate_matches_per_block_calls():
     quads = random_regression_instance(2, 3, 5, seed=5)
     kls = random_kl_instance(2, 3, seed=5)
     z = np.random.default_rng(2).normal(size=12)
-    for objs in (quads + kls, quads, kls):
+    for objs in (quads, kls):
         stacked = stacked_conjugate(objs, z[: 3 * len(objs)])
         for i, obj in enumerate(objs):
             want = obj.conjugate_argmax(z[3 * i : 3 * i + 3])
             assert stacked[3 * i : 3 * i + 3].tobytes() == want.tobytes()
-    # A one-family list returns its kernel's result directly; a mixed list
-    # scatters each family's rows.  Both give every block the same bits.
-    x = np.random.default_rng(3).uniform(0.1, 1.0, size=12)
-    for kernel in (stacked_conjugate, stacked_gradient):
-        whole = kernel(quads + kls, x)
-        assert kernel(quads, x[:6]).tobytes() == whole[:6].tobytes()
-        assert kernel(kls, x[6:]).tobytes() == whole[6:].tobytes()
 
 
 def _assert_stacked_matches_blocks(objs, x):
@@ -175,16 +168,24 @@ def _assert_stacked_matches_blocks(objs, x):
         )
 
 
-def test_stacked_value_and_gradient_mixed_families():
+def test_stacked_value_and_gradient_per_family():
     rng = np.random.default_rng(6)
     quads = random_regression_instance(3, 4, 6, seed=6, ridge=1e-3)
     kls = random_kl_instance(3, 4, seed=6)
-    objs = [quads[0], kls[0], kls[1], quads[1], quads[2], kls[2]]
-    x = rng.normal(size=(6, 4))
-    for i, obj in enumerate(objs):
-        if obj.domain == "simplex":
-            x[i] = obj.conjugate_argmax(x[i])  # an interior point of the simplex
-    _assert_stacked_matches_blocks(objs, x.reshape(-1))
+    _assert_stacked_matches_blocks(quads, rng.normal(size=12))
+    # interior points of the simplex
+    x = np.stack([obj.conjugate_argmax(z) for obj, z in zip(kls, rng.normal(size=(3, 4)))])
+    _assert_stacked_matches_blocks(kls, x.reshape(-1))
+
+
+def test_stacked_kernels_reject_mixed_families():
+    quads = random_regression_instance(2, 3, 5, seed=5)
+    kls = random_kl_instance(2, 3, seed=5)
+    x = np.full(12, 0.25)
+    for objs in (quads + kls, [kls[0], quads[0], kls[1], quads[1]]):
+        for kernel in (stacked_conjugate, stacked_value, stacked_gradient):
+            with pytest.raises(TypeError, match="one family"):
+                kernel(objs, x)
 
 
 def test_stacked_value_and_gradient_unequal_row_counts():

@@ -79,16 +79,9 @@ def _assert_bitwise(got, want):
             assert type(x) is type(y) and repr(x) == repr(y), (a.iteration, name, x, y)
 
 
-def _mixed_instance(n, p, seed):
-    kl = random_kl_instance(n, p, seed=seed)
-    quad = random_regression_instance(n, p, p + 2, seed=seed, ridge=1e-3)
-    return [kl[i] if i % 3 else quad[i] for i in range(n)]
-
-
 CASES = {
     "quadratic": (lambda: random_regression_instance(12, 5, 7, seed=1), "erdos_renyi", False),
     "kl": (lambda: random_kl_instance(12, 5, seed=2), "cycle", False),
-    "mixed": (lambda: _mixed_instance(12, 5, 3), "erdos_renyi", False),
     "no_graph": (lambda: random_regression_instance(12, 5, 7, seed=4), None, False),
     "star": (lambda: random_kl_instance(12, 5, seed=5), "star", False),
     "per_agent_normalized": (lambda: random_regression_instance(12, 5, 7, seed=6), "star", True),
@@ -103,7 +96,7 @@ def test_evaluate_trace_matches_per_row_metrics(case):
         Topology(kind, 12, edge_probability=0.4, rng_seed=7)
     )
     rng = np.random.default_rng(11)
-    # Any point serves as the reference here (the mixed list has no closed form).
+    # Any point serves as the reference here.
     reference = ReferenceOptimum(x_star=rng.uniform(0.1, 0.3, size=5), f_star=0.37)
     block = rng.uniform(0.01, 1.0, size=(9, 60)) * 10.0 ** rng.uniform(-3, 3, size=(9, 60))
     block[4] = np.tile(reference.x_star, 12)  # a consensus row at the reference point
@@ -158,7 +151,6 @@ def test_stacked_kernels_over_a_batch_axis_are_bitwise_per_row():
     for objs in (
         random_regression_instance(7, 4, 6, seed=9),
         random_kl_instance(7, 4, seed=9),
-        _mixed_instance(7, 4, 9),
     ):
         block = rng.uniform(0.05, 1.0, size=(6, 28))
         values = stacked_value(objs, block)
@@ -176,6 +168,14 @@ def test_recorder_block_size_is_bounded_by_bytes():
     assert TraceRecorder(reference, None, objs, on_record=print).capacity == 1
     wide = random_kl_instance(64, 64, seed=0)  # 32 KiB per iterate, as at the paper shape
     assert TraceRecorder(reference_optimum(wide), None, wide).capacity == 1
+
+
+def test_recorder_computes_a_missing_reference():
+    for objs in (random_kl_instance(N_AGENTS, DIM, seed=2), random_regression_instance(8, 3, 4, seed=2)):
+        want = reference_optimum(objs)
+        got = TraceRecorder(None, None, objs).reference
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert repr(got.f_star) == repr(want.f_star)
 
 
 def test_recorder_flushes_full_blocks_and_the_tail():
