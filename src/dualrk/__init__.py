@@ -52,7 +52,7 @@ from .harness import (
     theory_diagnostics,
     write_metrics_csv,
 )
-from .integrator import ButcherTableau, empirical_order, rk_step, tableau, tableau_for_order
+from .integrator import ButcherTableau, certify_order, empirical_order, rk_step, tableau, tableau_for_order
 from .objectives import (
     DualFriendlyObjective,
     KLLocal,
@@ -65,7 +65,6 @@ from .objectives import (
 )
 from .simulator import (
     RunResult,
-    default_h0,
     primal_extract,
     run_heavy_ball,
     run_heavy_ball_monolithic,
@@ -100,6 +99,7 @@ __all__ = [
     "tableau_for_order",
     "rk_step",
     "empirical_order",
+    "certify_order",
     # dynamics
     "agent_field",
     "heavy_ball_field",
@@ -110,7 +110,6 @@ __all__ = [
     "run_heavy_ball_monolithic",
     "primal_extract",
     "step_size",
-    "default_h0",
     "suggested_h0",
     # baselines
     "BaselineResult",

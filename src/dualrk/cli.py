@@ -16,9 +16,10 @@ Exit codes: 0 success, 1 invariant violation or unclassified failure,
 2 configuration errors, 3 runtime divergence (with the iteration index),
 4 I/O errors.
 
-A new method goes into ``config.METHODS``, :func:`_default_step` (which
-``run --dry-run`` prints) and the dispatch :func:`_run_baseline` (which
-``run`` and ``reproduce`` share): the only code that branches on its name.
+A new method goes into ``config.METHODS``, :func:`_method_step` (its
+default step, which ``run --dry-run`` prints) and the dispatch
+:func:`_run_method` (its runner and rounds per iteration, shared by ``run``
+and ``reproduce``): the only code that branches on a method's name.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from . import baselines, harness
 from .config import ExperimentConfig, load_config, resolve_instance
 from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
-from .graph import LaplacianGraph, Topology, build_graph
+from .graph import Topology, build_graph
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance
 from .selfcheck import run_invariant_suite
@@ -57,32 +58,65 @@ _REGRESSION_RIDGE = 1e-3
 # were calibrated on the desk KL instance.
 _ORDER_SWEEP_SAFETY = {1: 0.15, 2: 0.8, 4: 0.9}
 
-
-def _default_step(method: str, graph: LaplacianGraph, objectives) -> float:
-    """Standard-theory step defaults for the baselines (documented heuristics)."""
-    if method == "dual_nag":
-        return min(obj.strong_convexity for obj in objectives) / graph.lambda_max
-    lipschitz = [getattr(obj, "gradient_lipschitz", None) for obj in objectives]
-    known = None not in lipschitz
-    if method == "cgd":
-        return 1.0 / sum(lipschitz) if known else 0.5 / len(objectives)
-    if method == "dgd":
-        return 1.0 / max(lipschitz) if known else 0.1
-    raise ValueError(f"no step default for method {method!r}")
+# A figure retries a diverging heavy-ball trace at half h0, this many runs at most.
+_H0_SWEEP_ATTEMPTS = 8
 
 
-def _run_baseline(cfg: ExperimentConfig, graph, objectives, iterations: int, reference):
-    """Run the baseline ``cfg.method`` and return its records: the one dispatch on its name.
+def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int, safety=None):
+    """The step ``cfg.method``'s runner takes, and the line ``run --dry-run`` prints for it.
 
-    An unset step is :func:`_default_step`'s, an unset dgd mixing ``1 / lambda_max``.
-    Runners are looked up in :mod:`~dualrk.baselines` at call time, so a
-    replacement there is seen; their ``InvalidArgument`` becomes ``ConfigError``.
+    The configured ``h0`` (heavy ball) or ``step`` (baselines) wins.  Else heavy
+    ball takes :func:`suggested_h0` at the figure's ``safety``, dual_nag
+    ``mu / lambda_max``, cgd ``1 / sum L_i`` and dgd ``1 / max L_i`` (with an
+    unknown smoothness constant ``0.5 / n`` and ``0.1``).
     """
     method = cfg.method
-    step = cfg.step if cfg.step is not None else _default_step(method, graph, objectives)
+    if method == "heavy_ball_rk":
+        h0 = cfg.h0 if cfg.h0 is not None else suggested_h0(graph, objectives, tab, iterations, safety=safety)
+        s, h = tab.order, step_size(h0, iterations, tab.order)
+        return h0, f"resolved step h = {h0:.6e} * {iterations}^(-{s}/{s + 1}) = {h:.6e}"
+    if cfg.step is not None:
+        step = cfg.step
+    elif method == "dual_nag":
+        step = min(obj.strong_convexity for obj in objectives) / graph.lambda_max
+    else:
+        lipschitz = [getattr(obj, "gradient_lipschitz", None) for obj in objectives]
+        if None in lipschitz:
+            step = 0.5 / len(objectives) if method == "cgd" else 0.1
+        else:
+            step = 1.0 / sum(lipschitz) if method == "cgd" else 1.0 / max(lipschitz)
+    return step, f"resolved step = {step:.6e}"
+
+
+def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safety=None, attempts=1):
+    """Run ``cfg.method`` and return its records: the one dispatch on a method's name.
+
+    It runs ``cfg.iterations`` iterations, or as many as ``rounds_budget``
+    communication rounds pay for (heavy ball broadcasts once per stage, a
+    baseline once per iteration), at :func:`_method_step`'s step; an unset dgd
+    mixing is ``1 / lambda_max``.  A diverging heavy-ball run is rerun at half
+    ``h0`` until ``attempts`` runs failed.  Runners are looked up at call time
+    (``cli.run_heavy_ball``, ``baselines.*_run``), so a replacement is seen;
+    their ``InvalidArgument`` becomes ``ConfigError``.
+    """
+    method = cfg.method
+    heavy_ball = method == "heavy_ball_rk"
+    iterations = cfg.iterations
+    if rounds_budget is not None:
+        iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
+    step, _ = _method_step(cfg, graph, objectives, tab, iterations, safety)
     common = dict(reference=reference, per_agent_normalized=cfg.report_style == "theorem1")
     try:
-        if method == "cgd":
+        if heavy_ball:
+            for attempt in range(1, attempts + 1):
+                try:
+                    result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, **common)
+                    break
+                except NonFiniteState:
+                    if attempt == attempts:
+                        raise
+                    step *= 0.5
+        elif method == "cgd":
             result = baselines.cgd_run(objectives, step, iterations, **common)
         elif method == "dgd":
             mixing = cfg.mixing if cfg.mixing is not None else 1.0 / graph.lambda_max
@@ -97,14 +131,6 @@ def _run_baseline(cfg: ExperimentConfig, graph, objectives, iterations: int, ref
     return result.records
 
 
-def _heavy_ball_h0(cfg: ExperimentConfig, tab, instance=None) -> float:
-    """The configured ``h0``, else :func:`suggested_h0` on ``instance`` (resolved if not given)."""
-    if cfg.h0 is not None:
-        return cfg.h0
-    graph, objectives = instance if instance is not None else resolve_instance(cfg)
-    return suggested_h0(graph, objectives, tab, cfg.iterations)
-
-
 def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     """Resolve a config, execute it, and write its trace CSV.
 
@@ -112,15 +138,7 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     """
     graph, objectives = resolve_instance(cfg)
     reference = harness.reference_optimum(objectives)
-    if cfg.method == "heavy_ball_rk":
-        tab = cfg.resolve_tableau()
-        h0 = _heavy_ball_h0(cfg, tab, (graph, objectives))
-        records = run_heavy_ball(
-            graph, objectives, tab, cfg.iterations, h0=h0, reference=reference,
-            per_agent_normalized=cfg.report_style == "theorem1",
-        ).records
-    else:
-        records = _run_baseline(cfg, graph, objectives, cfg.iterations, reference)
+    records = _run_method(cfg, graph, objectives, cfg.resolve_tableau(), reference)
     out_path = Path(cfg.out)
     harness.write_metrics_csv(records, out_path, timings=timings)
     return records, reference, out_path
@@ -152,24 +170,11 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         cfg.out = args.out
     if args.dry_run:
-        graph_note = (
-            f"{cfg.graph_kind}(n={cfg.node_count}"
-            + (f", p={cfg.edge_probability}" if cfg.graph_kind == "erdos_renyi" else "")
-            + ")"
-        )
-        print(f"config ok: {cfg.experiment} / {cfg.method} on {graph_note}")
-        if cfg.method == "heavy_ball_rk":
-            tab = cfg.resolve_tableau()
-            h0 = _heavy_ball_h0(cfg, tab)
-            resolved = step_size(h0, cfg.iterations, tab.order)
-            print(
-                f"resolved step h = {h0:.6e} * {cfg.iterations}^(-{tab.order}/{tab.order + 1}) "
-                f"= {resolved:.6e}"
-            )
-        else:
-            graph, objectives = resolve_instance(cfg)
-            step = cfg.step if cfg.step is not None else _default_step(cfg.method, graph, objectives)
-            print(f"resolved step = {step:.6e}")
+        graph, objectives = resolve_instance(cfg)
+        _, resolved = _method_step(cfg, graph, objectives, cfg.resolve_tableau(), cfg.iterations)
+        p_note = f", p={cfg.edge_probability}" if cfg.graph_kind == "erdos_renyi" else ""
+        print(f"config ok: {cfg.experiment} / {cfg.method} on {cfg.graph_kind}(n={cfg.node_count}{p_note})")
+        print(resolved)
         return 0
     records, _, out_path = run_experiment(cfg, timings=args.timings)
     print(f"wrote {len(records)} records to {out_path}")
@@ -206,18 +211,6 @@ def _figure_traces(figure: str, scale: str, seed: int):
             yield f"{figure}_{kind}_{method}", graph, objectives, method, 4
 
 
-def _heavy_ball_with_sweep(graph, objectives, tab, iterations, h0, reference):
-    """Records of the main method, halving ``h0`` on divergence (bounded sweep)."""
-    for _ in range(8):
-        try:
-            return run_heavy_ball(
-                graph, objectives, tab, iterations, h0=h0, reference=reference
-            ).records
-        except NonFiniteState:
-            h0 *= 0.5
-    raise NonFiniteState(f"heavy-ball run still diverges at h0={h0:.3e}")
-
-
 def reproduce(
     figure: str,
     scale: str = "desk",
@@ -230,7 +223,9 @@ def reproduce(
     Every method is billed in communication rounds: a method with ``S``
     stage broadcasts per iteration runs ``budget / S`` iterations, so all
     traces share the figure's x-axis.  Reference optima are certified
-    against the projected-gradient oracle before any trace is written.
+    against the projected-gradient oracle before any trace is written.  A
+    diverging heavy-ball trace is rerun at half ``h0``, at most
+    ``_H0_SWEEP_ATTEMPTS`` runs in all; a diverging baseline raises at once.
 
     Returns the list of written paths (traces plus the rate-fit summary).
     """
@@ -256,15 +251,12 @@ def reproduce(
                     f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
                 )
             previous_objectives = objectives
-        if method == "heavy_ball_rk":
-            tab = tableau_for_order(order)
-            iterations = max(budget // tab.stages, 1)
-            safety = _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None
-            h0 = suggested_h0(graph, objectives, tab, iterations, safety=safety)
-            records = _heavy_ball_with_sweep(graph, objectives, tab, iterations, h0, reference)
-        else:
-            cfg = ExperimentConfig(method=method)  # a figure runs each baseline at its defaults
-            records = _run_baseline(cfg, graph, objectives, budget, reference)
+        safety = _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None
+        # a figure runs each method at its default step
+        records = _run_method(
+            ExperimentConfig(method=method), graph, objectives, tableau_for_order(order),
+            reference, budget, safety, _H0_SWEEP_ATTEMPTS,
+        )
         path = out_dir / f"{name}.csv"
         harness.write_metrics_csv(records, path)
         written.append(path)

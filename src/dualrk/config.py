@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ConnectivityFailure, DimensionMismatch
 from .graph import LaplacianGraph, Topology, build_graph
-from .integrator import ButcherTableau, load_tableau, tableau_for_order
+from .integrator import ButcherTableau, certify_order, load_tableau, tableau_for_order
 from .objectives import (
     load_kl_csv,
     load_regression_csv,
@@ -68,10 +68,11 @@ class ExperimentConfig:
     tableau_file: str | None = None
 
     def resolve_tableau(self) -> ButcherTableau:
+        """The shipped tableau of ``order``, or the ``tableau_file`` one once its order is certified."""
         try:
-            if self.tableau_file:
-                return load_tableau(self.tableau_file)
-            return tableau_for_order(self.order)
+            if not self.tableau_file:
+                return tableau_for_order(self.order)
+            return certify_order(load_tableau(self.tableau_file))
         except ValueError as err:
             raise ConfigError(f"tableau: {err}") from err
 

@@ -34,6 +34,7 @@ __all__ = [
     "rk_step",
     "integrate",
     "empirical_order",
+    "certify_order",
     "CountingField",
 ]
 
@@ -217,6 +218,22 @@ def empirical_order(
         errors.append(err)
     ratios = [math.log2(errors[k] / errors[k + 1]) for k in range(halvings)]
     return float(np.mean(ratios)) - 1.0
+
+
+def certify_order(tab: ButcherTableau) -> ButcherTableau:
+    """Return ``tab`` once its order, measured on ``dz/dt = z`` from ``z = 1``, is within +-0.2.
+
+    Raises ``ValueError`` naming the declared and the measured order when they
+    differ by more than 0.2, or when :func:`empirical_order` measures none.
+    """
+    label = f"{tab.name or 'tableau'} declared order {tab.order}"
+    try:
+        measured = empirical_order(tab, lambda s: s, lambda s, h: s * np.exp(h), np.array([1.0]))
+    except DegenerateError as err:
+        raise ValueError(f"{label} but no order is measurable: {err}") from err
+    if abs(measured - tab.order) > 0.2:
+        raise ValueError(f"{label} but measured {measured:.3f}")
+    return tab
 
 
 @dataclass

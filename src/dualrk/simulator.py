@@ -69,7 +69,6 @@ from .objectives import stacked_conjugate
 __all__ = [
     "RunResult",
     "step_size",
-    "default_h0",
     "suggested_h0",
     "primal_extract",
     "run_heavy_ball",
@@ -106,17 +105,6 @@ def step_size(h0: float, num_iterations: int, order: int) -> float:
     if num_iterations < 1:
         raise ValueError("num_iterations must be at least 1")
     return h0 * float(num_iterations) ** (-order / (order + 1.0))
-
-
-def default_h0(graph: LaplacianGraph, objectives) -> float:
-    """Conservative default ``h0 = mu / (4 lambda_max(L))``.
-
-    The reciprocal of four times the dual smoothness constant.  Safe but
-    often far from tight; see :func:`suggested_h0` for a stability-targeted
-    alternative.
-    """
-    mu = min(obj.strong_convexity for obj in objectives)
-    return mu / (4.0 * graph.lambda_max)
 
 
 # Fraction of the linear-stability limit targeted per integrator order.  The
@@ -163,7 +151,7 @@ def run_heavy_ball(
     objectives,
     tableau: ButcherTableau,
     num_iterations: int,
-    h0: float | None = None,
+    h0: float,
     reference: harness.ReferenceOptimum | None = None,
     per_agent_normalized: bool = False,
     keep_trajectory: bool = False,
@@ -178,9 +166,9 @@ def run_heavy_ball(
 
     Parameters
     ----------
-    h0 : float, optional
-        Base step; the resolved step is ``h0 * N**(-s/(s+1))``.  Defaults to
-        :func:`default_h0`.
+    h0 : float
+        Base step; the resolved step is ``h0 * N**(-s/(s+1))``.
+        :func:`suggested_h0` gives one near the stability limit.
     reference : ReferenceOptimum, optional
         Precomputed reference optimum; computed on the fly when omitted.
     on_record : callable, optional
@@ -199,8 +187,6 @@ def run_heavy_ball(
         raise ValueError(f"{len(objectives)} objectives for {n} nodes")
     if n == 1:
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
-    if h0 is None:
-        h0 = default_h0(graph, objectives)
     # A zero-iteration run returns the initial state and no step.
     h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
     stages = tableau.stages
@@ -271,7 +257,7 @@ def run_heavy_ball_per_agent(
     objectives,
     tableau: ButcherTableau,
     num_iterations: int,
-    h0: float | None = None,
+    h0: float,
 ) -> np.ndarray:
     """Stacked trajectory of the per-agent reference round (test oracle).
 
@@ -285,7 +271,7 @@ def run_heavy_ball_per_agent(
     """
     n = graph.node_count
     p = objectives[0].dim
-    h = step_size(h0 if h0 is not None else default_h0(graph, objectives), num_iterations, tableau.order)
+    h = step_size(h0, num_iterations, tableau.order)
     a, b = tableau.a, tableau.b
     states = initial_agent_states(n, p)
     derivs = np.zeros((tableau.stages, n, 2 * p + 1))
@@ -308,7 +294,7 @@ def run_heavy_ball_monolithic(
     objectives,
     tableau: ButcherTableau,
     num_iterations: int,
-    h0: float | None = None,
+    h0: float,
     reference: harness.ReferenceOptimum | None = None,
     per_agent_normalized: bool = False,
     keep_trajectory: bool = False,
@@ -321,8 +307,6 @@ def run_heavy_ball_monolithic(
     """
     n = graph.node_count
     p = objectives[0].dim
-    if h0 is None:
-        h0 = default_h0(graph, objectives)
     h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
     field_fn = heavy_ball_field(graph, objectives)
     state = initial_stacked_state(n, p)

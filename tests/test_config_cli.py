@@ -244,6 +244,20 @@ def test_unconnectable_erdos_renyi_config_exits_2(tmp_path, capsys):
     assert "no connected Erdos-Renyi sample with n=4, p=0.1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, step_key", [("heavy_ball_rk", "h0"), ("cgd", "step")])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_unconnectable_config_exits_2_for_every_method(tmp_path, capsys, method, step_key, dry_run):
+    # With its step given a method needs no instance for a default; the
+    # dry run still resolves the instance, and says "config ok" only after.
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"experiment = regression\nmethod = {method}\nn = 4\n{step_key} = 0.1\niterations = 5\n")
+    argv = ["run", str(path), "--out", str(tmp_path / "trace.csv")] + ["--dry-run"] * dry_run
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out
+    assert "no connected Erdos-Renyi sample with n=4, p=0.1" in err
+
+
 def test_custom_config_requires_paths(tmp_path):
     path = _write_config(tmp_path / "cfg.txt", experiment="custom", objective="quadratic")
     assert main(["run", str(path)]) == 2
@@ -259,6 +273,20 @@ def test_custom_tableau_from_file(tmp_path):
     assert main(["run", str(path), "--out", str(out)]) == 0
     records = read_metrics_csv(out)
     assert records[-1].comm_rounds == 40  # two stages per iteration
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_tableau_file_declaring_wrong_order_exits_2(tmp_path, capsys, dry_run):
+    # Euler declared as order 4 would run at the step exponent N^(-4/5).
+    import json
+
+    tab_path = tmp_path / "euler.json"
+    tab_path.write_text(json.dumps({"order": 4, "a": [[]], "b": [1.0], "name": "euler"}))
+    path = _write_config(tmp_path / "cfg.txt", tableau=str(tab_path), iterations=20)
+    assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out and not (tmp_path / "trace.csv").exists()
+    assert err.startswith("config error: tableau: euler declared order 4 but measured 1.0")
 
 
 def test_non_finite_tableau_file_exits_2(tmp_path, capsys):

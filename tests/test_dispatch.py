@@ -1,0 +1,131 @@
+"""The CLI's one method dispatch: the names the benchmark patches, and the h0 sweep."""
+
+import importlib
+import importlib.util
+import types
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from dualrk import baselines, cli
+from dualrk.cli import main, reproduce
+from dualrk.errors import NonFiniteState
+from dualrk.harness import read_metrics_csv
+from dualrk.simulator import suggested_h0
+
+RUNNERS = ((cli, "run_heavy_ball"), (baselines, "cgd_run"), (baselines, "dgd_run"), (baselines, "dual_nag_run"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _count_runner_calls(monkeypatch) -> Counter:
+    """Route every runner through a counting wrapper at the name the CLI reads."""
+    calls = Counter()
+    for owner, attr in RUNNERS:
+        original = getattr(owner, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def _write_config(path, method):
+    path.write_text(
+        f"experiment = regression\nmethod = {method}\ngraph = star\nn = 5\np = 3\nl = 5\n"
+        f"order = 2\niterations = 12\nridge = 0.001\nout = {path.parent / 'trace.csv'}\n"
+    )
+    return path
+
+
+def test_every_benchmark_patch_target_resolves():
+    targets = _load_tracer().patch_targets()
+    assert targets
+    for owner, attr, span in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        module, name = span.split(".")
+        if isinstance(owner, types.ModuleType):
+            # the caller's name is the function the span is named after
+            assert getattr(owner, attr) is getattr(importlib.import_module(f"dualrk.{module}"), name)
+
+
+def test_reproduce_reaches_each_patched_runner_once_per_graph(tmp_path, monkeypatch):
+    calls = _count_runner_calls(monkeypatch)
+    reproduce("fig1", out_dir=tmp_path, rounds_budget=40)
+    assert calls == {"run_heavy_ball": 3, "cgd_run": 3, "dgd_run": 3, "dual_nag_run": 3}
+    # every method is billed 40 rounds: one per baseline iteration, four per RK4 iteration
+    for method, iterations in (("cgd", 40), ("dgd", 40), ("dual_nag", 40), ("heavy_ball_rk", 10)):
+        assert len(read_metrics_csv(tmp_path / f"fig1_cycle_{method}.csv")) == iterations
+
+
+@pytest.mark.parametrize("method, runner", [
+    ("heavy_ball_rk", "run_heavy_ball"), ("cgd", "cgd_run"), ("dgd", "dgd_run"), ("dual_nag", "dual_nag_run"),
+])
+def test_run_reaches_its_patched_runner_once(tmp_path, monkeypatch, method, runner):
+    calls = _count_runner_calls(monkeypatch)
+    assert main(["run", str(_write_config(tmp_path / "cfg.txt", method))]) == 0
+    assert calls == {runner: 1}
+
+
+def _diverging_heavy_ball(monkeypatch, failures):
+    """Patch ``cli.run_heavy_ball`` to diverge ``failures`` times; return the calls' arguments."""
+    seen = []
+    original = cli.run_heavy_ball
+
+    def diverging(graph, objectives, tab, num_iterations, h0, **kwargs):
+        seen.append((graph, objectives, tab, num_iterations, h0))
+        if len(seen) <= failures:
+            raise NonFiniteState("patched divergence", iteration=1)
+        return original(graph, objectives, tab, num_iterations, h0=h0, **kwargs)
+
+    monkeypatch.setattr(cli, "run_heavy_ball", diverging)
+    return seen
+
+
+def test_reproduce_halves_h0_until_a_heavy_ball_run_stays_finite(tmp_path, monkeypatch):
+    seen = _diverging_heavy_ball(monkeypatch, failures=2)
+    reproduce("fig3", out_dir=tmp_path, rounds_budget=60)
+    graph, objectives, tab, iterations, h0 = seen[0]
+    assert tab.order == 1 and iterations == 60
+    assert h0 == suggested_h0(graph, objectives, tab, iterations, safety=cli._ORDER_SWEEP_SAFETY[1])
+    # s = 1 diverges twice, then s = 2 and s = 4 run once each at their own h0
+    assert [call[4] for call in seen[:3]] == [h0, h0 / 2, h0 / 4]
+    assert [call[2].order for call in seen] == [1, 1, 1, 2, 4]
+    assert (tmp_path / "fig3_erdos_renyi_heavy_ball_rk_s1.csv").exists()
+
+
+def test_exhausted_h0_sweep_exits_3_after_eight_runs(tmp_path, monkeypatch, capsys):
+    seen = _diverging_heavy_ball(monkeypatch, failures=100)
+    assert main(["reproduce", "fig3", "--out", str(tmp_path)]) == 3
+    h0 = seen[0][4]
+    assert [call[4] for call in seen] == [h0 / 2**k for k in range(8)]
+    assert capsys.readouterr().err.startswith("diverged: patched divergence")
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_run_does_not_retry_a_diverging_heavy_ball_run(tmp_path, monkeypatch):
+    seen = _diverging_heavy_ball(monkeypatch, failures=100)
+    assert main(["run", str(_write_config(tmp_path / "cfg.txt", "heavy_ball_rk"))]) == 3
+    assert len(seen) == 1
+
+
+def test_diverging_baseline_in_a_figure_runs_once_and_exits_3(tmp_path, monkeypatch, capsys):
+    calls = Counter()
+
+    def diverging(*args, **kwargs):
+        calls["cgd_run"] += 1
+        raise NonFiniteState("cgd: patched divergence", iteration=1)
+
+    monkeypatch.setattr(baselines, "cgd_run", diverging)
+    assert main(["reproduce", "fig1", "--out", str(tmp_path)]) == 3
+    assert calls == {"cgd_run": 1}
+    assert "cgd: patched divergence" in capsys.readouterr().err

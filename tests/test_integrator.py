@@ -10,6 +10,7 @@ from dualrk.errors import DegenerateError, NonFiniteState
 from dualrk.integrator import (
     ButcherTableau,
     CountingField,
+    certify_order,
     empirical_order,
     format_tableau,
     integrate,
@@ -92,6 +93,23 @@ def test_empirical_order_degenerate_on_exact_method():
     constant_flow = lambda s, h: s + h * np.ones_like(s)
     with pytest.raises(DegenerateError):
         empirical_order(tableau("rk4"), lambda s: np.ones_like(s), constant_flow, np.zeros(2))
+
+
+def _taylor_tableau(stages, order):
+    """Explicit tableau whose step on dz/dt = z is the degree-``stages`` Taylor polynomial."""
+    a = tuple(tuple(0.0 if j < l - 1 else 1.0 / (stages - l + 1) for j in range(l)) for l in range(stages))
+    return ButcherTableau(order=order, a=a, b=(0.0,) * (stages - 1) + (1.0,), name=f"taylor{stages}")
+
+
+def test_certify_order_accepts_matching_and_names_both_orders_otherwise():
+    for tab in (tableau("euler"), tableau("midpoint"), tableau("rk4"), _taylor_tableau(3, 3)):
+        assert certify_order(tab) is tab
+    euler_as_rk4 = ButcherTableau(order=4, a=((),), b=(1.0,), name="euler")
+    with pytest.raises(ValueError, match=r"euler declared order 4 but measured 1\.0"):
+        certify_order(euler_as_rk4)
+    # Six Taylor terms: the one-step error at h = 0.5 / 32 is below roundoff.
+    with pytest.raises(ValueError, match="taylor6 declared order 6 but no order is measurable"):
+        certify_order(_taylor_tableau(6, 6))
 
 
 def test_tableau_validation():

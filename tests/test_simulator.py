@@ -17,7 +17,6 @@ from dualrk.objectives import (
     stacked_conjugate,
 )
 from dualrk.simulator import (
-    default_h0,
     primal_extract,
     run_heavy_ball,
     run_heavy_ball_monolithic,
@@ -38,13 +37,13 @@ def test_step_size_formula():
 def test_zero_iterations_is_a_no_op():
     graph = build_graph(Topology("cycle", 3))
     objs = random_kl_instance(3, 2, seed=0)
-    result = run_heavy_ball(graph, objs, tableau("rk4"), 0)
+    result = run_heavy_ball(graph, objs, tableau("rk4"), 0, h0=1.0)
     assert result.records == []
     assert result.comm_rounds == 0
     assert np.array_equal(result.final_states[:, :4], np.zeros((3, 4)))
     assert np.array_equal(result.final_states[:, -1], np.ones(3))
     assert np.isnan(result.resolved_step) and result.min_primal_entry is None
-    mono = run_heavy_ball_monolithic(graph, objs, tableau("rk4"), 0, keep_trajectory=True)
+    mono = run_heavy_ball_monolithic(graph, objs, tableau("rk4"), 0, h0=1.0, keep_trajectory=True)
     assert mono.records == [] and mono.comm_rounds == 0 and mono.min_primal_entry is None
     assert mono.trajectory.shape == (1, 13) and np.array_equal(mono.trajectory[0], mono.final_states)
 
@@ -163,13 +162,6 @@ def test_kernel_invariant_tracked_through_runs():
         h0 = suggested_h0(graph, objs, tab, 60)
         result = run_heavy_ball(graph, objs, tab, 60, h0=h0)
         assert result.max_kernel_residual <= 1e-9
-
-
-def test_default_h0_matches_smoothness_constant():
-    graph = build_graph(Topology("star", 4))
-    objs = random_regression_instance(4, 2, 4, seed=8)
-    mu = min(o.strong_convexity for o in objs)
-    assert default_h0(graph, objs) == pytest.approx(mu / (4.0 * graph.lambda_max))
 
 
 def test_single_node_smoke_run_warns():
