@@ -28,6 +28,7 @@ from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient,
 
 __all__ = [
     "BaselineResult",
+    "check_step",
     "cgd_run",
     "dgd_run",
     "dual_nag_run",
@@ -43,6 +44,23 @@ class BaselineResult:
     final_stack: np.ndarray
     max_kernel_residual: float | None = None
     dual_gaps: list[float] | None = field(default=None, repr=False)
+
+
+def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph | None = None) -> None:
+    """Raise ``InvalidArgument`` for a step the baseline runners reject.
+
+    Every step must be positive, except dgd's (the one with a ``mixing``
+    weight), which may be zero; ``mixing`` must lie in ``[0, 2 / lambda_max)``
+    of ``graph``.  The runners and ``dualrk run --dry-run`` check through here.
+    """
+    if mixing is None:
+        if step <= 0:
+            raise InvalidArgument("step must be positive")
+        return
+    if not 0.0 <= mixing < 2.0 / graph.lambda_max:
+        raise InvalidArgument(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
+    if step < 0:
+        raise InvalidArgument("step must be nonnegative")
 
 
 def _check_finite(x: np.ndarray, method: str, k: int) -> None:
@@ -78,8 +96,7 @@ def cgd_run(
     simplex projection for KL.  Metrics are computed on the
     consensus-replicated stack, whose consensus terms vanish identically.
     """
-    if step <= 0:
-        raise InvalidArgument("step must be positive")
+    check_step(step)
     n = len(objectives)
     simplex = objectives[0].domain == "simplex"
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
@@ -120,10 +137,7 @@ def dgd_run(
     mixing matrix; zero is accepted and decouples the network into
     independent local descents.
     """
-    if not 0.0 <= mixing < 2.0 / graph.lambda_max:
-        raise InvalidArgument(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
-    if step < 0:
-        raise InvalidArgument("step must be nonnegative")
+    check_step(step, mixing, graph)
     n = graph.node_count
     p = objectives[0].dim
     simplex = objectives[0].domain == "simplex"
@@ -156,8 +170,7 @@ def _dual_descent(
     momentum: bool,
     method: str,
 ) -> BaselineResult:
-    if step <= 0:
-        raise InvalidArgument("step must be positive")
+    check_step(step)
     n = graph.node_count
     p = objectives[0].dim
     y_hat = np.zeros(n * p)

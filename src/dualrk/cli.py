@@ -17,9 +17,9 @@ Exit codes: 0 success, 1 invariant violation or unclassified failure,
 4 I/O errors.
 
 A new method goes into ``config.METHODS``, :func:`_method_step` (its
-default step, which ``run --dry-run`` prints) and the dispatch
-:func:`_run_method` (its runner and rounds per iteration, shared by ``run``
-and ``reproduce``): the only code that branches on a method's name.
+default step and range check, which ``run --dry-run`` applies too) and the
+dispatch :func:`_run_method` (its runner and rounds per iteration, shared by
+``run`` and ``reproduce``): the only code that branches on a method's name.
 """
 
 from __future__ import annotations
@@ -63,18 +63,21 @@ _H0_SWEEP_ATTEMPTS = 8
 
 
 def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int, safety=None):
-    """The step ``cfg.method``'s runner takes, and the line ``run --dry-run`` prints for it.
+    """The step and dgd mixing ``cfg.method``'s runner takes, and the line ``run --dry-run`` prints.
 
     The configured ``h0`` (heavy ball) or ``step`` (baselines) wins.  Else heavy
     ball takes :func:`suggested_h0` at the figure's ``safety``, dual_nag
     ``mu / lambda_max``, cgd ``1 / sum L_i`` and dgd ``1 / max L_i`` (with an
-    unknown smoothness constant ``0.5 / n`` and ``0.1``).
+    unknown smoothness constant ``0.5 / n`` and ``0.1``).  An unset dgd mixing
+    is ``1 / lambda_max``; the mixing is None for every other method.  A
+    baseline step or mixing out of its runner's range raises ``ConfigError``,
+    so ``run --dry-run`` rejects what ``run`` rejects.
     """
     method = cfg.method
     if method == "heavy_ball_rk":
         h0 = cfg.h0 if cfg.h0 is not None else suggested_h0(graph, objectives, tab, iterations, safety=safety)
         s, h = tab.order, step_size(h0, iterations, tab.order)
-        return h0, f"resolved step h = {h0:.6e} * {iterations}^(-{s}/{s + 1}) = {h:.6e}"
+        return h0, None, f"resolved step h = {h0:.6e} * {iterations}^(-{s}/{s + 1}) = {h:.6e}"
     if cfg.step is not None:
         step = cfg.step
     elif method == "dual_nag":
@@ -85,7 +88,14 @@ def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int,
             step = 0.5 / len(objectives) if method == "cgd" else 0.1
         else:
             step = 1.0 / sum(lipschitz) if method == "cgd" else 1.0 / max(lipschitz)
-    return step, f"resolved step = {step:.6e}"
+    mixing = None
+    if method == "dgd":
+        mixing = cfg.mixing if cfg.mixing is not None else 1.0 / graph.lambda_max
+    try:
+        baselines.check_step(step, mixing, graph)
+    except InvalidArgument as err:
+        raise ConfigError(f"{method}: {err}") from err
+    return step, mixing, f"resolved step = {step:.6e}"
 
 
 def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safety=None, attempts=1):
@@ -93,41 +103,36 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
 
     It runs ``cfg.iterations`` iterations, or as many as ``rounds_budget``
     communication rounds pay for (heavy ball broadcasts once per stage, a
-    baseline once per iteration), at :func:`_method_step`'s step; an unset dgd
-    mixing is ``1 / lambda_max``.  A diverging heavy-ball run is rerun at half
-    ``h0`` until ``attempts`` runs failed.  Runners are looked up at call time
-    (``cli.run_heavy_ball``, ``baselines.*_run``), so a replacement is seen;
-    their ``InvalidArgument`` becomes ``ConfigError``.
+    baseline once per iteration), at :func:`_method_step`'s checked step and
+    mixing.  A diverging heavy-ball run is rerun at half ``h0`` until
+    ``attempts`` runs failed.  Runners are looked up at call time
+    (``cli.run_heavy_ball``, ``baselines.*_run``), so a replacement is seen.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
     iterations = cfg.iterations
     if rounds_budget is not None:
         iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
-    step, _ = _method_step(cfg, graph, objectives, tab, iterations, safety)
+    step, mixing, _ = _method_step(cfg, graph, objectives, tab, iterations, safety)
     common = dict(reference=reference, per_agent_normalized=cfg.report_style == "theorem1")
-    try:
-        if heavy_ball:
-            for attempt in range(1, attempts + 1):
-                try:
-                    result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, **common)
-                    break
-                except NonFiniteState:
-                    if attempt == attempts:
-                        raise
-                    step *= 0.5
-        elif method == "cgd":
-            result = baselines.cgd_run(objectives, step, iterations, **common)
-        elif method == "dgd":
-            mixing = cfg.mixing if cfg.mixing is not None else 1.0 / graph.lambda_max
-            result = baselines.dgd_run(
-                graph, objectives, step, mixing, iterations,
-                decaying_step=not cfg.dgd_constant_step, **common,
-            )
-        else:
-            result = baselines.dual_nag_run(graph, objectives, step, iterations, **common)
-    except InvalidArgument as err:
-        raise ConfigError(f"{method}: {err}") from err
+    if heavy_ball:
+        for attempt in range(1, attempts + 1):
+            try:
+                result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, **common)
+                break
+            except NonFiniteState:
+                if attempt == attempts:
+                    raise
+                step *= 0.5
+    elif method == "cgd":
+        result = baselines.cgd_run(objectives, step, iterations, **common)
+    elif method == "dgd":
+        result = baselines.dgd_run(
+            graph, objectives, step, mixing, iterations,
+            decaying_step=not cfg.dgd_constant_step, **common,
+        )
+    else:
+        result = baselines.dual_nag_run(graph, objectives, step, iterations, **common)
     return result.records
 
 
@@ -171,7 +176,7 @@ def _cmd_run(args) -> int:
         cfg.out = args.out
     if args.dry_run:
         graph, objectives = resolve_instance(cfg)
-        _, resolved = _method_step(cfg, graph, objectives, cfg.resolve_tableau(), cfg.iterations)
+        _, _, resolved = _method_step(cfg, graph, objectives, cfg.resolve_tableau(), cfg.iterations)
         p_note = f", p={cfg.edge_probability}" if cfg.graph_kind == "erdos_renyi" else ""
         print(f"config ok: {cfg.experiment} / {cfg.method} on {cfg.graph_kind}(n={cfg.node_count}{p_note})")
         print(resolved)

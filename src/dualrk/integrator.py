@@ -116,16 +116,27 @@ def load_tableau(path) -> ButcherTableau:
     """Load a user-supplied tableau from a JSON file.
 
     Expected keys: ``order`` (int), ``a`` (list of lists, row ``l`` of
-    length ``l``), ``b`` (list of weights), optional ``name``.
+    length ``l``), ``b`` (list of weights), optional ``name``.  A missing or
+    malformed key raises ``ValueError`` naming it.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return ButcherTableau(
-        order=int(raw["order"]),
-        a=tuple(tuple(float(v) for v in row) for row in raw["a"]),
-        b=tuple(float(v) for v in raw["b"]),
-        name=str(raw.get("name", "")),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object with keys 'order', 'a' and 'b'")
+    parsers = {
+        "order": int,
+        "a": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
+        "b": lambda weights: tuple(float(v) for v in weights),
+    }
+    fields = {}
+    for key, parse in parsers.items():
+        if key not in raw:
+            raise ValueError(f"missing key {key!r}")
+        try:
+            fields[key] = parse(raw[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"malformed key {key!r}: {err}") from err
+    return ButcherTableau(**fields, name=str(raw.get("name", "")))
 
 
 def format_tableau(tab: ButcherTableau) -> str:

@@ -244,6 +244,16 @@ def test_unconnectable_erdos_renyi_config_exits_2(tmp_path, capsys):
     assert "no connected Erdos-Renyi sample with n=4, p=0.1" in capsys.readouterr().err
 
 
+def test_dry_run_rejects_out_of_range_dgd_mixing_as_run_does(tmp_path, capsys):
+    path = _write_config(tmp_path / "cfg.txt", method="dgd", mixing=100)
+    assert main(["run", str(path)]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["run", str(path), "--dry-run"]) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out
+    assert err == run_err == "config error: dgd: mixing must be in [0, 0.4)\n"
+
+
 @pytest.mark.parametrize("method, step_key", [("heavy_ball_rk", "h0"), ("cgd", "step")])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_unconnectable_config_exits_2_for_every_method(tmp_path, capsys, method, step_key, dry_run):
@@ -287,6 +297,27 @@ def test_tableau_file_declaring_wrong_order_exits_2(tmp_path, capsys, dry_run):
     out, err = capsys.readouterr()
     assert "config ok" not in out and not (tmp_path / "trace.csv").exists()
     assert err.startswith("config error: tableau: euler declared order 4 but measured 1.0")
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"a": [[]], "b": [1.0]}, "'order'"),
+    ({"order": 1, "b": [1.0]}, "'a'"),
+    ({"order": 1, "a": [[]], "b": 1.0}, "malformed key 'b'"),
+    ({"order": "one", "a": [[]], "b": [1.0]}, "malformed key 'order'"),
+    ({"order": float("inf"), "a": [[]], "b": [1.0]}, "malformed key 'order'"),
+    ([1, 2], "expected a JSON object"),
+])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_tableau_file_missing_or_malformed_key_exits_2(tmp_path, capsys, payload, key, dry_run):
+    import json
+
+    tab_path = tmp_path / "bad.json"
+    tab_path.write_text(json.dumps(payload))
+    path = _write_config(tmp_path / "cfg.txt", tableau=str(tab_path), iterations=5)
+    assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out and not (tmp_path / "trace.csv").exists()
+    assert err.startswith("config error: tableau:") and key in err
 
 
 def test_non_finite_tableau_file_exits_2(tmp_path, capsys):
