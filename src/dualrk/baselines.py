@@ -2,8 +2,8 @@
 
 All baselines emit the same :class:`~dualrk.harness.MetricsRecord` schema as
 the main method, through the same :class:`~dualrk.harness.TraceRecorder`
-(metric records evaluated in blocks once the iterations are done), so traces
-are directly comparable on a shared communication-round axis.
+(which times each iteration and evaluates the metric records in blocks), so
+traces are directly comparable on a shared communication-round axis.
 
 ``dual_nag_run`` runs Nesterov's accelerated gradient on the dual in the
 same transformed coordinates the heavy-ball method uses (``y_hat`` lives in
@@ -16,12 +16,12 @@ claiming any specific parameterization, hence the neutral name.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import harness
+from .dynamics import kernel_residual
 from .errors import InvalidArgument, NonFiniteState
 from .graph import LaplacianGraph, laplacian_apply
 from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient, stacked_value
@@ -86,7 +86,6 @@ def cgd_run(
     step: float,
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
-    per_agent_normalized: bool = False,
     start: np.ndarray | None = None,
 ) -> BaselineResult:
     """Centralized (projected) gradient descent on the shared variable.
@@ -102,15 +101,14 @@ def cgd_run(
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
     replicated = np.tile(x, (n, 1))  # the consensus stack of x, rewritten in place
     stack = replicated.reshape(-1)
-    recorder = harness.TraceRecorder(reference, None, objectives, per_agent_normalized)
+    recorder = harness.TraceRecorder(reference, None, objectives)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            tic = time.perf_counter()
             grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
             x = _feasible(simplex, x - step * grad)
             _check_finite(x, "cgd", k)
             replicated[:] = x
-            recorder.push(stack, k, k, (time.perf_counter() - tic) * 1e3)
+            recorder.push(stack, k, k)
     return BaselineResult(records=recorder.flush(), final_stack=stack.copy())
 
 
@@ -122,7 +120,6 @@ def dgd_run(
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
     decaying_step: bool = True,
-    per_agent_normalized: bool = False,
     start: np.ndarray | None = None,
 ) -> BaselineResult:
     """Distributed gradient descent with Laplacian-based mixing.
@@ -145,17 +142,16 @@ def dgd_run(
         blocks = np.tile(objectives[0].initial_point(), (n, 1))
     else:
         blocks = np.asarray(start, dtype=float).reshape(n, p).copy()
-    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
+    recorder = harness.TraceRecorder(reference, graph, objectives)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            tic = time.perf_counter()
             step_k = step / math.sqrt(k) if decaying_step else step
             stack = blocks.reshape(-1)
             mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
             grads = stacked_gradient(objectives, stack).reshape(n, p)
             blocks = _feasible(simplex, mixed - step_k * grads)
             _check_finite(blocks, "dgd", k)
-            recorder.push(blocks.reshape(-1), k, k, (time.perf_counter() - tic) * 1e3)
+            recorder.push(blocks.reshape(-1), k, k)
     return BaselineResult(records=recorder.flush(), final_stack=blocks.reshape(-1).copy())
 
 
@@ -165,7 +161,6 @@ def _dual_descent(
     step: float,
     num_iterations: int,
     reference: harness.ReferenceOptimum | None,
-    per_agent_normalized: bool,
     record_dual_gap: bool,
     momentum: bool,
     method: str,
@@ -179,12 +174,11 @@ def _dual_descent(
     # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
     # next plain-descent anchor and the final stack, so each is solved once.
     x_stack = stacked_conjugate(objectives, y_hat)
-    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
+    recorder = harness.TraceRecorder(reference, graph, objectives)
     gaps: list[float] | None = [] if record_dual_gap else None
     max_kres = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            tic = time.perf_counter()
             # At k = 1 the momentum anchor z_hat is still y_hat.
             if momentum and k > 1:
                 anchor, x_anchor = z_hat, stacked_conjugate(objectives, z_hat)
@@ -196,13 +190,12 @@ def _dual_descent(
                 y_prev = y_new
             y_hat = y_new
             _check_finite(y_hat, method, k)
-            sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
-            max_kres = max(max_kres, float(sums / (1.0 + math.sqrt(y_hat.dot(y_hat)))))
+            max_kres = max(max_kres, kernel_residual(y_hat, n, p))
             x_stack = stacked_conjugate(objectives, y_hat)
             if gaps is not None:
                 dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)
                 gaps.append(dual + recorder.reference.f_star)
-            recorder.push(x_stack, k, k, (time.perf_counter() - tic) * 1e3)
+            recorder.push(x_stack, k, k)
     return BaselineResult(
         records=recorder.flush(),
         final_stack=x_stack,
@@ -217,7 +210,6 @@ def dual_nag_run(
     step: float,
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
-    per_agent_normalized: bool = False,
     record_dual_gap: bool = False,
 ) -> BaselineResult:
     """Nesterov-accelerated gradient descent on the transformed dual.
@@ -233,8 +225,7 @@ def dual_nag_run(
     ``phi(y_k) - phi(y*)`` is recorded in ``dual_gaps``.
     """
     return _dual_descent(
-        graph, objectives, step, num_iterations, reference, per_agent_normalized,
-        record_dual_gap, momentum=True, method="dual_nag",
+        graph, objectives, step, num_iterations, reference, record_dual_gap, momentum=True, method="dual_nag"
     )
 
 
@@ -244,7 +235,6 @@ def dual_gd_run(
     step: float,
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
-    per_agent_normalized: bool = False,
     record_dual_gap: bool = False,
 ) -> BaselineResult:
     """Plain gradient descent on the transformed dual (momentum-free control).
@@ -254,6 +244,5 @@ def dual_gd_run(
     accelerated variant must beat.
     """
     return _dual_descent(
-        graph, objectives, step, num_iterations, reference, per_agent_normalized,
-        record_dual_gap, momentum=False, method="dual_gd",
+        graph, objectives, step, num_iterations, reference, record_dual_gap, momentum=False, method="dual_gd"
     )

@@ -107,6 +107,8 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     mixing.  A diverging heavy-ball run is rerun at half ``h0`` until
     ``attempts`` runs failed.  Runners are looked up at call time
     (``cli.run_heavy_ball``, ``baselines.*_run``), so a replacement is seen.
+    With ``report_style = theorem1`` the suboptimality (signed too) and the
+    squared distance to the optimum are divided by the agent count.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
@@ -114,25 +116,30 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     if rounds_budget is not None:
         iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
     step, mixing, _ = _method_step(cfg, graph, objectives, tab, iterations, safety)
-    common = dict(reference=reference, per_agent_normalized=cfg.report_style == "theorem1")
     if heavy_ball:
         for attempt in range(1, attempts + 1):
             try:
-                result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, **common)
+                result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, reference=reference)
                 break
             except NonFiniteState:
                 if attempt == attempts:
                     raise
                 step *= 0.5
     elif method == "cgd":
-        result = baselines.cgd_run(objectives, step, iterations, **common)
+        result = baselines.cgd_run(objectives, step, iterations, reference=reference)
     elif method == "dgd":
         result = baselines.dgd_run(
             graph, objectives, step, mixing, iterations,
-            decaying_step=not cfg.dgd_constant_step, **common,
+            reference=reference, decaying_step=not cfg.dgd_constant_step,
         )
     else:
-        result = baselines.dual_nag_run(graph, objectives, step, iterations, **common)
+        result = baselines.dual_nag_run(graph, objectives, step, iterations, reference=reference)
+    if cfg.report_style == "theorem1":
+        n = len(objectives)
+        for record in result.records:
+            record.suboptimality /= n
+            record.suboptimality_signed /= n
+            record.dist_to_optimum_sq /= n
     return result.records
 
 

@@ -21,6 +21,7 @@ See the README for the full key reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConnectivityFailure, DimensionMismatch
@@ -150,12 +151,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("node_count", "dim", "rows_per_agent", "iterations", "order"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
+    # Written so that NaN fails each range test.
     for key in ("h0", "step", "mixing"):
         value = getattr(cfg, key)
-        if value is not None and value <= 0:
-            raise ConfigError(f"{key} must be positive when given")
-    if cfg.ridge < 0:
-        raise ConfigError("ridge must be nonnegative")
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be positive and finite when given")
+    if not 0.0 <= cfg.ridge < math.inf:
+        raise ConfigError("ridge must be nonnegative and finite")
     if not 0.0 < cfg.edge_probability <= 1.0:
         raise ConfigError("edge_probability must be in (0, 1]")
     if cfg.experiment == "custom":

@@ -215,13 +215,16 @@ def transform_state(state: np.ndarray, sqrt_lap: np.ndarray, n: int, block_dim: 
 def kernel_residual(stacked_state: np.ndarray, n: int, block_dim: int) -> float:
     """Worst per-coordinate agent-sum of the transformed blocks.
 
-    Both transformed blocks live in the image of ``sqrt(L)``, which is
-    orthogonal to the all-ones kernel, so every coordinate should sum to
-    zero across agents up to roundoff.  Returns the residual normalized by
+    ``stacked_state`` is a heavy-ball state ``[v_hat, y_hat, t]`` or, with
+    ``n * block_dim`` entries, a dual iterate ``y_hat`` alone.  Every
+    transformed block lives in the image of ``sqrt(L)``, which is orthogonal
+    to the all-ones kernel, so every coordinate should sum to zero across
+    agents up to roundoff.  Returns the residual normalized by
     ``1 + ||y_hat||``.
     """
     total = n * block_dim
-    # Row 0 sums the v_hat blocks, row 1 the y_hat blocks, agent by agent.
-    sums = np.add.reduce(stacked_state[: 2 * total].reshape(2, n, block_dim), axis=1)
-    y_hat = stacked_state[total : 2 * total]
+    blocks = 1 if len(stacked_state) == total else 2
+    # Row r sums block r (v_hat, then y_hat) agent by agent.
+    sums = np.add.reduce(stacked_state[: blocks * total].reshape(blocks, n, block_dim), axis=1)
+    y_hat = stacked_state[(blocks - 1) * total : blocks * total]
     return float(np.abs(sums).max() / (1.0 + math.sqrt(y_hat.dot(y_hat))))

@@ -6,9 +6,11 @@ solver with a restarted-momentum polish), the per-iteration metric record
 and its CSV schema, log-log slope fitting over trace tails, and the
 compactness-ball diagnostics.
 
-Run loops push their iterates into a :class:`TraceRecorder`, which evaluates
-the records a block at a time with :func:`evaluate_trace`, or after every
-iteration for a run with an ``on_record`` callback.
+Run loops push their iterates into a :class:`TraceRecorder`, which times
+each iteration and evaluates the records a block at a time with
+:func:`evaluate_trace`, or after every iteration for a run with an
+``on_record`` callback.  Records are unscaled: the CLI applies
+``report_style = theorem1``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -74,9 +77,8 @@ class MetricsRecord:
 
     ``suboptimality`` is reported as ``|F(x_k) - F*|`` (the usual figure
     axis); the signed value is kept alongside but is not part of the CSV
-    schema.  With ``per_agent_normalized`` reporting, suboptimality and the
-    squared distance are divided by the agent count.  ``wall_time_ms`` is
-    the iteration's own method time; its metrics are evaluated later, in blocks.
+    schema.  ``wall_time_ms`` is the iteration's own method time, stamped by
+    :class:`TraceRecorder`; its metrics are evaluated later, in blocks.
     """
 
     iteration: int
@@ -300,7 +302,6 @@ def evaluate_trace(
     graph: LaplacianGraph | None,
     objectives,
     stamps,
-    per_agent_normalized: bool = False,
 ) -> list[MetricsRecord]:
     """Metric records of a ``(K, n p)`` block of stacked primal iterates.
 
@@ -324,9 +325,6 @@ def evaluate_trace(
         quad = np.where(quad < 0.0, 0.0, quad)  # max(quad, 0.0) row by row
     diff = (x_block.reshape(rows, n, -1) - reference.x_star).reshape(rows, -1)
     dist_sq = _row_dots(diff, diff)
-    if per_agent_normalized:
-        signed /= n
-        dist_sq /= n
     columns = zip(signed.tolist(), norm.tolist(), quad.tolist(), dist_sq.tolist())
     return [
         MetricsRecord(k, r, abs(s), c, q, d, ms, s)
@@ -342,12 +340,11 @@ def evaluate_metrics(
     iteration: int,
     comm_rounds: int,
     wall_time_ms: float = 0.0,
-    per_agent_normalized: bool = False,
 ) -> MetricsRecord:
     """Metric record of one stacked primal iterate: the one-row :func:`evaluate_trace`."""
     x_block = np.asarray(x_stack, dtype=float)[None]
     stamp = (iteration, comm_rounds, wall_time_ms)
-    return evaluate_trace(x_block, reference, graph, objectives, [stamp], per_agent_normalized)[0]
+    return evaluate_trace(x_block, reference, graph, objectives, [stamp])[0]
 
 
 #: Bytes of primal iterates a :class:`TraceRecorder` evaluates as one block:
@@ -362,11 +359,14 @@ class TraceRecorder:
     when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` flushes on
     its own.  With ``on_record`` every push flushes and hands the record to
     the callback, so it fires before the run's next iteration starts.
+    A push stamps ``wall_time_ms`` with the time since the previous push
+    returned (or since the recorder was built), so the time spent in flushes
+    and callbacks is left out of every iteration's time.
     A ``reference`` of None is computed with :func:`reference_optimum`.
     ``min_entry`` is the smallest iterate entry flushed so far (None before any).
     """
 
-    def __init__(self, reference, graph, objectives, per_agent_normalized=False, on_record=None):
+    def __init__(self, reference, graph, objectives, on_record=None):
         if reference is None:
             reference = reference_optimum(objectives)
         self.reference = reference
@@ -375,23 +375,25 @@ class TraceRecorder:
         self._block = np.empty((self.capacity, width))
         self._stamps: list[tuple[int, int, float]] = []
         self._problem = (reference, graph, objectives)
-        self._per_agent_normalized = per_agent_normalized
         self._on_record = on_record
         self.records: list[MetricsRecord] = []
         self.min_entry: float | None = None
+        self._clock = time.perf_counter()
 
-    def push(self, x_stack, iteration: int, comm_rounds: int, wall_time_ms: float) -> None:
-        """Copy in one iteration's primal iterate; flush once the block is full."""
+    def push(self, x_stack, iteration: int, comm_rounds: int) -> None:
+        """Copy in one iteration's primal iterate and time; flush once the block is full."""
+        wall_time_ms = (time.perf_counter() - self._clock) * 1e3
         self._block[len(self._stamps)] = x_stack
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
         if len(self._stamps) == self.capacity:
             self.flush()
+        self._clock = time.perf_counter()
 
     def flush(self) -> list[MetricsRecord]:
         """Evaluate the pushed iterates; return every record of the run so far."""
         if self._stamps:
             block = self._block[: len(self._stamps)]
-            fresh = evaluate_trace(block, *self._problem, self._stamps, self._per_agent_normalized)
+            fresh = evaluate_trace(block, *self._problem, self._stamps)
             low = float(block.min())
             self.min_entry = low if self.min_entry is None else min(self.min_entry, low)
             self._stamps.clear()
@@ -452,7 +454,6 @@ def theory_diagnostics(
     objectives,
     records,
     reference: ReferenceOptimum,
-    per_agent_normalized: bool = False,
 ) -> TheoryDiagnostics:
     """Compactness-ball constants and a containment check over a trace.
 
@@ -464,7 +465,7 @@ def theory_diagnostics(
         radius = sqrt(2 E lambda_max) / mu.
 
     When the unconstrained minimum is itself a consensus point, both terms
-    vanish and ``E = 1``.
+    vanish and ``E = 1``.  ``records`` are a runner's unscaled records.
     """
     n = len(objectives)
     p = objectives[0].dim
@@ -477,8 +478,7 @@ def theory_diagnostics(
     gap = reference.f_star - stacked_value(objectives, x_free)
     e_constant = math.e * (grad_sq / graph.lambda_min_pos + gap) + 1.0
     radius = math.sqrt(2.0 * e_constant * graph.lambda_max) / mu
-    scale = n if per_agent_normalized else 1
-    max_dist = max((math.sqrt(r.dist_to_optimum_sq * scale) for r in records), default=0.0)
+    max_dist = max((math.sqrt(r.dist_to_optimum_sq) for r in records), default=0.0)
     return TheoryDiagnostics(
         e_constant=e_constant,
         ball_radius=radius,

@@ -10,9 +10,10 @@ previously computed stages.  Time never appears explicitly: fields that need
 it carry time inside the state vector with derivative one, which is why the
 tableaux need no node coefficients.
 
-The stage and combination sums here accumulate left to right.  The network
-simulator uses the same arithmetic on its ``(n, 2p + 1)`` agent states,
-which keeps the distributed and monolithic trajectories bitwise comparable.
+Both sums are :func:`rk_combine`, which accumulates left to right.  The
+network simulator and its per-agent oracle call it on their ``(n, 2p + 1)``
+agent states, so the distributed and monolithic trajectories share one
+arithmetic and stay bitwise comparable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "tableau_for_order",
     "load_tableau",
     "format_tableau",
+    "rk_combine",
     "rk_step",
     "integrate",
     "empirical_order",
@@ -151,6 +153,17 @@ def format_tableau(tab: ButcherTableau) -> str:
     return "\n".join(lines)
 
 
+def rk_combine(state, step, weights, derivatives):
+    """``state + step * sum_j weights[j] * derivatives[j]``: a stage point or a step's end state.
+
+    The sum runs over ``len(weights)`` derivatives, left to right.
+    """
+    acc = weights[0] * derivatives[0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * derivatives[j]
+    return state + step * acc
+
+
 def rk_step(tab: ButcherTableau, vector_field, state: np.ndarray, step: float) -> np.ndarray:
     """One explicit Runge-Kutta step of size ``step`` on an autonomous field.
 
@@ -166,22 +179,12 @@ def rk_step(tab: ButcherTableau, vector_field, state: np.ndarray, step: float) -
     state = np.asarray(state, dtype=float)
     derivatives: list[np.ndarray] = []
     for l, row in enumerate(tab.a):
-        assert len(derivatives) == l  # stages may read previous stages only
-        if l == 0:
-            point = state
-        else:
-            acc = row[0] * derivatives[0]
-            for j in range(1, l):
-                acc = acc + row[j] * derivatives[j]
-            point = state + step * acc
+        point = state if l == 0 else rk_combine(state, step, row, derivatives)
         deriv = np.asarray(vector_field(point), dtype=float)
         if not np.all(np.isfinite(deriv)):
             raise NonFiniteState(f"non-finite derivative at stage {l + 1}")
         derivatives.append(deriv)
-    acc = tab.b[0] * derivatives[0]
-    for j in range(1, tab.stages):
-        acc = acc + tab.b[j] * derivatives[j]
-    return state + step * acc
+    return rk_combine(state, step, tab.b, derivatives)
 
 
 def integrate(tab: ButcherTableau, vector_field, state: np.ndarray, step: float, num_steps: int):

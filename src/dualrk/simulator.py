@@ -19,7 +19,7 @@ reused as the first stage of the next iteration, which starts at that same
 state, so a run makes ``n (S N + 1)`` conjugate evaluations.  The metric
 records of those iterates are evaluated in blocks by a
 :class:`~dualrk.harness.TraceRecorder`, or before the next iteration starts
-when ``on_record`` is given.
+when ``on_record`` is given; the recorder also times each iteration.
 
 At the desk shape a round costs numpy per-call overhead more than
 arithmetic, so each round writes its stage derivatives into its slot of one
@@ -37,15 +37,14 @@ Two reference paths check the engine:
   :func:`~dualrk.dynamics.heavy_ball_field` with
   :func:`~dualrk.integrator.rk_step`.
 
-Both use the same per-element arithmetic as the engine, and the tests and
-the invariant suite require trajectories equal to 1e-12 relative.  In fact
-they agree bitwise whenever ``p >= 2`` (see
+All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
+the tests and the invariant suite require trajectories equal to 1e-12
+relative.  In fact they agree bitwise whenever ``p >= 2`` (see
 :func:`~dualrk.graph.laplacian_apply` for the one-dimensional case).
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -63,7 +62,7 @@ from .dynamics import (
 )
 from .errors import NonFiniteState
 from .graph import LaplacianGraph, laplacian_apply
-from .integrator import ButcherTableau, rk_step
+from .integrator import ButcherTableau, rk_combine, rk_step
 from .objectives import stacked_conjugate
 
 __all__ = [
@@ -153,7 +152,6 @@ def run_heavy_ball(
     num_iterations: int,
     h0: float,
     reference: harness.ReferenceOptimum | None = None,
-    per_agent_normalized: bool = False,
     keep_trajectory: bool = False,
     on_record=None,
 ) -> RunResult:
@@ -195,7 +193,7 @@ def run_heavy_ball(
     states = initial_agent_states(n, p)
     # Every round writes its stage derivatives into its slot of this array.
     derivs = np.empty((stages, n, 2 * p + 1))
-    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized, on_record)
+    recorder = harness.TraceRecorder(reference, graph, objectives, on_record)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
     max_kres = 0.0
@@ -207,12 +205,11 @@ def run_heavy_ball(
         # conjugate the previous iteration already solved for its metrics.
         x_stack = primal_extract(states, objectives)
         for k in range(1, num_iterations + 1):
-            tic = time.perf_counter()
             for l in range(stages):
                 if l == 0:
                     points, x_star = states, x_stack
                 else:
-                    points = _combine(states, h, a[l], derivs)
+                    points = rk_combine(states, h, a[l], derivs)
                     x_star = primal_extract(points, objectives)
                 # One broadcast round, then every agent's field slice.
                 rounds += 1
@@ -222,14 +219,14 @@ def run_heavy_ball(
                         f"non-finite stage derivative at iteration {k}, stage {l + 1}",
                         iteration=k,
                     )
-            states = _combine(states, h, b, derivs)
+            states = rk_combine(states, h, b, derivs)
             if not np.isfinite(states).all():
                 raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
 
             stacked = stack_agent_states(states, p)
             max_kres = max(max_kres, kernel_residual(stacked, n, p))
             x_stack = primal_extract(states, objectives)
-            recorder.push(x_stack, k, rounds, (time.perf_counter() - tic) * 1e3)
+            recorder.push(x_stack, k, rounds)
             if trajectory is not None:
                 trajectory.append(stacked)
 
@@ -242,14 +239,6 @@ def run_heavy_ball(
         min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
         trajectory=np.array(trajectory) if trajectory is not None else None,
     )
-
-
-def _combine(states, h, weights, derivs):
-    """``states + h * sum_j weights[j] * derivs[j]``: a stage point or the step's end state."""
-    acc = weights[0] * derivs[0]
-    for j in range(1, len(weights)):
-        acc = acc + weights[j] * derivs[j]
-    return states + h * acc
 
 
 def run_heavy_ball_per_agent(
@@ -279,12 +268,12 @@ def run_heavy_ball_per_agent(
     trajectory = [stack_agent_states(states, p)]
     for _ in range(num_iterations):
         for l in range(tableau.stages):
-            points = states if l == 0 else _combine(states, h, a[l], derivs)
+            points = states if l == 0 else rk_combine(states, h, a[l], derivs)
             for i in range(n):
                 mailbox[i] = objectives[i].conjugate_argmax(points[i, p : 2 * p])
             for i in range(n):
                 derivs[l, i] = agent_field(graph, i, points[i], mailbox[i], mailbox)
-        states = _combine(states, h, b, derivs)
+        states = rk_combine(states, h, b, derivs)
         trajectory.append(stack_agent_states(states, p))
     return np.array(trajectory)
 
@@ -296,7 +285,6 @@ def run_heavy_ball_monolithic(
     num_iterations: int,
     h0: float,
     reference: harness.ReferenceOptimum | None = None,
-    per_agent_normalized: bool = False,
     keep_trajectory: bool = False,
 ) -> RunResult:
     """Single-vector reference path: integrate the monolithic field directly.
@@ -311,19 +299,18 @@ def run_heavy_ball_monolithic(
     field_fn = heavy_ball_field(graph, objectives)
     state = initial_stacked_state(n, p)
     total = n * p
-    recorder = harness.TraceRecorder(reference, graph, objectives, per_agent_normalized)
+    recorder = harness.TraceRecorder(reference, graph, objectives)
     trajectory = [state.copy()] if keep_trajectory else None
     max_kres = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, num_iterations + 1):
-            tic = time.perf_counter()
             try:
                 state = rk_step(tableau, field_fn, state, h)
             except NonFiniteState as err:
                 raise NonFiniteState(f"iteration {k}: {err}", iteration=k) from err
             max_kres = max(max_kres, kernel_residual(state, n, p))
             x_stack = stacked_conjugate(objectives, state[total : 2 * total])
-            recorder.push(x_stack, k, k * tableau.stages, (time.perf_counter() - tic) * 1e3)
+            recorder.push(x_stack, k, k * tableau.stages)
             if trajectory is not None:
                 trajectory.append(state.copy())
     return RunResult(

@@ -151,6 +151,20 @@ def test_divergent_baseline_exits_3_without_numpy_warnings(tmp_path, capsys, met
     assert err.startswith(f"diverged: {method}:") and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key, method",
+    [("h0", "heavy_ball_rk"), ("step", "cgd"), ("step", "dual_nag"), ("mixing", "dgd"), ("ridge", "heavy_ball_rk")],
+)
+def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, key, method, value, dry_run):
+    # NaN fails no ``value <= 0`` test, and inf passes it; both must be config errors.
+    path = _write_config(tmp_path / "cfg.txt", method=method, **{key: value})
+    assert main(["run", str(path)] + (["--dry-run"] if dry_run else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be") and "finite" in err
+
+
 def test_baseline_methods_run_from_config(tmp_path):
     for method in ("cgd", "dgd", "dual_nag"):
         path = _write_config(tmp_path / f"{method}.txt", method=method, iterations=30)

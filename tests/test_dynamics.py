@@ -154,3 +154,11 @@ def test_kernel_residual_detects_drift():
     assert kernel_residual(state, 4, 2) <= 1e-15
     state[8] += 1.0  # inject drift
     assert kernel_residual(state, 4, 2) > 0.01
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (5, 3), (20, 10), (100, 100)])
+def test_kernel_residual_of_a_dual_iterate_matches_the_agent_sum_formula(n, p):
+    rng = np.random.default_rng(n + p)
+    y_hat = rng.normal(size=n * p) * 10.0 ** rng.uniform(-6, 6, size=n * p)
+    sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
+    assert repr(kernel_residual(y_hat, n, p)) == repr(float(sums / (1.0 + np.sqrt(y_hat.dot(y_hat)))))

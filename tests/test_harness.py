@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dualrk import harness
+from dualrk import cli, harness
+from dualrk.config import ExperimentConfig
 from dualrk import objectives as objectives_module
 from dualrk.errors import InsufficientData, NonPositiveMetric
 from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
@@ -130,17 +131,19 @@ def test_consensus_quadratic_sandwich_bounds():
 
 
 def test_per_agent_normalization():
+    # report_style = theorem1 scales the records of a run in the CLI dispatch.
     objs = random_regression_instance(4, 2, 4, seed=5)
     graph = build_graph(Topology("star", 4))
     ref = reference_optimum(objs)
-    x = np.random.default_rng(5).normal(size=8)
-    raw = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1)
-    scaled = evaluate_metrics(
-        x, ref, graph, objs, iteration=1, comm_rounds=1, per_agent_normalized=True
-    )
-    assert scaled.suboptimality == pytest.approx(raw.suboptimality / 4.0)
-    assert scaled.dist_to_optimum_sq == pytest.approx(raw.dist_to_optimum_sq / 4.0)
-    assert scaled.consensus_quadratic == raw.consensus_quadratic
+    cfg = ExperimentConfig(method="dgd", iterations=5)
+    raw = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
+    cfg.report_style = "theorem1"
+    scaled = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
+    for r, s in zip(raw, scaled, strict=True):
+        assert s.suboptimality == r.suboptimality / 4.0
+        assert s.suboptimality_signed == r.suboptimality_signed / 4.0
+        assert s.dist_to_optimum_sq == r.dist_to_optimum_sq / 4.0
+        assert s.consensus_quadratic == r.consensus_quadratic > 0.0
 
 
 def test_fit_rate_recovers_exact_power_law():

@@ -56,6 +56,32 @@ def test_euler_is_state_plus_h_field_bitwise():
     assert np.array_equal(rk_step(tableau("euler"), field, state, h), state + h * field(state))
 
 
+def _inline_rk_step(tab, field, state, h):
+    """The step as ``rk_step`` accumulated it inline, stage by stage, left to right."""
+    derivs = []
+    for l, row in enumerate(tab.a):
+        point = state
+        if l:
+            acc = row[0] * derivs[0]
+            for j in range(1, l):
+                acc = acc + row[j] * derivs[j]
+            point = state + h * acc
+        derivs.append(field(point))
+    acc = tab.b[0] * derivs[0]
+    for j in range(1, tab.stages):
+        acc = acc + tab.b[j] * derivs[j]
+    return state + h * acc
+
+
+@pytest.mark.parametrize("kind", ["euler", "midpoint", "rk4"])
+def test_rk_step_combines_stages_as_the_inline_sums_bitwise(kind):
+    rng = np.random.default_rng(1)
+    state = rng.normal(size=7) * 10.0 ** rng.uniform(-6, 6, size=7)
+    field = lambda s: np.sin(s) + 0.3 * s[::-1]
+    tab = tableau(kind)
+    assert rk_step(tab, field, state, 0.37).tobytes() == _inline_rk_step(tab, field, state, 0.37).tobytes()
+
+
 def test_rk4_harmonic_oscillator_period():
     def oscillator(state):
         return np.array([state[1], -state[0]])

@@ -253,7 +253,7 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
         states = states + h * acc
         max_kres = max(max_kres, _reference_kernel_residual(stack_agent_states(states, p), n, p))
         x_stack = conjugates(states)
-        recorder.push(x_stack, k, rounds, 0.0)
+        recorder.push(x_stack, k, rounds)
     records = recorder.flush()
     min_entry = recorder.min_entry if objs[0].domain == "simplex" else None
     return records, states, rounds, max_kres, min_entry

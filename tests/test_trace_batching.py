@@ -3,23 +3,30 @@
 The oracles here are test-local copies of the per-iteration code the run
 loops used before metric records were evaluated in blocks: one
 ``stacked_value``, one ``laplacian_apply`` and three BLAS dot products per
-iterate.  Every comparison is bitwise, because the CSV bytes of a trace must
-not depend on how its records were batched.
+iterate, with the per-agent (``report_style = theorem1``) scaling that the
+metric code applied then.  Every comparison is bitwise, because the CSV
+bytes of a trace must not depend on how its records were batched or where
+they were scaled.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from dualrk import simulator
+from dualrk import cli, simulator
 from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_nag_run
+from dualrk.config import load_config, resolve_instance
 from dualrk.graph import Topology, build_graph, laplacian_apply
 from dualrk.harness import (
+    CSV_COLUMNS,
     TRACE_BLOCK_BYTES,
     MetricsRecord,
     ReferenceOptimum,
     TraceRecorder,
     evaluate_metrics,
     evaluate_trace,
+    read_metrics_csv,
     reference_optimum,
 )
 from dualrk.integrator import tableau
@@ -80,17 +87,16 @@ def _assert_bitwise(got, want):
 
 
 CASES = {
-    "quadratic": (lambda: random_regression_instance(12, 5, 7, seed=1), "erdos_renyi", False),
-    "kl": (lambda: random_kl_instance(12, 5, seed=2), "cycle", False),
-    "no_graph": (lambda: random_regression_instance(12, 5, 7, seed=4), None, False),
-    "star": (lambda: random_kl_instance(12, 5, seed=5), "star", False),
-    "per_agent_normalized": (lambda: random_regression_instance(12, 5, 7, seed=6), "star", True),
+    "quadratic": (lambda: random_regression_instance(12, 5, 7, seed=1), "erdos_renyi"),
+    "kl": (lambda: random_kl_instance(12, 5, seed=2), "cycle"),
+    "no_graph": (lambda: random_regression_instance(12, 5, 7, seed=4), None),
+    "star": (lambda: random_kl_instance(12, 5, seed=5), "star"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_evaluate_trace_matches_per_row_metrics(case):
-    make, kind, normalized = CASES[case]
+    make, kind = CASES[case]
     objs = make()
     graph = None if kind is None else build_graph(
         Topology(kind, 12, edge_probability=0.4, rng_seed=7)
@@ -101,23 +107,23 @@ def test_evaluate_trace_matches_per_row_metrics(case):
     block = rng.uniform(0.01, 1.0, size=(9, 60)) * 10.0 ** rng.uniform(-3, 3, size=(9, 60))
     block[4] = np.tile(reference.x_star, 12)  # a consensus row at the reference point
     stamps = [(k, 3 * k, 0.5) for k in range(1, 10)]
-    records = evaluate_trace(block, reference, graph, objs, stamps, normalized)
+    records = evaluate_trace(block, reference, graph, objs, stamps)
     want = [
-        _old_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), normalized)
+        _old_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1))
         for k, x in enumerate(block)
     ]
     _assert_bitwise(records, want)
     _assert_bitwise(
         records,
         [
-            evaluate_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), 0.5, normalized)
+            evaluate_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), 0.5)
             for k, x in enumerate(block)
         ],
     )
     assert [r.wall_time_ms for r in records] == [0.5] * 9
     # A record does not depend on the rows batched with it.
     _assert_bitwise(
-        evaluate_trace(block[3:5], reference, graph, objs, stamps[3:5], normalized),
+        evaluate_trace(block[3:5], reference, graph, objs, stamps[3:5]),
         want[3:5],
     )
 
@@ -184,7 +190,7 @@ def test_recorder_flushes_full_blocks_and_the_tail():
     iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS * DIM))
     iterates[K // 2, 5] = 0.01  # the smallest entry sits inside the first block
     for k, x in enumerate(iterates, start=1):
-        recorder.push(x, k, 2 * k, 0.25)
+        recorder.push(x, k, 2 * k)
         assert len(recorder.records) == (k // K) * K
     assert recorder.min_entry == 0.01
     records = recorder.flush()
@@ -193,9 +199,20 @@ def test_recorder_flushes_full_blocks_and_the_tail():
     assert recorder.flush() is records and len(records) == K + 3
 
 
+def test_recorder_times_iterations_without_flushes_and_callbacks():
+    objs = random_kl_instance(4, 3, seed=0)
+    x = np.tile(objs[0].initial_point(), 4)
+    recorder = TraceRecorder(reference_optimum(objs), None, objs, on_record=lambda _: time.sleep(0.2))
+    for k in range(1, 4):
+        time.sleep(0.01)  # the iteration's own work
+        recorder.push(x, k, k)
+    # Every push flushes and runs the 0.2 s callback; no record's time holds it.
+    assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.flush())
+
+
 def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
     trajectory = run_heavy_ball_per_agent(graph, objs, tab, num_iterations, h0=h0)
-    total = N_AGENTS * DIM
+    total = len(objs) * objs[0].dim
     reference = reference_optimum(objs)
     return [
         _old_metrics(
@@ -256,27 +273,64 @@ def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
         objs = random_regression_instance(N_AGENTS, DIM, DIM + 2, seed=3, ridge=1e-3)
     else:
         objs = random_kl_instance(N_AGENTS, DIM, seed=3)
-    normalized = family == "kl"
     tab = tableau("rk4")
     h0 = suggested_h0(graph, objs, tab, num_iterations)
     step = 0.5 / graph.lambda_max
-    heavy_ball_want = _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized)
+    heavy_ball_want = _heavy_ball_old(graph, objs, tab, num_iterations, h0, False)
     runs = [
-        (run_heavy_ball(graph, objs, tab, num_iterations, h0=h0, per_agent_normalized=normalized),
-         heavy_ball_want),
-        (run_heavy_ball_monolithic(graph, objs, tab, num_iterations, h0=h0,
-                                   per_agent_normalized=normalized),
-         heavy_ball_want),
-        (cgd_run(objs, 0.1, num_iterations, per_agent_normalized=normalized),
-         _cgd_old(objs, 0.1, num_iterations, normalized)),
-        (dgd_run(graph, objs, 0.1, step, num_iterations, per_agent_normalized=normalized),
-         _dgd_old(graph, objs, 0.1, step, num_iterations, normalized)),
-        (dual_nag_run(graph, objs, step, num_iterations, per_agent_normalized=normalized),
-         _dual_nag_old(graph, objs, step, num_iterations, normalized)),
+        (run_heavy_ball(graph, objs, tab, num_iterations, h0=h0), heavy_ball_want),
+        (run_heavy_ball_monolithic(graph, objs, tab, num_iterations, h0=h0), heavy_ball_want),
+        (cgd_run(objs, 0.1, num_iterations), _cgd_old(objs, 0.1, num_iterations, False)),
+        (dgd_run(graph, objs, 0.1, step, num_iterations), _dgd_old(graph, objs, 0.1, step, num_iterations, False)),
+        (dual_nag_run(graph, objs, step, num_iterations), _dual_nag_old(graph, objs, step, num_iterations, False)),
     ]
     for result, want in runs:
         _assert_bitwise(result.records, want)
         assert all(r.wall_time_ms > 0.0 for r in result.records)
+
+
+def _run_csv(tmp_path, name, **keys):
+    """``dualrk run`` on a config of ``keys``; its config and CSV records."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    return load_config(path), read_metrics_csv(out)
+
+
+def _csv_fields(record):
+    return [repr(getattr(record, name)) for name in CSV_COLUMNS]
+
+
+@pytest.mark.parametrize("method", ["heavy_ball_rk", "cgd", "dgd", "dual_nag"])
+@pytest.mark.parametrize("experiment", ["regression", "kl_barycenter"])
+def test_theorem1_run_is_the_figure_run_over_n(tmp_path, capsys, experiment, method):
+    keys = dict(
+        experiment=experiment, method=method, graph="erdos_renyi", n=N_AGENTS, p=DIM, l=DIM + 2,
+        edge_probability=0.3, ridge=1e-3, iterations=K + 1, seed=3,
+    )
+    cfg, figure = _run_csv(tmp_path, "figure", **keys)
+    _, theorem1 = _run_csv(tmp_path, "theorem1", report_style="theorem1", **keys)
+    n = N_AGENTS
+    over_n = [
+        MetricsRecord(r.iteration, r.comm_rounds, r.suboptimality / n, r.consensus_L_norm,
+                      r.consensus_quadratic, r.dist_to_optimum_sq / n)
+        for r in figure
+    ]
+    assert [_csv_fields(r) for r in theorem1] == [_csv_fields(r) for r in over_n]
+    # The scaling the metric code applied before it moved to the CLI.
+    graph, objs = resolve_instance(cfg)
+    tab = cfg.resolve_tableau()
+    step, mixing, _ = cli._method_step(cfg, graph, objs, tab, cfg.iterations)
+    old = {
+        "heavy_ball_rk": lambda: _heavy_ball_old(graph, objs, tab, cfg.iterations, step, True),
+        "cgd": lambda: _cgd_old(objs, step, cfg.iterations, True),
+        "dgd": lambda: _dgd_old(graph, objs, step, mixing, cfg.iterations, True),
+        "dual_nag": lambda: _dual_nag_old(graph, objs, step, cfg.iterations, True),
+    }[method]()
+    assert [_csv_fields(r) for r in theorem1] == [_csv_fields(r) for r in old]
+    cfg.report_style = "theorem1"
+    _assert_bitwise(cli._run_method(cfg, graph, objs, tab, reference_optimum(objs)), old)
 
 
 def test_on_record_fires_before_the_next_iteration(monkeypatch):
