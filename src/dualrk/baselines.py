@@ -11,6 +11,10 @@ the image of the Laplacian square root, so the gradient step becomes
 ``L x*(z_hat)`` and is executable with one broadcast round per iteration).
 It approximates the accelerated dual methods from the literature without
 claiming any specific parameterization, hence the neutral name.
+
+``dgd_run`` and ``dual_nag_run`` also run on a disjoint union of graphs,
+with a step (and mixing) per part; each part's result is its run alone,
+bitwise.  ``cgd_run`` never reads a graph.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import harness
 from .dynamics import kernel_residual
-from .errors import InvalidArgument, NonFiniteState
+from .errors import InvalidArgument
 from .graph import LaplacianGraph, laplacian_apply
 from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient, stacked_value
 
@@ -38,12 +42,18 @@ __all__ = [
 
 @dataclass
 class BaselineResult:
-    """Trace plus method-specific extras from a baseline run."""
+    """Trace plus method-specific extras from a baseline run.
+
+    A run on a disjoint union of graphs holds in ``parts`` what each part's
+    run alone returns; its own result has no records and the worst part's
+    kernel residual.
+    """
 
     records: list[harness.MetricsRecord]
     final_stack: np.ndarray
     max_kernel_residual: float | None = None
     dual_gaps: list[float] | None = field(default=None, repr=False)
+    parts: list[BaselineResult] = field(default_factory=list, repr=False)
 
 
 def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph | None = None) -> None:
@@ -63,9 +73,17 @@ def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph |
         raise InvalidArgument("step must be nonnegative")
 
 
-def _check_finite(x: np.ndarray, method: str, k: int) -> None:
-    if not np.isfinite(x).all():
-        raise NonFiniteState(f"{method}: non-finite iterate at iteration {k}", iteration=k)
+def _result(recorder, final_stack, max_kres=None, gaps=None) -> BaselineResult:
+    """Flush ``recorder`` and split the run into its parts' results (see :class:`BaselineResult`)."""
+    recorder.flush()
+    count = len(recorder.parts)
+    parts = [
+        BaselineResult(trace.records, final_stack[trace.columns].copy(), kres, part_gaps)
+        for trace, kres, part_gaps in zip(recorder.parts, max_kres or [None] * count, gaps or [None] * count)
+    ]
+    if count == 1:
+        return parts[0]
+    return BaselineResult([], final_stack.copy(), max(max_kres) if max_kres else None, parts=parts)
 
 
 # Simplex iterates are floored here before gradient evaluation so the
@@ -106,10 +124,10 @@ def cgd_run(
         for k in range(1, num_iterations + 1):
             grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
             x = _feasible(simplex, x - step * grad)
-            _check_finite(x, "cgd", k)
+            harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
             recorder.push(stack, k, k)
-    return BaselineResult(records=recorder.flush(), final_stack=stack.copy())
+    return _result(recorder, stack)
 
 
 def dgd_run(
@@ -132,9 +150,13 @@ def dgd_run(
 
     ``mixing`` must lie in ``[0, 2 / lambda_max(L))`` so ``W`` is a valid
     mixing matrix; zero is accepted and decouples the network into
-    independent local descents.
+    independent local descents.  On a disjoint union ``step``, ``mixing``
+    and ``reference`` may each hold one value per part.
     """
-    check_step(step, mixing, graph)
+    steps, mixings = graph.per_part(step), graph.per_part(mixing)
+    for (_, part), part_step, part_mixing in zip(graph.part_rows, steps, mixings):
+        check_step(part_step, part_mixing, part)
+    step, mixing = graph.node_values(steps), graph.node_values(mixings)
     n = graph.node_count
     p = objectives[0].dim
     simplex = objectives[0].domain == "simplex"
@@ -150,9 +172,9 @@ def dgd_run(
             mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
             grads = stacked_gradient(objectives, stack).reshape(n, p)
             blocks = _feasible(simplex, mixed - step_k * grads)
-            _check_finite(blocks, "dgd", k)
+            harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
-    return BaselineResult(records=recorder.flush(), final_stack=blocks.reshape(-1).copy())
+    return _result(recorder, blocks.reshape(-1))
 
 
 def _dual_descent(
@@ -165,7 +187,10 @@ def _dual_descent(
     momentum: bool,
     method: str,
 ) -> BaselineResult:
-    check_step(step)
+    steps = graph.per_part(step)
+    for part_step in steps:
+        check_step(part_step)
+    step = graph.node_values(steps)
     n = graph.node_count
     p = objectives[0].dim
     y_hat = np.zeros(n * p)
@@ -175,8 +200,8 @@ def _dual_descent(
     # next plain-descent anchor and the final stack, so each is solved once.
     x_stack = stacked_conjugate(objectives, y_hat)
     recorder = harness.TraceRecorder(reference, graph, objectives)
-    gaps: list[float] | None = [] if record_dual_gap else None
-    max_kres = 0.0
+    gaps = [[] for _ in recorder.parts] if record_dual_gap else None
+    max_kres = [0.0] * len(recorder.parts)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             # At k = 1 the momentum anchor z_hat is still y_hat.
@@ -184,24 +209,21 @@ def _dual_descent(
                 anchor, x_anchor = z_hat, stacked_conjugate(objectives, z_hat)
             else:
                 anchor, x_anchor = y_hat, x_stack
-            y_new = anchor - step * laplacian_apply(graph, x_anchor, p)
+            y_new = anchor - (step * laplacian_apply(graph, x_anchor, p).reshape(n, p)).reshape(-1)
             if momentum:
                 z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
                 y_prev = y_new
             y_hat = y_new
-            _check_finite(y_hat, method, k)
-            max_kres = max(max_kres, kernel_residual(y_hat, n, p))
+            harness.check_finite(y_hat, graph, f"{method}: non-finite iterate at iteration {k}", k)
             x_stack = stacked_conjugate(objectives, y_hat)
-            if gaps is not None:
-                dual = float(y_hat @ x_stack) - stacked_value(objectives, x_stack)
-                gaps.append(dual + recorder.reference.f_star)
+            for i, trace in enumerate(recorder.parts):
+                y_part, x_part = y_hat[trace.columns], x_stack[trace.columns]
+                max_kres[i] = max(max_kres[i], kernel_residual(y_part, len(trace.objectives), p))
+                if gaps is not None:
+                    dual = float(y_part @ x_part) - stacked_value(trace.objectives, x_part)
+                    gaps[i].append(dual + trace.reference.f_star)
             recorder.push(x_stack, k, k)
-    return BaselineResult(
-        records=recorder.flush(),
-        final_stack=x_stack,
-        max_kernel_residual=max_kres,
-        dual_gaps=gaps,
-    )
+    return _result(recorder, x_stack, max_kres, gaps)
 
 
 def dual_nag_run(
@@ -219,7 +241,8 @@ def dual_nag_run(
     (y_hat_k - y_hat_{k-1})``; at ``k = 1`` the momentum coefficient is zero
     and the step is plain gradient descent.  One broadcast round per
     iteration; ``step <= mu / lambda_max(L)`` (the inverse of the dual
-    smoothness constant) is the recommended regime.
+    smoothness constant) is the recommended regime.  On a disjoint union
+    ``step`` and ``reference`` may each hold one value per part.
 
     With ``record_dual_gap=True`` the per-iteration dual suboptimality
     ``phi(y_k) - phi(y*)`` is recorded in ``dual_gaps``.

@@ -9,6 +9,7 @@ Subcommands
 ``reproduce <fig1|fig2|fig3> [--scale desk|paper]``
     Run the method/baseline matrix behind one of the benchmark figures and
     emit one CSV per (graph, method) pair plus a rate-fit summary JSON.
+    fig1/fig2 run each method once on the union of their three graphs.
 ``verify``
     Run the fast invariant suite; nonzero exit names the violated invariant.
 
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, harness
 from .config import ExperimentConfig, load_config, resolve_instance
 from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
-from .graph import Topology, build_graph
+from .graph import Topology, build_graph, disjoint_union
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance
 from .selfcheck import run_invariant_suite
@@ -60,6 +62,10 @@ _ORDER_SWEEP_SAFETY = {1: 0.15, 2: 0.8, 4: 0.9}
 
 # A figure retries a diverging heavy-ball trace at half h0, this many runs at most.
 _H0_SWEEP_ATTEMPTS = 8
+
+# A union run saves numpy per-call overhead; above this many bytes of iterate
+# arithmetic dominates and its parts run one by one (break-even near 3 x 20 x 60).
+_UNION_MAX_BYTES = 32 * 1024
 
 
 def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int, safety=None):
@@ -99,48 +105,84 @@ def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int,
 
 
 def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safety=None, attempts=1):
-    """Run ``cfg.method`` and return its records: the one dispatch on a method's name.
+    """Run ``cfg.method``; return one record list per part of ``graph``: the one dispatch on a method's name.
 
     It runs ``cfg.iterations`` iterations, or as many as ``rounds_budget``
     communication rounds pay for (heavy ball broadcasts once per stage, a
-    baseline once per iteration), at :func:`_method_step`'s checked step and
-    mixing.  A diverging heavy-ball run is rerun at half ``h0`` until
-    ``attempts`` runs failed.  Runners are looked up at call time
-    (``cli.run_heavy_ball``, ``baselines.*_run``), so a replacement is seen.
-    With ``report_style = theorem1`` the suboptimality (signed too) and the
-    squared distance to the optimum are divided by the agent count.
+    baseline once per iteration), each part of a disjoint-union ``graph`` at
+    :func:`_method_step`'s checked step and mixing for that part.  A
+    diverging heavy-ball run is rerun at half the ``h0`` of each part it
+    names, until one part failed ``attempts`` runs.  cgd reads no graph:
+    parts with the same objective objects share one run.  Runners are looked
+    up at call time (``cli.run_heavy_ball``, ``baselines.*_run``), so a
+    replacement is seen.  ``report_style = theorem1`` divides the
+    suboptimality (signed too) and squared distance by the part's agent count.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
     iterations = cfg.iterations
     if rounds_budget is not None:
         iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
-    step, mixing, _ = _method_step(cfg, graph, objectives, tab, iterations, safety)
+    parts = graph.part_rows
+    if method != "cgd" and len(parts) > 1 and 8 * graph.node_count * objectives[0].dim > _UNION_MAX_BYTES:
+        return [
+            records
+            for (nodes, part), part_reference in zip(parts, graph.per_part(reference))
+            for records in _run_method(
+                cfg, part, objectives[nodes], tab, part_reference, rounds_budget, safety, attempts
+            )
+        ]
+    steps, mixings = [], []
+    for nodes, part in parts:
+        step, mixing, _ = _method_step(cfg, part, objectives[nodes], tab, iterations, safety)
+        steps.append(step)
+        mixings.append(mixing)
+
+    def arg(values):  # plain values for one graph, one per part for a union
+        return values[0] if len(values) == 1 else values
+
     if heavy_ball:
-        for attempt in range(1, attempts + 1):
+        failures = [0] * len(parts)
+        while True:
             try:
-                result = run_heavy_ball(graph, objectives, tab, iterations, h0=step, reference=reference)
+                results = _part_results(
+                    run_heavy_ball(graph, objectives, tab, iterations, h0=arg(steps), reference=reference)
+                )
                 break
-            except NonFiniteState:
-                if attempt == attempts:
-                    raise
-                step *= 0.5
+            except NonFiniteState as err:
+                for i in range(len(parts)) if err.parts is None else err.parts:
+                    failures[i] += 1
+                    if failures[i] == attempts:
+                        raise
+                    steps[i] *= 0.5
     elif method == "cgd":
-        result = baselines.cgd_run(objectives, step, iterations, reference=reference)
+        runs, results = {}, []
+        for (nodes, _), step, part_reference in zip(parts, steps, graph.per_part(reference)):
+            key = tuple(map(id, objectives[nodes]))
+            if key not in runs:
+                runs[key] = baselines.cgd_run(objectives[nodes], step, iterations, reference=part_reference)
+            results.append(runs[key])
     elif method == "dgd":
-        result = baselines.dgd_run(
-            graph, objectives, step, mixing, iterations,
+        results = _part_results(baselines.dgd_run(
+            graph, objectives, arg(steps), arg(mixings), iterations,
             reference=reference, decaying_step=not cfg.dgd_constant_step,
-        )
+        ))
     else:
-        result = baselines.dual_nag_run(graph, objectives, step, iterations, reference=reference)
-    if cfg.report_style == "theorem1":
-        n = len(objectives)
-        for record in result.records:
-            record.suboptimality /= n
-            record.suboptimality_signed /= n
-            record.dist_to_optimum_sq /= n
-    return result.records
+        results = _part_results(
+            baselines.dual_nag_run(graph, objectives, arg(steps), iterations, reference=reference)
+        )
+    if cfg.report_style == "theorem1":  # copies: parts may share a cgd run's records
+        scaled = ("suboptimality", "suboptimality_signed", "dist_to_optimum_sq")
+        return [
+            [replace(r, **{name: getattr(r, name) / part.node_count for name in scaled}) for r in result.records]
+            for result, (_, part) in zip(results, parts)
+        ]
+    return [result.records for result in results]
+
+
+def _part_results(result):
+    """A runner's result per graph part: its ``parts``, or itself for a one-graph run."""
+    return result.parts or [result]
 
 
 def run_experiment(cfg: ExperimentConfig, timings: bool = False):
@@ -150,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     """
     graph, objectives = resolve_instance(cfg)
     reference = harness.reference_optimum(objectives)
-    records = _run_method(cfg, graph, objectives, cfg.resolve_tableau(), reference)
+    (records,) = _run_method(cfg, graph, objectives, cfg.resolve_tableau(), reference)
     out_path = Path(cfg.out)
     harness.write_metrics_csv(records, out_path, timings=timings)
     return records, reference, out_path
@@ -194,33 +236,39 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _figure_traces(figure: str, scale: str, seed: int):
-    """Yield (trace_name, graph, objectives, method, order) for a figure."""
+def _figure_cells(figure: str, scale: str, seed: int):
+    """A figure's graph kinds, their graphs, the instance they share, and its ``(method, order)`` runs."""
     shape = _SCALE_SHAPE[scale]
-    er_prob = _ER_PROBABILITY[scale]
-    if figure == "fig3":
-        graph = build_graph(
-            Topology("erdos_renyi", shape["n"], edge_probability=er_prob, rng_seed=seed)
+    kinds = ("erdos_renyi",) if figure == "fig3" else ("star", "cycle", "erdos_renyi")
+    graphs = [
+        build_graph(Topology(kind, shape["n"], edge_probability=_ER_PROBABILITY[scale], rng_seed=seed))
+        for kind in kinds
+    ]
+    if figure == "fig1":
+        objectives = random_regression_instance(
+            shape["n"], shape["p"], shape["l"], seed=seed, ridge=_REGRESSION_RIDGE
         )
+    else:
         objectives = random_kl_instance(shape["n"], shape["p"], seed=seed)
-        for order in (1, 2, 4):
-            yield f"fig3_erdos_renyi_heavy_ball_rk_s{order}", graph, objectives, "heavy_ball_rk", order
-        return
-    methods = (
-        ("cgd", "dgd", "dual_nag", "heavy_ball_rk") if figure == "fig1" else ("dual_nag", "dgd", "heavy_ball_rk")
-    )
-    for kind in ("star", "cycle", "erdos_renyi"):
-        graph = build_graph(
-            Topology(kind, shape["n"], edge_probability=er_prob, rng_seed=seed)
-        )
-        if figure == "fig1":
-            objectives = random_regression_instance(
-                shape["n"], shape["p"], shape["l"], seed=seed, ridge=_REGRESSION_RIDGE
-            )
-        else:
-            objectives = random_kl_instance(shape["n"], shape["p"], seed=seed)
-        for method in methods:
-            yield f"{figure}_{kind}_{method}", graph, objectives, method, 4
+    if figure == "fig3":
+        runs = [("heavy_ball_rk", order) for order in (1, 2, 4)]
+    else:
+        methods = ("cgd", "dgd", "dual_nag") if figure == "fig1" else ("dual_nag", "dgd")
+        runs = [(method, 4) for method in (*methods, "heavy_ball_rk")]
+    return kinds, graphs, objectives, runs
+
+
+def _write_trace(records, path: Path):
+    """Write one trace's CSV; return its tail rate fits."""
+    harness.write_metrics_csv(records, path)
+    print(f"{path.stem}: {len(records)} records -> {path}")
+    fits = []
+    for metric in ("suboptimality", "consensus_quadratic"):
+        try:
+            fits.append(harness.fit_rate(records, metric))
+        except DualRKError:
+            continue
+    return fits
 
 
 def reproduce(
@@ -234,10 +282,11 @@ def reproduce(
 
     Every method is billed in communication rounds: a method with ``S``
     stage broadcasts per iteration runs ``budget / S`` iterations, so all
-    traces share the figure's x-axis.  Reference optima are certified
-    against the projected-gradient oracle before any trace is written.  A
-    diverging heavy-ball trace is rerun at half ``h0``, at most
-    ``_H0_SWEEP_ATTEMPTS`` runs in all; a diverging baseline raises at once.
+    traces share the figure's x-axis.  Each graph cell's reference optimum
+    is certified against the projected-gradient oracle before any trace
+    runs.  Each method runs once on the union of the figure's graphs; a
+    diverging heavy-ball part is rerun at half ``h0``, at most
+    ``_H0_SWEEP_ATTEMPTS`` runs per part, and a diverging baseline raises.
 
     Returns the list of written paths (traces plus the rate-fit summary).
     """
@@ -248,40 +297,38 @@ def reproduce(
     budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    kinds, graphs, objectives, runs = _figure_cells(figure, scale, seed)
+    references = []
+    for _ in kinds:
+        reference = harness.reference_optimum(objectives)
+        deviation = harness.verify_reference(objectives, reference)
+        if deviation > 1e-9:
+            raise DualRKError(
+                f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
+            )
+        references.append(reference)
+    union = disjoint_union(graphs)
+    cells = {}  # (kind, method, order) -> (trace name, fits)
+    for method, order in runs:
+        # a figure runs each method at its default step
+        part_records = _run_method(
+            ExperimentConfig(method=method), union, list(objectives) * len(kinds), tableau_for_order(order),
+            references, budget, _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None, _H0_SWEEP_ATTEMPTS,
+        )
+        for kind in kinds:  # written and dropped before the next run
+            name = f"{figure}_{kind}_{method}" + (f"_s{order}" if figure == "fig3" else "")
+            cells[kind, method, order] = name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv")
     written: list[Path] = []
     fits: list[harness.RateFit] = []
     fit_labels: list[str] = []
     slope_by_order: dict[int, float] = {}
-    previous_objectives = None
-    for name, graph, objectives, method, order in _figure_traces(figure, scale, seed):
-        if objectives is not previous_objectives:
-            # one instance per graph group; certify its reference once
-            reference = harness.reference_optimum(objectives)
-            deviation = harness.verify_reference(objectives, reference)
-            if deviation > 1e-9:
-                raise DualRKError(
-                    f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
-                )
-            previous_objectives = objectives
-        safety = _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None
-        # a figure runs each method at its default step
-        records = _run_method(
-            ExperimentConfig(method=method), graph, objectives, tableau_for_order(order),
-            reference, budget, safety, _H0_SWEEP_ATTEMPTS,
-        )
-        path = out_dir / f"{name}.csv"
-        harness.write_metrics_csv(records, path)
-        written.append(path)
-        print(f"{name}: {len(records)} records -> {path}")
-        for metric in ("suboptimality", "consensus_quadratic"):
-            try:
-                fit = harness.fit_rate(records, metric)
-            except DualRKError:
-                continue
-            fits.append(fit)
-            fit_labels.append(name)
-            if figure == "fig3" and metric == "suboptimality":
-                slope_by_order[order] = fit.slope
+    for kind in kinds:  # the summary lists the traces graph by graph
+        for method, order in runs:
+            name, cell_fits = cells[kind, method, order]
+            written.append(out_dir / f"{name}.csv")
+            fits.extend(cell_fits)
+            fit_labels.extend(name for _ in cell_fits)
+            slope_by_order.update((order, fit.slope) for fit in cell_fits if fit.metric == "suboptimality")
     extra = {"figure": figure, "scale": scale, "seed": seed, "traces": fit_labels}
     if figure == "fig3" and len(slope_by_order) == 3:
         extra["suboptimality_slopes_by_order"] = {str(s): slope_by_order[s] for s in (1, 2, 4)}

@@ -151,11 +151,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("node_count", "dim", "rows_per_agent", "iterations", "order"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
-    # Written so that NaN fails each range test.
-    for key in ("h0", "step", "mixing"):
+    # Written so that NaN fails each range test; baselines.check_step owns
+    # the method's step and mixing ranges.
+    if cfg.h0 is not None and not 0.0 < cfg.h0 < math.inf:
+        raise ConfigError("h0 must be positive and finite when given")
+    for key in ("step", "mixing"):
         value = getattr(cfg, key)
-        if value is not None and not 0.0 < value < math.inf:
-            raise ConfigError(f"{key} must be positive and finite when given")
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ConfigError(f"{key} must be nonnegative and finite when given")
     if not 0.0 <= cfg.ridge < math.inf:
         raise ConfigError("ridge must be nonnegative and finite")
     if not 0.0 < cfg.edge_probability <= 1.0:

@@ -32,11 +32,15 @@ class SingularSystem(DualRKError):
 
 
 class NonFiniteState(DualRKError):
-    """A state or stage derivative contains NaN/Inf, usually a too-large step."""
+    """A state or stage derivative contains NaN/Inf, usually a too-large step.
 
-    def __init__(self, message: str, iteration: int | None = None):
+    ``parts`` indexes the diverged parts of a disjoint-union graph (None: unknown).
+    """
+
+    def __init__(self, message: str, iteration: int | None = None, parts: tuple[int, ...] | None = None):
         super().__init__(message)
         self.iteration = iteration
+        self.parts = parts
 
 
 class NonPositiveTime(DualRKError):

@@ -7,11 +7,15 @@ only for spectra, debugging exports, and test oracles.  Runtime code applies
 ``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
 the operation a node can perform from its neighbors' broadcasts, and all
 rows are computed together from a padded neighbor table.
+
+:func:`disjoint_union` joins graphs into one with a block-diagonal
+Laplacian, so one round over the union is a round on every part; a
+connected graph is a union of one part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +28,7 @@ __all__ = [
     "Topology",
     "LaplacianGraph",
     "build_graph",
+    "disjoint_union",
     "spectral_bounds",
     "laplacian_apply",
     "dense_laplacian",
@@ -90,6 +95,8 @@ class LaplacianGraph:
         Smallest positive Laplacian eigenvalue (algebraic connectivity).
     resample_count : int
         Number of Erdos-Renyi resamples that were needed for connectivity.
+    parts : tuple of LaplacianGraph
+        The graphs of a :func:`disjoint_union`, in node order, else empty.
     """
 
     node_count: int
@@ -97,9 +104,36 @@ class LaplacianGraph:
     lambda_max: float
     lambda_min_pos: float
     resample_count: int = 0
+    parts: tuple[LaplacianGraph, ...] = field(default=(), repr=False)
 
     def degree(self, node: int) -> int:
         return len(self.neighbor_lists[node])
+
+    @cached_property
+    def part_rows(self) -> tuple[tuple[slice, LaplacianGraph], ...]:
+        """``(node range, graph)`` of each part; a connected graph is its own one part."""
+        parts = self.parts or (self,)
+        bounds = np.cumsum([0] + [part.node_count for part in parts]).tolist()
+        return tuple((slice(lo, hi), part) for lo, hi, part in zip(bounds, bounds[1:], parts))
+
+    def per_part(self, value) -> list:
+        """``value`` for every part, or ``value`` itself if it is a list, tuple or array of one per part."""
+        count = len(self.part_rows)
+        values = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value] * count
+        if len(values) != count:
+            raise DimensionMismatch(f"{len(values)} values for {count} graph parts")
+        return values
+
+    def node_values(self, values):
+        """An ``(n, 1)`` column of each node's part's entry of ``values`` (see :meth:`per_part`).
+
+        Multiplying by it is each part's scalar multiply, element by element;
+        a value shared by all parts is returned as that cheaper scalar.
+        """
+        values = self.per_part(values)
+        if len(set(values)) == 1:
+            return values[0]
+        return np.repeat(np.array(values, dtype=float), [part.node_count for _, part in self.part_rows])[:, None]
 
     @cached_property
     def padded_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +234,30 @@ def build_graph(topology: Topology) -> LaplacianGraph:
     )
 
 
+def disjoint_union(graphs) -> LaplacianGraph:
+    """``graphs`` side by side as one graph; a single graph is returned as it is.
+
+    Each part's neighbor lists are offset by its first node, so every row
+    keeps its sorted order; :func:`laplacian_apply` applies each part on its
+    own.  The union is disconnected, so its spectra are the parts' extremes.
+    """
+    graphs = tuple(graphs)
+    if len(graphs) == 1:
+        return graphs[0]
+    lists, offset = [], 0
+    for part in graphs:
+        lists.extend(nb + offset for nb in part.neighbor_lists)
+        offset += part.node_count
+    return LaplacianGraph(
+        node_count=offset,
+        neighbor_lists=tuple(lists),
+        lambda_max=max(part.lambda_max for part in graphs),
+        lambda_min_pos=min(part.lambda_min_pos for part in graphs),
+        resample_count=sum(part.resample_count for part in graphs),
+        parts=graphs,
+    )
+
+
 def _spectral_from_lists(neighbor_lists) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(_dense_from_lists(neighbor_lists))
     lam_max = float(evals[-1])
@@ -240,7 +298,8 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     one-vector path is bound by numpy per-call overhead, not arithmetic.
     A ``(K, n p)`` block of stacked vectors adds the neighbor slots one at a
     time in the same sorted order, which is sequential for every
-    ``block_dim`` and needs no ``(K, n, max degree, p)`` gather.
+    ``block_dim`` and needs no ``(K, n, max degree, p)`` gather.  A
+    :func:`disjoint_union` is applied part by part.
 
     Parameters
     ----------
@@ -254,6 +313,12 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     n = graph.node_count
     if x.shape[-1:] != (n * block_dim,) or x.ndim > 2:
         raise DimensionMismatch(f"expected {n * block_dim} entries per row, got {x.shape}")
+    if graph.parts:
+        # A union table would pad every row to the largest degree of any part.
+        return np.concatenate([
+            laplacian_apply(part, x[..., nodes.start * block_dim : nodes.stop * block_dim], block_dim)
+            for nodes, part in graph.part_rows
+        ], axis=-1)
     degrees, table = graph.padded_neighbors
     blocks = x.reshape(*x.shape[:-1], n, block_dim)
     # Pad slots read an extra row of -0.0, which leaves every sum unchanged.

@@ -9,8 +9,8 @@ compactness-ball diagnostics.
 Run loops push their iterates into a :class:`TraceRecorder`, which times
 each iteration and evaluates the records a block at a time with
 :func:`evaluate_trace`, or after every iteration for a run with an
-``on_record`` callback.  Records are unscaled: the CLI applies
-``report_style = theorem1``.
+``on_record`` callback, one record list per part of a disjoint union of
+graphs.  Records are unscaled: the CLI applies ``report_style = theorem1``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, NonPositiveMetric, SingularSystem
+from .errors import InsufficientData, NonFiniteState, NonPositiveMetric, SingularSystem
 from .graph import LaplacianGraph, laplacian_apply
 from .objectives import stacked_conjugate, stacked_gradient, stacked_value
 
@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_metrics",
     "TRACE_BLOCK_BYTES",
     "TraceRecorder",
+    "check_finite",
     "consensus_projection",
     "fit_rate",
     "theory_diagnostics",
@@ -352,33 +353,55 @@ def evaluate_metrics(
 TRACE_BLOCK_BYTES = 32 * 1024
 
 
+class _PartTrace:
+    """One graph part's columns, problem, records and least entry in a :class:`TraceRecorder`."""
+
+    def __init__(self, columns, reference, graph, objectives):
+        self.columns, self.graph, self.objectives = columns, graph, objectives
+        self.reference = reference if reference is not None else reference_optimum(objectives)
+        self.records: list[MetricsRecord] = []
+        self.min_entry: float | None = None
+
+
 class TraceRecorder:
     """A run's metric trace, evaluated by :func:`evaluate_trace` a block at a time.
 
     The run loop pushes its primal iterate once per iteration and flushes
-    when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` flushes on
-    its own.  With ``on_record`` every push flushes and hands the record to
-    the callback, so it fires before the run's next iteration starts.
+    when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` (of the
+    widest part) flushes on its own.  With ``on_record`` every push flushes
+    and hands the records to the callback, so it fires before the run's
+    next iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
-    A ``reference`` of None is computed with :func:`reference_optimum`.
-    ``min_entry`` is the smallest iterate entry flushed so far (None before any).
+    Each part of a disjoint-union ``graph`` is evaluated on its own columns,
+    graph, objectives and ``reference`` (one for all parts or one per part;
+    None is computed with :func:`reference_optimum`), as its run alone is.
+    ``records``, ``reference`` and ``min_entry`` (the least iterate entry
+    flushed so far, None before any) are the first part's.
     """
 
     def __init__(self, reference, graph, objectives, on_record=None):
-        if reference is None:
-            reference = reference_optimum(objectives)
-        self.reference = reference
-        width = len(objectives) * objectives[0].dim
+        p = objectives[0].dim
+        if graph is None:  # a replicated consensus stack: one part, no graph
+            rows, references = ((slice(0, len(objectives)), None),), [reference]
+        else:
+            rows, references = graph.part_rows, graph.per_part(reference)
+        self.parts = [
+            _PartTrace(slice(nodes.start * p, nodes.stop * p), ref, part, objectives[nodes])
+            for (nodes, part), ref in zip(rows, references)
+        ]
+        self.records, self.reference = self.parts[0].records, self.parts[0].reference
+        width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
-        self._block = np.empty((self.capacity, width))
+        self._block = np.empty((self.capacity, len(objectives) * p))
         self._stamps: list[tuple[int, int, float]] = []
-        self._problem = (reference, graph, objectives)
         self._on_record = on_record
-        self.records: list[MetricsRecord] = []
-        self.min_entry: float | None = None
         self._clock = time.perf_counter()
+
+    @property
+    def min_entry(self) -> float | None:
+        return self.parts[0].min_entry
 
     def push(self, x_stack, iteration: int, comm_rounds: int) -> None:
         """Copy in one iteration's primal iterate and time; flush once the block is full."""
@@ -390,18 +413,38 @@ class TraceRecorder:
         self._clock = time.perf_counter()
 
     def flush(self) -> list[MetricsRecord]:
-        """Evaluate the pushed iterates; return every record of the run so far."""
+        """Evaluate the pushed iterates; return every record of the run so far (the first part's)."""
         if self._stamps:
             block = self._block[: len(self._stamps)]
-            fresh = evaluate_trace(block, *self._problem, self._stamps)
-            low = float(block.min())
-            self.min_entry = low if self.min_entry is None else min(self.min_entry, low)
+            fresh = []
+            for part in self.parts:
+                # A contiguous copy, laid out as the part's own run lays out its block.
+                columns = np.ascontiguousarray(block[:, part.columns])
+                records = evaluate_trace(columns, part.reference, part.graph, part.objectives, self._stamps)
+                part.records.extend(records)
+                fresh.extend(records)
+                low = float(columns.min())
+                part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
             self._stamps.clear()
-            self.records.extend(fresh)
             if self._on_record is not None:
                 for record in fresh:
                     self._on_record(record)
         return self.records
+
+
+def check_finite(values, graph: LaplacianGraph | None, message: str, iteration: int) -> None:
+    """Raise :class:`~dualrk.errors.NonFiniteState` with ``message`` unless ``values`` are finite.
+
+    ``values`` holds as many entries per node of ``graph`` (None: one part);
+    on a union the message and the error's ``parts`` name the diverged parts.
+    """
+    if np.isfinite(values).all():
+        return
+    if graph is None or not graph.parts:
+        raise NonFiniteState(message, iteration=iteration, parts=(0,))
+    finite = np.isfinite(np.reshape(values, (graph.node_count, -1))).all(axis=1)
+    parts = tuple(i for i, (nodes, _) in enumerate(graph.part_rows) if not finite[nodes].all())
+    raise NonFiniteState(f"{message} in union parts {list(parts)}", iteration=iteration, parts=parts)
 
 
 def fit_rate(records, metric: str) -> RateFit:

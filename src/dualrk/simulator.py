@@ -21,6 +21,10 @@ records of those iterates are evaluated in blocks by a
 :class:`~dualrk.harness.TraceRecorder`, or before the next iteration starts
 when ``on_record`` is given; the recorder also times each iteration.
 
+On a :func:`~dualrk.graph.disjoint_union` one round serves every part,
+each at its own step (a per-row array: a broadcast multiply is the same
+IEEE operation per element), so each part's result is its run alone's.
+
 At the desk shape a round costs numpy per-call overhead more than
 arithmetic, so each round writes its stage derivatives into its slot of one
 ``(S, n, 2p + 1)`` array allocated per run, and the kernels it calls keep
@@ -46,7 +50,7 @@ relative.  In fact they agree bitwise whenever ``p >= 2`` (see
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +90,10 @@ class RunResult:
     ``min_primal_entry`` is tracked for simplex objectives only, where the
     relevant smoothness assumptions hold on the interior: it is logged
     rather than asserted.
+
+    A run on a disjoint union of graphs holds in ``parts`` what each part's
+    run alone returns; its own result has no records and a NaN step, and
+    the worst part's kernel residual.
     """
 
     records: list[harness.MetricsRecord]
@@ -95,6 +103,7 @@ class RunResult:
     max_kernel_residual: float
     min_primal_entry: float | None = None
     trajectory: np.ndarray | None = None
+    parts: list[RunResult] = field(default_factory=list, repr=False)
 
 
 def step_size(h0: float, num_iterations: int, order: int) -> float:
@@ -164,11 +173,13 @@ def run_heavy_ball(
 
     Parameters
     ----------
-    h0 : float
-        Base step; the resolved step is ``h0 * N**(-s/(s+1))``.
+    h0 : float or sequence of float
+        Base step (one per part of a union graph, or one for all); the
+        resolved step is ``h0 * N**(-s/(s+1))``.
         :func:`suggested_h0` gives one near the stability limit.
-    reference : ReferenceOptimum, optional
-        Precomputed reference optimum; computed on the fly when omitted.
+    reference : ReferenceOptimum or sequence, optional
+        Precomputed reference optimum (like ``h0``, per part or for all);
+        computed on the fly when omitted.
     on_record : callable, optional
         Metric sink invoked with each :class:`~dualrk.harness.MetricsRecord`
         before the next iteration starts.
@@ -176,8 +187,9 @@ def run_heavy_ball(
     Raises
     ------
     NonFiniteState
-        With the failing iteration index if a stage derivative or state
-        leaves the finite range (diagnoses a too-large ``h0``).
+        With the failing iteration index (and diverged parts) if a stage
+        derivative or state leaves the finite range (diagnoses a too-large
+        ``h0``).
     """
     n = graph.node_count
     p = objectives[0].dim
@@ -186,7 +198,11 @@ def run_heavy_ball(
     if n == 1:
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
     # A zero-iteration run returns the initial state and no step.
-    h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
+    steps = [
+        step_size(part_h0, num_iterations, tableau.order) if num_iterations else float("nan")
+        for part_h0 in graph.per_part(h0)
+    ]
+    h = graph.node_values(steps)
     stages = tableau.stages
     a, b = tableau.a, tableau.b
 
@@ -196,7 +212,7 @@ def run_heavy_ball(
     recorder = harness.TraceRecorder(reference, graph, objectives, on_record)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
-    max_kres = 0.0
+    max_kres = [0.0] * len(steps)
 
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
@@ -214,31 +230,31 @@ def run_heavy_ball(
                 # One broadcast round, then every agent's field slice.
                 rounds += 1
                 round_field(points, laplacian_apply(graph, x_star, p).reshape(n, p), derivs[l])
-                if not np.isfinite(derivs[l]).all():
-                    raise NonFiniteState(
-                        f"non-finite stage derivative at iteration {k}, stage {l + 1}",
-                        iteration=k,
-                    )
+                harness.check_finite(
+                    derivs[l], graph, f"non-finite stage derivative at iteration {k}, stage {l + 1}", k
+                )
             states = rk_combine(states, h, b, derivs)
-            if not np.isfinite(states).all():
-                raise NonFiniteState(f"non-finite state at iteration {k}", iteration=k)
+            harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
 
-            stacked = stack_agent_states(states, p)
-            max_kres = max(max_kres, kernel_residual(stacked, n, p))
+            for i, (nodes, part) in enumerate(graph.part_rows):
+                part_kres = kernel_residual(stack_agent_states(states[nodes], p), part.node_count, p)
+                max_kres[i] = max(max_kres[i], part_kres)
             x_stack = primal_extract(states, objectives)
             recorder.push(x_stack, k, rounds)
             if trajectory is not None:
-                trajectory.append(stacked)
+                trajectory.append(stack_agent_states(states, p))
 
-    return RunResult(
-        records=recorder.flush(),
-        final_states=states,
-        comm_rounds=rounds,
-        resolved_step=h,
-        max_kernel_residual=max_kres,
-        min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
-        trajectory=np.array(trajectory) if trajectory is not None else None,
-    )
+    recorder.flush()
+    simplex = objectives[0].domain == "simplex"
+    parts = [
+        RunResult(trace.records, states[nodes], rounds, step, kres, trace.min_entry if simplex else None)
+        for (nodes, _), trace, step, kres in zip(graph.part_rows, recorder.parts, steps, max_kres)
+    ]
+    trajectory = np.array(trajectory) if trajectory is not None else None
+    if len(parts) == 1:
+        parts[0].trajectory = trajectory
+        return parts[0]
+    return RunResult([], states, rounds, float("nan"), max(max_kres), trajectory=trajectory, parts=parts)
 
 
 def run_heavy_ball_per_agent(

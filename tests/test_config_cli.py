@@ -268,6 +268,23 @@ def test_dry_run_rejects_out_of_range_dgd_mixing_as_run_does(tmp_path, capsys):
     assert err == run_err == "config error: dgd: mixing must be in [0, 0.4)\n"
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_dgd_with_zero_mixing_and_step_runs(tmp_path, capsys, dry_run):
+    # Zero mixing decouples the agents into local descents: in dgd's range [0, 2 / lambda_max).
+    path = _write_config(tmp_path / "cfg.txt", method="dgd", mixing=0, step=0)
+    assert main(["run", str(path)] + (["--dry-run"] if dry_run else [])) == 0
+    assert capsys.readouterr().err == ""
+    if not dry_run:
+        assert len(read_metrics_csv(tmp_path / "trace.csv")) == 40
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_cgd_with_zero_step_exits_2(tmp_path, capsys, dry_run):
+    path = _write_config(tmp_path / "cfg.txt", method="cgd", step=0)
+    assert main(["run", str(path)] + (["--dry-run"] if dry_run else [])) == 2
+    assert capsys.readouterr().err == "config error: cgd: step must be positive\n"
+
+
 @pytest.mark.parametrize("method, step_key", [("heavy_ball_rk", "h0"), ("cgd", "step")])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_unconnectable_config_exits_2_for_every_method(tmp_path, capsys, method, step_key, dry_run):

@@ -58,10 +58,11 @@ def test_every_benchmark_patch_target_resolves():
             assert getattr(owner, attr) is getattr(importlib.import_module(f"dualrk.{module}"), name)
 
 
-def test_reproduce_reaches_each_patched_runner_once_per_graph(tmp_path, monkeypatch):
+def test_reproduce_reaches_each_patched_runner_once_per_figure(tmp_path, monkeypatch):
+    # The three graph cells run as one union call; cgd reads no graph and runs once.
     calls = _count_runner_calls(monkeypatch)
     reproduce("fig1", out_dir=tmp_path, rounds_budget=40)
-    assert calls == {"run_heavy_ball": 3, "cgd_run": 3, "dgd_run": 3, "dual_nag_run": 3}
+    assert calls == {"run_heavy_ball": 1, "cgd_run": 1, "dgd_run": 1, "dual_nag_run": 1}
     # every method is billed 40 rounds: one per baseline iteration, four per RK4 iteration
     for method, iterations in (("cgd", 40), ("dgd", 40), ("dual_nag", 40), ("heavy_ball_rk", 10)):
         assert len(read_metrics_csv(tmp_path / f"fig1_cycle_{method}.csv")) == iterations
@@ -101,6 +102,38 @@ def test_reproduce_halves_h0_until_a_heavy_ball_run_stays_finite(tmp_path, monke
     assert [call[4] for call in seen[:3]] == [h0, h0 / 2, h0 / 4]
     assert [call[2].order for call in seen] == [1, 1, 1, 2, 4]
     assert (tmp_path / "fig3_erdos_renyi_heavy_ball_rk_s1.csv").exists()
+
+
+def _diverging_union_part(monkeypatch, part, failures):
+    """Patch ``cli.run_heavy_ball`` to name union ``part`` diverged ``failures`` times; return the h0 of each call."""
+    seen = []
+    original = cli.run_heavy_ball
+
+    def diverging(graph, objectives, tab, num_iterations, h0, **kwargs):
+        seen.append(list(h0))
+        if len(seen) <= failures:
+            raise NonFiniteState("patched divergence", iteration=1, parts=(part,))
+        return original(graph, objectives, tab, num_iterations, h0=h0, **kwargs)
+
+    monkeypatch.setattr(cli, "run_heavy_ball", diverging)
+    return seen
+
+
+def test_union_h0_sweep_halves_only_the_diverged_part(tmp_path, monkeypatch):
+    seen = _diverging_union_part(monkeypatch, part=0, failures=2)
+    reproduce("fig1", out_dir=tmp_path, rounds_budget=40)
+    first = seen[0]
+    assert len(first) == 3
+    assert seen == [first, [first[0] / 2, *first[1:]], [first[0] / 4, *first[1:]]]
+    assert (tmp_path / "fig1_star_heavy_ball_rk.csv").exists()
+
+
+def test_always_diverging_union_part_exits_3_after_eight_runs(tmp_path, monkeypatch, capsys):
+    seen = _diverging_union_part(monkeypatch, part=2, failures=100)
+    assert main(["reproduce", "fig1", "--out", str(tmp_path)]) == 3
+    first = seen[0]
+    assert seen == [[*first[:2], first[2] / 2**k] for k in range(8)]
+    assert capsys.readouterr().err.startswith("diverged: patched divergence")
 
 
 def test_exhausted_h0_sweep_exits_3_after_eight_runs(tmp_path, monkeypatch, capsys):

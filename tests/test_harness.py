@@ -136,9 +136,10 @@ def test_per_agent_normalization():
     graph = build_graph(Topology("star", 4))
     ref = reference_optimum(objs)
     cfg = ExperimentConfig(method="dgd", iterations=5)
-    raw = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
+    # The dispatch returns one record list per graph part; a star is one part.
+    (raw,) = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
     cfg.report_style = "theorem1"
-    scaled = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
+    (scaled,) = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
     for r, s in zip(raw, scaled, strict=True):
         assert s.suboptimality == r.suboptimality / 4.0
         assert s.suboptimality_signed == r.suboptimality_signed / 4.0
