@@ -63,10 +63,6 @@ _ORDER_SWEEP_SAFETY = {1: 0.15, 2: 0.8, 4: 0.9}
 # A figure retries a diverging heavy-ball trace at half h0, this many runs at most.
 _H0_SWEEP_ATTEMPTS = 8
 
-# A union run saves numpy per-call overhead; above this many bytes of iterate
-# arithmetic dominates and its parts run one by one (break-even near 3 x 20 x 60).
-_UNION_MAX_BYTES = 32 * 1024
-
 
 def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int, safety=None):
     """The step and dgd mixing ``cfg.method``'s runner takes, and the line ``run --dry-run`` prints.
@@ -113,10 +109,11 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     :func:`_method_step`'s checked step and mixing for that part.  A
     diverging heavy-ball run is rerun at half the ``h0`` of each part it
     names, until one part failed ``attempts`` runs.  cgd reads no graph:
-    parts with the same objective objects share one run.  Runners are looked
-    up at call time (``cli.run_heavy_ball``, ``baselines.*_run``), so a
-    replacement is seen.  ``report_style = theorem1`` divides the
-    suboptimality (signed too) and squared distance by the part's agent count.
+    parts with the same objective objects, step and reference share one
+    run.  Runners are looked up at call time (``cli.run_heavy_ball``,
+    ``baselines.*_run``), so a replacement is seen.  ``report_style =
+    theorem1`` divides the suboptimality (signed too) and squared distance
+    by the part's agent count.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
@@ -124,14 +121,6 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     if rounds_budget is not None:
         iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
     parts = graph.part_rows
-    if method != "cgd" and len(parts) > 1 and 8 * graph.node_count * objectives[0].dim > _UNION_MAX_BYTES:
-        return [
-            records
-            for (nodes, part), part_reference in zip(parts, graph.per_part(reference))
-            for records in _run_method(
-                cfg, part, objectives[nodes], tab, part_reference, rounds_budget, safety, attempts
-            )
-        ]
     steps, mixings = [], []
     for nodes, part in parts:
         step, mixing, _ = _method_step(cfg, part, objectives[nodes], tab, iterations, safety)
@@ -158,7 +147,8 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     elif method == "cgd":
         runs, results = {}, []
         for (nodes, _), step, part_reference in zip(parts, steps, graph.per_part(reference)):
-            key = tuple(map(id, objectives[nodes]))
+            ref = part_reference and (part_reference.f_star, part_reference.x_star.tobytes())
+            key = (*map(id, objectives[nodes]), step, ref)
             if key not in runs:
                 runs[key] = baselines.cgd_run(objectives[nodes], step, iterations, reference=part_reference)
             results.append(runs[key])

@@ -128,10 +128,10 @@ class LaplacianGraph:
         """An ``(n, 1)`` column of each node's part's entry of ``values`` (see :meth:`per_part`).
 
         Multiplying by it is each part's scalar multiply, element by element;
-        a value shared by all parts is returned as that cheaper scalar.
+        a connected graph's one value is returned as that scalar.
         """
         values = self.per_part(values)
-        if len(set(values)) == 1:
+        if not self.parts:
             return values[0]
         return np.repeat(np.array(values, dtype=float), [part.node_count for _, part in self.part_rows])[:, None]
 

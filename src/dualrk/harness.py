@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, NonFiniteState, NonPositiveMetric, SingularSystem
+from .errors import InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric, SingularSystem
 from .graph import LaplacianGraph, laplacian_apply
 from .objectives import stacked_conjugate, stacked_gradient, stacked_value
 
@@ -368,9 +368,9 @@ class TraceRecorder:
 
     The run loop pushes its primal iterate once per iteration and flushes
     when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` (of the
-    widest part) flushes on its own.  With ``on_record`` every push flushes
-    and hands the records to the callback, so it fires before the run's
-    next iteration starts.
+    widest part) flushes on its own.  With ``on_record`` (one-graph runs
+    only) every push flushes and hands the record to the callback, so it
+    fires before the run's next iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
@@ -391,6 +391,8 @@ class TraceRecorder:
             _PartTrace(slice(nodes.start * p, nodes.stop * p), ref, part, objectives[nodes])
             for (nodes, part), ref in zip(rows, references)
         ]
+        if on_record is not None and len(self.parts) > 1:
+            raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
         self.records, self.reference = self.parts[0].records, self.parts[0].reference
         width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
@@ -416,19 +418,16 @@ class TraceRecorder:
         """Evaluate the pushed iterates; return every record of the run so far (the first part's)."""
         if self._stamps:
             block = self._block[: len(self._stamps)]
-            fresh = []
             for part in self.parts:
                 # A contiguous copy, laid out as the part's own run lays out its block.
                 columns = np.ascontiguousarray(block[:, part.columns])
                 records = evaluate_trace(columns, part.reference, part.graph, part.objectives, self._stamps)
                 part.records.extend(records)
-                fresh.extend(records)
                 low = float(columns.min())
                 part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
             self._stamps.clear()
             if self._on_record is not None:
-                for record in fresh:
-                    self._on_record(record)
+                self._on_record(self.records[-1])
         return self.records
 
 

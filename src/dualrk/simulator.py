@@ -182,7 +182,8 @@ def run_heavy_ball(
         computed on the fly when omitted.
     on_record : callable, optional
         Metric sink invoked with each :class:`~dualrk.harness.MetricsRecord`
-        before the next iteration starts.
+        before the next iteration starts; a one-graph run only (a union of
+        several parts raises ``InvalidArgument``).
 
     Raises
     ------

@@ -9,16 +9,17 @@ single graphs, in ``test_simulator.py`` and ``test_acceptance.py``.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from dualrk import cli
+from dualrk import baselines, cli
 from dualrk.baselines import dgd_run, dual_nag_run
 from dualrk.config import ExperimentConfig
-from dualrk.errors import ConnectivityFailure, DimensionMismatch, DualRKError, NonFiniteState
+from dualrk.errors import ConnectivityFailure, DimensionMismatch, DualRKError, InvalidArgument, NonFiniteState
 from dualrk.graph import (
     Topology,
     build_graph,
@@ -191,7 +192,9 @@ def test_union_offsets_neighbors_and_takes_spectra_from_parts():
 def test_per_part_values_are_spread_over_each_part():
     union = disjoint_union([build_graph(Topology("star", 2)), build_graph(Topology("cycle", 3))])
     assert union.node_values([0.5, 2.0]).tolist() == [[0.5], [0.5], [2.0], [2.0], [2.0]]
-    assert union.node_values([3.0, 3.0]) == 3.0  # one value for all parts stays a scalar
+    assert union.node_values(3.0).tolist() == [[3.0]] * 5
+    star = union.parts[0]
+    assert star.node_values(3.0) == 3.0 and star.node_values([3.0]) == 3.0
     with pytest.raises(DimensionMismatch):
         union.per_part([1.0, 2.0, 3.0])
 
@@ -213,26 +216,31 @@ def test_a_diverging_part_is_named_and_a_single_graph_message_is_unchanged():
     assert err.value.parts == (0,) and str(err.value).endswith("in union parts [0]")
 
 
-def test_a_union_above_the_byte_bound_runs_part_by_part(monkeypatch):
-    sizes = []
-    original = cli.run_heavy_ball
+def test_union_parts_share_a_cgd_run_only_with_an_equal_reference(monkeypatch):
+    calls = []
+    original = baselines.cgd_run
 
-    def recording(graph, *args, **kwargs):
-        sizes.append(graph.node_count)
-        return original(graph, *args, **kwargs)
+    def recording(objectives, step, num_iterations, reference=None):
+        calls.append(reference)
+        return original(objectives, step, num_iterations, reference=reference)
 
-    monkeypatch.setattr(cli, "run_heavy_ball", recording)
-    graphs = [build_graph(Topology(kind, 30, edge_probability=0.3, rng_seed=1)) for kind in ("star", "cycle")]
-    union, cfg, tab = disjoint_union(graphs), ExperimentConfig(method="heavy_ball_rk"), tableau_for_order(2)
-    wide = random_kl_instance(30, 80, seed=1)  # 2 x 30 x 80 doubles: above the bound
-    assert 8 * 60 * 80 > cli._UNION_MAX_BYTES
-    records = cli._run_method(cfg, union, wide * 2, tab, None, 8)
-    assert sizes == [30, 30]
-    alone = [cli._run_method(cfg, graph, wide, tab, None, 8)[0] for graph in graphs]
-    assert [_fields(r) for r in records] == [_fields(r) for r in alone]
-    sizes.clear()
-    cli._run_method(cfg, union, random_kl_instance(30, 10, seed=1) * 2, tab, None, 8)
-    assert sizes == [60]
+    monkeypatch.setattr(baselines, "cgd_run", recording)
+    graphs = [build_graph(Topology(kind, 4)) for kind in ("star", "cycle", "star")]
+    objs = random_regression_instance(4, 3, 5, seed=1, ridge=1e-3)
+    shifted = replace(reference_optimum(objs), f_star=reference_optimum(objs).f_star - 1.0)
+    references = [reference_optimum(objs), reference_optimum(objs), shifted]  # equal, equal, other
+    cfg, tab = ExperimentConfig(method="cgd"), tableau_for_order(4)
+    records = cli._run_method(cfg, disjoint_union(graphs), objs * 3, tab, references, 6)
+    assert calls == [references[0], shifted]
+    (alone,) = cli._run_method(cfg, graphs[2], objs, tab, shifted, 6)
+    assert _fields(records[0]) == _fields(records[1]) != _fields(records[2]) == _fields(alone)
+
+
+def test_on_record_takes_a_one_graph_run_only():
+    graphs = [build_graph(Topology("star", 3)), build_graph(Topology("cycle", 4))]
+    objectives = random_kl_instance(3, 2, seed=0) + random_kl_instance(4, 2, seed=1)
+    with pytest.raises(InvalidArgument, match="union of 2 parts"):
+        run_heavy_ball(disjoint_union(graphs), objectives, tableau_for_order(2), 3, h0=0.1, on_record=print)
 
 
 def _cells_alone(figure, out_dir, budget):
