@@ -6,7 +6,7 @@ the dense matrix (and its positive-semidefinite square root) is materialized
 only for spectra, debugging exports, and test oracles.  Runtime code applies
 ``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
 the operation a node can perform from its neighbors' broadcasts, and all
-rows are computed together from a padded neighbor table.
+rows are computed together, in one padded gather per degree bucket.
 
 :func:`disjoint_union` joins graphs into one with a block-diagonal
 Laplacian, so one round over the union is a round on every part; a
@@ -136,19 +136,34 @@ class LaplacianGraph:
         return np.repeat(np.array(values, dtype=float), [part.node_count for _, part in self.part_rows])[:, None]
 
     @cached_property
-    def padded_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(degrees, table)`` for gathering every node's neighbors at once.
+    def degree_buckets(self) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, ...]]:
+        """``(degrees, inverse, tables)``: the gather plan of :func:`laplacian_apply`.
 
-        ``degrees`` has shape ``(n, 1)``.  Row ``i`` of the ``(n, max
-        degree)`` index table lists node ``i``'s sorted neighbors, padded
-        with ``n``, the index of a row :func:`laplacian_apply` appends.
+        Rows in decreasing degree are cut into buckets whose padded gather
+        is at most twice their degree sum.  Row ``k`` of a bucket's ``(width,
+        rows)`` table is slot ``k`` of its rows' sorted neighbor lists (rows
+        in node order), padded with ``n``, the pad row's index.
+        ``take(inverse)`` puts the buckets' rows back in node order.
         """
-        n = self.node_count
-        degrees = np.array([len(nb) for nb in self.neighbor_lists], dtype=float)
-        table = np.full((n, int(degrees.max(initial=0))), n, dtype=np.intp)
-        for i, nb in enumerate(self.neighbor_lists):
-            table[i, : len(nb)] = nb
-        return degrees[:, None], table
+        # Python sorts: numpy's sort kernels would page in about 0.6 MB of code (peak RSS).
+        n, lists = self.node_count, self.neighbor_lists
+        degrees = [len(nb) for nb in lists]
+        buckets = []
+        for i in sorted(range(n), key=degrees.__getitem__, reverse=True):
+            if not buckets or (len(rows) + 1) * degrees[rows[0]] > 2 * (total + degrees[i]):
+                rows, total = [], 0
+                buckets.append(rows)
+            rows.append(i)
+            total += degrees[i]
+        tables = []
+        for rows in buckets:
+            tables.append(np.full((degrees[rows[0]], len(rows)), n, dtype=np.intp))  # rows[0]: the widest
+            rows.sort()
+            for j, i in enumerate(rows):
+                tables[-1][: degrees[i], j] = lists[i]
+        order = [i for rows in buckets for i in rows]
+        inverse = np.array(sorted(range(n), key=order.__getitem__)) if len(buckets) > 1 else None
+        return np.array(degrees, dtype=float)[:, None], inverse, tuple(tables)
 
 
 def _star_neighbors(n: int) -> list[np.ndarray]:
@@ -238,8 +253,8 @@ def disjoint_union(graphs) -> LaplacianGraph:
     """``graphs`` side by side as one graph; a single graph is returned as it is.
 
     Each part's neighbor lists are offset by its first node, so every row
-    keeps its sorted order; :func:`laplacian_apply` applies each part on its
-    own.  The union is disconnected, so its spectra are the parts' extremes.
+    keeps its sorted order, and its degree buckets span the parts.  The
+    union is disconnected, so its spectra are the parts' extremes.
     """
     graphs = tuple(graphs)
     if len(graphs) == 1:
@@ -284,22 +299,15 @@ def dense_laplacian(graph: LaplacianGraph) -> np.ndarray:
 def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.ndarray:
     """Apply the block Laplacian ``(L (x) I_p)`` to a stacked vector, or to each row of a block.
 
-    Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``.  All
-    nodes are computed in one array operation: the blocks are gathered
-    through the graph's padded neighbor table (see
-    :attr:`LaplacianGraph.padded_neighbors`) and summed along the neighbor
-    axis in sorted neighbor order.  For ``block_dim >= 2`` that sum is
-    sequential, so the result is bitwise equal to assembling each row from
-    received broadcasts (:func:`dualrk.dynamics.agent_field`); for
-    ``block_dim == 1`` numpy may sum pairwise, which agrees to roundoff.
-
-    The blocks and the pad row that unused table slots point at are written
-    into one fresh buffer, one allocation per call: at the desk shape the
-    one-vector path is bound by numpy per-call overhead, not arithmetic.
-    A ``(K, n p)`` block of stacked vectors adds the neighbor slots one at a
-    time in the same sorted order, which is sequential for every
-    ``block_dim`` and needs no ``(K, n, max degree, p)`` gather.  A
-    :func:`disjoint_union` is applied part by part.
+    Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``, the
+    neighbors added one at a time in sorted order for every ``block_dim``,
+    as a node adds received broadcasts (:func:`dualrk.dynamics.agent_field`
+    does so bitwise for ``block_dim >= 2``).  Rows are gathered one degree
+    bucket at a time (:attr:`LaplacianGraph.degree_buckets`), so a star's
+    leaves do not pad to the hub's degree and a :func:`disjoint_union` is
+    one pass.  A stacked vector takes one gather per bucket, reduced over
+    its leading slot axis; a ``(K, n p)`` block adds one slot's gather at a
+    time, with no ``(K, width, rows, p)`` buffer.
 
     Parameters
     ----------
@@ -313,26 +321,24 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     n = graph.node_count
     if x.shape[-1:] != (n * block_dim,) or x.ndim > 2:
         raise DimensionMismatch(f"expected {n * block_dim} entries per row, got {x.shape}")
-    if graph.parts:
-        # A union table would pad every row to the largest degree of any part.
-        return np.concatenate([
-            laplacian_apply(part, x[..., nodes.start * block_dim : nodes.stop * block_dim], block_dim)
-            for nodes, part in graph.part_rows
-        ], axis=-1)
-    degrees, table = graph.padded_neighbors
+    degrees, inverse, tables = graph.degree_buckets
     blocks = x.reshape(*x.shape[:-1], n, block_dim)
     # Pad slots read an extra row of -0.0, which leaves every sum unchanged.
     padded = np.empty((*x.shape[:-1], n + 1, block_dim))
     padded[..., :n, :] = blocks
     padded[..., n, :] = -0.0
-    if x.ndim == 1:
-        neighbor_sum = np.add.reduce(padded.take(table, axis=0), axis=1)
-    else:
-        # A single-node graph has no neighbor slots; its sum is empty.
-        neighbor_sum = padded[:, table[:, 0]] if table.size else np.zeros_like(blocks)
-        for slot in table.T[1:]:
-            neighbor_sum += padded[:, slot]
-    return (degrees * blocks - neighbor_sum).reshape(x.shape)
+    sums = []
+    for table in tables:
+        if x.ndim == 1:
+            sums.append(np.add.reduce(padded.take(table, axis=0), axis=0))
+        else:  # a single-node graph has no neighbor slots; its sum is empty
+            sums.append(padded.take(table[0], axis=1) if len(table) else np.zeros((len(x), table.shape[1], block_dim)))
+            for slot in table[1:]:
+                sums[-1] += padded.take(slot, axis=1)
+    neighbor_sum = sums[0] if inverse is None else np.concatenate(sums, axis=-2).take(inverse, axis=-2)
+    out = degrees * blocks
+    out -= neighbor_sum  # in place: a temporary fewer, which is measurable at the paper shape
+    return out.reshape(x.shape)
 
 
 def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:

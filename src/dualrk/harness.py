@@ -539,23 +539,18 @@ def write_metrics_csv(records, path, timings: bool = False) -> None:
 
     Timing is volatile, so by default the ``wall_time_ms`` column is written
     as zero, which keeps reruns of a seeded experiment byte-identical; pass
-    ``timings=True`` to record the measured values.
+    ``timings=True`` to record the measured values.  The bytes are those of
+    ``csv.writer``: no field needs quoting, and rows end with ``\\r\\n``.
     """
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(
+        f"{int(rec.iteration)},{int(rec.comm_rounds)},{float(rec.suboptimality)!r},"
+        f"{float(rec.consensus_L_norm)!r},{float(rec.consensus_quadratic)!r},"
+        f"{float(rec.dist_to_optimum_sq)!r},{float(rec.wall_time_ms) if timings else 0.0!r}"
+        for rec in records
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    int(rec.iteration),
-                    int(rec.comm_rounds),
-                    repr(float(rec.suboptimality)),
-                    repr(float(rec.consensus_L_norm)),
-                    repr(float(rec.consensus_quadratic)),
-                    repr(float(rec.dist_to_optimum_sq)),
-                    repr(float(rec.wall_time_ms)) if timings else "0.0",
-                ]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:

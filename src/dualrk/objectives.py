@@ -21,6 +21,7 @@ vectors, row by row.
 from __future__ import annotations
 
 import abc
+import operator
 
 import numpy as np
 
@@ -303,10 +304,9 @@ class _KLFamily:
 QuadraticLocal._family = _QuadraticFamily
 KLLocal._family = _KLFamily
 
-# Stacked parameters of the most recently used objective lists, newest first,
-# as ``(key, entry)`` pairs keyed on the members' ids.  Each entry holds the
-# members themselves, so an id in a key cannot be reused by a new object
-# while the entry lives.  The tuple is replaced, never mutated: a reader
+# Stacked parameters of the most recently used objective lists, newest first.
+# An entry ``(members, p, family)`` holds its members and is a hit for a list
+# of the very same objects.  The tuple is replaced, never mutated: a reader
 # sees one consistent snapshot without a lock, and a racing writer can only
 # drop an entry, which costs a rebuild, never a wrong hit.
 _FAMILY_MEMO: tuple = ()
@@ -320,10 +320,9 @@ def _families(objectives):
     without stacked kernels.
     """
     global _FAMILY_MEMO
-    key = tuple(map(id, objectives))
     memo = _FAMILY_MEMO
-    for cached_key, entry in memo:
-        if cached_key == key:
+    for entry in memo:
+        if len(entry[0]) == len(objectives) and all(map(operator.is_, entry[0], objectives)):
             return entry
     members = tuple(objectives)
     dims = {obj.dim for obj in members}
@@ -334,7 +333,7 @@ def _families(objectives):
         names = sorted({type(obj).__name__ for obj in members})
         raise TypeError(f"stacked blocks must share one family with stacked kernels, got {names}")
     entry = (members, dims.pop(), families.pop()(members))
-    _FAMILY_MEMO = ((key, entry),) + memo[: _FAMILY_MEMO_SIZE - 1]
+    _FAMILY_MEMO = (entry,) + memo[: _FAMILY_MEMO_SIZE - 1]
     return entry
 
 

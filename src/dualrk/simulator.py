@@ -43,8 +43,8 @@ Two reference paths check the engine:
 
 All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
 the tests and the invariant suite require trajectories equal to 1e-12
-relative.  In fact they agree bitwise whenever ``p >= 2`` (see
-:func:`~dualrk.graph.laplacian_apply` for the one-dimensional case).
+relative.  In fact they agree bitwise whenever ``p >= 2``; at ``p = 1``
+the per-agent oracle's numpy neighbor sum may run pairwise.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualrk.errors import ConnectivityFailure, DimensionMismatch
 from dualrk.graph import (
@@ -10,6 +12,7 @@ from dualrk.graph import (
     Topology,
     build_graph,
     dense_laplacian,
+    disjoint_union,
     laplacian_apply,
     save_laplacian_csv,
     spectral_bounds,
@@ -74,7 +77,7 @@ def test_laplacian_symmetry_and_row_sums():
 def test_laplacian_apply_consensus_is_zero():
     graph = build_graph(Topology("erdos_renyi", 9, edge_probability=0.5, rng_seed=2))
     x = np.tile([1.3, -0.7], 9)
-    # deg * x differs from the pairwise neighbor sum by at most a few ULPs
+    # deg * x differs from the sequential neighbor sum by at most a few ULPs
     assert np.abs(laplacian_apply(graph, x, 2)).max() <= 1e-14
 
 
@@ -101,6 +104,27 @@ def test_laplacian_apply_matches_dense_kron():
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
+def _sorted_neighbor_sum(graph, x, p):
+    """Row ``i`` is ``degree(i) * x_i`` minus its neighbors' blocks, added one at a time in sorted order."""
+    blocks = x.reshape(*x.shape[:-1], graph.node_count, p)
+    out = np.empty_like(blocks)
+    for i, nb in enumerate(graph.neighbor_lists):
+        total = blocks[..., nb[0], :] if len(nb) else np.zeros_like(blocks[..., i, :])
+        for j in nb[1:]:
+            total = total + blocks[..., j, :]
+        out[..., i, :] = len(nb) * blocks[..., i, :] - total
+    return out.reshape(x.shape)
+
+
+def _fig1_graphs(n, probability):
+    parts = [
+        build_graph(Topology("star", n)),
+        build_graph(Topology("cycle", n)),
+        build_graph(Topology("erdos_renyi", n, edge_probability=probability, rng_seed=0)),
+    ]
+    return parts + [disjoint_union(parts)]
+
+
 def test_laplacian_apply_bitwise_matches_per_node_sorted_sum():
     rng = np.random.default_rng(12)
     graphs = [
@@ -117,6 +141,58 @@ def test_laplacian_apply_bitwise_matches_per_node_sorted_sum():
             [len(nb) * blocks[i] - blocks[nb].sum(axis=0) for i, nb in enumerate(graph.neighbor_lists)]
         )
         assert laplacian_apply(graph, x, p).tobytes() == want.reshape(-1).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(20, 10, 0.3), (100, 4, 0.1)], ids=["desk", "wide"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_bucketed_apply_is_the_sorted_sum_on_fig1_graphs_and_their_union(shape, p):
+    n, dim, probability = shape
+    rng = np.random.default_rng(n + p)
+    for graph in _fig1_graphs(n, probability):
+        for x in (rng.normal(size=graph.node_count * p), rng.normal(size=(dim, graph.node_count * p))):
+            want = _sorted_neighbor_sum(graph, x, p)
+            assert laplacian_apply(graph, x, p).tobytes() == want.tobytes()
+
+
+def test_degree_buckets_pad_at_most_twice_their_degree_sum():
+    star, cycle, er, union = _fig1_graphs(20, 0.3)
+    for graph in (star, cycle, er, union):
+        _, _, tables = graph.degree_buckets
+        assert sum(table.shape[1] for table in tables) == graph.node_count
+        assert all(table.size <= 2 * np.count_nonzero(table < graph.node_count) for table in tables)
+    # A star's leaves no longer pad to the hub's degree.
+    assert [table.shape for table in star.degree_buckets[2]] == [(19, 2), (1, 18)]
+    for graph in (cycle, er):
+        assert graph.degree_buckets[1] is None and len(graph.degree_buckets[2]) == 1
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph of 2-64 nodes: a spanning tree leaning on node 0, plus random edges."""
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hub_share, density = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5))
+    adjacency = np.triu(rng.random((n, n)) < density, k=1)
+    for i in range(1, n):
+        adjacency[0 if rng.random() < hub_share else rng.integers(0, i), i] = True
+    adjacency |= adjacency.T
+    evals = np.linalg.eigvalsh(np.diag(adjacency.sum(axis=1)) - adjacency)
+    lists = tuple(np.flatnonzero(row) for row in adjacency)
+    return LaplacianGraph(n, lists, lambda_max=float(evals[-1]), lambda_min_pos=float(evals[1]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graphs=st.lists(connected_graphs(), min_size=1, max_size=3),
+    p=st.integers(1, 4),
+    batch=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bucketed_apply_is_the_sorted_sum_on_random_connected_graphs(graphs, p, batch, seed):
+    graph = disjoint_union(graphs)
+    shape = (batch, graph.node_count * p) if batch else (graph.node_count * p,)
+    x = np.random.default_rng(seed).normal(size=shape)
+    assert laplacian_apply(graph, x, p).tobytes() == _sorted_neighbor_sum(graph, x, p).tobytes()
 
 
 def test_laplacian_apply_block_sums_vanish():

@@ -1,5 +1,7 @@
 """Reference optima, metric evaluation, rate fitting, theory diagnostics."""
 
+import csv
+import io
 import math
 import sys
 
@@ -12,6 +14,7 @@ from dualrk import objectives as objectives_module
 from dualrk.errors import InsufficientData, NonPositiveMetric
 from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
 from dualrk.harness import (
+    CSV_COLUMNS,
     MetricsRecord,
     consensus_projection,
     evaluate_metrics,
@@ -252,6 +255,39 @@ def test_csv_timings_flag(tmp_path):
     write_metrics_csv(records, timed, timings=True)
     assert all(r.wall_time_ms == 0.0 for r in read_metrics_csv(silent))
     assert all(r.wall_time_ms == 12.5 for r in read_metrics_csv(timed))
+
+
+def _csv_writer_bytes(records, timings):
+    """A trace as ``csv.writer`` writes it, the writer's former implementation."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(
+            [
+                int(rec.iteration),
+                int(rec.comm_rounds),
+                repr(float(rec.suboptimality)),
+                repr(float(rec.consensus_L_norm)),
+                repr(float(rec.consensus_quadratic)),
+                repr(float(rec.dist_to_optimum_sq)),
+                repr(float(rec.wall_time_ms)) if timings else "0.0",
+            ]
+        )
+    return buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_csv_bytes_equal_csv_writer(tmp_path, timings):
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e-7, 1e16, 123456789.0, 7.0]
+    records = [
+        MetricsRecord(np.int64(i), 3 * i, *np.roll(values, i)[:4].tolist(), wall_time_ms=np.float64(values[-1 - i]))
+        for i in range(len(values))
+    ]
+    for rows in (records, records[:1], []):
+        path = tmp_path / f"trace{len(rows)}.csv"
+        write_metrics_csv(rows, path, timings=timings)
+        assert path.read_bytes() == _csv_writer_bytes(rows, timings)
 
 
 def _reference_projected_gradient(objectives, max_iterations=20_000, polish_iterations=300_000):

@@ -195,8 +195,11 @@ def test_min_primal_entry_logged_for_simplex_runs():
 # neighbor gather, a freshly allocated field, the two-reduction kernel
 # residual, and per-object conjugates (bitwise equal to the stacked ones).
 def _reference_laplacian(graph, x, p):
-    n = graph.node_count
-    degrees, table = graph.padded_neighbors
+    n, lists = graph.node_count, graph.neighbor_lists
+    degrees = np.array([[len(nb)] for nb in lists], dtype=float)
+    table = np.full((n, int(degrees.max(initial=0))), n, dtype=np.intp)
+    for i, nb in enumerate(lists):
+        table[i, : len(nb)] = nb
     blocks = x.reshape(n, p)
     padded = np.concatenate([blocks, np.full((1, p), -0.0)], axis=0)
     return (degrees * blocks - padded[table].sum(axis=1)).reshape(x.shape)
