@@ -45,7 +45,7 @@ for name, records in (("heavy-ball s=4", heavy.records), ("dual NAG", nag.record
 
 # The barycenter itself: the geometric mean of the references, which the
 # heavy-ball agents approach in consensus.
-x = dualrk.primal_extract(heavy.final_states, objs)
+x = dualrk.primal_extract(heavy.final_state, objs)
 blocks = x.reshape(16, 8)
 print(f"\nbarycenter (first 4 coords): {np.round(reference.x_star[:4], 4)}")
 print(f"agent spread around it:      {np.abs(blocks - reference.x_star).max():.2e}")

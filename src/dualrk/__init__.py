@@ -17,7 +17,7 @@ console script drives experiments from config files; the ``demos/``
 directory walks through each capability.
 """
 
-from .baselines import BaselineResult, cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from .baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
 from .config import ExperimentConfig, load_config, resolve_instance
 from .dynamics import agent_field, heavy_ball_field, kernel_residual
 from .errors import (
@@ -45,6 +45,7 @@ from .harness import (
     MetricsRecord,
     RateFit,
     ReferenceOptimum,
+    RunResult,
     evaluate_metrics,
     fit_rate,
     read_metrics_csv,
@@ -64,7 +65,6 @@ from .objectives import (
     stacked_conjugate,
 )
 from .simulator import (
-    RunResult,
     primal_extract,
     run_heavy_ball,
     run_heavy_ball_monolithic,
@@ -105,14 +105,12 @@ __all__ = [
     "heavy_ball_field",
     "kernel_residual",
     # simulator
-    "RunResult",
     "run_heavy_ball",
     "run_heavy_ball_monolithic",
     "primal_extract",
     "step_size",
     "suggested_h0",
     # baselines
-    "BaselineResult",
     "cgd_run",
     "dgd_run",
     "dual_nag_run",
@@ -121,6 +119,7 @@ __all__ = [
     "MetricsRecord",
     "RateFit",
     "ReferenceOptimum",
+    "RunResult",
     "reference_optimum",
     "evaluate_metrics",
     "fit_rate",

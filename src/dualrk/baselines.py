@@ -1,7 +1,7 @@
 """Comparison methods: centralized GD, distributed GD, and dual Nesterov.
 
-All baselines emit the same :class:`~dualrk.harness.MetricsRecord` schema as
-the main method, through the same :class:`~dualrk.harness.TraceRecorder`
+All baselines return the same :class:`~dualrk.harness.RunResult` as the
+main method, built by the same :class:`~dualrk.harness.TraceRecorder`
 (which times each iteration and evaluates the metric records in blocks), so
 traces are directly comparable on a shared communication-round axis.
 
@@ -20,7 +20,6 @@ bitwise.  ``cgd_run`` never reads a graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +30,12 @@ from .graph import LaplacianGraph, laplacian_apply
 from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient, stacked_value
 
 __all__ = [
-    "BaselineResult",
     "check_step",
     "cgd_run",
     "dgd_run",
     "dual_nag_run",
     "dual_gd_run",
 ]
-
-
-@dataclass
-class BaselineResult:
-    """Trace plus method-specific extras from a baseline run.
-
-    A run on a disjoint union of graphs holds in ``parts`` what each part's
-    run alone returns; its own result has no records and the worst part's
-    kernel residual.
-    """
-
-    records: list[harness.MetricsRecord]
-    final_stack: np.ndarray
-    max_kernel_residual: float | None = None
-    dual_gaps: list[float] | None = field(default=None, repr=False)
-    parts: list[BaselineResult] = field(default_factory=list, repr=False)
 
 
 def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph | None = None) -> None:
@@ -71,19 +53,6 @@ def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph |
         raise InvalidArgument(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
     if step < 0:
         raise InvalidArgument("step must be nonnegative")
-
-
-def _result(recorder, final_stack, max_kres=None, gaps=None) -> BaselineResult:
-    """Flush ``recorder`` and split the run into its parts' results (see :class:`BaselineResult`)."""
-    recorder.flush()
-    count = len(recorder.parts)
-    parts = [
-        BaselineResult(trace.records, final_stack[trace.columns].copy(), kres, part_gaps)
-        for trace, kres, part_gaps in zip(recorder.parts, max_kres or [None] * count, gaps or [None] * count)
-    ]
-    if count == 1:
-        return parts[0]
-    return BaselineResult([], final_stack.copy(), max(max_kres) if max_kres else None, parts=parts)
 
 
 # Simplex iterates are floored here before gradient evaluation so the
@@ -105,7 +74,7 @@ def cgd_run(
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
     start: np.ndarray | None = None,
-) -> BaselineResult:
+) -> harness.RunResult:
     """Centralized (projected) gradient descent on the shared variable.
 
     ``x_{k+1} = P(x_k - step * sum_i grad f_i(x_k))`` in dimension ``p``;
@@ -127,7 +96,7 @@ def cgd_run(
             harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
             recorder.push(stack, k, k)
-    return _result(recorder, stack)
+    return recorder.result(replicated, [step])
 
 
 def dgd_run(
@@ -139,7 +108,7 @@ def dgd_run(
     reference: harness.ReferenceOptimum | None = None,
     decaying_step: bool = True,
     start: np.ndarray | None = None,
-) -> BaselineResult:
+) -> harness.RunResult:
     """Distributed gradient descent with Laplacian-based mixing.
 
     ``x_{k+1} = (W (x) I_p) x_k - step_k * grad F(x_k)`` with
@@ -174,7 +143,7 @@ def dgd_run(
             blocks = _feasible(simplex, mixed - step_k * grads)
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
-    return _result(recorder, blocks.reshape(-1))
+    return recorder.result(blocks, steps)
 
 
 def _dual_descent(
@@ -186,7 +155,7 @@ def _dual_descent(
     record_dual_gap: bool,
     momentum: bool,
     method: str,
-) -> BaselineResult:
+) -> harness.RunResult:
     steps = graph.per_part(step)
     for part_step in steps:
         check_step(part_step)
@@ -223,7 +192,7 @@ def _dual_descent(
                     dual = float(y_part @ x_part) - stacked_value(trace.objectives, x_part)
                     gaps[i].append(dual + trace.reference.f_star)
             recorder.push(x_stack, k, k)
-    return _result(recorder, x_stack, max_kres, gaps)
+    return recorder.result(x_stack.reshape(n, p), steps, max_kres, gaps)
 
 
 def dual_nag_run(
@@ -233,7 +202,7 @@ def dual_nag_run(
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
     record_dual_gap: bool = False,
-) -> BaselineResult:
+) -> harness.RunResult:
     """Nesterov-accelerated gradient descent on the transformed dual.
 
     Updates ``y_hat_k = z_hat_{k-1} - step * L x*(z_hat_{k-1})`` followed by
@@ -259,7 +228,7 @@ def dual_gd_run(
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
     record_dual_gap: bool = False,
-) -> BaselineResult:
+) -> harness.RunResult:
     """Plain gradient descent on the transformed dual (momentum-free control).
 
     Same step rule and recording as :func:`dual_nag_run` without the

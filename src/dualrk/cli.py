@@ -127,16 +127,11 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
         steps.append(step)
         mixings.append(mixing)
 
-    def arg(values):  # plain values for one graph, one per part for a union
-        return values[0] if len(values) == 1 else values
-
     if heavy_ball:
         failures = [0] * len(parts)
         while True:
             try:
-                results = _part_results(
-                    run_heavy_ball(graph, objectives, tab, iterations, h0=arg(steps), reference=reference)
-                )
+                runs = [run_heavy_ball(graph, objectives, tab, iterations, h0=steps, reference=reference)]
                 break
             except NonFiniteState as err:
                 for i in range(len(parts)) if err.parts is None else err.parts:
@@ -145,22 +140,21 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
                         raise
                     steps[i] *= 0.5
     elif method == "cgd":
-        runs, results = {}, []
+        shared, runs = {}, []
         for (nodes, _), step, part_reference in zip(parts, steps, graph.per_part(reference)):
             ref = part_reference and (part_reference.f_star, part_reference.x_star.tobytes())
             key = (*map(id, objectives[nodes]), step, ref)
-            if key not in runs:
-                runs[key] = baselines.cgd_run(objectives[nodes], step, iterations, reference=part_reference)
-            results.append(runs[key])
+            if key not in shared:
+                shared[key] = baselines.cgd_run(objectives[nodes], step, iterations, reference=part_reference)
+            runs.append(shared[key])
     elif method == "dgd":
-        results = _part_results(baselines.dgd_run(
-            graph, objectives, arg(steps), arg(mixings), iterations,
+        runs = [baselines.dgd_run(
+            graph, objectives, steps, mixings, iterations,
             reference=reference, decaying_step=not cfg.dgd_constant_step,
-        ))
+        )]
     else:
-        results = _part_results(
-            baselines.dual_nag_run(graph, objectives, arg(steps), iterations, reference=reference)
-        )
+        runs = [baselines.dual_nag_run(graph, objectives, steps, iterations, reference=reference)]
+    results = [part for run in runs for part in run.parts or [run]]  # one per graph part
     if cfg.report_style == "theorem1":  # copies: parts may share a cgd run's records
         scaled = ("suboptimality", "suboptimality_signed", "dist_to_optimum_sq")
         return [
@@ -168,11 +162,6 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
             for result, (_, part) in zip(results, parts)
         ]
     return [result.records for result in results]
-
-
-def _part_results(result):
-    """A runner's result per graph part: its ``parts``, or itself for a one-graph run."""
-    return result.parts or [result]
 
 
 def run_experiment(cfg: ExperimentConfig, timings: bool = False):

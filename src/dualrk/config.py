@@ -22,7 +22,7 @@ See the README for the full key reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ConnectivityFailure, DimensionMismatch
 from .graph import LaplacianGraph, Topology, build_graph
@@ -120,12 +120,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+# Only a field is a key: a method or dunder name must not shadow the config's own.
+_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def _convert(raw: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig()
     int_keys = {"node_count", "dim", "rows_per_agent", "order", "iterations", "seed"}
     float_keys = {"edge_probability", "h0", "step", "mixing", "ridge"}
     for key, value in raw.items():
-        if not hasattr(cfg, key):
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             if key in int_keys:

@@ -10,7 +10,9 @@ Run loops push their iterates into a :class:`TraceRecorder`, which times
 each iteration and evaluates the records a block at a time with
 :func:`evaluate_trace`, or after every iteration for a run with an
 ``on_record`` callback, one record list per part of a disjoint union of
-graphs.  Records are unscaled: the CLI applies ``report_style = theorem1``.
+graphs.  Every run loop ends with :meth:`TraceRecorder.result`, the one
+builder of the :class:`RunResult` that every runner returns.  Records are
+unscaled: the CLI applies ``report_style = theorem1``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "MetricsRecord",
     "RateFit",
     "ReferenceOptimum",
+    "RunResult",
     "TheoryDiagnostics",
     "reference_optimum",
     "projected_gradient_optimum",
@@ -353,11 +356,37 @@ def evaluate_metrics(
 TRACE_BLOCK_BYTES = 32 * 1024
 
 
-class _PartTrace:
-    """One graph part's columns, problem, records and least entry in a :class:`TraceRecorder`."""
+@dataclass
+class RunResult:
+    """What every runner returns: its trace, end state and run facts.
 
-    def __init__(self, columns, reference, graph, objectives):
-        self.columns, self.graph, self.objectives = columns, graph, objectives
+    ``final_state`` holds one row per agent (the heavy-ball agent states, a
+    baseline's primal blocks).  ``max_kernel_residual`` is the worst
+    normalized agent-sum of the dual blocks over the run (heavy ball and
+    dual descent; None otherwise), and ``min_primal_entry`` the least
+    primal entry evaluated, logged for simplex families only (None
+    otherwise).  A run on a disjoint union of graphs holds in ``parts``
+    what each part's run alone returns; its own result has no records, a
+    NaN step and the worst part's kernel residual.
+    """
+
+    records: list[MetricsRecord]
+    final_state: np.ndarray
+    comm_rounds: int
+    resolved_step: float
+    max_kernel_residual: float | None = None
+    min_primal_entry: float | None = None
+    dual_gaps: list[float] | None = field(default=None, repr=False)
+    trajectory: np.ndarray | None = field(default=None, repr=False)
+    parts: list[RunResult] = field(default_factory=list, repr=False)
+
+
+class _PartTrace:
+    """One graph part's rows, problem, records and least entry in a :class:`TraceRecorder`."""
+
+    def __init__(self, nodes, p, reference, graph, objectives):
+        self.nodes, self.columns = nodes, slice(nodes.start * p, nodes.stop * p)
+        self.graph, self.objectives = graph, objectives
         self.reference = reference if reference is not None else reference_optimum(objectives)
         self.records: list[MetricsRecord] = []
         self.min_entry: float | None = None
@@ -366,19 +395,17 @@ class _PartTrace:
 class TraceRecorder:
     """A run's metric trace, evaluated by :func:`evaluate_trace` a block at a time.
 
-    The run loop pushes its primal iterate once per iteration and flushes
-    when the run ends; a full block of :data:`TRACE_BLOCK_BYTES` (of the
-    widest part) flushes on its own.  With ``on_record`` (one-graph runs
-    only) every push flushes and hands the record to the callback, so it
-    fires before the run's next iteration starts.
+    The run loop pushes its primal iterate once per iteration, and ends with
+    :meth:`result`; a full block of :data:`TRACE_BLOCK_BYTES` (of the widest
+    part) flushes on its own.  With ``on_record`` (one-graph runs only)
+    every push flushes and hands the record to the callback, so it fires
+    before the run's next iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
     Each part of a disjoint-union ``graph`` is evaluated on its own columns,
     graph, objectives and ``reference`` (one for all parts or one per part;
     None is computed with :func:`reference_optimum`), as its run alone is.
-    ``records``, ``reference`` and ``min_entry`` (the least iterate entry
-    flushed so far, None before any) are the first part's.
     """
 
     def __init__(self, reference, graph, objectives, on_record=None):
@@ -388,34 +415,30 @@ class TraceRecorder:
         else:
             rows, references = graph.part_rows, graph.per_part(reference)
         self.parts = [
-            _PartTrace(slice(nodes.start * p, nodes.stop * p), ref, part, objectives[nodes])
-            for (nodes, part), ref in zip(rows, references)
+            _PartTrace(nodes, p, ref, part, objectives[nodes]) for (nodes, part), ref in zip(rows, references)
         ]
         if on_record is not None and len(self.parts) > 1:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
-        self.records, self.reference = self.parts[0].records, self.parts[0].reference
         width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
         self._block = np.empty((self.capacity, len(objectives) * p))
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
+        self._rounds = 0
         self._clock = time.perf_counter()
-
-    @property
-    def min_entry(self) -> float | None:
-        return self.parts[0].min_entry
 
     def push(self, x_stack, iteration: int, comm_rounds: int) -> None:
         """Copy in one iteration's primal iterate and time; flush once the block is full."""
         wall_time_ms = (time.perf_counter() - self._clock) * 1e3
         self._block[len(self._stamps)] = x_stack
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
+        self._rounds = comm_rounds
         if len(self._stamps) == self.capacity:
             self.flush()
         self._clock = time.perf_counter()
 
-    def flush(self) -> list[MetricsRecord]:
-        """Evaluate the pushed iterates; return every record of the run so far (the first part's)."""
+    def flush(self) -> None:
+        """Evaluate the pushed iterates into each part's records."""
         if self._stamps:
             block = self._block[: len(self._stamps)]
             for part in self.parts:
@@ -427,8 +450,30 @@ class TraceRecorder:
                 part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
             self._stamps.clear()
             if self._on_record is not None:
-                self._on_record(self.records[-1])
-        return self.records
+                self._on_record(self.parts[0].records[-1])
+
+    def result(self, final_state, steps, kernel=None, gaps=None, trajectory=None) -> RunResult:
+        """Flush, and return the run's :class:`RunResult`: the one place a run is split into parts.
+
+        ``final_state`` has a row per agent; ``steps``, ``kernel`` (max kernel
+        residuals) and ``gaps`` (dual gaps) hold one entry per part.  The
+        communication rounds are the last push's.
+        """
+        self.flush()
+        simplex = self.parts[0].objectives[0].domain == "simplex"
+        unset = [None] * len(self.parts)
+        results = [
+            RunResult(
+                part.records, final_state[part.nodes], self._rounds, step, kres,
+                part.min_entry if simplex else None, part_gaps,
+            )
+            for part, step, kres, part_gaps in zip(self.parts, steps, kernel or unset, gaps or unset)
+        ]
+        if len(results) == 1:
+            results[0].trajectory = trajectory
+            return results[0]
+        worst = max(kernel) if kernel else None
+        return RunResult([], final_state, self._rounds, float("nan"), worst, trajectory=trajectory, parts=results)
 
 
 def check_finite(values, graph: LaplacianGraph | None, message: str, iteration: int) -> None:

@@ -87,15 +87,7 @@ _RK4 = ButcherTableau(
     name="rk4",
 )
 
-_BY_NAME = {
-    "euler": _EULER,
-    "euler1": _EULER,
-    "midpoint": _MIDPOINT,
-    "midpoint2": _MIDPOINT,
-    "rk4": _RK4,
-    "classical_rk4": _RK4,
-    "classicalrk4": _RK4,
-}
+_BY_NAME = {tab.name: tab for tab in (_EULER, _MIDPOINT, _RK4)}
 
 
 def tableau(kind: str) -> ButcherTableau:

@@ -87,22 +87,21 @@ def _check_kernel_sums(graph: LaplacianGraph, seed: int) -> CheckResult:
 def _check_distributed_monolithic(graph: LaplacianGraph, seed: int) -> CheckResult:
     name = "distributed_monolithic"
     objectives = random_kl_instance(graph.node_count, 3, seed=seed)
-    kwargs = dict(num_iterations=25, h0=1.0, keep_trajectory=True)
-    distributed = run_heavy_ball(graph, objectives, tableau("rk4"), **kwargs)
-    monolithic = run_heavy_ball_monolithic(graph, objectives, tableau("rk4"), **kwargs)
+    distributed = run_heavy_ball(graph, objectives, tableau("rk4"), 25, h0=1.0, keep_trajectory=True)
+    monolithic = run_heavy_ball_monolithic(graph, objectives, tableau("rk4"), 25, h0=1.0)
     # The engine and the monolithic path share the stacked conjugate and the
     # Laplacian apply; the per-agent oracle solves and assembles each agent
     # separately, which keeps this check independent of those kernels.
     per_agent = run_heavy_ball_per_agent(graph, objectives, tableau("rk4"), 25, h0=1.0)
     diff = 0.0
-    for label, reference in (("monolithic", monolithic.trajectory), ("per-agent", per_agent)):
+    for label, reference in (("monolithic", monolithic), ("per-agent", per_agent)):
         worst = np.abs(distributed.trajectory - reference).max()
         if worst > 1e-12 * (1.0 + np.abs(reference).max()):
             return CheckResult(name, False, f"{label} trajectory mismatch {worst:.3e}")
         diff = max(diff, worst)
     # Verify the per-agent field against the monolithic one at a random state.
     rng = np.random.default_rng(seed)
-    state = monolithic.trajectory[-1] + 0.01 * rng.normal(size=monolithic.trajectory[-1].shape)
+    state = monolithic[-1] + 0.01 * rng.normal(size=monolithic[-1].shape)
     state[-1] = abs(state[-1]) + 1.0
     field = heavy_ball_field(graph, objectives)
     if not np.all(np.isfinite(field(state))):

@@ -39,7 +39,10 @@ Two reference paths check the engine:
   no Laplacian apply.
 - :func:`run_heavy_ball_monolithic` integrates the single-vector field
   :func:`~dualrk.dynamics.heavy_ball_field` with
-  :func:`~dualrk.integrator.rk_step`.
+  :func:`~dualrk.integrator.integrate`.
+
+Both oracles return only the stacked trajectory; the engine returns a
+:class:`~dualrk.harness.RunResult`, like every baseline.
 
 All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
 the tests and the invariant suite require trajectories equal to 1e-12
@@ -50,7 +53,6 @@ the per-agent oracle's numpy neighbor sum may run pairwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,13 +66,11 @@ from .dynamics import (
     round_field,
     stack_agent_states,
 )
-from .errors import NonFiniteState
 from .graph import LaplacianGraph, laplacian_apply
-from .integrator import ButcherTableau, rk_combine, rk_step
+from .integrator import ButcherTableau, integrate, rk_combine
 from .objectives import stacked_conjugate
 
 __all__ = [
-    "RunResult",
     "step_size",
     "suggested_h0",
     "primal_extract",
@@ -78,32 +78,6 @@ __all__ = [
     "run_heavy_ball_per_agent",
     "run_heavy_ball_monolithic",
 ]
-
-
-@dataclass
-class RunResult:
-    """Everything a finished run exposes.
-
-    ``max_kernel_residual`` is the worst normalized per-coordinate agent-sum
-    of the transformed blocks over all iteration boundaries (the
-    kernel-orthogonality invariant; it should stay at roundoff level).
-    ``min_primal_entry`` is tracked for simplex objectives only, where the
-    relevant smoothness assumptions hold on the interior: it is logged
-    rather than asserted.
-
-    A run on a disjoint union of graphs holds in ``parts`` what each part's
-    run alone returns; its own result has no records and a NaN step, and
-    the worst part's kernel residual.
-    """
-
-    records: list[harness.MetricsRecord]
-    final_states: np.ndarray
-    comm_rounds: int
-    resolved_step: float
-    max_kernel_residual: float
-    min_primal_entry: float | None = None
-    trajectory: np.ndarray | None = None
-    parts: list[RunResult] = field(default_factory=list, repr=False)
 
 
 def step_size(h0: float, num_iterations: int, order: int) -> float:
@@ -163,7 +137,7 @@ def run_heavy_ball(
     reference: harness.ReferenceOptimum | None = None,
     keep_trajectory: bool = False,
     on_record=None,
-) -> RunResult:
+) -> harness.RunResult:
     """Execute the distributed method for ``num_iterations`` iterations.
 
     Deterministic given graph, objectives, and parameters.  Each round is
@@ -245,17 +219,8 @@ def run_heavy_ball(
             if trajectory is not None:
                 trajectory.append(stack_agent_states(states, p))
 
-    recorder.flush()
-    simplex = objectives[0].domain == "simplex"
-    parts = [
-        RunResult(trace.records, states[nodes], rounds, step, kres, trace.min_entry if simplex else None)
-        for (nodes, _), trace, step, kres in zip(graph.part_rows, recorder.parts, steps, max_kres)
-    ]
     trajectory = np.array(trajectory) if trajectory is not None else None
-    if len(parts) == 1:
-        parts[0].trajectory = trajectory
-        return parts[0]
-    return RunResult([], states, rounds, float("nan"), max(max_kres), trajectory=trajectory, parts=parts)
+    return recorder.result(states, steps, max_kres, trajectory=trajectory)
 
 
 def run_heavy_ball_per_agent(
@@ -301,41 +266,15 @@ def run_heavy_ball_monolithic(
     tableau: ButcherTableau,
     num_iterations: int,
     h0: float,
-    reference: harness.ReferenceOptimum | None = None,
-    keep_trajectory: bool = False,
-) -> RunResult:
-    """Single-vector reference path: integrate the monolithic field directly.
+) -> np.ndarray:
+    """Stacked trajectory of the single-vector reference path (test oracle).
 
-    Emits the same records as :func:`run_heavy_ball`; the two trajectories
-    must agree to roundoff, which the test suite and the invariant suite
-    check routinely.
+    Integrates the monolithic field :func:`~dualrk.dynamics.heavy_ball_field`
+    with :func:`~dualrk.integrator.integrate`; returns the
+    ``(num_iterations + 1, 2np + 1)`` trajectory, which must agree with
+    :func:`run_heavy_ball`'s to roundoff.
     """
-    n = graph.node_count
-    p = objectives[0].dim
     h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
-    field_fn = heavy_ball_field(graph, objectives)
-    state = initial_stacked_state(n, p)
-    total = n * p
-    recorder = harness.TraceRecorder(reference, graph, objectives)
-    trajectory = [state.copy()] if keep_trajectory else None
-    max_kres = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, num_iterations + 1):
-            try:
-                state = rk_step(tableau, field_fn, state, h)
-            except NonFiniteState as err:
-                raise NonFiniteState(f"iteration {k}: {err}", iteration=k) from err
-            max_kres = max(max_kres, kernel_residual(state, n, p))
-            x_stack = stacked_conjugate(objectives, state[total : 2 * total])
-            recorder.push(x_stack, k, k * tableau.stages)
-            if trajectory is not None:
-                trajectory.append(state.copy())
-    return RunResult(
-        records=recorder.flush(),
-        final_states=state,
-        comm_rounds=num_iterations * tableau.stages,
-        resolved_step=h,
-        max_kernel_residual=max_kres,
-        min_primal_entry=recorder.min_entry if objectives[0].domain == "simplex" else None,
-        trajectory=np.array(trajectory) if trajectory is not None else None,
-    )
+    state = initial_stacked_state(graph.node_count, objectives[0].dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
+        return integrate(tableau, heavy_ball_field(graph, objectives), state, h, num_iterations)

@@ -82,11 +82,9 @@ def equivalence_runs():
         tab = dualrk.tableau_for_order(order)
         h0 = dualrk.suggested_h0(graph, objs, tab, 15)
         sim = dualrk.run_heavy_ball(graph, objs, tab, 15, h0=h0, keep_trajectory=True)
-        mono = dualrk.run_heavy_ball_monolithic(
-            graph, objs, tab, 15, h0=h0, keep_trajectory=True
-        )
+        mono = dualrk.run_heavy_ball_monolithic(graph, objs, tab, 15, h0=h0)
         oracle = run_heavy_ball_per_agent(graph, objs, tab, 15, h0=h0)
-        runs.append((sim, mono, oracle))
+        runs.append((sim, mono, oracle, n, p))
     return runs, time.perf_counter() - start
 
 
@@ -139,8 +137,8 @@ def baseline_runs():
 def test_distributed_monolithic_equivalence(equivalence_runs):
     runs, elapsed = equivalence_runs
     assert len(runs) == 10
-    for sim, mono, oracle in runs:
-        for reference in (mono.trajectory, oracle):
+    for sim, mono, oracle, _, _ in runs:
+        for reference in (mono, oracle):
             scale = 1.0 + np.abs(reference).max()
             worst = np.abs(sim.trajectory - reference).max()
             assert worst <= 1e-12 * scale
@@ -175,9 +173,9 @@ def test_conjugate_kkt(rng=None):
 @criterion(3, "kernel-orthogonality invariant")
 def test_kernel_sums_across_matrix(equivalence_runs, rate_runs, baseline_runs):
     runs, _ = equivalence_runs
-    for sim, mono, _oracle in runs:
+    for sim, mono, _oracle, n, p in runs:
         assert sim.max_kernel_residual <= 1e-9
-        assert mono.max_kernel_residual <= 1e-9
+        assert max(dualrk.kernel_residual(state, n, p) for state in mono[1:]) <= 1e-9
     sweeps, _ = rate_runs
     for result in sweeps.values():
         assert result.max_kernel_residual <= 1e-9

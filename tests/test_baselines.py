@@ -39,7 +39,7 @@ def test_cgd_matches_normal_equations_and_descends():
     result = cgd_run(objs, step, 4000, reference=ref)
     subs = [r.suboptimality for r in result.records]
     assert all(b <= a + 1e-15 for a, b in zip(subs, subs[1:]))
-    assert np.linalg.norm(result.final_stack[:3] - ref.x_star) <= 1e-8
+    assert np.linalg.norm(result.final_state[0] - ref.x_star) <= 1e-8
 
 
 def test_dgd_stationary_with_zero_steps():
@@ -60,7 +60,7 @@ def test_dgd_zero_mixing_decouples_into_local_descent():
     for _ in range(25):
         for i, obj in enumerate(objs):
             blocks[i] = blocks[i] - 0.5 * obj.gradient(blocks[i])
-    assert np.allclose(result.final_stack, blocks.reshape(-1), atol=1e-12)
+    assert np.allclose(result.final_state, blocks, atol=1e-12)
 
 
 def test_dgd_matches_dense_matrix_iteration_oracle():
@@ -74,7 +74,7 @@ def test_dgd_matches_dense_matrix_iteration_oracle():
     for k in range(1, 31):
         grads = np.concatenate([objs[0].gradient(x[:2]), objs[1].gradient(x[2:])])
         x = mix_mat @ x - (step / np.sqrt(k)) * grads
-    assert np.linalg.norm(result.final_stack - x) <= 1e-12
+    assert np.linalg.norm(result.final_state.reshape(-1) - x) <= 1e-12
 
 
 def test_dgd_mixing_preserves_block_mean():
@@ -84,7 +84,7 @@ def test_dgd_mixing_preserves_block_mean():
     start = rng.normal(size=12)
     result = dgd_run(graph, objs, 0.0, 0.25, 1, start=start)
     before = start.reshape(6, 2).mean(axis=0)
-    after = result.final_stack.reshape(6, 2).mean(axis=0)
+    after = result.final_state.mean(axis=0)
     assert np.abs(before - after).max() <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_first_nag_step_is_plain_gradient():
     nag = dual_nag_run(graph, objs, 0.05, 1)
     gd = dual_gd_run(graph, objs, 0.05, 1)
     assert nag.records[0].suboptimality == gd.records[0].suboptimality
-    assert np.array_equal(nag.final_stack, gd.final_stack)
+    assert np.array_equal(nag.final_state, gd.final_state)
 
 
 def test_nag_dual_gap_beats_plain_gradient():
@@ -149,6 +149,11 @@ def test_baselines_share_record_schema():
             assert record.iteration == k
             assert record.comm_rounds == k  # one round per iteration
             assert record.consensus_quadratic >= 0.0
+        assert result.comm_rounds == 5 and result.resolved_step == 0.05
+        assert result.final_state.shape == (4, 2)  # one primal block per agent
+        assert 0.0 < result.min_primal_entry < 1.0  # logged for the simplex family only
+    quads = random_regression_instance(4, 2, 4, seed=8)
+    assert cgd_run(quads, 0.05, 5).min_primal_entry is None
 
 
 def _dual_descent_reference(graph, objs, step, num_iterations, reference, momentum):
@@ -201,4 +206,4 @@ def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, 
     for got, want in zip(result.records, records, strict=True):
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert result.dual_gaps == gaps
-    assert np.array_equal(result.final_stack, final_stack)
+    assert np.array_equal(result.final_state.reshape(-1), final_stack)

@@ -66,9 +66,12 @@ def test_load_config_validates(tmp_path):
     _write_config(tmp_path / "bad2.txt", iterations=0)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "bad2.txt")
-    (tmp_path / "bad3.txt").write_text("unknown_key = 1\n")
-    with pytest.raises(ConfigError):
-        load_config(tmp_path / "bad3.txt")
+    # a method or dunder name is no config key either: it must not shadow the config's own
+    for key in ("unknown_key", "resolve_tableau", "__class__"):
+        (tmp_path / "bad3.txt").write_text(f"{key} = x\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(tmp_path / "bad3.txt")
+    assert main(["run", str(tmp_path / "bad3.txt")]) == 2
 
 
 def test_missing_config_exits_2(capsys):

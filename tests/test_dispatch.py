@@ -83,7 +83,7 @@ def _diverging_heavy_ball(monkeypatch, failures):
     original = cli.run_heavy_ball
 
     def diverging(graph, objectives, tab, num_iterations, h0, **kwargs):
-        seen.append((graph, objectives, tab, num_iterations, h0))
+        seen.append((graph, objectives, tab, num_iterations, list(h0)))
         if len(seen) <= failures:
             raise NonFiniteState("patched divergence", iteration=1)
         return original(graph, objectives, tab, num_iterations, h0=h0, **kwargs)
@@ -95,11 +95,11 @@ def _diverging_heavy_ball(monkeypatch, failures):
 def test_reproduce_halves_h0_until_a_heavy_ball_run_stays_finite(tmp_path, monkeypatch):
     seen = _diverging_heavy_ball(monkeypatch, failures=2)
     reproduce("fig3", out_dir=tmp_path, rounds_budget=60)
-    graph, objectives, tab, iterations, h0 = seen[0]
+    graph, objectives, tab, iterations, (h0,) = seen[0]
     assert tab.order == 1 and iterations == 60
     assert h0 == suggested_h0(graph, objectives, tab, iterations, safety=cli._ORDER_SWEEP_SAFETY[1])
     # s = 1 diverges twice, then s = 2 and s = 4 run once each at their own h0
-    assert [call[4] for call in seen[:3]] == [h0, h0 / 2, h0 / 4]
+    assert [call[4] for call in seen[:3]] == [[h0], [h0 / 2], [h0 / 4]]
     assert [call[2].order for call in seen] == [1, 1, 1, 2, 4]
     assert (tmp_path / "fig3_erdos_renyi_heavy_ball_rk_s1.csv").exists()
 
@@ -139,8 +139,8 @@ def test_always_diverging_union_part_exits_3_after_eight_runs(tmp_path, monkeypa
 def test_exhausted_h0_sweep_exits_3_after_eight_runs(tmp_path, monkeypatch, capsys):
     seen = _diverging_heavy_ball(monkeypatch, failures=100)
     assert main(["reproduce", "fig3", "--out", str(tmp_path)]) == 3
-    h0 = seen[0][4]
-    assert [call[4] for call in seen] == [h0 / 2**k for k in range(8)]
+    h0 = seen[0][4][0]
+    assert [call[4] for call in seen] == [[h0 / 2**k] for k in range(8)]
     assert capsys.readouterr().err.startswith("diverged: patched divergence")
     assert not any(tmp_path.glob("*.csv"))
 

@@ -223,7 +223,7 @@ def test_consensus_projection_lower_bounded_by_reference():
         graph, objs, tab, 40, h0=suggested_h0(graph, objs, tab, 40), reference=ref
     )
     # F at the consensus projection of any iterate is at least F*
-    states = result.final_states
+    states = result.final_state
     from dualrk.simulator import primal_extract
 
     x = primal_extract(states, objs)

@@ -40,12 +40,11 @@ def test_zero_iterations_is_a_no_op():
     result = run_heavy_ball(graph, objs, tableau("rk4"), 0, h0=1.0)
     assert result.records == []
     assert result.comm_rounds == 0
-    assert np.array_equal(result.final_states[:, :4], np.zeros((3, 4)))
-    assert np.array_equal(result.final_states[:, -1], np.ones(3))
+    assert np.array_equal(result.final_state[:, :4], np.zeros((3, 4)))
+    assert np.array_equal(result.final_state[:, -1], np.ones(3))
     assert np.isnan(result.resolved_step) and result.min_primal_entry is None
-    mono = run_heavy_ball_monolithic(graph, objs, tableau("rk4"), 0, h0=1.0, keep_trajectory=True)
-    assert mono.records == [] and mono.comm_rounds == 0 and mono.min_primal_entry is None
-    assert mono.trajectory.shape == (1, 13) and np.array_equal(mono.trajectory[0], mono.final_states)
+    mono = run_heavy_ball_monolithic(graph, objs, tableau("rk4"), 0, h0=1.0)
+    assert mono.shape == (1, 13) and np.array_equal(mono[0], stack_agent_states(result.final_state, 2))
 
 
 def test_edge_graph_consensus_shrinks():
@@ -71,13 +70,11 @@ def test_simulator_matches_monolithic_reference():
             tab = tableau_for_order(order)
             h0 = suggested_h0(graph, objs, tab, 20)
             sim = run_heavy_ball(graph, objs, tab, 20, h0=h0, keep_trajectory=True)
-            mono = run_heavy_ball_monolithic(graph, objs, tab, 20, h0=h0, keep_trajectory=True)
-            scale = 1.0 + np.abs(mono.trajectory).max()
-            assert np.abs(sim.trajectory - mono.trajectory).max() <= 1e-12 * scale
+            mono = run_heavy_ball_monolithic(graph, objs, tab, 20, h0=h0)
+            scale = 1.0 + np.abs(mono).max()
+            assert np.abs(sim.trajectory - mono).max() <= 1e-12 * scale
             oracle = run_heavy_ball_per_agent(graph, objs, tab, 20, h0=h0)
             assert np.abs(sim.trajectory - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
-            for rec_s, rec_m in zip(sim.records, mono.records):
-                assert rec_s.suboptimality == pytest.approx(rec_m.suboptimality, rel=1e-9, abs=1e-14)
 
 
 def test_end_state_conjugate_is_reused(monkeypatch):
@@ -132,7 +129,7 @@ def test_time_coordinate_tracks_iterations():
     tab = tableau("rk4")
     result = run_heavy_ball(graph, objs, tab, 50, h0=1.0)
     h = result.resolved_step
-    times = result.final_states[:, -1]
+    times = result.final_state[:, -1]
     assert np.all(times == times[0])  # agents stay in lockstep
     assert times[0] == pytest.approx(1.0 + 50 * h, rel=1e-12)
 
@@ -177,7 +174,7 @@ def test_single_node_smoke_run_warns():
     with pytest.warns(UserWarning, match="single-node"):
         result = run_heavy_ball(graph, objs, tableau("rk4"), 5, h0=0.1)
     # zero Laplacian: the transformed state never leaves the origin
-    assert np.abs(result.final_states[0, :4]).max() == 0.0
+    assert np.abs(result.final_state[0, :4]).max() == 0.0
 
 
 def test_min_primal_entry_logged_for_simplex_runs():
@@ -257,9 +254,10 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
         max_kres = max(max_kres, _reference_kernel_residual(stack_agent_states(states, p), n, p))
         x_stack = conjugates(states)
         recorder.push(x_stack, k, rounds)
-    records = recorder.flush()
-    min_entry = recorder.min_entry if objs[0].domain == "simplex" else None
-    return records, states, rounds, max_kres, min_entry
+    recorder.flush()
+    (trace,) = recorder.parts
+    min_entry = trace.min_entry if objs[0].domain == "simplex" else None
+    return trace.records, states, rounds, max_kres, min_entry
 
 
 def _bitwise_fields(record):
@@ -281,7 +279,7 @@ def test_engine_matches_the_reference_round_loop_bitwise(kind, family, order):
     records, states, rounds, max_kres, min_entry = _reference_run(graph, objs, tab, num_iterations, h0)
     result = run_heavy_ball(graph, objs, tab, num_iterations, h0=h0)
     assert [_bitwise_fields(r) for r in result.records] == [_bitwise_fields(r) for r in records]
-    assert result.final_states.tobytes() == states.tobytes()
+    assert result.final_state.tobytes() == states.tobytes()
     assert result.comm_rounds == rounds == num_iterations * tab.stages
     assert repr(result.max_kernel_residual) == repr(max_kres)
     assert repr(result.min_primal_entry) == repr(min_entry)

@@ -39,7 +39,6 @@ from dualrk.objectives import (
 )
 from dualrk.simulator import (
     run_heavy_ball,
-    run_heavy_ball_monolithic,
     run_heavy_ball_per_agent,
     suggested_h0,
 )
@@ -179,7 +178,7 @@ def test_recorder_block_size_is_bounded_by_bytes():
 def test_recorder_computes_a_missing_reference():
     for objs in (random_kl_instance(N_AGENTS, DIM, seed=2), random_regression_instance(8, 3, 4, seed=2)):
         want = reference_optimum(objs)
-        got = TraceRecorder(None, None, objs).reference
+        got = TraceRecorder(None, None, objs).parts[0].reference
         assert got.x_star.tobytes() == want.x_star.tobytes()
         assert repr(got.f_star) == repr(want.f_star)
 
@@ -187,16 +186,19 @@ def test_recorder_computes_a_missing_reference():
 def test_recorder_flushes_full_blocks_and_the_tail():
     objs = random_kl_instance(N_AGENTS, DIM, seed=1)
     recorder = TraceRecorder(reference_optimum(objs), None, objs)
+    (trace,) = recorder.parts
     iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS * DIM))
     iterates[K // 2, 5] = 0.01  # the smallest entry sits inside the first block
     for k, x in enumerate(iterates, start=1):
         recorder.push(x, k, 2 * k)
-        assert len(recorder.records) == (k // K) * K
-    assert recorder.min_entry == 0.01
-    records = recorder.flush()
+        assert len(trace.records) == (k // K) * K
+    assert trace.min_entry == 0.01
+    recorder.flush()
+    records = trace.records
     assert [r.iteration for r in records] == list(range(1, K + 4))
     assert [r.comm_rounds for r in records] == list(range(2, 2 * K + 7, 2))
-    assert recorder.flush() is records and len(records) == K + 3
+    recorder.flush()
+    assert trace.records is records and len(records) == K + 3
 
 
 def test_recorder_times_iterations_without_flushes_and_callbacks():
@@ -207,7 +209,7 @@ def test_recorder_times_iterations_without_flushes_and_callbacks():
         time.sleep(0.01)  # the iteration's own work
         recorder.push(x, k, k)
     # Every push flushes and runs the 0.2 s callback; no record's time holds it.
-    assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.flush())
+    assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.parts[0].records)
 
 
 def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
@@ -279,7 +281,6 @@ def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
     heavy_ball_want = _heavy_ball_old(graph, objs, tab, num_iterations, h0, False)
     runs = [
         (run_heavy_ball(graph, objs, tab, num_iterations, h0=h0), heavy_ball_want),
-        (run_heavy_ball_monolithic(graph, objs, tab, num_iterations, h0=h0), heavy_ball_want),
         (cgd_run(objs, 0.1, num_iterations), _cgd_old(objs, 0.1, num_iterations, False)),
         (dgd_run(graph, objs, 0.1, step, num_iterations), _dgd_old(graph, objs, 0.1, step, num_iterations, False)),
         (dual_nag_run(graph, objs, step, num_iterations), _dual_nag_old(graph, objs, step, num_iterations, False)),

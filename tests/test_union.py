@@ -3,8 +3,8 @@
 Property tests draw 2-3 random connected parts of 2-16 agents, a block
 dimension of 2-5, either objective family and a different step per part.
 Each part's records (``repr`` of every field but the wall time), final
-state and kernel residual from one union run must equal that part's own
-run.  Criterion 1 (the engine against the per-agent oracle) stays on
+state, rounds, step, kernel residual and least primal entry from one union
+run must equal that part's own run.  Criterion 1 (the engine against the per-agent oracle) stays on
 single graphs, in ``test_simulator.py`` and ``test_acceptance.py``.
 """
 
@@ -77,12 +77,14 @@ def _union_or_divergence(run_union, runs_alone):
     return run_union()
 
 
-def _assert_parts_match(union_result, alone_results, final):
+def _assert_parts_match(union_result, alone_results):
     assert len(union_result.parts) == len(alone_results)
     for part, alone in zip(union_result.parts, alone_results):
         assert _fields(part.records) == _fields(alone.records)
-        assert getattr(part, final).tobytes() == getattr(alone, final).tobytes()
-        assert repr(part.max_kernel_residual) == repr(alone.max_kernel_residual)
+        assert part.final_state.tobytes() == alone.final_state.tobytes()
+        assert part.comm_rounds == alone.comm_rounds == union_result.comm_rounds
+        for name in ("resolved_step", "max_kernel_residual", "min_primal_entry"):
+            assert repr(getattr(part, name)) == repr(getattr(alone, name))
 
 
 @PROPERTY
@@ -110,10 +112,7 @@ def test_heavy_ball_union_is_each_part_alone(union_case, order, iterations, data
     )
     if result is None:
         return
-    _assert_parts_match(result, alone, "final_states")
-    for part, single in zip(result.parts, alone):
-        assert repr(part.resolved_step) == repr(single.resolved_step)
-        assert repr(part.min_primal_entry) == repr(single.min_primal_entry)
+    _assert_parts_match(result, alone)
     assert result.max_kernel_residual == max(single.max_kernel_residual for single in alone)
     assert result.comm_rounds == alone[0].comm_rounds == iterations * tab.stages
     assert result.records == []
@@ -140,7 +139,7 @@ def test_dgd_union_is_each_part_alone(union_case, decaying, iterations, data):
         [runner(i) for i in range(len(graphs))],
     )
     if result is not None:
-        _assert_parts_match(result, alone, "final_stack")
+        _assert_parts_match(result, alone)
 
 
 @PROPERTY
@@ -165,7 +164,7 @@ def test_dual_nag_union_is_each_part_alone(union_case, iterations, data):
         [runner(i) for i in range(len(graphs))],
     )
     if result is not None:
-        _assert_parts_match(result, alone, "final_stack")
+        _assert_parts_match(result, alone)
         for part, single in zip(result.parts, alone):
             assert [repr(g) for g in part.dual_gaps] == [repr(g) for g in single.dual_gaps]
 
