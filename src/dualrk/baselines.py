@@ -27,7 +27,7 @@ from . import harness
 from .dynamics import kernel_residual
 from .errors import InvalidArgument
 from .graph import LaplacianGraph, laplacian_apply
-from .objectives import project_to_simplex, stacked_conjugate, stacked_gradient, stacked_value
+from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_gradient, stacked_value
 
 __all__ = [
     "check_step",
@@ -88,10 +88,11 @@ def cgd_run(
     x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
     replicated = np.tile(x, (n, 1))  # the consensus stack of x, rewritten in place
     stack = replicated.reshape(-1)
-    recorder = harness.TraceRecorder(reference, None, objectives)
+    family = stacked_family(objectives)
+    recorder = harness.TraceRecorder(reference, None, family)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            grad = stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
+            grad = stacked_gradient(family, stack).reshape(n, -1).sum(axis=0)
             x = _feasible(simplex, x - step * grad)
             harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
@@ -133,13 +134,14 @@ def dgd_run(
         blocks = np.tile(objectives[0].initial_point(), (n, 1))
     else:
         blocks = np.asarray(start, dtype=float).reshape(n, p).copy()
-    recorder = harness.TraceRecorder(reference, graph, objectives)
+    family = stacked_family(objectives)
+    recorder = harness.TraceRecorder(reference, graph, family)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
             stack = blocks.reshape(-1)
             mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
-            grads = stacked_gradient(objectives, stack).reshape(n, p)
+            grads = stacked_gradient(family, stack).reshape(n, p)
             blocks = _feasible(simplex, mixed - step_k * grads)
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
@@ -167,15 +169,16 @@ def _dual_descent(
     z_hat = y_hat
     # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
     # next plain-descent anchor and the final stack, so each is solved once.
-    x_stack = stacked_conjugate(objectives, y_hat)
-    recorder = harness.TraceRecorder(reference, graph, objectives)
+    family = stacked_family(objectives)
+    x_stack = stacked_conjugate(family, y_hat)
+    recorder = harness.TraceRecorder(reference, graph, family)
     gaps = [[] for _ in recorder.parts] if record_dual_gap else None
     max_kres = [0.0] * len(recorder.parts)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             # At k = 1 the momentum anchor z_hat is still y_hat.
             if momentum and k > 1:
-                anchor, x_anchor = z_hat, stacked_conjugate(objectives, z_hat)
+                anchor, x_anchor = z_hat, stacked_conjugate(family, z_hat)
             else:
                 anchor, x_anchor = y_hat, x_stack
             y_new = anchor - (step * laplacian_apply(graph, x_anchor, p).reshape(n, p)).reshape(-1)
@@ -184,12 +187,12 @@ def _dual_descent(
                 y_prev = y_new
             y_hat = y_new
             harness.check_finite(y_hat, graph, f"{method}: non-finite iterate at iteration {k}", k)
-            x_stack = stacked_conjugate(objectives, y_hat)
+            x_stack = stacked_conjugate(family, y_hat)
             for i, trace in enumerate(recorder.parts):
                 y_part, x_part = y_hat[trace.columns], x_stack[trace.columns]
-                max_kres[i] = max(max_kres[i], kernel_residual(y_part, len(trace.objectives), p))
+                max_kres[i] = max(max_kres[i], kernel_residual(y_part, trace.family.shape[0], p))
                 if gaps is not None:
-                    dual = float(y_part @ x_part) - stacked_value(trace.objectives, x_part)
+                    dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
                     gaps[i].append(dual + trace.reference.f_star)
             recorder.push(x_stack, k, k)
     return recorder.result(x_stack.reshape(n, p), steps, max_kres, gaps)

@@ -36,7 +36,6 @@ from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
 from .graph import Topology, build_graph, disjoint_union
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance
-from .selfcheck import run_invariant_suite
 from .simulator import run_heavy_ball, step_size, suggested_h0
 
 __all__ = ["main", "run_experiment", "reproduce", "verify"]
@@ -322,6 +321,8 @@ def reproduce(
 
 def verify(seed: int = 0) -> int:
     """Run the invariant suite, print one line per check, return an exit code."""
+    from .selfcheck import run_invariant_suite  # here: no other command pays for its import
+
     results = run_invariant_suite(seed=seed)
     failed = [r for r in results if not r.passed]
     for res in results:

@@ -4,9 +4,10 @@ Graphs are static, undirected, unweighted, and connected.  The Laplacian
 ``L = D - A`` is carried row-wise through per-node *sorted* neighbor lists;
 the dense matrix (and its positive-semidefinite square root) is materialized
 only for spectra, debugging exports, and test oracles.  Runtime code applies
-``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
-the operation a node can perform from its neighbors' broadcasts, and all
-rows are computed together, in one padded gather per degree bucket.
+``L`` block-wise through :func:`laplacian_apply` (:func:`laplacian_rows` on
+a run's own pad buffer): each output row is exactly the operation a node can
+perform from its neighbors' broadcasts, and all rows are computed together,
+in one padded gather per degree bucket.
 
 :func:`disjoint_union` joins graphs into one with a block-diagonal
 Laplacian, so one round over the union is a round on every part; a
@@ -31,6 +32,7 @@ __all__ = [
     "disjoint_union",
     "spectral_bounds",
     "laplacian_apply",
+    "laplacian_rows",
     "dense_laplacian",
     "sqrt_laplacian",
     "sqrt_apply",
@@ -302,12 +304,8 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``, the
     neighbors added one at a time in sorted order for every ``block_dim``,
     as a node adds received broadcasts (:func:`dualrk.dynamics.agent_field`
-    does so bitwise for ``block_dim >= 2``).  Rows are gathered one degree
-    bucket at a time (:attr:`LaplacianGraph.degree_buckets`), so a star's
-    leaves do not pad to the hub's degree and a :func:`disjoint_union` is
-    one pass.  A stacked vector takes one gather per bucket, reduced over
-    its leading slot axis; a ``(K, n p)`` block adds one slot's gather at a
-    time, with no ``(K, width, rows, p)`` buffer.
+    does so bitwise for ``block_dim >= 2``).  It is :func:`laplacian_rows`
+    on a fresh pad buffer.
 
     Parameters
     ----------
@@ -321,24 +319,34 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     n = graph.node_count
     if x.shape[-1:] != (n * block_dim,) or x.ndim > 2:
         raise DimensionMismatch(f"expected {n * block_dim} entries per row, got {x.shape}")
-    degrees, inverse, tables = graph.degree_buckets
-    blocks = x.reshape(*x.shape[:-1], n, block_dim)
-    # Pad slots read an extra row of -0.0, which leaves every sum unchanged.
     padded = np.empty((*x.shape[:-1], n + 1, block_dim))
-    padded[..., :n, :] = blocks
+    padded[..., :n, :] = x.reshape(*x.shape[:-1], n, block_dim)
     padded[..., n, :] = -0.0
+    return laplacian_rows(graph.degree_buckets, padded).reshape(x.shape)
+
+
+def laplacian_rows(plan, padded: np.ndarray) -> np.ndarray:
+    """New ``(L (x) I_p)`` rows of the ``(n, p)`` rows ``padded[:n]``, or of each ``padded[k, :n]``.
+
+    ``plan`` is the graph's :attr:`LaplacianGraph.degree_buckets`; pad slots
+    read the last row of ``padded``, ``-0.0``, which leaves every sum as it
+    is.  One bucket at a time, so a star's leaves do not pad to the hub's
+    degree: one gather per bucket reduced over its slot axis, or for a block
+    one slot's gather at a time, with no ``(K, width, rows, p)`` buffer.
+    """
+    degrees, inverse, tables = plan
     sums = []
     for table in tables:
-        if x.ndim == 1:
+        if padded.ndim == 2:
             sums.append(np.add.reduce(padded.take(table, axis=0), axis=0))
         else:  # a single-node graph has no neighbor slots; its sum is empty
-            sums.append(padded.take(table[0], axis=1) if len(table) else np.zeros((len(x), table.shape[1], block_dim)))
+            sums.append(padded.take(table[0], axis=1) if len(table) else np.zeros_like(padded[:, : table.shape[1]]))
             for slot in table[1:]:
                 sums[-1] += padded.take(slot, axis=1)
     neighbor_sum = sums[0] if inverse is None else np.concatenate(sums, axis=-2).take(inverse, axis=-2)
-    out = degrees * blocks
+    out = degrees * padded[..., :-1, :]
     out -= neighbor_sum  # in place: a temporary fewer, which is measurable at the paper shape
-    return out.reshape(x.shape)
+    return out
 
 
 def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric, SingularSystem
 from .graph import LaplacianGraph, laplacian_apply
-from .objectives import stacked_conjugate, stacked_gradient, stacked_value
+from .objectives import stacked_conjugate, stacked_family, stacked_gradient, stacked_value
 
 __all__ = [
     "CSV_COLUMNS",
@@ -142,31 +142,32 @@ def reference_optimum(objectives) -> ReferenceOptimum:
     """Closed-form solution of the consensus problem ``min_x sum_i f_i(x)``.
 
     Quadratic family: aggregated normal equations.  KL family: normalized
-    geometric mean of the reference distributions.  The list holds one
-    family, read from its first member; the optimizer needs no graph.
+    geometric mean of the reference distributions.  ``objectives`` is a
+    one-family list or its :func:`~dualrk.objectives.stacked_family` (a row
+    slice too); the optimizer needs no graph.
 
     Raises
     ------
     SingularSystem
         If the aggregated quadratic system is not positive definite.
     """
-    domain = objectives[0].domain
-    p = objectives[0].dim
-    if domain == "simplex":
-        log_mean = np.mean([np.log(obj.reference) for obj in objectives], axis=0)
+    family = stacked_family(objectives)
+    n, p = family.shape
+    if family.domain == "simplex":
+        log_mean = np.mean(np.log(family.reference), axis=0)
         weights = np.exp(log_mean - log_mean.max())
         x_star = weights / weights.sum()
     else:
         system = np.zeros((p, p))
         rhs = np.zeros(p)
-        for obj in objectives:
-            system += obj.hessian
-            rhs += obj.scale * (obj.design.T @ obj.targets)
+        for hessian, shift in zip(family.hessian, family.shift):
+            system += hessian
+            rhs += shift
         evals = np.linalg.eigvalsh(system)
         if evals[0] <= p * np.finfo(float).eps * max(evals[-1], 0.0):
             raise SingularSystem("aggregated normal equations are singular; add a ridge")
         x_star = np.linalg.solve(system, rhs)
-    f_star = stacked_value(objectives, np.tile(x_star, len(objectives)))
+    f_star = stacked_value(family, np.tile(x_star, n))
     return ReferenceOptimum(x_star=x_star, f_star=f_star)
 
 
@@ -189,7 +190,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     may leave the simplex.
     """
     simplex = objectives[0].domain == "simplex"
-    n = len(objectives)
+    n, family = len(objectives), stacked_family(objectives)
     x = objectives[0].initial_point()
     # The shared variable replicated to every block, through the stacked
     # kernels; one buffer is rewritten for every evaluation.
@@ -198,11 +199,11 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
 
     def total_value(v):
         replicated[:] = v
-        return stacked_value(objectives, stack)
+        return stacked_value(family, stack)
 
     def total_gradient(v):
         replicated[:] = v
-        return stacked_gradient(objectives, stack).reshape(n, -1).sum(axis=0)
+        return stacked_gradient(family, stack).reshape(n, -1).sum(axis=0)
 
     def norm(v):
         return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
@@ -315,15 +316,17 @@ def evaluate_trace(
     products, the same reductions a single row gets, so each record is
     bitwise independent of the rows it is batched with.  ``graph=None`` is
     allowed for replicated (consensus) stacks, whose consensus terms vanish
-    identically; centralized baselines use this.
+    identically; centralized baselines use this.  ``objectives`` may be
+    given by its :func:`~dualrk.objectives.stacked_family`.
     """
     x_block = np.asarray(x_block, dtype=float)
-    rows, n = x_block.shape[0], len(objectives)
+    p = reference.x_star.size
+    rows, n = x_block.shape[0], x_block.shape[1] // p
     signed = stacked_value(objectives, x_block) - reference.f_star
     if graph is None:
         norm = quad = np.zeros(rows)
     else:
-        lap_x = laplacian_apply(graph, x_block, objectives[0].dim)
+        lap_x = laplacian_apply(graph, x_block, p)
         norm = np.sqrt(_row_dots(lap_x, lap_x))
         quad = _row_dots(x_block, lap_x)
         quad = np.where(quad < 0.0, 0.0, quad)  # max(quad, 0.0) row by row
@@ -382,12 +385,12 @@ class RunResult:
 
 
 class _PartTrace:
-    """One graph part's rows, problem, records and least entry in a :class:`TraceRecorder`."""
+    """One graph part's rows, problem (a row slice of the run's family), records and least entry."""
 
-    def __init__(self, nodes, p, reference, graph, objectives):
+    def __init__(self, nodes, p, reference, graph, family):
         self.nodes, self.columns = nodes, slice(nodes.start * p, nodes.stop * p)
-        self.graph, self.objectives = graph, objectives
-        self.reference = reference if reference is not None else reference_optimum(objectives)
+        self.graph, self.family = graph, family
+        self.reference = reference if reference is not None else reference_optimum(family)
         self.records: list[MetricsRecord] = []
         self.min_entry: float | None = None
 
@@ -404,24 +407,26 @@ class TraceRecorder:
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
     Each part of a disjoint-union ``graph`` is evaluated on its own columns,
-    graph, objectives and ``reference`` (one for all parts or one per part;
-    None is computed with :func:`reference_optimum`), as its run alone is.
+    graph, row slice of the ``objectives`` family (no rebuild per part) and
+    ``reference`` (one for all parts or one per part; None is computed with
+    :func:`reference_optimum`), as its run alone is.
     """
 
     def __init__(self, reference, graph, objectives, on_record=None):
-        p = objectives[0].dim
+        family = stacked_family(objectives)
+        n, p = family.shape
         if graph is None:  # a replicated consensus stack: one part, no graph
-            rows, references = ((slice(0, len(objectives)), None),), [reference]
+            rows, references = ((slice(0, n), None),), [reference]
         else:
             rows, references = graph.part_rows, graph.per_part(reference)
         self.parts = [
-            _PartTrace(nodes, p, ref, part, objectives[nodes]) for (nodes, part), ref in zip(rows, references)
+            _PartTrace(nodes, p, ref, part, family[nodes]) for (nodes, part), ref in zip(rows, references)
         ]
         if on_record is not None and len(self.parts) > 1:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
         width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
-        self._block = np.empty((self.capacity, len(objectives) * p))
+        self._block = np.empty((self.capacity, n * p))
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
         self._rounds = 0
@@ -444,7 +449,7 @@ class TraceRecorder:
             for part in self.parts:
                 # A contiguous copy, laid out as the part's own run lays out its block.
                 columns = np.ascontiguousarray(block[:, part.columns])
-                records = evaluate_trace(columns, part.reference, part.graph, part.objectives, self._stamps)
+                records = evaluate_trace(columns, part.reference, part.graph, part.family, self._stamps)
                 part.records.extend(records)
                 low = float(columns.min())
                 part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
@@ -460,7 +465,7 @@ class TraceRecorder:
         communication rounds are the last push's.
         """
         self.flush()
-        simplex = self.parts[0].objectives[0].domain == "simplex"
+        simplex = self.parts[0].family.domain == "simplex"
         unset = [None] * len(self.parts)
         results = [
             RunResult(

@@ -12,16 +12,16 @@ the probability simplex (:class:`KLLocal`).
 
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
 :func:`stacked_gradient`) take a list of blocks of one family and evaluate
-them all in one array operation on stacked parameters, which are built once
-per objective list and reused across calls; a list that mixes families
-raises ``TypeError``.  Each also takes a ``(K, n p)`` block of stacked
-vectors, row by row.
+them all in one array operation on the list's stacked parameters, its
+:func:`stacked_family`; a list that mixes families raises ``TypeError``.
+Each also takes that family, or a row slice of it, in place of the list (a
+loop binds it once), and a ``(K, n p)`` block of stacked vectors, row by
+row.
 """
 
 from __future__ import annotations
 
 import abc
-import operator
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "QuadraticLocal",
     "KLLocal",
     "project_to_simplex",
+    "stacked_family",
     "stacked_conjugate",
     "stacked_value",
     "stacked_gradient",
@@ -256,17 +257,36 @@ def _quadratic_conjugate(inverse, shift, z):
 
 
 def _kl_conjugate(reference, z):
-    """Row-wise softmax reweighting of stacked ``(g, p)`` references."""
-    w = reference * np.exp(z - z.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    """Row-wise softmax reweighting of stacked ``(g, p)`` references, two temporaries fewer in place."""
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    w *= reference
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
-class _QuadraticFamily:
-    """Stacked parameters of quadratic blocks in the Hessian form.
+class _Family:
+    """Stacked parameters of one family's blocks: row ``i`` of each array is block ``i``'s.
+
+    ``shape`` is ``(blocks, p)``.  ``family[rows]`` is the family of a slice
+    of the blocks, made of basic slices of the same arrays: no copy and no
+    rebuild, and each kernel gives a slice the bits it gives its rows whole.
+    """
+
+    def __getitem__(self, rows: slice):
+        view = object.__new__(type(self))
+        view.__dict__ = {name: array[rows] for name, array in vars(self).items()}
+        return view
+
+
+class _QuadraticFamily(_Family):
+    """Quadratic blocks in the Hessian form.
 
     ``f_i(x) = x'H_i x / 2 - shift_i'x + offset_i`` needs no design matrix,
     so blocks with different row counts stack.
     """
+
+    domain = "real"
+    shape = property(lambda self: self.shift.shape)
 
     def __init__(self, members):
         self.inverse = np.stack([m._inverse for m in members])
@@ -285,8 +305,11 @@ class _QuadraticFamily:
         return np.matmul(self.hessian, x[..., None])[..., 0] - self.shift
 
 
-class _KLFamily:
+class _KLFamily(_Family):
     """Stacked reference distributions of KL blocks, one per row."""
+
+    domain = "simplex"
+    shape = property(lambda self: self.reference.shape)
 
     def __init__(self, members):
         self.reference = np.stack([m.reference for m in members])
@@ -304,26 +327,16 @@ class _KLFamily:
 QuadraticLocal._family = _QuadraticFamily
 KLLocal._family = _KLFamily
 
-# Stacked parameters of the most recently used objective lists, newest first.
-# An entry ``(members, p, family)`` holds its members and is a hit for a list
-# of the very same objects.  The tuple is replaced, never mutated: a reader
-# sees one consistent snapshot without a lock, and a racing writer can only
-# drop an entry, which costs a rebuild, never a wrong hit.
-_FAMILY_MEMO: tuple = ()
-_FAMILY_MEMO_SIZE = 2
+def stacked_family(objectives):
+    """The stacked parameters of a one-family objective list; a family is returned as it is.
 
-
-def _families(objectives):
-    """``(members, p, family)`` for a one-family objective list, memoized.
-
-    Raises ``TypeError`` for a list that mixes families or holds a type
-    without stacked kernels.
+    Built afresh for a list, so a loop binds its list's family once and
+    passes it to the stacked kernels in place of the list.  Raises
+    ``TypeError`` for a list that mixes families or holds a type without
+    stacked kernels.
     """
-    global _FAMILY_MEMO
-    memo = _FAMILY_MEMO
-    for entry in memo:
-        if len(entry[0]) == len(objectives) and all(map(operator.is_, entry[0], objectives)):
-            return entry
+    if isinstance(objectives, _Family):
+        return objectives
     members = tuple(objectives)
     dims = {obj.dim for obj in members}
     if len(dims) != 1:
@@ -332,18 +345,17 @@ def _families(objectives):
     if len(families) != 1 or None in families:
         names = sorted({type(obj).__name__ for obj in members})
         raise TypeError(f"stacked blocks must share one family with stacked kernels, got {names}")
-    entry = (members, dims.pop(), families.pop()(members))
-    _FAMILY_MEMO = (entry,) + memo[: _FAMILY_MEMO_SIZE - 1]
-    return entry
+    return families.pop()(members)
 
 
 def _rows(objectives, z):
-    """The list's family plus ``z`` viewed as one row per block, after any batch axes."""
-    members, p, family = _families(objectives)
+    """The family of ``objectives`` plus ``z`` viewed as one row per block, after any batch axes."""
+    family = stacked_family(objectives)
+    n, p = family.shape
     z = np.asarray(z, dtype=float)
-    if z.shape[-1:] != (len(members) * p,):
-        raise DimensionMismatch(f"expected {len(members) * p} stacked entries, got {z.shape}")
-    return family, z.reshape(*z.shape[:-1], len(members), p)
+    if z.shape[-1:] != (n * p,):
+        raise DimensionMismatch(f"expected {n * p} stacked entries, got {z.shape}")
+    return family, z.reshape(*z.shape[:-1], n, p)
 
 
 def _per_block(kernel: str, objectives, x):
@@ -358,7 +370,8 @@ def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
     bitwise: the list's family solves all of its blocks in one array
     operation, of which the per-object method is the one-row case, and that
-    operation's result is returned as it is.  The list holds one family.
+    operation's result is returned as it is.  The list holds one family; its
+    :func:`stacked_family` may stand in for it.
     """
     return _per_block("conjugate", objectives, z)
 

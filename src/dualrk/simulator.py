@@ -10,7 +10,7 @@ the per-stage broadcast.
 
 :func:`run_heavy_ball` executes a round as three array operations over the
 ``(n, 2p + 1)`` agent states: one :func:`~dualrk.objectives.stacked_conjugate`
-over the stage points, one :func:`~dualrk.graph.laplacian_apply` (the
+over the stage points, one :func:`~dualrk.graph.laplacian_rows` (the
 broadcast and neighbor sum), and one :func:`~dualrk.dynamics.round_field`.
 Row ``i`` of each operation is agent ``i``'s own computation, so any
 schedule honoring the stage barrier gives the same result.  The conjugate
@@ -26,10 +26,12 @@ each at its own step (a per-row array: a broadcast multiply is the same
 IEEE operation per element), so each part's result is its run alone's.
 
 At the desk shape a round costs numpy per-call overhead more than
-arithmetic, so each round writes its stage derivatives into its slot of one
-``(S, n, 2p + 1)`` array allocated per run, and the kernels it calls keep
-their own per-call work small (see :func:`~dualrk.objectives.stacked_conjugate`
-and :func:`~dualrk.graph.laplacian_apply`).
+arithmetic, so a run binds once what is fixed for it: the objectives'
+:func:`~dualrk.objectives.stacked_family`, the degree-bucket plan with one
+pad buffer for the broadcasts, and one ``(S, n, 2p + 1)`` array for the
+stage derivatives.  Finiteness is checked once per iteration, over its
+stage derivatives and then its end state; a failure then finds the first
+non-finite stage, so it is reported as a check after every stage would.
 
 Two reference paths check the engine:
 
@@ -66,9 +68,9 @@ from .dynamics import (
     round_field,
     stack_agent_states,
 )
-from .graph import LaplacianGraph, laplacian_apply
+from .graph import LaplacianGraph, laplacian_rows
 from .integrator import ButcherTableau, integrate, rk_combine
-from .objectives import stacked_conjugate
+from .objectives import stacked_conjugate, stacked_family
 
 __all__ = [
     "step_size",
@@ -118,12 +120,13 @@ def suggested_h0(
 
 
 def primal_extract(agent_states: np.ndarray, objectives) -> np.ndarray:
-    """Stacked conjugate solutions at the dual blocks of per-agent states.
+    """Stacked conjugate solutions at the dual blocks of ``(n, 2p + 1)`` per-agent states.
 
     At an iteration's end state this is the primal iterate all metrics are
-    computed on; each block is an agent-local computation.
+    computed on; each block is an agent-local computation.  ``objectives``
+    may be given by its :func:`~dualrk.objectives.stacked_family`.
     """
-    block_dim = objectives[0].dim
+    block_dim = np.shape(agent_states)[1] // 2
     y_hat = np.asarray(agent_states)[:, block_dim : 2 * block_dim].reshape(-1)
     return stacked_conjugate(objectives, y_hat)
 
@@ -167,7 +170,6 @@ def run_heavy_ball(
         ``h0``).
     """
     n = graph.node_count
-    p = objectives[0].dim
     if len(objectives) != n:
         raise ValueError(f"{len(objectives)} objectives for {n} nodes")
     if n == 1:
@@ -180,11 +182,17 @@ def run_heavy_ball(
     h = graph.node_values(steps)
     stages = tableau.stages
     a, b = tableau.a, tableau.b
+    # Bound once per run; the pad buffer's first n rows take the broadcasts.
+    family = stacked_family(objectives)
+    p = family.shape[1]
+    plan, padded = graph.degree_buckets, np.full((n + 1, p), -0.0)
+    broadcasts = padded[:n].reshape(-1)
 
     states = initial_agent_states(n, p)
-    # Every round writes its stage derivatives into its slot of this array.
-    derivs = np.empty((stages, n, 2 * p + 1))
-    recorder = harness.TraceRecorder(reference, graph, objectives, on_record)
+    # Every round writes its stage derivatives into its slot of this array;
+    # a slot not yet written this iteration holds finite values.
+    derivs = np.zeros((stages, n, 2 * p + 1))
+    recorder = harness.TraceRecorder(reference, graph, family, on_record)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
     max_kres = [0.0] * len(steps)
@@ -194,27 +202,30 @@ def run_heavy_ball(
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 0 of every iteration sits at the current state, whose
         # conjugate the previous iteration already solved for its metrics.
-        x_stack = primal_extract(states, objectives)
+        x_stack = primal_extract(states, family)
         for k in range(1, num_iterations + 1):
-            for l in range(stages):
-                if l == 0:
-                    points, x_star = states, x_stack
-                else:
-                    points = rk_combine(states, h, a[l], derivs)
-                    x_star = primal_extract(points, objectives)
-                # One broadcast round, then every agent's field slice.
-                rounds += 1
-                round_field(points, laplacian_apply(graph, x_star, p).reshape(n, p), derivs[l])
-                harness.check_finite(
-                    derivs[l], graph, f"non-finite stage derivative at iteration {k}, stage {l + 1}", k
-                )
+            try:
+                for l in range(stages):
+                    if l == 0:
+                        points, x_star = states, x_stack
+                    else:
+                        points = rk_combine(states, h, a[l], derivs)
+                        x_star = primal_extract(points, family)
+                    # One broadcast round, then every agent's field slice.
+                    rounds += 1
+                    broadcasts[:] = x_star
+                    round_field(points, laplacian_rows(plan, padded), derivs[l])
+            finally:  # one check per iteration, also when a stage raised; a failure finds its stage
+                if not np.isfinite(derivs).all():
+                    for l in range(stages):
+                        message = f"non-finite stage derivative at iteration {k}, stage {l + 1}"
+                        harness.check_finite(derivs[l], graph, message, k)
             states = rk_combine(states, h, b, derivs)
             harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
 
             for i, (nodes, part) in enumerate(graph.part_rows):
-                part_kres = kernel_residual(stack_agent_states(states[nodes], p), part.node_count, p)
-                max_kres[i] = max(max_kres[i], part_kres)
-            x_stack = primal_extract(states, objectives)
+                max_kres[i] = max(max_kres[i], kernel_residual(states[nodes], part.node_count, p))
+            x_stack = primal_extract(states, family)
             recorder.push(x_stack, k, rounds)
             if trajectory is not None:
                 trajectory.append(stack_agent_states(states, p))

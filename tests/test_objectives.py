@@ -208,9 +208,8 @@ def test_stacked_quadratic_conjugate_kkt_at_paper_shape():
 
 
 def test_stacked_kernels_are_safe_under_concurrent_calls():
-    # More objective lists than the stacked-parameter memo holds, used from
-    # more threads than cores with a short switch interval, so lookups and
-    # replacements of the memo interleave.
+    # Several objective lists used from more threads than cores with a short
+    # switch interval: no call may see another call's stacked parameters.
     lists = [random_kl_instance(5, 3, seed=s) for s in range(3)]
     lists += [random_regression_instance(5, 3, 4, seed=s, ridge=1e-3) for s in range(3)]
     z = np.random.default_rng(4).normal(size=15)

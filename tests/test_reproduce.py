@@ -1,7 +1,9 @@
-"""Figure bundle contracts: trace counts, method sets, slope ordering."""
+"""Figure bundle contracts: trace counts, method sets, slope ordering, output bytes."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from dualrk.cli import main, reproduce
@@ -45,3 +47,47 @@ def test_unknown_figure_rejected(tmp_path):
     with pytest.raises(ConfigError):
         reproduce("fig9", out_dir=tmp_path)
     assert main(["reproduce", "fig3", "--out", str(tmp_path / "cli"), "--seed", "1"]) in (0,)
+
+
+# sha256 of every desk output at seed 0: fig1 at a 400-round budget, fig3 at
+# 1000 (the benchmark's workloads).  The bytes depend on the numpy build and
+# on the SIMD kernels it dispatches for the float64 exp and logarithms, so
+# the pin runs only where both match the recording.
+_DESK_NUMPY = "2.4.6"
+_DESK_DISPATCH = {"exp": "X86_V4", "log": "X86_V4", "log1p": "X86_V4"}
+_DESK_SHA256 = {
+    "fig1_cycle_cgd.csv": "0467d9be612ae441b9921e882d8f3ff98ed4ab07164518e4f65da7ce5dbae0c8",
+    "fig1_cycle_dgd.csv": "0baddacf392104d51f2ecdf59c27307d8f0b731e1007fecf17777249bd834860",
+    "fig1_cycle_dual_nag.csv": "6b3f960c2ee36e5547c1b30b88b2d2d96dc45231160dd485df375499531551fb",
+    "fig1_cycle_heavy_ball_rk.csv": "6ad79b84bd827c9c2a5621160bae4963ed337a1ca970acddc638a3e8f152a4e9",
+    "fig1_erdos_renyi_cgd.csv": "0467d9be612ae441b9921e882d8f3ff98ed4ab07164518e4f65da7ce5dbae0c8",
+    "fig1_erdos_renyi_dgd.csv": "3687c7ab6597704e4c4625dd00f5e16001963538ec83263cb76ea45e3da47305",
+    "fig1_erdos_renyi_dual_nag.csv": "d87a6f9599104b44c435f771c18313109e6202ccd183f39039be8d2865f16831",
+    "fig1_erdos_renyi_heavy_ball_rk.csv": "b16b44d11b62b4c4f3b422ff02fd2c5825650439a505523ceff6cfdfa861c88b",
+    "fig1_rate_fits.json": "fecc41542d6fbea276179776bcde53447341b66ed7f9e40919caecaac5b82879",
+    "fig1_star_cgd.csv": "0467d9be612ae441b9921e882d8f3ff98ed4ab07164518e4f65da7ce5dbae0c8",
+    "fig1_star_dgd.csv": "e1b4c17482fb7b4ebc4a505c1ae73b6dc70d4037caccb236ced8cb7aef762b2a",
+    "fig1_star_dual_nag.csv": "bf0ba8a215e8b6d6398a672f876a9d25e1ce511890d35b4df00482742836bd79",
+    "fig1_star_heavy_ball_rk.csv": "55f952cea7d27e208a9e3a5224788c0f8e40e86e84ad40e8fc6fa24d92e02fc7",
+    "fig3_erdos_renyi_heavy_ball_rk_s1.csv": "c23f2f38d681b7971dd2d53f9ebe267f16fd218888abdadb0fd6ae61cf9ada5d",
+    "fig3_erdos_renyi_heavy_ball_rk_s2.csv": "ae6054f4a9ddeef03ac3d716cacc2d4e7cff25f6e82d75f0d34da9669bcf63df",
+    "fig3_erdos_renyi_heavy_ball_rk_s4.csv": "d6c63c9ed93f6fc911a2ecea5d3123b6da409e7ed63edbbf9c3d303866e6bb2c",
+    "fig3_rate_fits.json": "1b440b6c1f46569c88ed067a071427ef8e2ef4e0fe8d20577aa995861b756d07",
+}
+
+
+def _float64_dispatch():
+    from numpy.lib.introspect import opt_func_info  # numpy 2 and later: after the version skip
+
+    info = opt_func_info(func_name="^(exp|log|log1p)$", signature="float64")
+    return {name: targets["dd"]["current"] for name, targets in info.items()}
+
+
+@pytest.mark.skipif(np.__version__ != _DESK_NUMPY, reason=f"desk digests were recorded with numpy {_DESK_NUMPY}")
+@pytest.mark.parametrize("figure, budget", [("fig1", 400), ("fig3", 1000)])
+def test_desk_outputs_keep_their_recorded_bytes(tmp_path, figure, budget):
+    if _float64_dispatch() != _DESK_DISPATCH:
+        pytest.skip(f"desk digests were recorded with float64 exp/log kernels {_DESK_DISPATCH}")
+    paths = reproduce(figure, out_dir=tmp_path, rounds_budget=budget)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    assert digests == {name: digest for name, digest in _DESK_SHA256.items() if name.startswith(figure)}

@@ -5,9 +5,9 @@ import pytest
 
 from dualrk.dynamics import initial_agent_states, stack_agent_states
 from dualrk.errors import NonFiniteState
-from dualrk.graph import Topology, build_graph
+from dualrk.graph import Topology, build_graph, disjoint_union
 from dualrk.harness import TraceRecorder, read_metrics_csv, reference_optimum, write_metrics_csv
-from dualrk.integrator import tableau, tableau_for_order
+from dualrk.integrator import ButcherTableau, tableau, tableau_for_order
 from dualrk import simulator
 from dualrk.objectives import (
     KLLocal,
@@ -140,6 +140,37 @@ def test_divergence_reports_iteration():
     with pytest.raises(NonFiniteState) as info:
         run_heavy_ball(graph, objs, tableau("euler"), 400, h0=500.0)
     assert info.value.iteration is not None and info.value.iteration >= 1
+
+
+# Finiteness is checked once per iteration; a failure still names the first
+# non-finite stage (or the end state), its iteration and the diverged parts.
+# Expectations recorded when every stage was checked as it was computed.
+@pytest.mark.parametrize(
+    "order, iterations, h0, message, iteration",
+    [
+        (4, 3, 1e308, "non-finite stage derivative at iteration 1, stage 2", 1),
+        (4, 5, 1e300, "non-finite stage derivative at iteration 1, stage 3", 1),
+        (1, 4, 1e306, "non-finite state at iteration 2", 2),
+        # Stage 3's time is negative: stage 2's overflow is still what is reported.
+        (None, 3, 1e308, "non-finite stage derivative at iteration 1, stage 2", 1),
+    ],
+)
+def test_divergence_names_the_first_non_finite_stage(order, iterations, h0, message, iteration):
+    cycle, star = build_graph(Topology("cycle", 4)), build_graph(Topology("star", 5))
+    quad = random_regression_instance(4, 3, 5, seed=1, ridge=1e-3)
+    if order is None:
+        tab = ButcherTableau(order=1, a=((), (0.5,), (0.0, -1.0)), b=(1.0, 0.0, 0.0))
+    else:
+        tab = tableau_for_order(order)
+    with pytest.raises(NonFiniteState) as info:
+        run_heavy_ball(cycle, quad, tab, iterations, h0=h0)
+    assert (str(info.value), info.value.iteration, info.value.parts) == (message, iteration, (0,))
+    # On a union only the diverged part is named.
+    union, objectives = disjoint_union([star, cycle]), random_regression_instance(5, 3, 5, seed=2, ridge=1e-3) + quad
+    with pytest.raises(NonFiniteState) as info:
+        run_heavy_ball(union, objectives, tab, iterations, h0=[1e-3, h0])
+    union_message = f"{message} in union parts [1]"
+    assert (str(info.value), info.value.iteration, info.value.parts) == (union_message, iteration, (1,))
 
 
 def test_primal_extract_closed_forms():

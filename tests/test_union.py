@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from dualrk import baselines, cli
+from dualrk import objectives as objectives_module
 from dualrk.baselines import dgd_run, dual_nag_run
 from dualrk.config import ExperimentConfig
 from dualrk.errors import ConnectivityFailure, DimensionMismatch, DualRKError, InvalidArgument, NonFiniteState
@@ -233,6 +234,29 @@ def test_union_parts_share_a_cgd_run_only_with_an_equal_reference(monkeypatch):
     assert calls == [references[0], shifted]
     (alone,) = cli._run_method(cfg, graphs[2], objs, tab, shifted, 6)
     assert _fields(records[0]) == _fields(records[1]) != _fields(records[2]) == _fields(alone)
+
+
+def test_union_parts_are_evaluated_through_views_of_one_family(monkeypatch):
+    # Three distinct instances at the desk shape and no references given: the
+    # run builds one family, and every part's records and reference optimum
+    # are evaluated through a row slice of it.
+    kinds = ("star", "cycle", "erdos_renyi")
+    graphs = [build_graph(Topology(kind, 20, edge_probability=0.3, rng_seed=3)) for kind in kinds]
+    objective_lists = [random_regression_instance(20, 10, 10, seed=seed, ridge=1e-3) for seed in (1, 2, 3)]
+    tab, h0 = tableau_for_order(4), [0.3, 0.3, 0.3]
+    alone = [run_heavy_ball(g, objs, tab, 100, h0=0.3) for g, objs in zip(graphs, objective_lists)]
+    builds = []
+    build = objectives_module._QuadraticFamily.__init__
+
+    def counting(self, members):
+        builds.append(len(members))
+        build(self, members)
+
+    monkeypatch.setattr(objectives_module._QuadraticFamily, "__init__", counting)
+    union_objectives = [obj for objs in objective_lists for obj in objs]
+    result = run_heavy_ball(disjoint_union(graphs), union_objectives, tab, 100, h0=h0)
+    assert builds == [60]
+    _assert_parts_match(result, alone)
 
 
 def test_on_record_takes_a_one_graph_run_only():
