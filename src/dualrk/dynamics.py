@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import NonPositiveTime
-from .graph import LaplacianGraph, laplacian_apply
+from .graph import LaplacianGraph, laplacian_apply, sqrt_apply, sqrt_laplacian
 from .objectives import stacked_conjugate, stacked_family
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "agent_field",
     "round_field",
     "heavy_ball_field",
+    "untransformed_field",
+    "transform_state",
     "kernel_residual",
 ]
 
@@ -172,23 +174,58 @@ def heavy_ball_field(graph: LaplacianGraph, objectives):
     return field
 
 
-def kernel_residual(state: np.ndarray, n: int, block_dim: int) -> float:
+def untransformed_field(graph: LaplacianGraph, objectives, sqrt_lap: np.ndarray | None = None):
+    """Original-coordinate field ``[v, y, t]`` (test oracle only).
+
+    Needs the materialized Laplacian square root, so keep the node count
+    small.  Used to verify that transforming states commutes with the field:
+    applying ``sqrt(L)`` block-wise to this field's ``(v, y)`` derivative
+    equals :func:`heavy_ball_field` at the transformed state.
+    """
+    block_dim = objectives[0].dim
+    total = graph.node_count * block_dim
+    if sqrt_lap is None:
+        sqrt_lap = sqrt_laplacian(graph)
+
+    def field(state: np.ndarray) -> np.ndarray:
+        t = state[-1]
+        if t <= 0.0:
+            raise NonPositiveTime(f"time coordinate {t} is not positive")
+        v = state[:total]
+        y = state[total : 2 * total]
+        x_star = stacked_conjugate(objectives, sqrt_apply(sqrt_lap, y, block_dim))
+        out = np.empty_like(state)
+        out[:total] = -(DAMPING / t) * v - GRADIENT_WEIGHT * sqrt_apply(sqrt_lap, x_star, block_dim)
+        out[total : 2 * total] = v
+        out[-1] = 1.0
+        return out
+
+    return field
+
+
+def transform_state(state: np.ndarray, sqrt_lap: np.ndarray, n: int, block_dim: int) -> np.ndarray:
+    """Map ``[v, y, t]`` to ``[sqrt(L) v, sqrt(L) y, t]`` (oracle helper)."""
+    total = n * block_dim
+    out = np.empty_like(np.asarray(state, dtype=float))
+    out[:total] = sqrt_apply(sqrt_lap, state[:total], block_dim)
+    out[total : 2 * total] = sqrt_apply(sqrt_lap, state[total : 2 * total], block_dim)
+    out[-1] = state[-1]
+    return out
+
+
+def kernel_residual(stacked_state: np.ndarray, n: int, block_dim: int) -> float:
     """Worst per-coordinate agent-sum of the transformed blocks.
 
-    ``state`` is a heavy-ball state, as ``(n, 2p + 1)`` agent rows (one
-    gather lays them out as the monolithic state, the same bits) or as
-    ``[v_hat, y_hat, t]``, or, with ``n * block_dim`` entries, a dual
-    iterate ``y_hat`` alone.  Every transformed block lives in the image of
-    ``sqrt(L)``, which is orthogonal to the all-ones kernel, so every
-    coordinate should sum to zero across agents up to roundoff.  Returns the
-    residual normalized by ``1 + ||y_hat||``.
+    ``stacked_state`` is a heavy-ball state ``[v_hat, y_hat, t]`` or, with
+    ``n * block_dim`` entries, a dual iterate ``y_hat`` alone.  Every
+    transformed block lives in the image of ``sqrt(L)``, which is orthogonal
+    to the all-ones kernel, so every coordinate should sum to zero across
+    agents up to roundoff.  Returns the residual normalized by
+    ``1 + ||y_hat||``.
     """
     total = n * block_dim
-    if state.ndim == 2:
-        blocks = np.ascontiguousarray(state[:, : 2 * block_dim].reshape(n, 2, block_dim).swapaxes(0, 1))
-    else:
-        blocks = state[: (1 if len(state) == total else 2) * total].reshape(-1, n, block_dim)
+    blocks = 1 if len(stacked_state) == total else 2
     # Row r sums block r (v_hat, then y_hat) agent by agent.
-    sums = np.add.reduce(blocks, axis=1)
-    y_hat = blocks[-1].reshape(-1)
+    sums = np.add.reduce(stacked_state[: blocks * total].reshape(blocks, n, block_dim), axis=1)
+    y_hat = stacked_state[(blocks - 1) * total : blocks * total]
     return float(np.abs(sums).max() / (1.0 + math.sqrt(y_hat.dot(y_hat))))

@@ -4,10 +4,9 @@ Graphs are static, undirected, unweighted, and connected.  The Laplacian
 ``L = D - A`` is carried row-wise through per-node *sorted* neighbor lists;
 the dense matrix (and its positive-semidefinite square root) is materialized
 only for spectra, debugging exports, and test oracles.  Runtime code applies
-``L`` block-wise through :func:`laplacian_apply` (:func:`laplacian_rows` on
-a run's own pad buffer): each output row is exactly the operation a node can
-perform from its neighbors' broadcasts, and all rows are computed together,
-in one padded gather per degree bucket.
+``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
+the operation a node can perform from its neighbors' broadcasts, and all
+rows are computed together, in one padded gather per degree bucket.
 
 :func:`disjoint_union` joins graphs into one with a block-diagonal
 Laplacian, so one round over the union is a round on every part; a
@@ -304,8 +303,12 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     Output block ``i`` is ``degree(i) * x_i - sum_{j in N(i)} x_j``, the
     neighbors added one at a time in sorted order for every ``block_dim``,
     as a node adds received broadcasts (:func:`dualrk.dynamics.agent_field`
-    does so bitwise for ``block_dim >= 2``).  It is :func:`laplacian_rows`
-    on a fresh pad buffer.
+    does so bitwise for ``block_dim >= 2``).  Rows are gathered one degree
+    bucket at a time (:attr:`LaplacianGraph.degree_buckets`), so a star's
+    leaves do not pad to the hub's degree and a :func:`disjoint_union` is
+    one pass.  A stacked vector takes one gather per bucket, reduced over
+    its leading slot axis; a ``(K, n p)`` block adds one slot's gather at a
+    time, with no ``(K, width, rows, p)`` buffer.
 
     Parameters
     ----------
@@ -326,14 +329,7 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
 
 
 def laplacian_rows(plan, padded: np.ndarray) -> np.ndarray:
-    """New ``(L (x) I_p)`` rows of the ``(n, p)`` rows ``padded[:n]``, or of each ``padded[k, :n]``.
-
-    ``plan`` is the graph's :attr:`LaplacianGraph.degree_buckets`; pad slots
-    read the last row of ``padded``, ``-0.0``, which leaves every sum as it
-    is.  One bucket at a time, so a star's leaves do not pad to the hub's
-    degree: one gather per bucket reduced over its slot axis, or for a block
-    one slot's gather at a time, with no ``(K, width, rows, p)`` buffer.
-    """
+    """:func:`laplacian_apply` to rows ``padded[..., :-1, :]`` (last row ``-0.0``) by ``degree_buckets``."""
     degrees, inverse, tables = plan
     sums = []
     for table in tables:

@@ -142,9 +142,8 @@ def reference_optimum(objectives) -> ReferenceOptimum:
     """Closed-form solution of the consensus problem ``min_x sum_i f_i(x)``.
 
     Quadratic family: aggregated normal equations.  KL family: normalized
-    geometric mean of the reference distributions.  ``objectives`` is a
-    one-family list or its :func:`~dualrk.objectives.stacked_family` (a row
-    slice too); the optimizer needs no graph.
+    geometric mean of the reference distributions.  ``objectives`` is one
+    family, as a list or stacked; the optimizer needs no graph.
 
     Raises
     ------
@@ -316,8 +315,7 @@ def evaluate_trace(
     products, the same reductions a single row gets, so each record is
     bitwise independent of the rows it is batched with.  ``graph=None`` is
     allowed for replicated (consensus) stacks, whose consensus terms vanish
-    identically; centralized baselines use this.  ``objectives`` may be
-    given by its :func:`~dualrk.objectives.stacked_family`.
+    identically; centralized baselines use this.
     """
     x_block = np.asarray(x_block, dtype=float)
     p = reference.x_star.size
@@ -407,9 +405,8 @@ class TraceRecorder:
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
     Each part of a disjoint-union ``graph`` is evaluated on its own columns,
-    graph, row slice of the ``objectives`` family (no rebuild per part) and
-    ``reference`` (one for all parts or one per part; None is computed with
-    :func:`reference_optimum`), as its run alone is.
+    graph, objectives and ``reference`` (one for all parts or one per part;
+    None is computed with :func:`reference_optimum`), as its run alone is.
     """
 
     def __init__(self, reference, graph, objectives, on_record=None):

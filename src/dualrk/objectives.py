@@ -12,11 +12,10 @@ the probability simplex (:class:`KLLocal`).
 
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
 :func:`stacked_gradient`) take a list of blocks of one family and evaluate
-them all in one array operation on the list's stacked parameters, its
-:func:`stacked_family`; a list that mixes families raises ``TypeError``.
-Each also takes that family, or a row slice of it, in place of the list (a
-loop binds it once), and a ``(K, n p)`` block of stacked vectors, row by
-row.
+them all in one array operation on the list's :func:`stacked_family`; a
+list that mixes families raises ``TypeError``.  Each also takes that family
+(a loop binds it once), or a row slice of it, in place of the list, and a
+``(K, n p)`` block of stacked vectors, row by row.
 """
 
 from __future__ import annotations
@@ -257,20 +256,13 @@ def _quadratic_conjugate(inverse, shift, z):
 
 
 def _kl_conjugate(reference, z):
-    """Row-wise softmax reweighting of stacked ``(g, p)`` references, two temporaries fewer in place."""
-    w = np.exp(z - z.max(axis=-1, keepdims=True))
-    w *= reference
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+    """Row-wise softmax reweighting of stacked ``(g, p)`` references."""
+    w = reference * np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class _Family:
-    """Stacked parameters of one family's blocks: row ``i`` of each array is block ``i``'s.
-
-    ``shape`` is ``(blocks, p)``.  ``family[rows]`` is the family of a slice
-    of the blocks, made of basic slices of the same arrays: no copy and no
-    rebuild, and each kernel gives a slice the bits it gives its rows whole.
-    """
+    """Stacked ``(blocks, p)`` parameters; ``family[rows]`` slices every array, with no copy."""
 
     def __getitem__(self, rows: slice):
         view = object.__new__(type(self))
@@ -327,25 +319,23 @@ class _KLFamily(_Family):
 QuadraticLocal._family = _QuadraticFamily
 KLLocal._family = _KLFamily
 
-def stacked_family(objectives):
-    """The stacked parameters of a one-family objective list; a family is returned as it is.
 
-    Built afresh for a list, so a loop binds its list's family once and
-    passes it to the stacked kernels in place of the list.  Raises
-    ``TypeError`` for a list that mixes families or holds a type without
-    stacked kernels.
+def stacked_family(objectives):
+    """The stacked parameters of a one-family list, built per call (a family is returned as it is).
+
+    Raises ``TypeError`` for a list that mixes families or holds a type
+    without stacked kernels.
     """
     if isinstance(objectives, _Family):
         return objectives
-    members = tuple(objectives)
-    dims = {obj.dim for obj in members}
+    dims = {obj.dim for obj in objectives}
     if len(dims) != 1:
         raise DimensionMismatch(f"stacked blocks must share one dimension, got {sorted(dims)}")
-    families = {getattr(type(obj), "_family", None) for obj in members}
+    families = {getattr(type(obj), "_family", None) for obj in objectives}
     if len(families) != 1 or None in families:
-        names = sorted({type(obj).__name__ for obj in members})
+        names = sorted({type(obj).__name__ for obj in objectives})
         raise TypeError(f"stacked blocks must share one family with stacked kernels, got {names}")
-    return families.pop()(members)
+    return families.pop()(objectives)
 
 
 def _rows(objectives, z):
@@ -370,8 +360,7 @@ def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
     bitwise: the list's family solves all of its blocks in one array
     operation, of which the per-object method is the one-row case, and that
-    operation's result is returned as it is.  The list holds one family; its
-    :func:`stacked_family` may stand in for it.
+    operation's result is returned as it is.  The list holds one family.
     """
     return _per_block("conjugate", objectives, z)
 

@@ -26,12 +26,10 @@ each at its own step (a per-row array: a broadcast multiply is the same
 IEEE operation per element), so each part's result is its run alone's.
 
 At the desk shape a round costs numpy per-call overhead more than
-arithmetic, so a run binds once what is fixed for it: the objectives'
-:func:`~dualrk.objectives.stacked_family`, the degree-bucket plan with one
-pad buffer for the broadcasts, and one ``(S, n, 2p + 1)`` array for the
-stage derivatives.  Finiteness is checked once per iteration, over its
-stage derivatives and then its end state; a failure then finds the first
-non-finite stage, so it is reported as a check after every stage would.
+arithmetic, so a run binds its :func:`~dualrk.objectives.stacked_family`,
+the degree-bucket plan, one pad buffer and one ``(S, n, 2p + 1)`` stage
+derivative array once, and checks finiteness once per iteration, over the
+stage derivatives and then the end state (only a failure seeks its stage).
 
 Two reference paths check the engine:
 
@@ -123,8 +121,7 @@ def primal_extract(agent_states: np.ndarray, objectives) -> np.ndarray:
     """Stacked conjugate solutions at the dual blocks of ``(n, 2p + 1)`` per-agent states.
 
     At an iteration's end state this is the primal iterate all metrics are
-    computed on; each block is an agent-local computation.  ``objectives``
-    may be given by its :func:`~dualrk.objectives.stacked_family`.
+    computed on; each block is an agent-local computation.
     """
     block_dim = np.shape(agent_states)[1] // 2
     y_hat = np.asarray(agent_states)[:, block_dim : 2 * block_dim].reshape(-1)
@@ -186,11 +183,9 @@ def run_heavy_ball(
     family = stacked_family(objectives)
     p = family.shape[1]
     plan, padded = graph.degree_buckets, np.full((n + 1, p), -0.0)
-    broadcasts = padded[:n].reshape(-1)
 
     states = initial_agent_states(n, p)
-    # Every round writes its stage derivatives into its slot of this array;
-    # a slot not yet written this iteration holds finite values.
+    # Every round writes its stage derivatives into its slot (finite until one overflows).
     derivs = np.zeros((stages, n, 2 * p + 1))
     recorder = harness.TraceRecorder(reference, graph, family, on_record)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
@@ -213,7 +208,7 @@ def run_heavy_ball(
                         x_star = primal_extract(points, family)
                     # One broadcast round, then every agent's field slice.
                     rounds += 1
-                    broadcasts[:] = x_star
+                    padded[:n] = x_star.reshape(n, p)
                     round_field(points, laplacian_rows(plan, padded), derivs[l])
             finally:  # one check per iteration, also when a stage raised; a failure finds its stage
                 if not np.isfinite(derivs).all():
@@ -224,7 +219,8 @@ def run_heavy_ball(
             harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
 
             for i, (nodes, part) in enumerate(graph.part_rows):
-                max_kres[i] = max(max_kres[i], kernel_residual(states[nodes], part.node_count, p))
+                part_kres = kernel_residual(stack_agent_states(states[nodes], p), part.node_count, p)
+                max_kres[i] = max(max_kres[i], part_kres)
             x_stack = primal_extract(states, family)
             recorder.push(x_stack, k, rounds)
             if trajectory is not None:

@@ -4,54 +4,18 @@ import numpy as np
 import pytest
 
 from dualrk.dynamics import (
-    DAMPING,
-    GRADIENT_WEIGHT,
     agent_field,
     heavy_ball_field,
     initial_agent_states,
     initial_stacked_state,
     kernel_residual,
     stack_agent_states,
+    transform_state,
+    untransformed_field,
 )
 from dualrk.errors import NonPositiveTime
 from dualrk.graph import Topology, build_graph, laplacian_apply, sqrt_apply, sqrt_laplacian
 from dualrk.objectives import random_kl_instance, random_regression_instance, stacked_conjugate
-
-
-def _untransformed_field(graph, objectives, sqrt_lap):
-    """Original-coordinate field ``[v, y, t]``, through the materialized ``sqrt(L)``.
-
-    Transforming states commutes with the field: applying ``sqrt(L)``
-    block-wise to this field's ``(v, y)`` derivative equals
-    ``heavy_ball_field`` at the transformed state.
-    """
-    block_dim = objectives[0].dim
-    total = graph.node_count * block_dim
-
-    def field(state: np.ndarray) -> np.ndarray:
-        t = state[-1]
-        if t <= 0.0:
-            raise NonPositiveTime(f"time coordinate {t} is not positive")
-        v = state[:total]
-        y = state[total : 2 * total]
-        x_star = stacked_conjugate(objectives, sqrt_apply(sqrt_lap, y, block_dim))
-        out = np.empty_like(state)
-        out[:total] = -(DAMPING / t) * v - GRADIENT_WEIGHT * sqrt_apply(sqrt_lap, x_star, block_dim)
-        out[total : 2 * total] = v
-        out[-1] = 1.0
-        return out
-
-    return field
-
-
-def _transform_state(state, sqrt_lap, n, block_dim):
-    """Map ``[v, y, t]`` to ``[sqrt(L) v, sqrt(L) y, t]``."""
-    total = n * block_dim
-    out = np.empty_like(np.asarray(state, dtype=float))
-    out[:total] = sqrt_apply(sqrt_lap, state[:total], block_dim)
-    out[total : 2 * total] = sqrt_apply(sqrt_lap, state[total : 2 * total], block_dim)
-    out[-1] = state[-1]
-    return out
 
 
 def _stack_agent_derivatives(graph, objs, states, p):
@@ -147,7 +111,7 @@ def test_untransformed_field_at_origin():
     objs = random_regression_instance(4, 2, 4, seed=4)
     root = sqrt_laplacian(graph)
     state = initial_stacked_state(4, 2)
-    out = _untransformed_field(graph, objs, root)(state)
+    out = untransformed_field(graph, objs, root)(state)
     x0 = stacked_conjugate(objs, np.zeros(8))
     assert np.allclose(out[:8], -4.0 * sqrt_apply(root, x0, 2), atol=1e-14)
     assert np.array_equal(out[8:16], np.zeros(8))
@@ -157,13 +121,13 @@ def test_change_of_variable_commutes_with_field():
     graph = build_graph(Topology("erdos_renyi", 5, edge_probability=0.7, rng_seed=6))
     objs = random_regression_instance(5, 2, 4, seed=6)
     root = sqrt_laplacian(graph)
-    raw = _untransformed_field(graph, objs, root)
+    raw = untransformed_field(graph, objs, root)
     transformed = heavy_ball_field(graph, objs)
     rng = np.random.default_rng(6)
     for _ in range(10):
         state = np.concatenate([rng.normal(size=20), [1.0 + rng.random()]])
-        lhs = _transform_state(raw(state), root, 5, 2)
-        rhs = transformed(_transform_state(state, root, 5, 2))
+        lhs = transform_state(raw(state), root, 5, 2)
+        rhs = transformed(transform_state(state, root, 5, 2))
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 

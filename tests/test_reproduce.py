@@ -1,7 +1,9 @@
 """Figure bundle contracts: trace counts, method sets, slope ordering, output bytes."""
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,11 +52,14 @@ def test_unknown_figure_rejected(tmp_path):
 
 
 # sha256 of every desk output at seed 0: fig1 at a 400-round budget, fig3 at
-# 1000 (the benchmark's workloads).  The bytes depend on the numpy build and
-# on the SIMD kernels it dispatches for the float64 exp and logarithms, so
-# the pin runs only where both match the recording.
+# 1000 (the benchmark's workloads).  The bytes depend on the numpy build, on
+# the SIMD kernels it dispatches for the float64 exp and logarithms, and on
+# the per-CPU kernels of its bundled OpenBLAS (the stacked quadratic
+# conjugate is a matmul), so the pin runs only where all three match the
+# recording and skips, naming what differs, anywhere else.
 _DESK_NUMPY = "2.4.6"
 _DESK_DISPATCH = {"exp": "X86_V4", "log": "X86_V4", "log1p": "X86_V4"}
+_DESK_OPENBLAS_CORE = "SkylakeX"
 _DESK_SHA256 = {
     "fig1_cycle_cgd.csv": "0467d9be612ae441b9921e882d8f3ff98ed4ab07164518e4f65da7ce5dbae0c8",
     "fig1_cycle_dgd.csv": "0baddacf392104d51f2ecdf59c27307d8f0b731e1007fecf17777249bd834860",
@@ -83,11 +88,26 @@ def _float64_dispatch():
     return {name: targets["dd"]["current"] for name, targets in info.items()}
 
 
+def _openblas_core():
+    """The core type numpy's bundled scipy-openblas dispatches to, or None if it has none."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 @pytest.mark.skipif(np.__version__ != _DESK_NUMPY, reason=f"desk digests were recorded with numpy {_DESK_NUMPY}")
 @pytest.mark.parametrize("figure, budget", [("fig1", 400), ("fig3", 1000)])
 def test_desk_outputs_keep_their_recorded_bytes(tmp_path, figure, budget):
-    if _float64_dispatch() != _DESK_DISPATCH:
-        pytest.skip(f"desk digests were recorded with float64 exp/log kernels {_DESK_DISPATCH}")
+    dispatch, core = _float64_dispatch(), _openblas_core()
+    if dispatch != _DESK_DISPATCH:
+        pytest.skip(f"desk digests were recorded with float64 exp/log kernels {_DESK_DISPATCH}, not {dispatch}")
+    if core != _DESK_OPENBLAS_CORE:
+        pytest.skip(f"desk digests were recorded with OpenBLAS core {_DESK_OPENBLAS_CORE}, not {core}")
     paths = reproduce(figure, out_dir=tmp_path, rounds_budget=budget)
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
     assert digests == {name: digest for name, digest in _DESK_SHA256.items() if name.startswith(figure)}
