@@ -306,9 +306,9 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
     does so bitwise for ``block_dim >= 2``).  Rows are gathered one degree
     bucket at a time (:attr:`LaplacianGraph.degree_buckets`), so a star's
     leaves do not pad to the hub's degree and a :func:`disjoint_union` is
-    one pass.  A stacked vector takes one gather per bucket, reduced over
-    its leading slot axis; a ``(K, n p)`` block adds one slot's gather at a
-    time, with no ``(K, width, rows, p)`` buffer.
+    one pass.  A vector takes one gather per bucket, summed over its slot
+    axis; a ``(K, n p)`` block adds one slot's gather at a time.  The run
+    loop calls the same :func:`laplacian_rows` on its own pad buffer.
 
     Parameters
     ----------
