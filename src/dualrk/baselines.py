@@ -171,9 +171,8 @@ def _dual_descent(
     # next plain-descent anchor and the final stack, so each is solved once.
     family = stacked_family(objectives)
     x_stack = stacked_conjugate(family, y_hat)
-    recorder = harness.TraceRecorder(reference, graph, family)
+    recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)
     gaps = [[] for _ in recorder.parts] if record_dual_gap else None
-    max_kres = [0.0] * len(recorder.parts)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             # At k = 1 the momentum anchor z_hat is still y_hat.
@@ -188,14 +187,12 @@ def _dual_descent(
             y_hat = y_new
             harness.check_finite(y_hat, graph, f"{method}: non-finite iterate at iteration {k}", k)
             x_stack = stacked_conjugate(family, y_hat)
-            for i, trace in enumerate(recorder.parts):
+            for part_gaps, trace in zip(gaps or (), recorder.parts):
                 y_part, x_part = y_hat[trace.columns], x_stack[trace.columns]
-                max_kres[i] = max(max_kres[i], kernel_residual(y_part, trace.family.shape[0], p))
-                if gaps is not None:
-                    dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
-                    gaps[i].append(dual + trace.reference.f_star)
-            recorder.push(x_stack, k, k)
-    return recorder.result(x_stack.reshape(n, p), steps, max_kres, gaps)
+                dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
+                part_gaps.append(dual + trace.reference.f_star)
+            recorder.push(x_stack, k, k, y_hat.reshape(n, p))
+    return recorder.result(x_stack.reshape(n, p), steps, gaps)
 
 
 def dual_nag_run(

@@ -29,12 +29,10 @@ monolithic ``[v_hat (np), y_hat (np), t]``         length ``2np + 1``
 
 Starting every agent at ``(0, 0, 1)`` keeps both transformed blocks summing
 to zero across agents in every coordinate, for the whole run; that is the
-kernel-orthogonality invariant tracked by the simulator.
+kernel-orthogonality invariant :func:`kernel_residual` measures.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -73,11 +71,9 @@ def initial_stacked_state(n: int, block_dim: int) -> np.ndarray:
 
 
 def stack_agent_states(states: np.ndarray, block_dim: int) -> np.ndarray:
-    """Concatenate per-agent states into the monolithic layout.
+    """Concatenate per-agent states into the monolithic layout (trajectories and oracles).
 
-    Agent time coordinates must agree (they all integrate ``t' = 1`` with
-    the same step, so they stay identical); the shared value is taken from
-    agent 0.
+    The agents' time coordinates stay identical; the shared value is agent 0's.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[0]
@@ -213,19 +209,19 @@ def transform_state(state: np.ndarray, sqrt_lap: np.ndarray, n: int, block_dim: 
     return out
 
 
-def kernel_residual(stacked_state: np.ndarray, n: int, block_dim: int) -> float:
-    """Worst per-coordinate agent-sum of the transformed blocks.
+def kernel_residual(rows: np.ndarray, block_dim: int) -> np.ndarray:
+    """Worst per-coordinate agent-sum of the transformed blocks, for each of ``K`` iterates.
 
-    ``stacked_state`` is a heavy-ball state ``[v_hat, y_hat, t]`` or, with
-    ``n * block_dim`` entries, a dual iterate ``y_hat`` alone.  Every
-    transformed block lives in the image of ``sqrt(L)``, which is orthogonal
-    to the all-ones kernel, so every coordinate should sum to zero across
-    agents up to roundoff.  Returns the residual normalized by
-    ``1 + ||y_hat||``.
+    ``rows`` is a ``(K, n, w)`` block of agent rows: ``[v_hat_i, y_hat_i]``
+    (``w = 2p``, heavy ball) or ``y_hat_i`` (``w = p``, dual descent).  Every
+    transformed block lives in the image of ``sqrt(L)``, orthogonal to the
+    all-ones kernel, so each coordinate sums to zero across agents up to
+    roundoff.  Each residual is normalized by ``1 + ||y_hat||``; the sums run
+    agent by agent (for ``w >= 2``) and each norm is one BLAS dot, so an
+    iterate's residual does not depend on the iterates batched with it.
     """
-    total = n * block_dim
-    blocks = 1 if len(stacked_state) == total else 2
-    # Row r sums block r (v_hat, then y_hat) agent by agent.
-    sums = np.add.reduce(stacked_state[: blocks * total].reshape(blocks, n, block_dim), axis=1)
-    y_hat = stacked_state[(blocks - 1) * total : blocks * total]
-    return float(np.abs(sums).max() / (1.0 + math.sqrt(y_hat.dot(y_hat))))
+    sums = np.add.reduce(rows, axis=1)
+    y_hat = np.ascontiguousarray(rows[:, :, -block_dim:]).reshape(len(rows), -1)
+    # matmul reduces each (1, m) @ (m, 1) row with the BLAS dot of y_hat.dot(y_hat).
+    norms = np.sqrt(np.matmul(y_hat[:, None, :], y_hat[:, :, None])[:, 0, 0])
+    return np.abs(sums).max(axis=1) / (1.0 + norms)

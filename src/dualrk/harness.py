@@ -7,12 +7,9 @@ and its CSV schema, log-log slope fitting over trace tails, and the
 compactness-ball diagnostics.
 
 Run loops push their iterates into a :class:`TraceRecorder`, which times
-each iteration and evaluates the records a block at a time with
-:func:`evaluate_trace`, or after every iteration for a run with an
-``on_record`` callback, one record list per part of a disjoint union of
-graphs.  Every run loop ends with :meth:`TraceRecorder.result`, the one
-builder of the :class:`RunResult` that every runner returns.  Records are
-unscaled: the CLI applies ``report_style = theorem1``.
+each iteration, evaluates the records a block at a time and builds the
+:class:`RunResult` every runner returns.  Records are unscaled: the CLI
+applies ``report_style = theorem1``.
 """
 
 from __future__ import annotations
@@ -363,10 +360,10 @@ class RunResult:
 
     ``final_state`` holds one row per agent (the heavy-ball agent states, a
     baseline's primal blocks).  ``max_kernel_residual`` is the worst
-    normalized agent-sum of the dual blocks over the run (heavy ball and
-    dual descent; None otherwise), and ``min_primal_entry`` the least
-    primal entry evaluated, logged for simplex families only (None
-    otherwise).  A run on a disjoint union of graphs holds in ``parts``
+    normalized agent-sum of the dual blocks over the run's iterates, taken
+    by the recorder a block at a time (heavy ball and dual descent; None
+    otherwise), and ``min_primal_entry`` the least primal entry evaluated,
+    logged for simplex families only (None otherwise).  A run on a disjoint union of graphs holds in ``parts``
     what each part's run alone returns; its own result has no records, a
     NaN step and the worst part's kernel residual.
     """
@@ -383,14 +380,15 @@ class RunResult:
 
 
 class _PartTrace:
-    """One graph part's rows, problem (a row slice of the run's family), records and least entry."""
+    """One graph part's rows, problem (a row slice of the run's family), records and run extremes."""
 
-    def __init__(self, nodes, p, reference, graph, family):
+    def __init__(self, nodes, p, reference, graph, family, kernel):
         self.nodes, self.columns = nodes, slice(nodes.start * p, nodes.stop * p)
         self.graph, self.family = graph, family
         self.reference = reference if reference is not None else reference_optimum(family)
         self.records: list[MetricsRecord] = []
         self.min_entry: float | None = None
+        self.max_kernel_residual = None if kernel is None else 0.0
 
 
 class TraceRecorder:
@@ -398,9 +396,12 @@ class TraceRecorder:
 
     The run loop pushes its primal iterate once per iteration, and ends with
     :meth:`result`; a full block of :data:`TRACE_BLOCK_BYTES` (of the widest
-    part) flushes on its own.  With ``on_record`` (one-graph runs only)
-    every push flushes and hands the record to the callback, so it fires
-    before the run's next iteration starts.
+    part) flushes on its own.  A run given ``kernel`` (its module's
+    :func:`~dualrk.dynamics.kernel_residual`) pushes its agents' dual rows
+    too, and a flush takes each part's residuals in one call over its
+    ``(K, n_part, w)`` rows.  With ``on_record`` (one-graph runs only) every
+    push flushes and hands the record to the callback before the run's next
+    iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
     and callbacks is left out of every iteration's time.
@@ -409,7 +410,7 @@ class TraceRecorder:
     None is computed with :func:`reference_optimum`), as its run alone is.
     """
 
-    def __init__(self, reference, graph, objectives, on_record=None):
+    def __init__(self, reference, graph, objectives, on_record=None, kernel=None):
         family = stacked_family(objectives)
         n, p = family.shape
         if graph is None:  # a replicated consensus stack: one part, no graph
@@ -417,22 +418,28 @@ class TraceRecorder:
         else:
             rows, references = graph.part_rows, graph.per_part(reference)
         self.parts = [
-            _PartTrace(nodes, p, ref, part, family[nodes]) for (nodes, part), ref in zip(rows, references)
+            _PartTrace(nodes, p, ref, part, family[nodes], kernel) for (nodes, part), ref in zip(rows, references)
         ]
         if on_record is not None and len(self.parts) > 1:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
         width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
         self._block = np.empty((self.capacity, n * p))
+        self._kernel, self._block_dim, self._duals = kernel, p, None
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
         self._rounds = 0
         self._clock = time.perf_counter()
 
-    def push(self, x_stack, iteration: int, comm_rounds: int) -> None:
-        """Copy in one iteration's primal iterate and time; flush once the block is full."""
+    def push(self, x_stack, iteration: int, comm_rounds: int, duals=None) -> None:
+        """Copy in one iteration's primal iterate, dual rows and time; flush once the block is full."""
         wall_time_ms = (time.perf_counter() - self._clock) * 1e3
-        self._block[len(self._stamps)] = x_stack
+        row = len(self._stamps)
+        self._block[row] = x_stack
+        if self._kernel is not None:
+            if self._duals is None:
+                self._duals = np.empty((self.capacity, *np.shape(duals)))
+            self._duals[row] = duals
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
         self._rounds = comm_rounds
         if len(self._stamps) == self.capacity:
@@ -450,31 +457,33 @@ class TraceRecorder:
                 part.records.extend(records)
                 low = float(columns.min())
                 part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
+                if self._kernel is not None:
+                    residuals = self._kernel(self._duals[: len(block), part.nodes], self._block_dim)
+                    part.max_kernel_residual = max(part.max_kernel_residual, float(residuals.max()))
             self._stamps.clear()
             if self._on_record is not None:
                 self._on_record(self.parts[0].records[-1])
 
-    def result(self, final_state, steps, kernel=None, gaps=None, trajectory=None) -> RunResult:
+    def result(self, final_state, steps, gaps=None, trajectory=None) -> RunResult:
         """Flush, and return the run's :class:`RunResult`: the one place a run is split into parts.
 
-        ``final_state`` has a row per agent; ``steps``, ``kernel`` (max kernel
-        residuals) and ``gaps`` (dual gaps) hold one entry per part.  The
-        communication rounds are the last push's.
+        ``final_state`` has a row per agent; ``steps`` and ``gaps`` (dual
+        gaps) hold one entry per part.  The communication rounds are the
+        last push's.
         """
         self.flush()
         simplex = self.parts[0].family.domain == "simplex"
-        unset = [None] * len(self.parts)
         results = [
             RunResult(
-                part.records, final_state[part.nodes], self._rounds, step, kres,
+                part.records, final_state[part.nodes], self._rounds, step, part.max_kernel_residual,
                 part.min_entry if simplex else None, part_gaps,
             )
-            for part, step, kres, part_gaps in zip(self.parts, steps, kernel or unset, gaps or unset)
+            for part, step, part_gaps in zip(self.parts, steps, gaps or [None] * len(self.parts))
         ]
         if len(results) == 1:
             results[0].trajectory = trajectory
             return results[0]
-        worst = max(kernel) if kernel else None
+        worst = None if self._kernel is None else max(part.max_kernel_residual for part in self.parts)
         return RunResult([], final_state, self._rounds, float("nan"), worst, trajectory=trajectory, parts=results)
 
 

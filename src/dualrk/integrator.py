@@ -10,10 +10,11 @@ previously computed stages.  Time never appears explicitly: fields that need
 it carry time inside the state vector with derivative one, which is why the
 tableaux need no node coefficients.
 
-Both sums are :func:`rk_combine`, which accumulates left to right.  The
-network simulator and its per-agent oracle call it on their ``(n, 2p + 1)``
-agent states, so the distributed and monolithic trajectories share one
-arithmetic and stay bitwise comparable.
+Both sums are :func:`rk_combine`, which adds the terms of nonzero weight
+left to right (a derivative of zero weight is never read, so its caller
+checks it).  The simulator and its per-agent oracle call it on their
+``(n, 2p + 1)`` agent states, so the distributed and monolithic
+trajectories share one arithmetic and stay bitwise comparable.
 """
 
 from __future__ import annotations
@@ -148,12 +149,14 @@ def format_tableau(tab: ButcherTableau) -> str:
 def rk_combine(state, step, weights, derivatives):
     """``state + step * sum_j weights[j] * derivatives[j]``: a stage point or a step's end state.
 
-    The sum runs over ``len(weights)`` derivatives, left to right.
+    The sum runs over the first ``len(weights)`` derivatives, left to right,
+    and skips every zero weight; with no nonzero weight it is ``state``.
     """
-    acc = weights[0] * derivatives[0]
-    for j in range(1, len(weights)):
-        acc = acc + weights[j] * derivatives[j]
-    return state + step * acc
+    acc = None
+    for j, weight in enumerate(weights):
+        if weight:
+            acc = weight * derivatives[j] if acc is None else acc + weight * derivatives[j]
+    return state if acc is None else state + step * acc
 
 
 def rk_step(tab: ButcherTableau, vector_field, state: np.ndarray, step: float) -> np.ndarray:

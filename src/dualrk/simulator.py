@@ -16,10 +16,11 @@ Row ``i`` of each operation is agent ``i``'s own computation, so any
 schedule honoring the stage barrier gives the same result.  The conjugate
 solved at an iteration's end state (the primal iterate its metrics use) is
 reused as the first stage of the next iteration, which starts at that same
-state, so a run makes ``n (S N + 1)`` conjugate evaluations.  The metric
-records of those iterates are evaluated in blocks by a
-:class:`~dualrk.harness.TraceRecorder`, or before the next iteration starts
-when ``on_record`` is given; the recorder also times each iteration.
+state, so a run makes ``n (S N + 1)`` conjugate evaluations.  Each
+iteration pushes that iterate and the agents' ``[v_hat, y_hat]`` rows into
+a :class:`~dualrk.harness.TraceRecorder`, which times the iteration and,
+a block at a time (or before the next iteration when ``on_record`` is
+given), evaluates the metric records and the kernel-sum residual.
 
 On a :func:`~dualrk.graph.disjoint_union` one round serves every part,
 each at its own step (a per-row array: a broadcast multiply is the same
@@ -29,7 +30,9 @@ At the desk shape a round costs numpy per-call overhead more than
 arithmetic, so a run binds its :func:`~dualrk.objectives.stacked_family`,
 the degree-bucket plan, one pad buffer and one ``(S, n, 2p + 1)`` stage
 derivative array once, and checks finiteness once per iteration, over the
-stage derivatives and then the end state (only a failure seeks its stage).
+stage derivatives (the one check that sees a stage of zero weight, whose
+term :func:`~dualrk.integrator.rk_combine` skips) and then the end state;
+only a failure seeks its stage.
 
 Two reference paths check the engine:
 
@@ -41,10 +44,7 @@ Two reference paths check the engine:
   :func:`~dualrk.dynamics.heavy_ball_field` with
   :func:`~dualrk.integrator.integrate`.
 
-Both oracles return only the stacked trajectory; the engine returns a
-:class:`~dualrk.harness.RunResult`, like every baseline.
-
-All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
+Both return only the stacked trajectory.  All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
 the tests and the invariant suite require trajectories equal to 1e-12
 relative.  In fact they agree bitwise whenever ``p >= 2``; at ``p = 1``
 the per-agent oracle's numpy neighbor sum may run pairwise.
@@ -140,10 +140,8 @@ def run_heavy_ball(
 ) -> harness.RunResult:
     """Execute the distributed method for ``num_iterations`` iterations.
 
-    Deterministic given graph, objectives, and parameters.  Each round is
-    executed for all agents at once (see the module docstring); row ``i``
-    of every operation reads only agent ``i``'s state and its neighbors'
-    broadcasts from the same round.
+    Deterministic given graph, objectives, and parameters; each round runs
+    for all agents at once, as the module docstring describes.
 
     Parameters
     ----------
@@ -187,10 +185,9 @@ def run_heavy_ball(
     states = initial_agent_states(n, p)
     # Every round writes its stage derivatives into its slot (finite until one overflows).
     derivs = np.zeros((stages, n, 2 * p + 1))
-    recorder = harness.TraceRecorder(reference, graph, family, on_record)
+    recorder = harness.TraceRecorder(reference, graph, family, on_record, kernel_residual)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
-    max_kres = [0.0] * len(steps)
 
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
@@ -218,16 +215,13 @@ def run_heavy_ball(
             states = rk_combine(states, h, b, derivs)
             harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
 
-            for i, (nodes, part) in enumerate(graph.part_rows):
-                part_kres = kernel_residual(stack_agent_states(states[nodes], p), part.node_count, p)
-                max_kres[i] = max(max_kres[i], part_kres)
             x_stack = primal_extract(states, family)
-            recorder.push(x_stack, k, rounds)
+            recorder.push(x_stack, k, rounds, states[:, : 2 * p])
             if trajectory is not None:
                 trajectory.append(stack_agent_states(states, p))
 
     trajectory = np.array(trajectory) if trajectory is not None else None
-    return recorder.result(states, steps, max_kres, trajectory=trajectory)
+    return recorder.result(states, steps, trajectory=trajectory)
 
 
 def run_heavy_ball_per_agent(
@@ -239,13 +233,9 @@ def run_heavy_ball_per_agent(
 ) -> np.ndarray:
     """Stacked trajectory of the per-agent reference round (test oracle).
 
-    Runs the rounds agent by agent: at every stage each agent calls its own
-    ``conjugate_argmax``, the solutions go to a mailbox, and each agent
-    evaluates :func:`~dualrk.dynamics.agent_field` from the mailbox.  It uses
-    no stacked evaluation and no Laplacian apply, and solves ``S + 1``
-    sweeps per iteration, so it checks :func:`run_heavy_ball` independently.
-    Returns the ``(num_iterations + 1, 2np + 1)`` trajectory in the
-    monolithic layout.
+    Runs the rounds agent by agent through a mailbox of broadcasts (see the
+    module docstring), solving ``S + 1`` sweeps per iteration, and returns
+    the ``(num_iterations + 1, 2np + 1)`` trajectory in the monolithic layout.
     """
     n = graph.node_count
     p = objectives[0].dim

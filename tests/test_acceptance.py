@@ -175,7 +175,8 @@ def test_kernel_sums_across_matrix(equivalence_runs, rate_runs, baseline_runs):
     runs, _ = equivalence_runs
     for sim, mono, _oracle, n, p in runs:
         assert sim.max_kernel_residual <= 1e-9
-        assert max(dualrk.kernel_residual(state, n, p) for state in mono[1:]) <= 1e-9
+        agent_rows = mono[1:, :-1].reshape(-1, 2, n, p).transpose(0, 2, 1, 3).reshape(-1, n, 2 * p)
+        assert dualrk.kernel_residual(agent_rows, p).max() <= 1e-9
     sweeps, _ = rate_runs
     for result in sweeps.values():
         assert result.max_kernel_residual <= 1e-9

@@ -145,15 +145,15 @@ def test_non_positive_time_raises():
 
 
 def test_kernel_residual_detects_drift():
-    state = initial_stacked_state(4, 2)
-    assert kernel_residual(state, 4, 2) == 0.0
+    rows = initial_agent_states(4, 2)[None, :, :4]  # [v_hat_i, y_hat_i] of each agent
+    assert kernel_residual(rows, 2).tolist() == [0.0]
     rng = np.random.default_rng(8)
     blocks = rng.normal(size=(4, 2))
     blocks -= blocks.mean(axis=0)  # zero agent-sums
-    state[8:16] = blocks.reshape(-1)
-    assert kernel_residual(state, 4, 2) <= 1e-15
-    state[8] += 1.0  # inject drift
-    assert kernel_residual(state, 4, 2) > 0.01
+    rows[0, :, 2:] = blocks
+    assert kernel_residual(rows, 2)[0] <= 1e-15
+    rows[0, 0, 2] += 1.0  # inject drift
+    assert kernel_residual(rows, 2)[0] > 0.01
 
 
 @pytest.mark.parametrize("n, p", [(1, 1), (5, 3), (20, 10), (100, 100)])
@@ -161,4 +161,5 @@ def test_kernel_residual_of_a_dual_iterate_matches_the_agent_sum_formula(n, p):
     rng = np.random.default_rng(n + p)
     y_hat = rng.normal(size=n * p) * 10.0 ** rng.uniform(-6, 6, size=n * p)
     sums = np.abs(y_hat.reshape(n, p).sum(axis=0)).max()
-    assert repr(kernel_residual(y_hat, n, p)) == repr(float(sums / (1.0 + np.sqrt(y_hat.dot(y_hat)))))
+    (got,) = kernel_residual(y_hat.reshape(1, n, p), p).tolist()
+    assert repr(got) == repr(float(sums / (1.0 + np.sqrt(y_hat.dot(y_hat)))))

@@ -153,15 +153,20 @@ def test_divergence_reports_iteration():
         (1, 4, 1e306, "non-finite state at iteration 2", 2),
         # Stage 3's time is negative: stage 2's overflow is still what is reported.
         (None, 3, 1e308, "non-finite stage derivative at iteration 1, stage 2", 1),
+        # Stage 2 overflows with zero weight in b and in stage 3's row, so no
+        # stage point or end state sees it; the end state overflows only at
+        # iteration 2.  Only the stage-derivative check names it.
+        ("zero_weight", 3, 1e300, "non-finite stage derivative at iteration 1, stage 2", 1),
     ],
 )
 def test_divergence_names_the_first_non_finite_stage(order, iterations, h0, message, iteration):
     cycle, star = build_graph(Topology("cycle", 4)), build_graph(Topology("star", 5))
     quad = random_regression_instance(4, 3, 5, seed=1, ridge=1e-3)
-    if order is None:
-        tab = ButcherTableau(order=1, a=((), (0.5,), (0.0, -1.0)), b=(1.0, 0.0, 0.0))
-    else:
-        tab = tableau_for_order(order)
+    custom = {
+        None: ButcherTableau(order=1, a=((), (0.5,), (0.0, -1.0)), b=(1.0, 0.0, 0.0)),
+        "zero_weight": ButcherTableau(order=1, a=((), (1e10,), (0.0, 0.0)), b=(1.0, 0.0, 0.0)),
+    }
+    tab = custom[order] if order in custom else tableau_for_order(order)
     with pytest.raises(NonFiniteState) as info:
         run_heavy_ball(cycle, quad, tab, iterations, h0=h0)
     assert (str(info.value), info.value.iteration, info.value.parts) == (message, iteration, (0,))

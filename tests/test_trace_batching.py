@@ -9,15 +9,17 @@ bytes of a trace must not depend on how its records were batched or where
 they were scaled.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from dualrk import cli, simulator
+from dualrk import baselines, cli, simulator
 from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_nag_run
 from dualrk.config import load_config, resolve_instance
-from dualrk.graph import Topology, build_graph, laplacian_apply
+from dualrk.dynamics import kernel_residual
+from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
 from dualrk.harness import (
     CSV_COLUMNS,
     TRACE_BLOCK_BYTES,
@@ -370,3 +372,113 @@ def test_min_primal_entry_covers_every_iterate():
     total = N_AGENTS * DIM
     want = min(float(stacked_conjugate(objs, s[total : 2 * total]).min()) for s in result.trajectory[1:])
     assert result.min_primal_entry == want
+
+
+# Kernel-sum residuals are taken a recorder block at a time.  The oracles
+# below walk the iterates one by one: the one-row kernel_residual and a
+# test-local copy of the one-iterate residual the run loops computed before,
+# on the stacked [v_hat, y_hat, t] (or y_hat) layout.
+def _old_kernel_residual(stacked, n, p):
+    total = n * p
+    blocks = 1 if len(stacked) == total else 2
+    sums = np.add.reduce(stacked[: blocks * total].reshape(blocks, n, p), axis=1)
+    y_hat = stacked[(blocks - 1) * total : blocks * total]
+    return float(np.abs(sums).max() / (1.0 + math.sqrt(y_hat.dot(y_hat))))
+
+
+def _kernel_oracles(rows_per_iterate, p):
+    """Max of the one-row residual and of the old formula over ``(n, w)`` agent rows."""
+    one_row, old = 0.0, 0.0
+    for rows in rows_per_iterate:
+        (value,) = kernel_residual(rows[None], p).tolist()
+        one_row = max(one_row, value)
+        stacked = np.concatenate([rows[:, :p].ravel(), rows[:, p:].ravel(), [1.0]]) if rows.shape[1] > p else rows.ravel()
+        old = max(old, _old_kernel_residual(stacked, len(rows), p))
+    return one_row, old
+
+
+def _three_part_union():
+    sizes = (N_AGENTS, 12, 9)  # the widest part sets K = 16
+    graphs = [
+        build_graph(Topology(kind, n, edge_probability=0.5, rng_seed=n))
+        for kind, n in zip(("star", "cycle", "erdos_renyi"), sizes)
+    ]
+    objs = [obj for n in sizes for obj in random_kl_instance(n, DIM, seed=n)]
+    return disjoint_union(graphs), objs
+
+
+def _heavy_ball_rows(trajectory, n, p):
+    """Per iterate, the ``(n, 2p)`` agent rows ``[v_hat_i, y_hat_i]`` of a stacked trajectory."""
+    return trajectory[1:, :-1].reshape(-1, 2, n, p).transpose(0, 2, 1, 3).reshape(-1, n, 2 * p)
+
+
+def _dual_nag_y_hats(graph, objs, steps, num_iterations):
+    n, p = graph.node_count, DIM
+    step = graph.node_values(steps)
+    y_hat = y_prev = z_hat = np.zeros(n * p)
+    for k in range(1, num_iterations + 1):
+        lap = laplacian_apply(graph, stacked_conjugate(objs, z_hat), p).reshape(n, p)
+        y_hat = z_hat - (step * lap).reshape(-1)
+        z_hat = y_hat + ((k - 1.0) / (k + 2.0)) * (y_hat - y_prev)
+        y_prev = y_hat
+        yield y_hat
+
+
+@pytest.mark.parametrize("num_iterations", [K - 1, K, K + 1])
+def test_union_kernel_residuals_are_bitwise_the_one_iterate_values(num_iterations):
+    union, objs = _three_part_union()
+    tab = tableau("rk4")
+    h0s = [suggested_h0(part, objs[nodes], tab, num_iterations) for nodes, part in union.part_rows]
+    heavy = run_heavy_ball(union, objs, tab, num_iterations, h0=h0s, keep_trajectory=True)
+    rows = _heavy_ball_rows(heavy.trajectory, union.node_count, DIM)
+    steps = [0.5 / part.lambda_max for part in union.parts]
+    nag = dual_nag_run(union, objs, steps, num_iterations)
+    y_hats = list(_dual_nag_y_hats(union, objs, steps, num_iterations))
+    # The local loop is the run's: its last iterate gives the run's end state.
+    assert stacked_conjugate(objs, y_hats[-1]).tobytes() == nag.final_state.tobytes()
+    for result, per_iterate in ((heavy, rows), (nag, [y.reshape(-1, DIM) for y in y_hats])):
+        assert len(result.parts) == 3
+        for part, (nodes, _) in zip(result.parts, union.part_rows):
+            one_row, old = _kernel_oracles([r[nodes] for r in per_iterate], DIM)
+            assert repr(part.max_kernel_residual) == repr(one_row) == repr(old)
+        assert result.max_kernel_residual == max(part.max_kernel_residual for part in result.parts)
+
+
+def test_kernel_residual_with_on_record_is_the_blocked_value():
+    graph = build_graph(Topology("erdos_renyi", N_AGENTS, edge_probability=0.3, rng_seed=5))
+    objs = random_kl_instance(N_AGENTS, DIM, seed=5)
+    tab = tableau("rk4")
+    h0 = suggested_h0(graph, objs, tab, K + 1)
+    seen = []
+    streamed = run_heavy_ball(graph, objs, tab, K + 1, h0=h0, keep_trajectory=True, on_record=seen.append)
+    one_row, old = _kernel_oracles(_heavy_ball_rows(streamed.trajectory, N_AGENTS, DIM), DIM)
+    blocked = run_heavy_ball(graph, objs, tab, K + 1, h0=h0)
+    assert len(seen) == K + 1
+    assert repr(streamed.max_kernel_residual) == repr(blocked.max_kernel_residual) == repr(one_row) == repr(old)
+
+
+@pytest.mark.parametrize("num_iterations", [1, K, K + 1, 2 * K + 3])
+def test_kernel_residual_runs_once_per_block_and_part(monkeypatch, num_iterations):
+    union, objs = _three_part_union()
+    calls = []
+
+    def counted(rows, block_dim):
+        calls.append(rows.shape)
+        return kernel_residual(rows, block_dim)
+
+    monkeypatch.setattr(simulator, "kernel_residual", counted)
+    monkeypatch.setattr(baselines, "kernel_residual", counted)
+    tab = tableau("rk4")
+    blocks = math.ceil(num_iterations / K)
+    sizes = [part.node_count for part in union.parts]
+    run_heavy_ball(union, objs, tab, num_iterations, h0=0.1)
+    assert len(calls) == 3 * blocks
+    assert sorted({shape[1:] for shape in calls}) == sorted((n, 2 * DIM) for n in sizes)
+    calls.clear()
+    dual_nag_run(union, objs, 0.01, num_iterations)
+    assert len(calls) == 3 * blocks
+    assert sorted({shape[1:] for shape in calls}) == sorted((n, DIM) for n in sizes)
+    calls.clear()
+    graph = union.parts[0]
+    run_heavy_ball(graph, objs[:N_AGENTS], tab, num_iterations, h0=0.1, on_record=lambda _: None)
+    assert len(calls) == num_iterations  # every push flushes
