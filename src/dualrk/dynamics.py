@@ -222,6 +222,5 @@ def kernel_residual(rows: np.ndarray, block_dim: int) -> np.ndarray:
     """
     sums = np.add.reduce(rows, axis=1)
     y_hat = np.ascontiguousarray(rows[:, :, -block_dim:]).reshape(len(rows), -1)
-    # matmul reduces each (1, m) @ (m, 1) row with the BLAS dot of y_hat.dot(y_hat).
     norms = np.sqrt(np.matmul(y_hat[:, None, :], y_hat[:, :, None])[:, 0, 0])
     return np.abs(sums).max(axis=1) / (1.0 + norms)

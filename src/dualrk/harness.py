@@ -363,9 +363,10 @@ class RunResult:
     normalized agent-sum of the dual blocks over the run's iterates, taken
     by the recorder a block at a time (heavy ball and dual descent; None
     otherwise), and ``min_primal_entry`` the least primal entry evaluated,
-    logged for simplex families only (None otherwise).  A run on a disjoint union of graphs holds in ``parts``
-    what each part's run alone returns; its own result has no records, a
-    NaN step and the worst part's kernel residual.
+    logged for simplex families only (None otherwise).  A run on a
+    disjoint union of graphs holds in ``parts`` what each part's run alone
+    returns; its own result has no records, a NaN step and the worst
+    part's kernel residual.
     """
 
     records: list[MetricsRecord]
@@ -434,12 +435,11 @@ class TraceRecorder:
     def push(self, x_stack, iteration: int, comm_rounds: int, duals=None) -> None:
         """Copy in one iteration's primal iterate, dual rows and time; flush once the block is full."""
         wall_time_ms = (time.perf_counter() - self._clock) * 1e3
-        row = len(self._stamps)
-        self._block[row] = x_stack
+        self._block[len(self._stamps)] = x_stack
         if self._kernel is not None:
             if self._duals is None:
                 self._duals = np.empty((self.capacity, *np.shape(duals)))
-            self._duals[row] = duals
+            self._duals[len(self._stamps)] = duals
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
         self._rounds = comm_rounds
         if len(self._stamps) == self.capacity:

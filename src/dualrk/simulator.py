@@ -44,10 +44,11 @@ Two reference paths check the engine:
   :func:`~dualrk.dynamics.heavy_ball_field` with
   :func:`~dualrk.integrator.integrate`.
 
-Both return only the stacked trajectory.  All three combine stages with :func:`~dualrk.integrator.rk_combine`, and
-the tests and the invariant suite require trajectories equal to 1e-12
-relative.  In fact they agree bitwise whenever ``p >= 2``; at ``p = 1``
-the per-agent oracle's numpy neighbor sum may run pairwise.
+Both return only the stacked trajectory.  All three combine stages with
+:func:`~dualrk.integrator.rk_combine`, and the tests and the invariant
+suite require trajectories equal to 1e-12 relative.  In fact they agree
+bitwise whenever ``p >= 2``; at ``p = 1`` the per-agent oracle's numpy
+neighbor sum may run pairwise.
 """
 
 from __future__ import annotations

@@ -392,7 +392,8 @@ def _kernel_oracles(rows_per_iterate, p):
     for rows in rows_per_iterate:
         (value,) = kernel_residual(rows[None], p).tolist()
         one_row = max(one_row, value)
-        stacked = np.concatenate([rows[:, :p].ravel(), rows[:, p:].ravel(), [1.0]]) if rows.shape[1] > p else rows.ravel()
+        heavy_ball = rows.shape[1] > p  # [v_hat_i, y_hat_i] rows; a dual iterate's are y_hat_i
+        stacked = np.concatenate([rows[:, :p].ravel(), rows[:, p:].ravel(), [1.0]]) if heavy_ball else rows.ravel()
         old = max(old, _old_kernel_residual(stacked, len(rows), p))
     return one_row, old
 
