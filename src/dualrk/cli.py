@@ -35,7 +35,7 @@ from .config import ExperimentConfig, load_config, resolve_instance
 from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
 from .graph import Topology, build_graph, disjoint_union
 from .integrator import tableau_for_order
-from .objectives import random_kl_instance, random_regression_instance
+from .objectives import random_kl_instance, random_regression_instance, stacked_family
 from .simulator import run_heavy_ball, step_size, suggested_h0
 
 __all__ = ["main", "run_experiment", "reproduce", "verify"]
@@ -276,15 +276,16 @@ def reproduce(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds, graphs, objectives, runs = _figure_cells(figure, scale, seed)
-    references = []
+    family, references = stacked_family(objectives), []  # every graph kind certifies this one instance
     for _ in kinds:
-        reference = harness.reference_optimum(objectives)
-        deviation = harness.verify_reference(objectives, reference)
+        reference = harness.reference_optimum(family)
+        deviation = harness.verify_reference(family, reference)
         if deviation > 1e-9:
             raise DualRKError(
                 f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
             )
         references.append(reference)
+    del family  # each run stacks its own: holding this one through the runs raises their peak memory
     union = disjoint_union(graphs)
     cells = {}  # (kind, method, order) -> (trace name, fits)
     for method, order in runs:

@@ -124,19 +124,20 @@ def round_field(points: np.ndarray, lap_rows: np.ndarray, out: np.ndarray) -> np
 
     ``points`` holds one ``[v_hat, y_hat, t]`` stage point per agent, shape
     ``(n, 2p + 1)``, and ``lap_rows`` the matching ``(n, p)`` rows of
-    ``(L (x) I_p) x*``.  The derivatives are written into ``out``, an array
-    of the shape of ``points`` (the simulator passes its preallocated stage
-    slot), which is returned.  Row ``i`` of the result is bitwise equal to
-    :func:`agent_field` for agent ``i`` given the same Laplacian row.
+    ``(L (x) I_p) x*``, which it scales in place.  The derivatives are
+    written into ``out`` (the simulator's stage slot), which is returned.
+    Row ``i`` of the result is bitwise equal to :func:`agent_field` for
+    agent ``i`` given the same Laplacian row.
     """
     block_dim = lap_rows.shape[1]
     t = points[:, -1:]
-    if t.min() <= 0.0:
+    if np.minimum.reduce(t, axis=None) <= 0.0:  # t.min() without ndarray.min's Python wrapper
         raise NonPositiveTime(f"time coordinate {float(t.min())} is not positive")
     v_hat = points[:, :block_dim]
     # (-DAMPING) / t is -(DAMPING / t) exactly: negation commutes with rounding.
     dv_hat = np.multiply((-DAMPING) / t, v_hat, out=out[:, :block_dim])
-    dv_hat -= GRADIENT_WEIGHT * lap_rows
+    lap_rows *= GRADIENT_WEIGHT  # GRADIENT_WEIGHT * x, bitwise
+    dv_hat -= lap_rows
     out[:, block_dim : 2 * block_dim] = v_hat
     out[:, -1] = 1.0
     return out

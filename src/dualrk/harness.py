@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric, SingularSystem
 from .graph import LaplacianGraph, laplacian_apply
-from .objectives import stacked_conjugate, stacked_family, stacked_gradient, stacked_value
+from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_gradient, stacked_value
 
 __all__ = [
     "CSV_COLUMNS",
@@ -183,11 +183,11 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     a step moves the iterate by at most 1e-15 relative.  Simplex iterates are
     floored at 1e-16 (then renormalized) to keep the entropy gradient finite;
     gradients are taken at points floored at 1e-12, as an extrapolated point
-    may leave the simplex.
+    may leave the simplex.  ``objectives`` is one family, listed or stacked.
     """
-    simplex = objectives[0].domain == "simplex"
-    n, family = len(objectives), stacked_family(objectives)
-    x = objectives[0].initial_point()
+    family = stacked_family(objectives)
+    (n, p), simplex = family.shape, family.domain == "simplex"
+    x = np.full(p, 1.0 / p) if simplex else np.zeros(p)  # the members' initial_point()
     # The shared variable replicated to every block, through the stacked
     # kernels; one buffer is rewritten for every evaluation.
     replicated = np.empty((n, x.size))
@@ -205,9 +205,8 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
         return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
 
     def feasible(v):
-        v = objectives[0].project(v)
-        if simplex:
-            v = np.maximum(v, 1e-16)
+        if simplex:  # the members' project(); the reals need none
+            v = np.maximum(project_to_simplex(v), 1e-16)
             v = v / v.sum()
         return v
 
@@ -281,7 +280,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
 
 
 def verify_reference(objectives, reference: ReferenceOptimum) -> float:
-    """Distance between the closed-form optimum and the projected-gradient oracle."""
+    """Distance between the closed-form optimum and the projected-gradient oracle (one family, list or stacked)."""
     x_oracle, _ = projected_gradient_optimum(objectives)
     return float(np.linalg.norm(reference.x_star - x_oracle))
 

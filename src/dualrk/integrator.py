@@ -146,17 +146,21 @@ def format_tableau(tab: ButcherTableau) -> str:
     return "\n".join(lines)
 
 
-def rk_combine(state, step, weights, derivatives):
+def rk_combine(state, step, weights, derivatives, out=None):
     """``state + step * sum_j weights[j] * derivatives[j]``: a stage point or a step's end state.
 
     The sum runs over the first ``len(weights)`` derivatives, left to right,
-    and skips every zero weight; with no nonzero weight it is ``state``.
+    skips every zero weight and each unit weight's exact product; with no
+    nonzero weight it is ``state``.  ``out`` (``state`` allowed) receives it.
     """
     acc = None
     for j, weight in enumerate(weights):
         if weight:
-            acc = weight * derivatives[j] if acc is None else acc + weight * derivatives[j]
-    return state if acc is None else state + step * acc
+            term = derivatives[j] if weight == 1.0 else weight * derivatives[j]
+            acc = term if acc is None else acc + term
+    if acc is None:
+        return state if out is None else np.copyto(out, state) or out  # copyto returns None
+    return np.add(state, step * acc, out=out)
 
 
 def rk_step(tab: ButcherTableau, vector_field, state: np.ndarray, step: float) -> np.ndarray:

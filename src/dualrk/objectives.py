@@ -250,15 +250,17 @@ def _rel_entr(x, q):
     return np.where(x == 0, 0.0, np.where(x < 0, np.inf, terms))
 
 
-def _quadratic_conjugate(inverse, shift, z):
-    """Rows ``inverse_i (z_i + shift_i)`` for stacked ``(g, p, p)`` inverses."""
-    return np.matmul(inverse, (z + shift)[..., None])[..., 0]
+def _quadratic_conjugate(inverse, shift, z, out=None):
+    """Rows ``inverse_i (z_i + shift_i)`` for stacked ``(g, p, p)`` inverses, written into ``out`` if given."""
+    return np.matmul(inverse, (z + shift)[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
-def _kl_conjugate(reference, z):
-    """Row-wise softmax reweighting of stacked ``(g, p)`` references."""
-    w = reference * np.exp(z - z.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+def _kl_conjugate(reference, z, out=None):
+    """Row-wise softmax reweighting of stacked ``(g, p)`` references, built in ``out`` if given."""
+    w = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    np.exp(w, out=w)
+    w *= reference  # reference * e, bitwise
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
 class _Family:
@@ -286,8 +288,8 @@ class _QuadraticFamily(_Family):
         self.shift = np.stack([m._shift for m in members])
         self.offset = np.array([m._offset for m in members])
 
-    def conjugate(self, z):
-        return _quadratic_conjugate(self.inverse, self.shift, z)
+    def conjugate(self, z, out=None):
+        return _quadratic_conjugate(self.inverse, self.shift, z, out)
 
     def values(self, x):
         hx = np.matmul(self.hessian, x[..., None])[..., 0]
@@ -306,8 +308,8 @@ class _KLFamily(_Family):
     def __init__(self, members):
         self.reference = np.stack([m.reference for m in members])
 
-    def conjugate(self, z):
-        return _kl_conjugate(self.reference, z)
+    def conjugate(self, z, out=None):
+        return _kl_conjugate(self.reference, z, out)
 
     def values(self, x):
         return _rel_entr(x, self.reference).sum(axis=-1)
@@ -354,14 +356,19 @@ def _per_block(kernel: str, objectives, x):
     return getattr(family, kernel)(rows).reshape(*rows.shape[:-2], -1)
 
 
-def stacked_conjugate(objectives, z: np.ndarray) -> np.ndarray:
+def stacked_conjugate(objectives, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-block conjugate maximizers of a stacked vector.
 
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
     bitwise: the list's family solves all of its blocks in one array
     operation, of which the per-object method is the one-row case, and that
     operation's result is returned as it is.  The list holds one family.
+
+    ``out``, an ``(n, p)`` array, receives block ``i`` as row ``i`` and is
+    returned; ``z`` may then be ``(n, p)`` rows, e.g. a strided column view.
     """
+    if out is not None:
+        return stacked_family(objectives).conjugate(np.asarray(z).reshape(out.shape), out)
     if isinstance(objectives, _Family):  # a run loop's bound family skips the list scan
         n, p = objectives.shape
         if np.shape(z) == (n * p,):  # and, for one stacked vector, the batch reshapes

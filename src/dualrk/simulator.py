@@ -28,11 +28,13 @@ IEEE operation per element), so each part's result is its run alone's.
 
 At the desk shape a round costs numpy per-call overhead more than
 arithmetic, so a run binds its :func:`~dualrk.objectives.stacked_family`,
-the degree-bucket plan, one pad buffer and one ``(S, n, 2p + 1)`` stage
-derivative array once, and checks finiteness once per iteration, over the
-stage derivatives (the one check that sees a stage of zero weight, whose
-term :func:`~dualrk.integrator.rk_combine` skips) and then the end state;
-only a failure seeks its stage.
+the degree-bucket plan and its buffers once, and every kernel writes into
+them through ``out=``: the conjugate solves the stage points' strided
+``y_hat`` straight into the pad buffer's first ``n`` rows (the broadcasts).
+The stage derivatives and the end state share one ``(S + 1, n, 2p + 1)``
+slab, so one finiteness check covers an iteration (a zero-weight stage,
+which :func:`~dualrk.integrator.rk_combine` skips, included); only a
+failure seeks its stage.  A result copies the state it returns.
 
 Two reference paths check the engine:
 
@@ -122,7 +124,8 @@ def primal_extract(agent_states: np.ndarray, objectives) -> np.ndarray:
     """Stacked conjugate solutions at the dual blocks of ``(n, 2p + 1)`` per-agent states.
 
     At an iteration's end state this is the primal iterate all metrics are
-    computed on; each block is an agent-local computation.
+    computed on (the run loop solves it into its broadcast buffer instead);
+    each block is an agent-local computation.
     """
     block_dim = np.shape(agent_states)[1] // 2
     y_hat = np.asarray(agent_states)[:, block_dim : 2 * block_dim].reshape(-1)
@@ -178,14 +181,18 @@ def run_heavy_ball(
     h = graph.node_values(steps)
     stages = tableau.stages
     a, b = tableau.a, tableau.b
-    # Bound once per run; the pad buffer's first n rows take the broadcasts.
+    # Bound once per run: the pad buffer's first n rows take the broadcasts, and one
+    # slab holds the stage derivatives and then the state (one finiteness check).
     family = stacked_family(objectives)
     p = family.shape[1]
-    plan, padded = graph.degree_buckets, np.full((n + 1, p), -0.0)
-
-    states = initial_agent_states(n, p)
-    # Every round writes its stage derivatives into its slot (finite until one overflows).
-    derivs = np.zeros((stages, n, 2 * p + 1))
+    plan, padded, lap_rows = graph.degree_buckets, np.full((n + 1, p), -0.0), np.empty((n, p))
+    broadcast, points = padded[:n], np.empty((n, 2 * p + 1))
+    slab = np.zeros((stages + 1, n, 2 * p + 1))
+    derivs, states = slab[:stages], slab[stages]
+    states[:] = initial_agent_states(n, p)
+    # Per stage: its point (stage 0 sits at the state), the point's y_hat columns, its derivative slot.
+    stage_rows = [(x, x[:, p : 2 * p], slot) for x, slot in zip([states] + [points] * (stages - 1), derivs)]
+    state_y_hat, duals, x_stack = stage_rows[0][1], states[:, : 2 * p], broadcast.reshape(-1)
     recorder = harness.TraceRecorder(reference, graph, family, on_record, kernel_residual)
     trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
     rounds = 0
@@ -195,34 +202,33 @@ def run_heavy_ball(
     with np.errstate(over="ignore", invalid="ignore"):
         # Stage 0 of every iteration sits at the current state, whose
         # conjugate the previous iteration already solved for its metrics.
-        x_stack = primal_extract(states, family)
+        stacked_conjugate(family, state_y_hat, out=broadcast)
         for k in range(1, num_iterations + 1):
+            finite = False
             try:
-                for l in range(stages):
-                    if l == 0:
-                        points, x_star = states, x_stack
-                    else:
-                        points = rk_combine(states, h, a[l], derivs)
-                        x_star = primal_extract(points, family)
+                for l, (point, y_hat, slot) in enumerate(stage_rows):
+                    if l:
+                        rk_combine(states, h, a[l], derivs, out=point)
+                        stacked_conjugate(family, y_hat, out=broadcast)
                     # One broadcast round, then every agent's field slice.
                     rounds += 1
-                    padded[:n] = x_star.reshape(n, p)
-                    round_field(points, laplacian_rows(plan, padded), derivs[l])
-            finally:  # one check per iteration, also when a stage raised; a failure finds its stage
-                if not np.isfinite(derivs).all():
+                    round_field(point, laplacian_rows(plan, padded, lap_rows), slot)
+                rk_combine(states, h, b, derivs, out=states)
+                finite = np.isfinite(slab).all()
+            finally:  # one check per iteration; a failure (or a stage that raised) seeks its stage
+                if not finite:
                     for l in range(stages):
                         message = f"non-finite stage derivative at iteration {k}, stage {l + 1}"
                         harness.check_finite(derivs[l], graph, message, k)
-            states = rk_combine(states, h, b, derivs)
-            harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
+                    harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
 
-            x_stack = primal_extract(states, family)
-            recorder.push(x_stack, k, rounds, states[:, : 2 * p])
+            stacked_conjugate(family, state_y_hat, out=broadcast)
+            recorder.push(x_stack, k, rounds, duals)
             if trajectory is not None:
                 trajectory.append(stack_agent_states(states, p))
 
     trajectory = np.array(trajectory) if trajectory is not None else None
-    return recorder.result(states, steps, trajectory=trajectory)
+    return recorder.result(states.copy(), steps, trajectory=trajectory)
 
 
 def run_heavy_ball_per_agent(

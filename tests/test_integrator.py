@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrk.errors import DegenerateError, NonFiniteState
 from dualrk.integrator import (
@@ -15,6 +17,7 @@ from dualrk.integrator import (
     format_tableau,
     integrate,
     load_tableau,
+    rk_combine,
     rk_step,
     tableau,
     tableau_for_order,
@@ -171,3 +174,26 @@ def test_load_tableau_and_format(tmp_path):
     assert abs(estimate - 2.0) <= 0.2
     rendered = format_tableau(heun)
     assert "heun" in rendered and "0.5" in rendered
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+    st.sampled_from(["new", "buffer", "state"]),
+    st.integers(0, 1000),
+)
+def test_rk_combine_into_a_buffer_is_the_plain_sum(weights, into, seed):
+    # The plain left-to-right sum of the nonzero-weight products, then the step.
+    rng = np.random.default_rng(seed)
+    state, derivatives = rng.normal(size=(3, 5)), rng.normal(size=(len(weights), 3, 5))
+    step = rng.uniform(0.01, 1.0)
+    terms = [w * d for w, d in zip(weights, derivatives) if w]
+    expected = state if not terms else state + step * sum(terms[1:], start=terms[0])
+    before = (state.copy(), derivatives.copy())
+    out = {"new": None, "buffer": np.empty_like(state), "state": state}[into]
+    result = rk_combine(state, step, weights, derivatives, out=out)
+    assert result.tobytes() == expected.tobytes()
+    assert out is None or result is out
+    assert derivatives.tobytes() == before[1].tobytes()
+    if into != "state":
+        assert state.tobytes() == before[0].tobytes()

@@ -45,6 +45,30 @@ def test_fig3_order_sweep_slopes_are_ordered(tmp_path):
     assert summary["order_speedup_monotone"] is True
 
 
+def test_figure_setup_stacks_its_instance_once(tmp_path, monkeypatch):
+    # Every graph kind certifies the one shared instance, through one family.
+    from dualrk import cli, harness, objectives
+
+    stacked, certified = [], []
+    init, verify = objectives._QuadraticFamily.__init__, harness.verify_reference
+
+    def counting_init(self, members):
+        stacked.append(len(members))
+        init(self, members)
+
+    def counting_verify(family, reference):
+        certified.append(family)
+        return verify(family, reference)
+
+    monkeypatch.setattr(objectives._QuadraticFamily, "__init__", counting_init)
+    monkeypatch.setattr(harness, "verify_reference", counting_verify)
+    # The set-up alone: every method run returns one empty trace per graph part.
+    monkeypatch.setattr(cli, "_run_method", lambda cfg, graph, *args: [[] for _ in graph.part_rows])
+    reproduce("fig1", out_dir=tmp_path, rounds_budget=400)
+    assert stacked == [20]
+    assert len(certified) == 3 and all(family is certified[0] for family in certified)
+
+
 def test_unknown_figure_rejected(tmp_path):
     with pytest.raises(ConfigError):
         reproduce("fig9", out_dir=tmp_path)

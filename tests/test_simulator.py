@@ -1,7 +1,11 @@
 """Simulator: step sizing, round accounting, determinism, oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from dualrk.dynamics import initial_agent_states, stack_agent_states
 from dualrk.errors import NonFiniteState
@@ -82,9 +86,9 @@ def test_end_state_conjugate_is_reused(monkeypatch):
     objs = random_regression_instance(6, 3, 5, seed=2)
     evaluations = []
 
-    def counting(objectives, z):
+    def counting(objectives, z, out=None):
         evaluations.append(np.size(z) // 3)
-        return stacked_conjugate(objectives, z)
+        return stacked_conjugate(objectives, z, out=out)
 
     monkeypatch.setattr(simulator, "stacked_conjugate", counting)
     for order in (1, 2, 4):
@@ -319,3 +323,82 @@ def test_engine_matches_the_reference_round_loop_bitwise(kind, family, order):
     assert result.comm_rounds == rounds == num_iterations * tab.stages
     assert repr(result.max_kernel_residual) == repr(max_kres)
     assert repr(result.min_primal_entry) == repr(min_entry)
+
+
+def test_results_own_their_arrays():
+    # A run writes every round into buffers it binds once; a result must not view them.
+    graph = build_graph(Topology("star", 6))
+    objs = random_kl_instance(6, 3, seed=5)
+    tab = tableau("rk4")
+    first = run_heavy_ball(graph, objs, tab, 7, h0=0.5, keep_trajectory=True)
+    kept = (first.final_state.tobytes(), first.trajectory.tobytes())
+    second = run_heavy_ball(graph, objs, tab, 7, h0=0.5, keep_trajectory=True)
+    assert (first.final_state.tobytes(), first.trajectory.tobytes()) == kept
+    expected = (second.final_state.tobytes(), second.trajectory.tobytes())
+    for result in (first, second):
+        assert np.array_equal(stack_agent_states(result.final_state, 3), result.trajectory[-1])
+    first.final_state[:] = np.nan
+    first.trajectory[:] = np.nan
+    assert (second.final_state.tobytes(), second.trajectory.tobytes()) == expected
+    assert np.array_equal(stack_agent_states(second.final_state, 3), second.trajectory[-1])
+
+
+@st.composite
+def engine_cases(draw):
+    """``(graph, objectives, p)``: a connected graph of 2-24 agents, or a union of 2-3 such parts."""
+    p = draw(st.integers(2, 6))
+    kinds = st.sampled_from(["star", "cycle", "erdos_renyi"])
+    part_count = draw(st.sampled_from([1, 1, 2, 3]))
+    graphs = [
+        build_graph(Topology(
+            draw(kinds), draw(st.integers(2, 24 // part_count)),
+            edge_probability=draw(st.floats(0.2, 1.0)), rng_seed=draw(st.integers(0, 10_000)),
+        ))
+        for _ in range(part_count)
+    ]
+    graph = graphs[0] if part_count == 1 else disjoint_union(graphs)
+    n, seed = graph.node_count, draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        objectives = random_regression_instance(n, p, p + 2, seed=seed, ridge=1e-3)
+    else:
+        objectives = random_kl_instance(n, p, seed=seed)
+    return graph, objectives, p
+
+
+@st.composite
+def consistent_tableaux(draw):
+    """An explicit tableau of 1-4 stages whose coefficients include zero and unit weights."""
+    stages = draw(st.integers(1, 4))
+    coefficient = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(-1.0, 1.0))
+    a = tuple(tuple(draw(coefficient) for _ in range(l)) for l in range(stages))
+    b = [draw(coefficient) for _ in range(stages - 1)]
+    if draw(st.booleans()):  # one unit weight, the rest zero
+        b = [0.0] * (stages - 1)
+        b.insert(draw(st.integers(0, stages - 1)), 1.0)
+    else:
+        b.append(1.0 - math.fsum(b))
+    return ButcherTableau(order=1, a=a, b=tuple(b))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases(), consistent_tableaux(), st.integers(1, 8), st.floats(0.1, 1.0))
+def test_engine_is_the_per_agent_round_bitwise(case, tab, iterations, scale):
+    graph, objs, p = case
+    if graph.degree_buckets[1] is not None:
+        event("degree buckets put back in node order")
+    h0 = scale * suggested_h0(graph, objs, tableau_for_order(1), iterations)
+    with np.errstate(all="ignore"):
+        oracle = run_heavy_ball_per_agent(graph, objs, tab, iterations, h0)
+    try:
+        result = run_heavy_ball(graph, objs, tab, iterations, h0=h0, keep_trajectory=True)
+    except NonFiniteState:
+        event("diverged")
+        assert not np.isfinite(oracle).all()
+        return
+    assert result.trajectory.tobytes() == oracle.tobytes()
+    assert result.max_kernel_residual <= 1e-9
+    again = run_heavy_ball(graph, objs, tab, iterations, h0=h0, keep_trajectory=True)
+    assert [_bitwise_fields(r) for r in again.records] == [_bitwise_fields(r) for r in result.records]
+    assert (again.final_state.tobytes(), again.trajectory.tobytes()) == (
+        result.final_state.tobytes(), result.trajectory.tobytes(),
+    )
