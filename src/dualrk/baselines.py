@@ -15,6 +15,12 @@ claiming any specific parameterization, hence the neutral name.
 ``dgd_run`` and ``dual_nag_run`` also run on a disjoint union of graphs,
 with a step (and mixing) per part; each part's result is its run alone,
 bitwise.  ``cgd_run`` never reads a graph.
+
+Like :func:`~dualrk.simulator.run_heavy_ball`, a run binds its family, the
+degree-bucket plan and its buffers once and writes each update through
+``out=`` in the formulas' operation order, bitwise; the pad buffer's first
+``n`` rows hold the broadcast (dgd's iterate, or the dual conjugate at the
+anchor), and a result copies the buffer it returns.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ import numpy as np
 
 from . import harness
 from .dynamics import kernel_residual
-from .errors import InvalidArgument
-from .graph import LaplacianGraph, laplacian_apply
-from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_gradient, stacked_value
+from .errors import DimensionMismatch, InvalidArgument
+# laplacian_apply is not called here; perfbench's tracer patches it under this name.
+from .graph import LaplacianGraph, laplacian_apply, laplacian_rows
+from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_value
 
 __all__ = [
     "check_step",
@@ -68,6 +75,15 @@ def _feasible(simplex: bool, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bind(graph: LaplacianGraph, objectives):
+    """A distributed run's stacked family, degree-bucket plan and ``(n + 1, p)`` pad buffer."""
+    family = stacked_family(objectives)
+    n, p = family.shape
+    if n != graph.node_count:
+        raise DimensionMismatch(f"{n} objectives for {graph.node_count} nodes")
+    return family, graph.degree_buckets, np.full((n + 1, p), -0.0)
+
+
 def cgd_run(
     objectives,
     step: float,
@@ -83,21 +99,21 @@ def cgd_run(
     consensus-replicated stack, whose consensus terms vanish identically.
     """
     check_step(step)
-    n = len(objectives)
-    simplex = objectives[0].domain == "simplex"
-    x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
-    replicated = np.tile(x, (n, 1))  # the consensus stack of x, rewritten in place
-    stack = replicated.reshape(-1)
     family = stacked_family(objectives)
+    (n, p), simplex = family.shape, family.domain == "simplex"
+    x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
+    if x.shape != (p,):
+        raise DimensionMismatch(f"expected a start of {p} entries, got {x.shape}")
+    replicated, grads = np.tile(x, (n, 1)), np.empty((n, p))  # the consensus stack of x, rewritten in place
     recorder = harness.TraceRecorder(reference, None, family)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            grad = stacked_gradient(family, stack).reshape(n, -1).sum(axis=0)
+            grad = family.gradients(replicated, out=grads).sum(axis=0)
             x = _feasible(simplex, x - step * grad)
             harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
-            recorder.push(stack, k, k)
-    return recorder.result(replicated, [step])
+            recorder.push(replicated.reshape(-1), k, k)
+    return recorder.result(replicated.copy(), [step])
 
 
 def dgd_run(
@@ -127,25 +143,26 @@ def dgd_run(
     for (_, part), part_step, part_mixing in zip(graph.part_rows, steps, mixings):
         check_step(part_step, part_mixing, part)
     step, mixing = graph.node_values(steps), graph.node_values(mixings)
-    n = graph.node_count
-    p = objectives[0].dim
-    simplex = objectives[0].domain == "simplex"
-    if start is None:
-        blocks = np.tile(objectives[0].initial_point(), (n, 1))
-    else:
-        blocks = np.asarray(start, dtype=float).reshape(n, p).copy()
-    family = stacked_family(objectives)
+    # Bound once per run: the pad buffer's first n rows are the iterate, which the round broadcasts.
+    family, plan, padded = _bind(graph, objectives)
+    (n, p), simplex = family.shape, family.domain == "simplex"
+    if start is not None and np.size(start) != n * p:
+        raise DimensionMismatch(f"expected a start of {n * p} entries, got {np.shape(start)}")
     recorder = harness.TraceRecorder(reference, graph, family)
+    blocks, (mixed, grads) = padded[:n], np.empty((2, n, p))
+    blocks[:] = objectives[0].initial_point() if start is None else np.reshape(start, (n, p))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
-            stack = blocks.reshape(-1)
-            mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
-            grads = stacked_gradient(family, stack).reshape(n, p)
-            blocks = _feasible(simplex, mixed - step_k * grads)
+            laplacian_rows(plan, padded, mixed)
+            np.subtract(blocks, np.multiply(mixing, mixed, out=mixed), out=mixed)
+            family.gradients(blocks, out=grads)
+            np.subtract(mixed, np.multiply(step_k, grads, out=grads), out=blocks)
+            if simplex:
+                blocks[:] = _feasible(simplex, blocks)
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
-    return recorder.result(blocks, steps)
+    return recorder.result(blocks.copy(), steps)
 
 
 def _dual_descent(
@@ -162,37 +179,36 @@ def _dual_descent(
     for part_step in steps:
         check_step(part_step)
     step = graph.node_values(steps)
-    n = graph.node_count
-    p = objectives[0].dim
-    y_hat = np.zeros(n * p)
-    y_prev = y_hat
-    z_hat = y_hat
-    # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
-    # next plain-descent anchor and the final stack, so each is solved once.
-    family = stacked_family(objectives)
-    x_stack = stacked_conjugate(family, y_hat)
+    # Bound once per run: the pad buffer's first n rows take the broadcast, the conjugate
+    # at the anchor; each iterate's y_hat is written over the one before last.
+    family, plan, padded = _bind(graph, objectives)
+    n, p = family.shape
+    broadcast, x_stack = padded[:n], padded[:n].reshape(-1)
     recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)
+    lap, y_hat, y_prev, z_hat = np.zeros((4, n, p))
+    # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
+    # next plain-descent anchor and the final state, so each is solved once.
+    stacked_conjugate(family, y_hat, out=broadcast)
     gaps = [[] for _ in recorder.parts] if record_dual_gap else None
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            # At k = 1 the momentum anchor z_hat is still y_hat.
+            # At k = 1 the momentum anchor z_hat is still y_hat, whose conjugate is the broadcast.
             if momentum and k > 1:
-                anchor, x_anchor = z_hat, stacked_conjugate(family, z_hat)
-            else:
-                anchor, x_anchor = y_hat, x_stack
-            y_new = anchor - (step * laplacian_apply(graph, x_anchor, p).reshape(n, p)).reshape(-1)
+                stacked_conjugate(family, z_hat, out=broadcast)
+            laplacian_rows(plan, padded, lap)
+            np.subtract(z_hat if momentum else y_hat, np.multiply(step, lap, out=lap), out=y_prev)
+            y_hat, y_prev = y_prev, y_hat
             if momentum:
-                z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
-                y_prev = y_new
-            y_hat = y_new
+                np.subtract(y_hat, y_prev, out=z_hat)
+                np.add(y_hat, np.multiply((k - 1.0) / (k + 2.0), z_hat, out=z_hat), out=z_hat)
             harness.check_finite(y_hat, graph, f"{method}: non-finite iterate at iteration {k}", k)
-            x_stack = stacked_conjugate(family, y_hat)
+            stacked_conjugate(family, y_hat, out=broadcast)
             for part_gaps, trace in zip(gaps or (), recorder.parts):
-                y_part, x_part = y_hat[trace.columns], x_stack[trace.columns]
+                y_part, x_part = y_hat.reshape(-1)[trace.columns], x_stack[trace.columns]
                 dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
                 part_gaps.append(dual + trace.reference.f_star)
-            recorder.push(x_stack, k, k, y_hat.reshape(n, p))
-    return recorder.result(x_stack.reshape(n, p), steps, gaps)
+            recorder.push(x_stack, k, k, y_hat)
+    return recorder.result(broadcast.copy(), steps, gaps)
 
 
 def dual_nag_run(

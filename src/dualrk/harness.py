@@ -183,23 +183,22 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     a step moves the iterate by at most 1e-15 relative.  Simplex iterates are
     floored at 1e-16 (then renormalized) to keep the entropy gradient finite;
     gradients are taken at points floored at 1e-12, as an extrapolated point
-    may leave the simplex.  ``objectives`` is one family, listed or stacked.
+    may leave the simplex.  ``objectives`` is one family, listed or stacked;
+    every evaluation calls the bound family's ``values`` or ``gradients`` on
+    one buffer that replicates the point to every block.
     """
     family = stacked_family(objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
     x = np.full(p, 1.0 / p) if simplex else np.zeros(p)  # the members' initial_point()
-    # The shared variable replicated to every block, through the stacked
-    # kernels; one buffer is rewritten for every evaluation.
-    replicated = np.empty((n, x.size))
-    stack = replicated.reshape(-1)
+    replicated = np.empty((n, p))
 
     def total_value(v):
         replicated[:] = v
-        return stacked_value(family, stack)
+        return float(family.values(replicated).sum())
 
     def total_gradient(v):
         replicated[:] = v
-        return stacked_gradient(family, stack).reshape(n, -1).sum(axis=0)
+        return family.gradients(replicated).sum(axis=0)
 
     def norm(v):
         return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks

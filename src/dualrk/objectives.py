@@ -295,8 +295,9 @@ class _QuadraticFamily(_Family):
         hx = np.matmul(self.hessian, x[..., None])[..., 0]
         return 0.5 * np.sum(x * hx, axis=-1) - np.sum(self.shift * x, axis=-1) + self.offset
 
-    def gradients(self, x):
-        return np.matmul(self.hessian, x[..., None])[..., 0] - self.shift
+    def gradients(self, x, out=None):
+        hx = np.matmul(self.hessian, x[..., None], out=None if out is None else out[..., None])[..., 0]
+        return np.subtract(hx, self.shift, out=out)
 
 
 class _KLFamily(_Family):
@@ -314,8 +315,10 @@ class _KLFamily(_Family):
     def values(self, x):
         return _rel_entr(x, self.reference).sum(axis=-1)
 
-    def gradients(self, x):
-        return np.log(x / self.reference) + 1.0
+    def gradients(self, x, out=None):
+        g = np.log(np.divide(x, self.reference, out=out), out=out)
+        g += 1.0
+        return g
 
 
 QuadraticLocal._family = _QuadraticFamily

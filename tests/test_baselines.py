@@ -5,6 +5,7 @@ import pytest
 
 from dualrk import baselines
 from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from dualrk.errors import DimensionMismatch
 from dualrk.graph import Topology, build_graph, dense_laplacian, laplacian_apply
 from dualrk.harness import evaluate_metrics, reference_optimum
 from dualrk.objectives import (
@@ -86,6 +87,26 @@ def test_dgd_mixing_preserves_block_mean():
     before = start.reshape(6, 2).mean(axis=0)
     after = result.final_state.mean(axis=0)
     assert np.abs(before - after).max() <= 1e-12
+
+
+def test_start_of_the_wrong_size_is_a_dimension_mismatch():
+    graph = build_graph(Topology("cycle", 4))
+    objs = random_regression_instance(4, 2, 3, seed=0)
+    for num_iterations in (0, 3):  # checked before the first iteration
+        with pytest.raises(DimensionMismatch, match="expected a start of 8 entries"):
+            dgd_run(graph, objs, 0.1, 0.2, num_iterations, start=np.zeros(7))
+        with pytest.raises(DimensionMismatch, match="expected a start of 2 entries"):
+            cgd_run(objs, 0.1, num_iterations, start=np.zeros(3))
+
+
+def test_objectives_for_another_node_count_are_a_dimension_mismatch():
+    graph = build_graph(Topology("cycle", 5))
+    objs = random_regression_instance(4, 2, 3, seed=0)
+    for num_iterations in (0, 3):
+        with pytest.raises(DimensionMismatch, match="4 objectives for 5 nodes"):
+            dgd_run(graph, objs, 0.1, 0.2, num_iterations)
+        with pytest.raises(DimensionMismatch, match="4 objectives for 5 nodes"):
+            dual_nag_run(graph, objs, 0.1, num_iterations)
 
 
 def test_dgd_mixing_validation():
@@ -184,9 +205,9 @@ def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, 
     reference = reference_optimum(objs)
     calls = []
 
-    def counting(objectives, z):
+    def counting(objectives, z, out=None):
         calls.append(1)
-        return stacked_conjugate(objectives, z)
+        return stacked_conjugate(objectives, z, out=out)
 
     monkeypatch.setattr(baselines, "stacked_conjugate", counting)
     result = runner(graph, objs, 0.5, 12, reference=reference, record_dual_gap=True)

@@ -76,7 +76,8 @@ def test_unknown_figure_rejected(tmp_path):
 
 
 # sha256 of every desk output at seed 0: fig1 at a 400-round budget, fig3 at
-# 1000 (the benchmark's workloads).  The bytes depend on the numpy build, on
+# 1000 (the benchmark's workloads), and fig2, the one figure that runs dgd
+# and dual_nag on the simplex family, at 400.  The bytes depend on the numpy build, on
 # the SIMD kernels it dispatches for the float64 exp and logarithms, and on
 # the per-CPU kernels of its bundled OpenBLAS (the stacked quadratic
 # conjugate is a matmul), so the pin runs only where all three match the
@@ -98,6 +99,16 @@ _DESK_SHA256 = {
     "fig1_star_dgd.csv": "e1b4c17482fb7b4ebc4a505c1ae73b6dc70d4037caccb236ced8cb7aef762b2a",
     "fig1_star_dual_nag.csv": "bf0ba8a215e8b6d6398a672f876a9d25e1ce511890d35b4df00482742836bd79",
     "fig1_star_heavy_ball_rk.csv": "55f952cea7d27e208a9e3a5224788c0f8e40e86e84ad40e8fc6fa24d92e02fc7",
+    "fig2_cycle_dgd.csv": "31e29ad713d7720d15485ca288a41fea35f3f8b86e6aef956e54dcd686f271a0",
+    "fig2_cycle_dual_nag.csv": "b9dd8504dc5470487e6d9a349b3f1bebbf06bd22cb47bd3c5f4c826a5c3605e5",
+    "fig2_cycle_heavy_ball_rk.csv": "d03cf42e6635412b8399cc2d3e8674c99a6cdcbdae51141a1511179dc307154a",
+    "fig2_erdos_renyi_dgd.csv": "def111d8e550c6e143a39d4897e90be8b970324afaf6399f00ed1af9888b4e3e",
+    "fig2_erdos_renyi_dual_nag.csv": "2e8b0c72dc4b5e587f8b6783a4a15c7f831702d5726ea3f9e757a9f4a736b16b",
+    "fig2_erdos_renyi_heavy_ball_rk.csv": "ce94da234d6ca1ad7b254f2a073ddd8032e7eacc5742c6c6cc730925678c20c1",
+    "fig2_rate_fits.json": "e2f6b18a44cd3b9efbe38caad3bac5afaa208ecc3e237c773d420b7821152318",
+    "fig2_star_dgd.csv": "7d2aa0fcc14856f2f8a6b901fa71499cffd3db66057dbfed18948637d57f7d62",
+    "fig2_star_dual_nag.csv": "aebe4f1559810d9c31325d54f0e7454e3a639e63eac9552a129c297553fdd778",
+    "fig2_star_heavy_ball_rk.csv": "71402a24e939bf355b86c2efcee72c850c3c363137e370c5fd08d69d51e7ee15",
     "fig3_erdos_renyi_heavy_ball_rk_s1.csv": "c23f2f38d681b7971dd2d53f9ebe267f16fd218888abdadb0fd6ae61cf9ada5d",
     "fig3_erdos_renyi_heavy_ball_rk_s2.csv": "ae6054f4a9ddeef03ac3d716cacc2d4e7cff25f6e82d75f0d34da9669bcf63df",
     "fig3_erdos_renyi_heavy_ball_rk_s4.csv": "d6c63c9ed93f6fc911a2ecea5d3123b6da409e7ed63edbbf9c3d303866e6bb2c",
@@ -125,7 +136,7 @@ def _openblas_core():
 
 
 @pytest.mark.skipif(np.__version__ != _DESK_NUMPY, reason=f"desk digests were recorded with numpy {_DESK_NUMPY}")
-@pytest.mark.parametrize("figure, budget", [("fig1", 400), ("fig3", 1000)])
+@pytest.mark.parametrize("figure, budget", [("fig1", 400), ("fig2", 400), ("fig3", 1000)])
 def test_desk_outputs_keep_their_recorded_bytes(tmp_path, figure, budget):
     dispatch, core = _float64_dispatch(), _openblas_core()
     if dispatch != _DESK_DISPATCH:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dualrk import baselines, cli, simulator
-from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_nag_run
+from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_gd_run, dual_nag_run
 from dualrk.config import load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
 from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
@@ -33,6 +33,7 @@ from dualrk.harness import (
 )
 from dualrk.integrator import tableau
 from dualrk.objectives import (
+    dual_value_transformed,
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
@@ -227,46 +228,61 @@ def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
     ]
 
 
-def _cgd_old(objs, step, num_iterations, normalized):
-    n = len(objs)
+def _records(iterates, graph, objs, normalized=False):
+    """The old per-iterate records of a run's primal iterates, one communication round each."""
     reference = reference_optimum(objs)
+    return [_old_metrics(x, reference, graph, objs, k, k, normalized) for k, x in enumerate(iterates, start=1)]
+
+
+def _cgd_old_iterates(objs, step, num_iterations):
+    n = len(objs)
     simplex = objs[0].domain == "simplex"
     x = objs[0].initial_point()
-    records = []
     for k in range(1, num_iterations + 1):
         grad = stacked_gradient(objs, np.tile(x, n)).reshape(n, -1).sum(axis=0)
         x = _feasible(simplex, x - step * grad)
-        records.append(_old_metrics(np.tile(x, n), reference, None, objs, k, k, normalized))
-    return records
+        yield np.tile(x, n)
 
 
-def _dgd_old(graph, objs, step, mixing, num_iterations, normalized):
+def _dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step=True):
+    """``step`` and ``mixing`` are scalars or ``(n, 1)`` columns, as ``graph.node_values`` gives them."""
     n, p = len(objs), objs[0].dim
-    reference = reference_optimum(objs)
     simplex = objs[0].domain == "simplex"
     blocks = np.tile(objs[0].initial_point(), (n, 1))
-    records = []
     for k in range(1, num_iterations + 1):
         stack = blocks.reshape(-1)
         mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
         grads = stacked_gradient(objs, stack).reshape(n, p)
-        blocks = _feasible(simplex, mixed - step / np.sqrt(k) * grads)
-        records.append(_old_metrics(blocks.reshape(-1), reference, graph, objs, k, k, normalized))
-    return records
+        step_k = step / np.sqrt(k) if decaying_step else step
+        blocks = _feasible(simplex, mixed - step_k * grads)
+        yield blocks.reshape(-1)
+
+
+def _dual_old_y_hats(graph, objs, step, num_iterations, momentum=True):
+    """Dual descent's iterates ``y_hat``; ``step`` is a scalar or an ``(n, 1)`` column."""
+    n, p = len(objs), objs[0].dim
+    y_hat = y_prev = z_hat = np.zeros(n * p)
+    for k in range(1, num_iterations + 1):
+        anchor = z_hat if momentum else y_hat
+        lap = laplacian_apply(graph, stacked_conjugate(objs, anchor), p).reshape(n, p)
+        y_hat = anchor - (step * lap).reshape(-1)
+        if momentum:
+            z_hat = y_hat + ((k - 1.0) / (k + 2.0)) * (y_hat - y_prev)
+        y_prev = y_hat
+        yield y_hat
+
+
+def _cgd_old(objs, step, num_iterations, normalized):
+    return _records(_cgd_old_iterates(objs, step, num_iterations), None, objs, normalized)
+
+
+def _dgd_old(graph, objs, step, mixing, num_iterations, normalized):
+    return _records(_dgd_old_iterates(graph, objs, step, mixing, num_iterations), graph, objs, normalized)
 
 
 def _dual_nag_old(graph, objs, step, num_iterations, normalized):
-    n, p = len(objs), objs[0].dim
-    reference = reference_optimum(objs)
-    y_hat = y_prev = z_hat = np.zeros(n * p)
-    records = []
-    for k in range(1, num_iterations + 1):
-        y_new = z_hat - step * laplacian_apply(graph, stacked_conjugate(objs, z_hat), p)
-        z_hat = y_new + ((k - 1.0) / (k + 2.0)) * (y_new - y_prev)
-        y_prev = y_hat = y_new
-        x_stack = stacked_conjugate(objs, y_hat)
-        records.append(_old_metrics(x_stack, reference, graph, objs, k, k, normalized))
-    return records
+    y_hats = _dual_old_y_hats(graph, objs, step, num_iterations)
+    return _records((stacked_conjugate(objs, y) for y in y_hats), graph, objs, normalized)
 
 
 @pytest.mark.parametrize("num_iterations", [1, K - 1, K, K + 1])
@@ -290,6 +306,74 @@ def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
     for result, want in runs:
         _assert_bitwise(result.records, want)
         assert all(r.wall_time_ms > 0.0 for r in result.records)
+
+
+def _baseline_case(case):
+    """A graph, its objectives, and dgd steps, dgd mixings and dual steps (one per part on a union)."""
+    if case == "union":  # three unequal parts, each at its own step and mixing
+        graph, objs = _three_part_union()
+    elif case == "wide":  # p = 100: the quadratic kernels' matmuls, out= included, run through BLAS
+        graph = build_graph(Topology("cycle", 4))
+        objs = random_regression_instance(4, 100, 100, seed=5, ridge=1e-3)
+    else:
+        graph = build_graph(Topology("erdos_renyi", N_AGENTS, edge_probability=0.3, rng_seed=3))
+        if case == "quadratic":
+            objs = random_regression_instance(N_AGENTS, DIM, DIM + 2, seed=3, ridge=1e-3)
+        else:
+            objs = random_kl_instance(N_AGENTS, DIM, seed=3)
+    mu = min(obj.strong_convexity for obj in objs)
+    lams = [part.lambda_max for _, part in graph.part_rows]
+    return (
+        graph,
+        objs,
+        [0.05 * (1 + i) for i in range(len(lams))],
+        [(0.5 + 0.2 * i) / lam for i, lam in enumerate(lams)],
+        [(0.5 + 0.1 * i) * mu / lam for i, lam in enumerate(lams)],
+    )
+
+
+def _part_records(iterates, graph, objs):
+    """The old records of each part of ``graph`` over its own columns, graph and objectives."""
+    iterates, p = list(iterates), objs[0].dim
+    return [
+        _records([x[nodes.start * p : nodes.stop * p] for x in iterates], part, objs[nodes])
+        for nodes, part in graph.part_rows
+    ]
+
+
+@pytest.mark.parametrize("case", ["quadratic", "kl", "union", "wide"])
+def test_baselines_match_the_old_loop_per_part(case):
+    graph, objs, dgd_steps, mixings, dual_steps = _baseline_case(case)
+    n, p = len(objs), objs[0].dim
+    num_iterations = K + 1
+    step, mixing = graph.node_values(dgd_steps), graph.node_values(mixings)
+    runs = []
+    for decaying_step in (True, False):
+        result = dgd_run(graph, objs, dgd_steps, mixings, num_iterations, decaying_step=decaying_step)
+        iterates = list(_dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step))
+        runs.append((result, _part_records(iterates, graph, objs), iterates[-1], None))
+    for runner, momentum in ((dual_nag_run, True), (dual_gd_run, False)):
+        result = runner(graph, objs, dual_steps, num_iterations, record_dual_gap=True)
+        y_hats = list(_dual_old_y_hats(graph, objs, graph.node_values(dual_steps), num_iterations, momentum))
+        iterates = [stacked_conjugate(objs, y) for y in y_hats]
+        gaps = [
+            [dual_value_transformed(objs[nodes], y[nodes.start * p : nodes.stop * p]) + reference_optimum(objs[nodes]).f_star
+             for y in y_hats]
+            for nodes, _ in graph.part_rows
+        ]
+        runs.append((result, _part_records(iterates, graph, objs), iterates[-1], gaps))
+    if not graph.parts:  # cgd never reads a graph
+        iterates = list(_cgd_old_iterates(objs, dgd_steps[0], num_iterations))
+        want = [_records(iterates, None, objs)]
+        runs.append((cgd_run(objs, dgd_steps[0], num_iterations), want, iterates[-1], None))
+    for result, records, last, gaps in runs:
+        parts = result.parts or [result]
+        for part, want in zip(parts, records, strict=True):
+            _assert_bitwise(part.records, want)
+        for part, want in zip(parts, gaps or [None] * len(parts)):
+            assert part.dual_gaps == want  # floats compared exactly
+        assert result.final_state.shape == (n, p)
+        assert result.final_state.tobytes() == last.tobytes()
 
 
 def _run_csv(tmp_path, name, **keys):
@@ -413,18 +497,6 @@ def _heavy_ball_rows(trajectory, n, p):
     return trajectory[1:, :-1].reshape(-1, 2, n, p).transpose(0, 2, 1, 3).reshape(-1, n, 2 * p)
 
 
-def _dual_nag_y_hats(graph, objs, steps, num_iterations):
-    n, p = graph.node_count, DIM
-    step = graph.node_values(steps)
-    y_hat = y_prev = z_hat = np.zeros(n * p)
-    for k in range(1, num_iterations + 1):
-        lap = laplacian_apply(graph, stacked_conjugate(objs, z_hat), p).reshape(n, p)
-        y_hat = z_hat - (step * lap).reshape(-1)
-        z_hat = y_hat + ((k - 1.0) / (k + 2.0)) * (y_hat - y_prev)
-        y_prev = y_hat
-        yield y_hat
-
-
 @pytest.mark.parametrize("num_iterations", [K - 1, K, K + 1])
 def test_union_kernel_residuals_are_bitwise_the_one_iterate_values(num_iterations):
     union, objs = _three_part_union()
@@ -434,7 +506,7 @@ def test_union_kernel_residuals_are_bitwise_the_one_iterate_values(num_iteration
     rows = _heavy_ball_rows(heavy.trajectory, union.node_count, DIM)
     steps = [0.5 / part.lambda_max for part in union.parts]
     nag = dual_nag_run(union, objs, steps, num_iterations)
-    y_hats = list(_dual_nag_y_hats(union, objs, steps, num_iterations))
+    y_hats = list(_dual_old_y_hats(union, objs, union.node_values(steps), num_iterations))
     # The local loop is the run's: its last iterate gives the run's end state.
     assert stacked_conjugate(objs, y_hats[-1]).tobytes() == nag.final_state.tobytes()
     for result, per_iterate in ((heavy, rows), (nag, [y.reshape(-1, DIM) for y in y_hats])):
