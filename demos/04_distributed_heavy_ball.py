@@ -42,8 +42,3 @@ print(f"\ndistributed vs monolithic trajectory: max deviation {gap:.1e}"
       f" ({'bitwise identical' if gap == 0.0 else 'roundoff level'})")
 
 print(f"kernel-orthogonality residual over the whole run: {result.max_kernel_residual:.2e}")
-
-diag = dualrk.theory_diagnostics(graph, objs, result.records, reference)
-print(f"compactness ball radius {diag.ball_radius:.2f}, "
-      f"max observed distance {diag.max_observed_distance:.2f}, "
-      f"iterates inside: {diag.all_inside_ball}")

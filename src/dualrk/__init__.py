@@ -50,7 +50,6 @@ from .harness import (
     fit_rate,
     read_metrics_csv,
     reference_optimum,
-    theory_diagnostics,
     write_metrics_csv,
 )
 from .integrator import ButcherTableau, certify_order, empirical_order, rk_step, tableau, tableau_for_order
@@ -123,7 +122,6 @@ __all__ = [
     "reference_optimum",
     "evaluate_metrics",
     "fit_rate",
-    "theory_diagnostics",
     "write_metrics_csv",
     "read_metrics_csv",
     # config

@@ -34,7 +34,7 @@ from .dynamics import kernel_residual
 from .errors import DimensionMismatch, InvalidArgument
 # laplacian_apply is not called here; perfbench's tracer patches it under this name.
 from .graph import LaplacianGraph, laplacian_apply, laplacian_rows
-from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_value
+from .objectives import floored_projection, stacked_conjugate, stacked_family, stacked_value
 
 __all__ = [
     "check_step",
@@ -48,40 +48,20 @@ __all__ = [
 def check_step(step: float, mixing: float | None = None, graph: LaplacianGraph | None = None) -> None:
     """Raise ``InvalidArgument`` for a step the baseline runners reject.
 
-    Every step must be positive, except dgd's (the one with a ``mixing``
-    weight), which may be zero; ``mixing`` must lie in ``[0, 2 / lambda_max)``
-    of ``graph``.  The runners and ``dualrk run --dry-run`` check through here.
+    Every step must be positive and finite, except dgd's (the one with a
+    ``mixing`` weight), which may be zero; ``mixing`` must lie in
+    ``[0, 2 / lambda_max)`` of ``graph``.  The runners and ``dualrk run
+    --dry-run`` check through here.
     """
+    # Written so that NaN fails each range test.
     if mixing is None:
-        if step <= 0:
-            raise InvalidArgument("step must be positive")
+        if not 0.0 < step < math.inf:
+            raise InvalidArgument("step must be positive and finite")
         return
     if not 0.0 <= mixing < 2.0 / graph.lambda_max:
         raise InvalidArgument(f"mixing must be in [0, {2.0 / graph.lambda_max:.6g})")
-    if step < 0:
-        raise InvalidArgument("step must be nonnegative")
-
-
-# Simplex iterates are floored here before gradient evaluation so the
-# entropy gradient stays finite when a projection lands on the boundary.
-_SIMPLEX_FLOOR = 1e-16
-
-
-def _feasible(simplex: bool, x: np.ndarray) -> np.ndarray:
-    """Project ``x``, or each row of ``x``, onto the domain (simplex or all of R^p)."""
-    if simplex:
-        x = np.maximum(project_to_simplex(x), _SIMPLEX_FLOOR)
-        x = x / x.sum(axis=-1, keepdims=True)
-    return x
-
-
-def _bind(graph: LaplacianGraph, objectives):
-    """A distributed run's stacked family, degree-bucket plan and ``(n + 1, p)`` pad buffer."""
-    family = stacked_family(objectives)
-    n, p = family.shape
-    if n != graph.node_count:
-        raise DimensionMismatch(f"{n} objectives for {graph.node_count} nodes")
-    return family, graph.degree_buckets, np.full((n + 1, p), -0.0)
+    if not 0.0 <= step < math.inf:
+        raise InvalidArgument("step must be nonnegative and finite")
 
 
 def cgd_run(
@@ -109,7 +89,7 @@ def cgd_run(
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             grad = family.gradients(replicated, out=grads).sum(axis=0)
-            x = _feasible(simplex, x - step * grad)
+            x = floored_projection(x - step * grad, simplex)
             harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
             recorder.push(replicated.reshape(-1), k, k)
@@ -144,7 +124,7 @@ def dgd_run(
         check_step(part_step, part_mixing, part)
     step, mixing = graph.node_values(steps), graph.node_values(mixings)
     # Bound once per run: the pad buffer's first n rows are the iterate, which the round broadcasts.
-    family, plan, padded = _bind(graph, objectives)
+    family, plan, padded = harness.bind_run(graph, objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
     if start is not None and np.size(start) != n * p:
         raise DimensionMismatch(f"expected a start of {n * p} entries, got {np.shape(start)}")
@@ -159,7 +139,7 @@ def dgd_run(
             family.gradients(blocks, out=grads)
             np.subtract(mixed, np.multiply(step_k, grads, out=grads), out=blocks)
             if simplex:
-                blocks[:] = _feasible(simplex, blocks)
+                blocks[:] = floored_projection(blocks, simplex)
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
     return recorder.result(blocks.copy(), steps)
@@ -181,7 +161,7 @@ def _dual_descent(
     step = graph.node_values(steps)
     # Bound once per run: the pad buffer's first n rows take the broadcast, the conjugate
     # at the anchor; each iterate's y_hat is written over the one before last.
-    family, plan, padded = _bind(graph, objectives)
+    family, plan, padded = harness.bind_run(graph, objectives)
     n, p = family.shape
     broadcast, x_stack = padded[:n], padded[:n].reshape(-1)
     recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)

@@ -1,15 +1,15 @@
-"""Reference optima, metric evaluation, rate fitting, and theory diagnostics.
+"""Reference optima, metric evaluation and rate fitting, plus the run bind.
 
 Everything downstream of a run lives here: the consensus-problem reference
 solution (closed form checked against an independent projected-gradient
 solver with a restarted-momentum polish), the per-iteration metric record
-and its CSV schema, log-log slope fitting over trace tails, and the
-compactness-ball diagnostics.
+and its CSV schema, and log-log slope fitting over trace tails.
 
-Run loops push their iterates into a :class:`TraceRecorder`, which times
-each iteration, evaluates the records a block at a time and builds the
-:class:`RunResult` every runner returns.  Records are unscaled: the CLI
-applies ``report_style = theorem1``.
+A distributed run binds its family, degree-bucket plan and pad buffer once
+with :func:`bind_run`.  Run loops push their iterates into a
+:class:`TraceRecorder`, which times each iteration, evaluates the records a
+block at a time and builds the :class:`RunResult` every runner returns.
+Records are unscaled: the CLI applies ``report_style = theorem1``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric, SingularSystem
+from .errors import (
+    DimensionMismatch, InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric, SingularSystem,
+)
 from .graph import LaplacianGraph, laplacian_apply
-from .objectives import project_to_simplex, stacked_conjugate, stacked_family, stacked_gradient, stacked_value
+from .objectives import floored_projection, stacked_family, stacked_value
 
 __all__ = [
     "CSV_COLUMNS",
@@ -32,7 +34,6 @@ __all__ = [
     "RateFit",
     "ReferenceOptimum",
     "RunResult",
-    "TheoryDiagnostics",
     "reference_optimum",
     "projected_gradient_optimum",
     "verify_reference",
@@ -40,14 +41,13 @@ __all__ = [
     "evaluate_metrics",
     "TRACE_BLOCK_BYTES",
     "TraceRecorder",
+    "bind_run",
     "check_finite",
     "consensus_projection",
     "fit_rate",
-    "theory_diagnostics",
     "write_metrics_csv",
     "read_metrics_csv",
     "write_rate_fits_json",
-    "write_diagnostics_json",
 ]
 
 #: Fixed CSV schema shared by the simulator and every baseline.
@@ -112,29 +112,6 @@ class RateFit:
     points: int
 
 
-@dataclass
-class TheoryDiagnostics:
-    """Compactness-ball constants and whether observed iterates stayed inside.
-
-    The ball radius is conservative by construction, so staying inside is
-    reported, not asserted.  ``strong_convexity`` is exact for quadratic
-    families and a documented heuristic (1.0) for simplex KL objectives.
-    """
-
-    e_constant: float
-    ball_radius: float
-    strong_convexity: float
-    lambda_max: float
-    lambda_min_pos: float
-    gradient_norm_at_optimum: float
-    consensus_gap: float
-    max_observed_distance: float
-    all_inside_ball: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def reference_optimum(objectives) -> ReferenceOptimum:
     """Closed-form solution of the consensus problem ``min_x sum_i f_i(x)``.
 
@@ -181,8 +158,9 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     whenever a step goes uphill along the gradient (the gradient restart of
     O'Donoghue and Candes, which needs no strong-convexity estimate), until
     a step moves the iterate by at most 1e-15 relative.  Simplex iterates are
-    floored at 1e-16 (then renormalized) to keep the entropy gradient finite;
-    gradients are taken at points floored at 1e-12, as an extrapolated point
+    floored at 1e-16 (then renormalized, by
+    :func:`~dualrk.objectives.floored_projection`) to keep the entropy
+    gradient finite; gradients are taken at points floored at 1e-12, as an extrapolated point
     may leave the simplex.  ``objectives`` is one family, listed or stacked;
     every evaluation calls the bound family's ``values`` or ``gradients`` on
     one buffer that replicates the point to every block.
@@ -203,12 +181,6 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     def norm(v):
         return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
 
-    def feasible(v):
-        if simplex:  # the members' project(); the reals need none
-            v = np.maximum(project_to_simplex(v), 1e-16)
-            v = v / v.sum()
-        return v
-
     def gradient_probe(v):
         # Curvature probes and extrapolated points may step outside the simplex.
         return total_gradient(np.maximum(v, 1e-12) if simplex else v)
@@ -218,7 +190,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     for _ in range(_ORACLE_ITERATIONS):
         grad = total_gradient(x)
         while True:
-            trial = feasible(x - step * grad)
+            trial = floored_projection(x - step * grad, simplex)
             diff = trial - x
             f_trial = total_value(trial)
             if f_trial <= fx + float(grad @ diff) + float(diff @ diff) / (2.0 * step) + 1e-18:
@@ -257,7 +229,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     y, t = x, 1.0
     for _ in range(_ORACLE_POLISH_ITERATIONS):
         grad = gradient_probe(y)
-        trial = feasible(y - step * grad)
+        trial = floored_projection(y - step * grad, simplex)
         diff = trial - x
         moved = norm(diff)
         scale = 1.0 + norm(x)
@@ -485,6 +457,18 @@ class TraceRecorder:
         return RunResult([], final_state, self._rounds, float("nan"), worst, trajectory=trajectory, parts=results)
 
 
+def bind_run(graph: LaplacianGraph, objectives):
+    """A distributed run's stacked family, degree-bucket plan and ``(n + 1, p)`` ``-0.0`` pad buffer.
+
+    Raises ``DimensionMismatch`` unless there is one objective per node.
+    """
+    family = stacked_family(objectives)
+    n, p = family.shape
+    if n != graph.node_count:
+        raise DimensionMismatch(f"{n} objectives for {graph.node_count} nodes")
+    return family, graph.degree_buckets, np.full((n + 1, p), -0.0)
+
+
 def check_finite(values, graph: LaplacianGraph | None, message: str, iteration: int) -> None:
     """Raise :class:`~dualrk.errors.NonFiniteState` with ``message`` unless ``values`` are finite.
 
@@ -545,49 +529,6 @@ def fit_rate(records, metric: str) -> RateFit:
     )
 
 
-def theory_diagnostics(
-    graph: LaplacianGraph,
-    objectives,
-    records,
-    reference: ReferenceOptimum,
-) -> TheoryDiagnostics:
-    """Compactness-ball constants and a containment check over a trace.
-
-    The constant combines the dual-optimum norm bound with the gap between
-    the consensus-constrained and unconstrained minima of the aggregated
-    objective:
-
-        E = e * ( ||grad F(x*)||^2 / lambda_min_pos + gap ) + 1,
-        radius = sqrt(2 E lambda_max) / mu.
-
-    When the unconstrained minimum is itself a consensus point, both terms
-    vanish and ``E = 1``.  ``records`` are a runner's unscaled records.
-    """
-    n = len(objectives)
-    p = objectives[0].dim
-    mu = min(obj.strong_convexity for obj in objectives)
-    x_star_stack = np.tile(reference.x_star, n)
-    grad_sq = float(np.sum(stacked_gradient(objectives, x_star_stack) ** 2))
-    # Unconstrained minimum of F decouples into per-agent minima, each of
-    # which is the conjugate maximizer at zero.
-    x_free = stacked_conjugate(objectives, np.zeros(n * p))
-    gap = reference.f_star - stacked_value(objectives, x_free)
-    e_constant = math.e * (grad_sq / graph.lambda_min_pos + gap) + 1.0
-    radius = math.sqrt(2.0 * e_constant * graph.lambda_max) / mu
-    max_dist = max((math.sqrt(r.dist_to_optimum_sq) for r in records), default=0.0)
-    return TheoryDiagnostics(
-        e_constant=e_constant,
-        ball_radius=radius,
-        strong_convexity=mu,
-        lambda_max=graph.lambda_max,
-        lambda_min_pos=graph.lambda_min_pos,
-        gradient_norm_at_optimum=math.sqrt(grad_sq),
-        consensus_gap=gap,
-        max_observed_distance=max_dist,
-        all_inside_ball=max_dist <= radius,
-    )
-
-
 def write_metrics_csv(records, path, timings: bool = False) -> None:
     """Write a trace in the fixed column schema.
 
@@ -627,9 +568,3 @@ def write_rate_fits_json(fits, path, extra: dict | None = None) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def write_diagnostics_json(diagnostics: TheoryDiagnostics, path) -> None:
-    """Write a theory-diagnostics report as deterministic JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diagnostics.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -32,6 +32,7 @@ __all__ = [
     "QuadraticLocal",
     "KLLocal",
     "project_to_simplex",
+    "floored_projection",
     "stacked_family",
     "stacked_conjugate",
     "stacked_value",
@@ -178,7 +179,7 @@ class KLLocal(DualFriendlyObjective):
 
     ``strong_convexity`` is reported as 1: on the interior of the simplex
     the Hessian ``diag(1/x)`` dominates the identity along feasible
-    directions.  It feeds diagnostics and step-size heuristics only.
+    directions.  It feeds step-size heuristics only.
     """
 
     domain = "simplex"
@@ -231,6 +232,14 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     last = v.shape[-1] - 1 - np.argmax(feasible[..., ::-1], axis=-1)
     threshold = np.take_along_axis(cumulative, last[..., None], axis=-1) / ranks[last][..., None]
     return np.maximum(v - threshold, 0.0)
+
+
+def floored_projection(x: np.ndarray, simplex: bool) -> np.ndarray:
+    """``x`` (or each row) projected onto the simplex, floored at 1e-16 and renormalized; the reals need none."""
+    if simplex:
+        x = np.maximum(project_to_simplex(x), 1e-16)
+        x = x / x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _rel_entr(x, q):
@@ -365,17 +374,15 @@ def stacked_conjugate(objectives, z: np.ndarray, out: np.ndarray | None = None) 
     Block ``i`` of the result is ``objectives[i].conjugate_argmax(z_i)``,
     bitwise: the list's family solves all of its blocks in one array
     operation, of which the per-object method is the one-row case, and that
-    operation's result is returned as it is.  The list holds one family.
+    operation's result is returned as it is.  The list holds one family; that
+    family, bound once, may stand in for it.
 
     ``out``, an ``(n, p)`` array, receives block ``i`` as row ``i`` and is
-    returned; ``z`` may then be ``(n, p)`` rows, e.g. a strided column view.
+    returned, as every run loop has it; ``z`` may then be ``(n, p)`` rows,
+    e.g. a strided column view.
     """
     if out is not None:
         return stacked_family(objectives).conjugate(np.asarray(z).reshape(out.shape), out)
-    if isinstance(objectives, _Family):  # a run loop's bound family skips the list scan
-        n, p = objectives.shape
-        if np.shape(z) == (n * p,):  # and, for one stacked vector, the batch reshapes
-            return objectives.conjugate(z.reshape(n, p)).reshape(-1)
     return _per_block("conjugate", objectives, z)
 
 

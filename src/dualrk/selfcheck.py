@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import heavy_ball_field
+from .dynamics import agent_field, heavy_ball_field, stack_agent_states
 from .graph import LaplacianGraph, Topology, build_graph, dense_laplacian
 from .integrator import ButcherTableau, certify_order, tableau
 from .objectives import random_kl_instance, random_regression_instance
@@ -103,9 +103,14 @@ def _check_distributed_monolithic(graph: LaplacianGraph, seed: int) -> CheckResu
     rng = np.random.default_rng(seed)
     state = monolithic[-1] + 0.01 * rng.normal(size=monolithic[-1].shape)
     state[-1] = abs(state[-1]) + 1.0
-    field = heavy_ball_field(graph, objectives)
-    if not np.all(np.isfinite(field(state))):
-        return CheckResult(name, False, "monolithic field non-finite at probe state")
+    want = heavy_ball_field(graph, objectives)(state)
+    n, p = graph.node_count, objectives[0].dim
+    points = np.column_stack([state[: n * p].reshape(n, p), state[n * p : -1].reshape(n, p), np.full(n, state[-1])])
+    mailbox = np.array([obj.conjugate_argmax(point[p : 2 * p]) for obj, point in zip(objectives, points)])
+    got = stack_agent_states([agent_field(graph, i, points[i], mailbox[i], mailbox) for i in range(n)], p)
+    worst = np.abs(got - want).max()
+    if not worst <= 1e-12 * (1.0 + np.abs(want).max()):  # NaN fails too
+        return CheckResult(name, False, f"per-agent field mismatch {worst:.3e} at the probe state")
     return CheckResult(name, True, f"worst trajectory deviation {diff:.3e}")
 
 

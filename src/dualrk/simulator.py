@@ -27,10 +27,10 @@ each at its own step (a per-row array: a broadcast multiply is the same
 IEEE operation per element), so each part's result is its run alone's.
 
 At the desk shape a round costs numpy per-call overhead more than
-arithmetic, so a run binds its :func:`~dualrk.objectives.stacked_family`,
-the degree-bucket plan and its buffers once, and every kernel writes into
-them through ``out=``: the conjugate solves the stage points' strided
-``y_hat`` straight into the pad buffer's first ``n`` rows (the broadcasts).
+arithmetic, so a run binds its family, plan and buffers once
+(:func:`~dualrk.harness.bind_run`), and every kernel writes into them
+through ``out=``: the conjugate solves the stage points' strided ``y_hat``
+straight into the pad buffer's first ``n`` rows (the broadcasts).
 The stage derivatives and the end state share one ``(S + 1, n, 2p + 1)``
 slab, so one finiteness check covers an iteration (a zero-weight stage,
 which :func:`~dualrk.integrator.rk_combine` skips, included); only a
@@ -69,9 +69,10 @@ from .dynamics import (
     round_field,
     stack_agent_states,
 )
+from .errors import InvalidArgument
 from .graph import LaplacianGraph, laplacian_rows
 from .integrator import ButcherTableau, integrate, rk_combine
-from .objectives import stacked_conjugate, stacked_family
+from .objectives import stacked_conjugate
 
 __all__ = [
     "step_size",
@@ -84,11 +85,11 @@ __all__ = [
 
 
 def step_size(h0: float, num_iterations: int, order: int) -> float:
-    """Resolve the run step ``h = h0 * N**(-s/(s+1))``."""
-    if h0 <= 0:
-        raise ValueError("h0 must be positive")
+    """Resolve the run step ``h = h0 * N**(-s/(s+1))``; bad input raises ``InvalidArgument``."""
+    if not 0.0 < h0 < np.inf:  # NaN fails too
+        raise InvalidArgument("h0 must be positive and finite")
     if num_iterations < 1:
-        raise ValueError("num_iterations must be at least 1")
+        raise InvalidArgument("num_iterations must be at least 1")
     return h0 * float(num_iterations) ** (-order / (order + 1.0))
 
 
@@ -163,14 +164,14 @@ def run_heavy_ball(
 
     Raises
     ------
+    InvalidArgument, DimensionMismatch
+        For an ``h0`` that is not positive and finite, or not one objective per node.
     NonFiniteState
         With the failing iteration index (and diverged parts) if a stage
         derivative or state leaves the finite range (diagnoses a too-large
         ``h0``).
     """
     n = graph.node_count
-    if len(objectives) != n:
-        raise ValueError(f"{len(objectives)} objectives for {n} nodes")
     if n == 1:
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
     # A zero-iteration run returns the initial state and no step.
@@ -183,10 +184,9 @@ def run_heavy_ball(
     a, b = tableau.a, tableau.b
     # Bound once per run: the pad buffer's first n rows take the broadcasts, and one
     # slab holds the stage derivatives and then the state (one finiteness check).
-    family = stacked_family(objectives)
+    family, plan, padded = harness.bind_run(graph, objectives)
     p = family.shape[1]
-    plan, padded, lap_rows = graph.degree_buckets, np.full((n + 1, p), -0.0), np.empty((n, p))
-    broadcast, points = padded[:n], np.empty((n, 2 * p + 1))
+    lap_rows, broadcast, points = np.empty((n, p)), padded[:n], np.empty((n, 2 * p + 1))
     slab = np.zeros((stages + 1, n, 2 * p + 1))
     derivs, states = slab[:stages], slab[stages]
     states[:] = initial_agent_states(n, p)

@@ -1,13 +1,16 @@
 """Baseline methods: stationarity, oracle iterations, acceleration checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dualrk import baselines
 from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
-from dualrk.errors import DimensionMismatch
+from dualrk.errors import DimensionMismatch, InvalidArgument
 from dualrk.graph import Topology, build_graph, dense_laplacian, laplacian_apply
 from dualrk.harness import evaluate_metrics, reference_optimum
+from dualrk.integrator import tableau
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
@@ -16,6 +19,7 @@ from dualrk.objectives import (
     random_regression_instance,
     stacked_conjugate,
 )
+from dualrk.simulator import run_heavy_ball
 
 
 def test_cgd_stationary_at_optimum():
@@ -107,6 +111,23 @@ def test_objectives_for_another_node_count_are_a_dimension_mismatch():
             dgd_run(graph, objs, 0.1, 0.2, num_iterations)
         with pytest.raises(DimensionMismatch, match="4 objectives for 5 nodes"):
             dual_nag_run(graph, objs, 0.1, num_iterations)
+        with pytest.raises(DimensionMismatch, match="4 objectives for 5 nodes"):
+            run_heavy_ball(graph, objs, tableau("rk4"), num_iterations, h0=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_steps_are_invalid_arguments_not_divergence(bad):
+    graph = build_graph(Topology("cycle", 4))
+    objs = random_regression_instance(4, 2, 3, seed=0)
+    runs = [
+        lambda: cgd_run(objs, bad, 3),
+        lambda: dgd_run(graph, objs, bad, 0.2, 3),
+        lambda: dual_nag_run(graph, objs, bad, 3),
+        lambda: run_heavy_ball(graph, objs, tableau("rk4"), 3, h0=bad),
+    ]
+    for run in runs:
+        with pytest.raises(InvalidArgument, match="and finite"):
+            run()
 
 
 def test_dgd_mixing_validation():

@@ -285,7 +285,7 @@ def test_dgd_with_zero_mixing_and_step_runs(tmp_path, capsys, dry_run):
 def test_cgd_with_zero_step_exits_2(tmp_path, capsys, dry_run):
     path = _write_config(tmp_path / "cfg.txt", method="cgd", step=0)
     assert main(["run", str(path)] + (["--dry-run"] if dry_run else [])) == 2
-    assert capsys.readouterr().err == "config error: cgd: step must be positive\n"
+    assert capsys.readouterr().err == "config error: cgd: step must be positive and finite\n"
 
 
 @pytest.mark.parametrize("method, step_key", [("heavy_ball_rk", "h0"), ("cgd", "step")])

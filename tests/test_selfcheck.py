@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dualrk import selfcheck
 from dualrk.graph import LaplacianGraph, Topology, build_graph
 from dualrk.integrator import ButcherTableau, tableau
 from dualrk.selfcheck import run_invariant_suite
@@ -37,3 +38,13 @@ def test_corrupted_laplacian_row_fails_symmetry_check():
     assert not by_name["laplacian_symmetry"].passed
     # simulation-backed checks are skipped on a structurally broken graph
     assert "kernel_sums" not in by_name
+
+
+def test_corrupted_agent_field_fails_the_probe_state_comparison(monkeypatch):
+    # Only the probe comparison calls the check's own agent_field, so the
+    # trajectories still agree and the field comparison alone must fail.
+    agent_field = selfcheck.agent_field
+    monkeypatch.setattr(selfcheck, "agent_field", lambda *args: agent_field(*args) * (1.0 + 1e-9))
+    by_name = {r.name: r for r in run_invariant_suite(seed=1)}
+    assert not by_name["distributed_monolithic"].passed
+    assert "per-agent field mismatch" in by_name["distributed_monolithic"].detail

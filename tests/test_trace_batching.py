@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dualrk import baselines, cli, simulator
-from dualrk.baselines import _feasible, cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
 from dualrk.config import load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
 from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
@@ -34,6 +34,7 @@ from dualrk.harness import (
 from dualrk.integrator import tableau
 from dualrk.objectives import (
     dual_value_transformed,
+    floored_projection,
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
@@ -240,7 +241,7 @@ def _cgd_old_iterates(objs, step, num_iterations):
     x = objs[0].initial_point()
     for k in range(1, num_iterations + 1):
         grad = stacked_gradient(objs, np.tile(x, n)).reshape(n, -1).sum(axis=0)
-        x = _feasible(simplex, x - step * grad)
+        x = floored_projection(x - step * grad, simplex)
         yield np.tile(x, n)
 
 
@@ -254,7 +255,7 @@ def _dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step=T
         mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
         grads = stacked_gradient(objs, stack).reshape(n, p)
         step_k = step / np.sqrt(k) if decaying_step else step
-        blocks = _feasible(simplex, mixed - step_k * grads)
+        blocks = floored_projection(mixed - step_k * grads, simplex)
         yield blocks.reshape(-1)
 
 
