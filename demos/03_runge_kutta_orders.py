@@ -11,11 +11,11 @@ close after a full period.
 import numpy as np
 
 from dualrk import empirical_order, rk_step, tableau
-from dualrk.integrator import CountingField, format_tableau, integrate
+from dualrk.integrator import integrate
 
 for kind in ("euler", "midpoint", "rk4"):
-    print(format_tableau(tableau(kind)))
-    print()
+    tab = tableau(kind)
+    print(f"{kind} (order {tab.order}, {tab.stages} stages)\n  a = {tab.a}\n  b = {tab.b}\n")
 
 # Order measurement: halve the step repeatedly on dz/dt = z and read off the
 # decay exponent of the one-step error (minus one).
@@ -25,10 +25,15 @@ print("empirical orders on dz/dt = z:")
 for kind in ("euler", "midpoint", "rk4"):
     tab = tableau(kind)
     estimate = empirical_order(tab, lambda s: s, flow, state)
-    counter = CountingField(lambda s: s)
-    rk_step(tab, counter, state, 0.1)
+    calls = [0]
+
+    def counting_field(s):
+        calls[0] += 1
+        return s
+
+    rk_step(tab, counting_field, state, 0.1)
     print(f"  {kind:9s} declared {tab.order}, measured {estimate:.3f}, "
-          f"{counter.calls} field evaluations per step")
+          f"{calls[0]} field evaluations per step")
 
 # One full period of the harmonic oscillator, 1000 steps: Euler spirals
 # outward, the midpoint rule drifts mildly, the

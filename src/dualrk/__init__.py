@@ -38,7 +38,6 @@ from .graph import (
     build_graph,
     dense_laplacian,
     laplacian_apply,
-    spectral_bounds,
     sqrt_laplacian,
 )
 from .harness import (
@@ -63,80 +62,6 @@ from .objectives import (
     random_regression_instance,
     stacked_conjugate,
 )
-from .simulator import (
-    primal_extract,
-    run_heavy_ball,
-    run_heavy_ball_monolithic,
-    step_size,
-    suggested_h0,
-)
+from .simulator import run_heavy_ball, run_heavy_ball_monolithic, step_size, suggested_h0
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # graph
-    "Topology",
-    "LaplacianGraph",
-    "build_graph",
-    "spectral_bounds",
-    "laplacian_apply",
-    "dense_laplacian",
-    "sqrt_laplacian",
-    # objectives
-    "DualFriendlyObjective",
-    "QuadraticLocal",
-    "KLLocal",
-    "stacked_conjugate",
-    "dual_value",
-    "dual_value_transformed",
-    "random_regression_instance",
-    "random_kl_instance",
-    # integrator
-    "ButcherTableau",
-    "tableau",
-    "tableau_for_order",
-    "rk_step",
-    "empirical_order",
-    "certify_order",
-    # dynamics
-    "agent_field",
-    "heavy_ball_field",
-    "kernel_residual",
-    # simulator
-    "run_heavy_ball",
-    "run_heavy_ball_monolithic",
-    "primal_extract",
-    "step_size",
-    "suggested_h0",
-    # baselines
-    "cgd_run",
-    "dgd_run",
-    "dual_nag_run",
-    "dual_gd_run",
-    # harness
-    "MetricsRecord",
-    "RateFit",
-    "ReferenceOptimum",
-    "RunResult",
-    "reference_optimum",
-    "evaluate_metrics",
-    "fit_rate",
-    "write_metrics_csv",
-    "read_metrics_csv",
-    # config
-    "ExperimentConfig",
-    "load_config",
-    "resolve_instance",
-    # errors
-    "DualRKError",
-    "ConnectivityFailure",
-    "DimensionMismatch",
-    "SingularSystem",
-    "NonFiniteState",
-    "NonPositiveTime",
-    "DegenerateError",
-    "InsufficientData",
-    "NonPositiveMetric",
-    "ConfigError",
-]

@@ -81,7 +81,7 @@ def cgd_run(
     check_step(step)
     family = stacked_family(objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
-    x = objectives[0].initial_point() if start is None else np.asarray(start, dtype=float)
+    x = family.initial_point() if start is None else np.asarray(start, dtype=float)
     if x.shape != (p,):
         raise DimensionMismatch(f"expected a start of {p} entries, got {x.shape}")
     replicated, grads = np.tile(x, (n, 1)), np.empty((n, p))  # the consensus stack of x, rewritten in place
@@ -130,7 +130,7 @@ def dgd_run(
         raise DimensionMismatch(f"expected a start of {n * p} entries, got {np.shape(start)}")
     recorder = harness.TraceRecorder(reference, graph, family)
     blocks, (mixed, grads) = padded[:n], np.empty((2, n, p))
-    blocks[:] = objectives[0].initial_point() if start is None else np.reshape(start, (n, p))
+    blocks[:] = family.initial_point() if start is None else np.reshape(start, (n, p))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step

@@ -3,10 +3,10 @@
 Graphs are static, undirected, unweighted, and connected.  The Laplacian
 ``L = D - A`` is carried row-wise through per-node *sorted* neighbor lists;
 the dense matrix (and its positive-semidefinite square root) is materialized
-only for spectra, debugging exports, and test oracles.  Runtime code applies
-``L`` block-wise through :func:`laplacian_apply`: each output row is exactly
-the operation a node can perform from its neighbors' broadcasts, and all
-rows are computed together, in one padded gather per degree bucket.
+only for spectra and test oracles.  Runtime code applies ``L`` block-wise
+through :func:`laplacian_apply`: each output row is exactly the operation a
+node can perform from its neighbors' broadcasts, and all rows are computed
+together, in one padded gather per degree bucket.
 
 :func:`disjoint_union` joins graphs into one with a block-diagonal
 Laplacian, so one round over the union is a round on every part; a
@@ -29,13 +29,11 @@ __all__ = [
     "LaplacianGraph",
     "build_graph",
     "disjoint_union",
-    "spectral_bounds",
     "laplacian_apply",
     "laplacian_rows",
     "dense_laplacian",
     "sqrt_laplacian",
     "sqrt_apply",
-    "save_laplacian_csv",
 ]
 
 GRAPH_KINDS = ("star", "cycle", "erdos_renyi")
@@ -106,9 +104,6 @@ class LaplacianGraph:
     lambda_min_pos: float
     resample_count: int = 0
     parts: tuple[LaplacianGraph, ...] = field(default=(), repr=False)
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbor_lists[node])
 
     @cached_property
     def part_rows(self) -> tuple[tuple[slice, LaplacianGraph], ...]:
@@ -283,15 +278,6 @@ def _spectral_from_lists(neighbor_lists) -> tuple[float, float]:
     return lam_max, lam_min_pos
 
 
-def spectral_bounds(graph: LaplacianGraph) -> tuple[float, float]:
-    """Return ``(lambda_max, lambda_min_pos)`` by dense symmetric eigendecomposition.
-
-    Dense is deliberate: the package targets desk-scale node counts
-    (``n <= 512``), where iterative eigensolvers buy nothing.
-    """
-    return _spectral_from_lists(graph.neighbor_lists)
-
-
 def dense_laplacian(graph: LaplacianGraph) -> np.ndarray:
     """Materialize the dense ``n x n`` Laplacian (debugging and oracles only)."""
     return _dense_from_lists(graph.neighbor_lists)
@@ -367,7 +353,3 @@ def sqrt_apply(sqrt_lap: np.ndarray, x: np.ndarray, block_dim: int) -> np.ndarra
         raise DimensionMismatch(f"expected {n * block_dim} entries, got {x.size}")
     return (sqrt_lap @ x.reshape(n, block_dim)).reshape(x.shape)
 
-
-def save_laplacian_csv(graph: LaplacianGraph, path) -> None:
-    """Export the dense Laplacian as CSV (debugging aid)."""
-    np.savetxt(path, dense_laplacian(graph), fmt="%.17g", delimiter=",")

@@ -43,7 +43,6 @@ __all__ = [
     "TraceRecorder",
     "bind_run",
     "check_finite",
-    "consensus_projection",
     "fit_rate",
     "write_metrics_csv",
     "read_metrics_csv",
@@ -167,7 +166,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     """
     family = stacked_family(objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
-    x = np.full(p, 1.0 / p) if simplex else np.zeros(p)  # the members' initial_point()
+    x = family.initial_point()
     replicated = np.empty((n, p))
 
     def total_value(v):
@@ -254,12 +253,6 @@ def verify_reference(objectives, reference: ReferenceOptimum) -> float:
     """Distance between the closed-form optimum and the projected-gradient oracle (one family, list or stacked)."""
     x_oracle, _ = projected_gradient_optimum(objectives)
     return float(np.linalg.norm(reference.x_star - x_oracle))
-
-
-def consensus_projection(x_stack: np.ndarray, n: int) -> np.ndarray:
-    """Replace every block by the block mean (projection onto consensus)."""
-    blocks = np.asarray(x_stack, dtype=float).reshape(n, -1)
-    return np.tile(blocks.mean(axis=0), n)
 
 
 def _row_dots(a, b):

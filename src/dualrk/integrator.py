@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,11 @@ __all__ = [
     "tableau",
     "tableau_for_order",
     "load_tableau",
-    "format_tableau",
     "rk_combine",
     "rk_step",
     "integrate",
     "empirical_order",
     "certify_order",
-    "CountingField",
 ]
 
 
@@ -132,18 +130,6 @@ def load_tableau(path) -> ButcherTableau:
         except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"malformed key {key!r}: {err}") from err
     return ButcherTableau(**fields, name=str(raw.get("name", "")))
-
-
-def format_tableau(tab: ButcherTableau) -> str:
-    """Human-readable rendering of a tableau (for docs and dry runs)."""
-    width = 10
-    lines = [f"{tab.name or 'tableau'} (order {tab.order}, {tab.stages} stages)"]
-    for row in tab.a:
-        cells = "".join(f"{v:{width}.6g}" for v in row)
-        lines.append(f"  | {cells}")
-    lines.append("  +" + "-" * (width * tab.stages + 1))
-    lines.append("  | " + "".join(f"{v:{width}.6g}" for v in tab.b))
-    return "\n".join(lines)
 
 
 def rk_combine(state, step, weights, derivatives, out=None):
@@ -248,14 +234,3 @@ def certify_order(tab: ButcherTableau) -> ButcherTableau:
         raise ValueError(f"{label} but measured {measured:.3f}")
     return tab
 
-
-@dataclass
-class CountingField:
-    """Wrap a vector field and count its evaluations (test instrumentation)."""
-
-    inner: object
-    calls: int = field(default=0)
-
-    def __call__(self, state):
-        self.calls += 1
-        return self.inner(state)

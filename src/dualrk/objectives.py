@@ -10,12 +10,13 @@ Two families are provided: regularized linear least squares
 (:class:`QuadraticLocal`) and KL divergence to a reference distribution on
 the probability simplex (:class:`KLLocal`).
 
-The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`,
-:func:`stacked_gradient`) take a list of blocks of one family and evaluate
-them all in one array operation on the list's :func:`stacked_family`; a
-list that mixes families raises ``TypeError``.  Each also takes that family
-(a loop binds it once), or a row slice of it, in place of the list, and a
-``(K, n p)`` block of stacked vectors, row by row.
+The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`)
+take a list of blocks of one family and evaluate them all in one array
+operation on the list's :func:`stacked_family`; a list that mixes families
+raises ``TypeError``.  Each also takes that family (a loop binds it once),
+or a row slice of it, in place of the list, and a ``(K, n p)`` block of
+stacked vectors, row by row.  The family's ``initial_point()`` is the one
+primal start point every primal method shares.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "stacked_family",
     "stacked_conjugate",
     "stacked_value",
-    "stacked_gradient",
     "dual_value",
     "dual_value_transformed",
     "random_regression_instance",
@@ -82,14 +82,6 @@ class DualFriendlyObjective(abc.ABC):
     @abc.abstractmethod
     def conjugate_argmax(self, z: np.ndarray) -> np.ndarray:
         """Return ``argmax_x { <z, x> - f(x) }`` over the domain."""
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the domain (identity when unconstrained)."""
-        return np.asarray(x, dtype=float)
-
-    def initial_point(self) -> np.ndarray:
-        """A canonical feasible starting point for primal baselines."""
-        return np.zeros(self.dim)
 
     def kkt_residual(self, z: np.ndarray, x: np.ndarray | None = None) -> float:
         """Stationarity residual of the conjugate maximizer at ``z``.
@@ -214,12 +206,6 @@ class KLLocal(DualFriendlyObjective):
         z = np.asarray(z, dtype=float)
         return _kl_conjugate(self.reference[None], z[None])[0]
 
-    def project(self, x):
-        return project_to_simplex(np.asarray(x, dtype=float))
-
-    def initial_point(self):
-        return np.full(self.dim, 1.0 / self.dim)
-
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the unit simplex of ``v``, or of each row of ``v``."""
@@ -279,6 +265,11 @@ class _Family:
         view = object.__new__(type(self))
         view.__dict__ = {name: array[rows] for name, array in vars(self).items()}
         return view
+
+    def initial_point(self) -> np.ndarray:
+        """The primal start of every primal method: the simplex center, or zero on the reals."""
+        p = self.shape[1]
+        return np.full(p, 1.0 / p) if self.domain == "simplex" else np.zeros(p)
 
 
 class _QuadraticFamily(_Family):
@@ -362,12 +353,6 @@ def _rows(objectives, z):
     return family, z.reshape(*z.shape[:-1], n, p)
 
 
-def _per_block(kernel: str, objectives, x):
-    """Apply the family method ``kernel`` to every block of ``x``; see :func:`stacked_conjugate`."""
-    family, rows = _rows(objectives, x)
-    return getattr(family, kernel)(rows).reshape(*rows.shape[:-2], -1)
-
-
 def stacked_conjugate(objectives, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-block conjugate maximizers of a stacked vector.
 
@@ -383,7 +368,8 @@ def stacked_conjugate(objectives, z: np.ndarray, out: np.ndarray | None = None) 
     """
     if out is not None:
         return stacked_family(objectives).conjugate(np.asarray(z).reshape(out.shape), out)
-    return _per_block("conjugate", objectives, z)
+    family, rows = _rows(objectives, z)
+    return family.conjugate(rows).reshape(*rows.shape[:-2], -1)
 
 
 def stacked_value(objectives, x: np.ndarray):
@@ -394,11 +380,6 @@ def stacked_value(objectives, x: np.ndarray):
     family, rows = _rows(objectives, x)
     total = family.values(rows).sum(axis=-1)
     return float(total) if rows.ndim == 2 else total
-
-
-def stacked_gradient(objectives, x: np.ndarray) -> np.ndarray:
-    """Block-wise gradient of the aggregated objective of a one-family list."""
-    return _per_block("gradients", objectives, x)
 
 
 def dual_value(

@@ -77,7 +77,6 @@ from .objectives import stacked_conjugate
 __all__ = [
     "step_size",
     "suggested_h0",
-    "primal_extract",
     "run_heavy_ball",
     "run_heavy_ball_per_agent",
     "run_heavy_ball_monolithic",
@@ -121,18 +120,6 @@ def suggested_h0(
     return target_step * float(num_iterations) ** (tableau.order / (tableau.order + 1.0))
 
 
-def primal_extract(agent_states: np.ndarray, objectives) -> np.ndarray:
-    """Stacked conjugate solutions at the dual blocks of ``(n, 2p + 1)`` per-agent states.
-
-    At an iteration's end state this is the primal iterate all metrics are
-    computed on (the run loop solves it into its broadcast buffer instead);
-    each block is an agent-local computation.
-    """
-    block_dim = np.shape(agent_states)[1] // 2
-    y_hat = np.asarray(agent_states)[:, block_dim : 2 * block_dim].reshape(-1)
-    return stacked_conjugate(objectives, y_hat)
-
-
 def run_heavy_ball(
     graph: LaplacianGraph,
     objectives,
@@ -174,11 +161,9 @@ def run_heavy_ball(
     n = graph.node_count
     if n == 1:
         warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
-    # A zero-iteration run returns the initial state and no step.
-    steps = [
-        step_size(part_h0, num_iterations, tableau.order) if num_iterations else float("nan")
-        for part_h0 in graph.per_part(h0)
-    ]
+    # Every part's h0 is checked; a zero-iteration run returns the initial state and no step.
+    steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
+    steps = steps if num_iterations else [float("nan")] * len(steps)
     h = graph.node_values(steps)
     stages = tableau.stages
     a, b = tableau.a, tableau.b

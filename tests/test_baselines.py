@@ -119,15 +119,16 @@ def test_objectives_for_another_node_count_are_a_dimension_mismatch():
 def test_non_finite_steps_are_invalid_arguments_not_divergence(bad):
     graph = build_graph(Topology("cycle", 4))
     objs = random_regression_instance(4, 2, 3, seed=0)
-    runs = [
-        lambda: cgd_run(objs, bad, 3),
-        lambda: dgd_run(graph, objs, bad, 0.2, 3),
-        lambda: dual_nag_run(graph, objs, bad, 3),
-        lambda: run_heavy_ball(graph, objs, tableau("rk4"), 3, h0=bad),
-    ]
-    for run in runs:
-        with pytest.raises(InvalidArgument, match="and finite"):
-            run()
+    for num_iterations in (0, 3):
+        runs = [
+            lambda: cgd_run(objs, bad, num_iterations),
+            lambda: dgd_run(graph, objs, bad, 0.2, num_iterations),
+            lambda: dual_nag_run(graph, objs, bad, num_iterations),
+            lambda: run_heavy_ball(graph, objs, tableau("rk4"), num_iterations, h0=bad),
+        ]
+        for run in runs:
+            with pytest.raises(InvalidArgument, match="and finite"):
+                run()
 
 
 def test_dgd_mixing_validation():

@@ -1,5 +1,6 @@
 """The CLI's one method dispatch: the names the benchmark patches, and the h0 sweep."""
 
+import ast
 import importlib
 import importlib.util
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import dualrk
 from dualrk import baselines, cli
 from dualrk.cli import main, reproduce
 from dualrk.errors import NonFiniteState
@@ -16,6 +18,7 @@ from dualrk.simulator import suggested_h0
 
 RUNNERS = ((cli, "run_heavy_ball"), (baselines, "cgd_run"), (baselines, "dgd_run"), (baselines, "dual_nag_run"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 def _load_tracer():
@@ -56,6 +59,25 @@ def test_every_benchmark_patch_target_resolves():
         if isinstance(owner, types.ModuleType):
             # the caller's name is the function the span is named after
             assert getattr(owner, attr) is getattr(importlib.import_module(f"dualrk.{module}"), name)
+
+
+def test_every_benchmark_package_name_resolves():
+    # The benchmark worker reads these through the package; each must survive a change to its exports.
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "dualrk":
+            chains.add(".".join(reversed(parts)))
+    assert {"Topology", "cli.reproduce", "harness.verify_reference"} <= chains
+    for chain in sorted(chains):
+        owner = dualrk
+        for name in chain.split("."):
+            assert hasattr(owner, name), f"dualrk.{chain}"
+            owner = getattr(owner, name)
 
 
 def test_reproduce_reaches_each_patched_runner_once_per_figure(tmp_path, monkeypatch):

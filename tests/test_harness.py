@@ -15,7 +15,6 @@ from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
 from dualrk.harness import (
     CSV_COLUMNS,
     MetricsRecord,
-    consensus_projection,
     evaluate_metrics,
     fit_rate,
     projected_gradient_optimum,
@@ -30,8 +29,9 @@ from dualrk.objectives import (
     QuadraticLocal,
     random_kl_instance,
     random_regression_instance,
+    project_to_simplex,
+    stacked_conjugate,
     stacked_family,
-    stacked_gradient,
     stacked_value,
 )
 from dualrk.simulator import run_heavy_ball, suggested_h0
@@ -126,7 +126,8 @@ def test_consensus_quadratic_sandwich_bounds():
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = rng.normal(size=14)
-        deviation = float(np.linalg.norm(x - consensus_projection(x, 7)) ** 2)
+        blocks = x.reshape(7, -1)
+        deviation = float(np.linalg.norm(blocks - blocks.mean(axis=0)) ** 2)
         record = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1)
         assert graph.lambda_min_pos * deviation <= record.consensus_quadratic + 1e-9
         assert record.consensus_quadratic <= graph.lambda_max * deviation + 1e-9
@@ -191,12 +192,9 @@ def test_consensus_projection_lower_bounded_by_reference():
     result = run_heavy_ball(
         graph, objs, tab, 40, h0=suggested_h0(graph, objs, tab, 40), reference=ref
     )
-    # F at the consensus projection of any iterate is at least F*
-    states = result.final_state
-    from dualrk.simulator import primal_extract
-
-    x = primal_extract(states, objs)
-    projected = consensus_projection(x, 5)
+    # F at the consensus projection (every block set to the block mean) of any iterate is at least F*
+    x = stacked_conjugate(objs, result.final_state[:, 3:6].reshape(-1)).reshape(5, 3)
+    projected = np.tile(x.mean(axis=0), 5)
     assert stacked_value(objs, projected) >= ref.f_star - 1e-9
 
 
@@ -247,19 +245,18 @@ def test_csv_bytes_equal_csv_writer(tmp_path, timings):
 def _reference_projected_gradient(objectives, max_iterations=20_000, polish_iterations=300_000):
     """The projected-gradient oracle with its former fixed-step polish, after a full Armijo phase."""
     simplex = objectives[0].domain == "simplex"
-    n = len(objectives)
-    x = objectives[0].initial_point()
+    n, p = len(objectives), objectives[0].dim
+    x = np.full(p, 1.0 / p) if simplex else np.zeros(p)
 
     def total_value(v):
         return stacked_value(objectives, np.tile(v, n))
 
     def total_gradient(v):
-        return stacked_gradient(objectives, np.tile(v, n)).reshape(n, -1).sum(axis=0)
+        return stacked_family(objectives).gradients(np.tile(v, (n, 1))).sum(axis=0)
 
     def feasible(v):
-        v = objectives[0].project(v)
         if simplex:
-            v = np.maximum(v, 1e-16)
+            v = np.maximum(project_to_simplex(v), 1e-16)
             v = v / v.sum()
         return v
 

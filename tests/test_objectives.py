@@ -25,7 +25,7 @@ from dualrk.objectives import (
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
-    stacked_gradient,
+    stacked_family,
     stacked_value,
 )
 
@@ -159,7 +159,7 @@ def _assert_stacked_matches_blocks(objs, x):
     want_value = sum(obj.value(b) for obj, b in zip(objs, blocks))
     want_grad = np.concatenate([obj.gradient(b) for obj, b in zip(objs, blocks)])
     assert abs(stacked_value(objs, x) - want_value) <= 1e-12 * abs(want_value)
-    got_grad = stacked_gradient(objs, x)
+    got_grad = stacked_family(objs).gradients(blocks).reshape(-1)
     assert np.linalg.norm(got_grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
     for i in range(len(objs)):
         block = slice(i * p, (i + 1) * p)
@@ -183,7 +183,7 @@ def test_stacked_kernels_reject_mixed_families():
     kls = random_kl_instance(2, 3, seed=5)
     x = np.full(12, 0.25)
     for objs in (quads + kls, [kls[0], quads[0], kls[1], quads[1]]):
-        for kernel in (stacked_conjugate, stacked_value, stacked_gradient):
+        for kernel in (stacked_conjugate, stacked_value):
             with pytest.raises(TypeError, match="one family"):
                 kernel(objs, x)
 

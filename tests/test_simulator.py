@@ -14,14 +14,12 @@ from dualrk.harness import TraceRecorder, read_metrics_csv, reference_optimum, w
 from dualrk.integrator import ButcherTableau, tableau, tableau_for_order
 from dualrk import simulator
 from dualrk.objectives import (
-    KLLocal,
     QuadraticLocal,
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
 )
 from dualrk.simulator import (
-    primal_extract,
     run_heavy_ball,
     run_heavy_ball_monolithic,
     run_heavy_ball_per_agent,
@@ -180,16 +178,6 @@ def test_divergence_names_the_first_non_finite_stage(order, iterations, h0, mess
         run_heavy_ball(union, objectives, tab, iterations, h0=[1e-3, h0])
     union_message = f"{message} in union parts [1]"
     assert (str(info.value), info.value.iteration, info.value.parts) == (union_message, iteration, (1,))
-
-
-def test_primal_extract_closed_forms():
-    states = np.zeros((3, 5))
-    states[:, -1] = 1.0
-    q = np.array([0.2, 0.8])
-    kobs = [KLLocal(q) for _ in range(3)]
-    assert np.allclose(primal_extract(states, kobs), np.tile(q, 3), atol=1e-15)
-    quads = [QuadraticLocal(np.eye(2), np.zeros(2)) for _ in range(3)]
-    assert np.array_equal(primal_extract(states, quads), np.zeros(6))
 
 
 def test_kernel_invariant_tracked_through_runs():

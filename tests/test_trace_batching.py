@@ -38,7 +38,7 @@ from dualrk.objectives import (
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
-    stacked_gradient,
+    stacked_family,
     stacked_value,
 )
 from dualrk.simulator import (
@@ -165,9 +165,8 @@ def test_stacked_kernels_over_a_batch_axis_are_bitwise_per_row():
         values = stacked_value(objs, block)
         assert values.shape == (6,)
         assert [repr(v) for v in values.tolist()] == [repr(stacked_value(objs, x)) for x in block]
-        for kernel in (stacked_conjugate, stacked_gradient):
-            rows = np.stack([kernel(objs, x) for x in block])
-            assert kernel(objs, block).tobytes() == rows.tobytes()
+        rows = np.stack([stacked_conjugate(objs, x) for x in block])
+        assert stacked_conjugate(objs, block).tobytes() == rows.tobytes()
 
 
 def test_recorder_block_size_is_bounded_by_bytes():
@@ -207,7 +206,7 @@ def test_recorder_flushes_full_blocks_and_the_tail():
 
 def test_recorder_times_iterations_without_flushes_and_callbacks():
     objs = random_kl_instance(4, 3, seed=0)
-    x = np.tile(objs[0].initial_point(), 4)
+    x = np.tile(stacked_family(objs).initial_point(), 4)
     recorder = TraceRecorder(reference_optimum(objs), None, objs, on_record=lambda _: time.sleep(0.2))
     for k in range(1, 4):
         time.sleep(0.01)  # the iteration's own work
@@ -238,9 +237,10 @@ def _records(iterates, graph, objs, normalized=False):
 def _cgd_old_iterates(objs, step, num_iterations):
     n = len(objs)
     simplex = objs[0].domain == "simplex"
-    x = objs[0].initial_point()
+    family = stacked_family(objs)
+    x = family.initial_point()
     for k in range(1, num_iterations + 1):
-        grad = stacked_gradient(objs, np.tile(x, n)).reshape(n, -1).sum(axis=0)
+        grad = family.gradients(np.tile(x, (n, 1))).sum(axis=0)
         x = floored_projection(x - step * grad, simplex)
         yield np.tile(x, n)
 
@@ -249,11 +249,12 @@ def _dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step=T
     """``step`` and ``mixing`` are scalars or ``(n, 1)`` columns, as ``graph.node_values`` gives them."""
     n, p = len(objs), objs[0].dim
     simplex = objs[0].domain == "simplex"
-    blocks = np.tile(objs[0].initial_point(), (n, 1))
+    family = stacked_family(objs)
+    blocks = np.tile(family.initial_point(), (n, 1))
     for k in range(1, num_iterations + 1):
         stack = blocks.reshape(-1)
         mixed = blocks - mixing * laplacian_apply(graph, stack, p).reshape(n, p)
-        grads = stacked_gradient(objs, stack).reshape(n, p)
+        grads = family.gradients(blocks)
         step_k = step / np.sqrt(k) if decaying_step else step
         blocks = floored_projection(mixed - step_k * grads, simplex)
         yield blocks.reshape(-1)
@@ -284,6 +285,24 @@ def _dgd_old(graph, objs, step, mixing, num_iterations, normalized):
 def _dual_nag_old(graph, objs, step, num_iterations, normalized):
     y_hats = _dual_old_y_hats(graph, objs, step, num_iterations)
     return _records((stacked_conjugate(objs, y) for y in y_hats), graph, objs, normalized)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_every_runner_takes_a_stacked_family(family):
+    graph = build_graph(Topology("cycle", 6))
+    objs = random_regression_instance(6, 3, 4, seed=6) if family == "quadratic" else random_kl_instance(6, 3, seed=6)
+    tab = tableau("rk4")
+    h0 = suggested_h0(graph, objs, tab, 5)
+    runs = [
+        lambda o: run_heavy_ball(graph, o, tab, 5, h0=h0),
+        lambda o: cgd_run(o, 0.05, 5),
+        lambda o: dgd_run(graph, o, 0.05, 0.2, 5),
+        lambda o: dual_nag_run(graph, o, 0.1, 5),
+    ]
+    for run in runs:
+        want, got = run(objs), run(stacked_family(objs))
+        _assert_bitwise(got.records, want.records)
+        assert got.final_state.tobytes() == want.final_state.tobytes()
 
 
 @pytest.mark.parametrize("num_iterations", [1, K - 1, K, K + 1])
