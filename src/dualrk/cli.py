@@ -169,8 +169,9 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     Returns ``(records, reference, out_path)``.
     """
     graph, objectives = resolve_instance(cfg)
-    reference = harness.reference_optimum(objectives)
-    (records,) = _run_method(cfg, graph, objectives, cfg.resolve_tableau(), reference)
+    family = stacked_family(objectives)
+    reference = harness.reference_optimum(family)
+    (records,) = _run_method(cfg, graph, family, cfg.resolve_tableau(), reference)
     out_path = Path(cfg.out)
     harness.write_metrics_csv(records, out_path, timings=timings)
     return records, reference, out_path
@@ -276,22 +277,21 @@ def reproduce(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds, graphs, objectives, runs = _figure_cells(figure, scale, seed)
-    family, references = stacked_family(objectives), []  # every graph kind certifies this one instance
-    for _ in kinds:
-        reference = harness.reference_optimum(family)
-        deviation = harness.verify_reference(family, reference)
+    union = disjoint_union(graphs)
+    family, references = stacked_family(objectives * len(kinds)), []  # bound once, for every part and run
+    for nodes, _ in union.part_rows:
+        reference = harness.reference_optimum(family[nodes])
+        deviation = harness.verify_reference(family[nodes], reference)
         if deviation > 1e-9:
             raise DualRKError(
                 f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
             )
         references.append(reference)
-    del family  # each run stacks its own: holding this one through the runs raises their peak memory
-    union = disjoint_union(graphs)
     cells = {}  # (kind, method, order) -> (trace name, fits)
     for method, order in runs:
         # a figure runs each method at its default step
         part_records = _run_method(
-            ExperimentConfig(method=method), union, list(objectives) * len(kinds), tableau_for_order(order),
+            ExperimentConfig(method=method), union, family, tableau_for_order(order),
             references, budget, _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None, _H0_SWEEP_ATTEMPTS,
         )
         for kind in kinds:  # written and dropped before the next run
@@ -335,6 +335,13 @@ def verify(seed: int = 0) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: the seeded streams take nonnegative integers only."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualrk",
@@ -345,18 +352,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config", help="path to the key = value config file")
     run_p.add_argument("--dry-run", action="store_true", help="validate and print the resolved step")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run_p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the config output path")
     run_p.add_argument("--timings", action="store_true", help="record wall times in the CSV")
 
     rep_p = sub.add_parser("reproduce", help="reproduce a benchmark figure's trace bundle")
     rep_p.add_argument("figure", choices=_FIGURES)
     rep_p.add_argument("--scale", choices=_SCALES, default="desk")
-    rep_p.add_argument("--seed", type=int, default=0)
+    rep_p.add_argument("--seed", type=_seed, default=0)
     rep_p.add_argument("--out", default=".", help="output directory")
 
     ver_p = sub.add_parser("verify", help="run the fast invariant suite")
-    ver_p.add_argument("--seed", type=int, default=0)
+    ver_p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -155,6 +155,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("node_count", "dim", "rows_per_agent", "iterations", "order"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     # Written so that NaN fails each range test; baselines.check_step owns
     # the method's step and mixing ranges.
     if cfg.h0 is not None and not 0.0 < cfg.h0 < math.inf:

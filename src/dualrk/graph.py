@@ -317,17 +317,10 @@ def laplacian_apply(graph: LaplacianGraph, x: np.ndarray, block_dim: int) -> np.
 def laplacian_rows(plan, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`laplacian_apply` to rows ``padded[..., :-1, :]`` (last row ``-0.0``) by ``degree_buckets``.
 
-    ``out``, of the result's shape, receives the rows (and a one-bucket vector's neighbor sum).
+    ``out``, of the result's shape, receives the rows (and a one-bucket plan's neighbor sum).
     """
     degrees, inverse, tables = plan
-    sums = []
-    for table in tables:
-        if padded.ndim == 2:
-            sums.append(np.add.reduce(padded.take(table, axis=0), axis=0, out=out if inverse is None else None))
-        else:  # a single-node graph has no neighbor slots; its sum is empty
-            sums.append(padded.take(table[0], axis=1) if len(table) else np.zeros_like(padded[:, : table.shape[1]]))
-            for slot in table[1:]:
-                sums[-1] += padded.take(slot, axis=1)
+    sums = [np.add.reduce(padded.take(t, axis=-2), axis=-3, out=out if inverse is None else None) for t in tables]
     neighbor_sum = sums[0] if inverse is None else np.concatenate(sums, axis=-2).take(inverse, axis=-2)
     # Without out the rows overwrite the sum, this call's own array: a temporary fewer.
     return np.subtract(degrees * padded[..., :-1, :], neighbor_sum, out=neighbor_sum if out is None else out)

@@ -13,10 +13,11 @@ the probability simplex (:class:`KLLocal`).
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`)
 take a list of blocks of one family and evaluate them all in one array
 operation on the list's :func:`stacked_family`; a list that mixes families
-raises ``TypeError``.  Each also takes that family (a loop binds it once),
-or a row slice of it, in place of the list, and a ``(K, n p)`` block of
-stacked vectors, row by row.  The family's ``initial_point()`` is the one
-primal start point every primal method shares.
+raises ``TypeError``.  The family iterates and counts the objects it was
+stacked from, so it (or a row slice of it) stands in for the list, step
+policies included, and a command binds it once.  The evaluations also take
+a ``(K, n p)`` block of stacked vectors, row by row.  The family's
+``initial_point()`` is the one primal start point every primal method shares.
 """
 
 from __future__ import annotations
@@ -259,7 +260,13 @@ def _kl_conjugate(reference, z, out=None):
 
 
 class _Family:
-    """Stacked ``(blocks, p)`` parameters; ``family[rows]`` slices every array, with no copy."""
+    """Stacked ``(blocks, p)`` parameters of the ``members`` it iterates; ``family[rows]`` slices all, with no copy."""
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self):
+        return len(self.members)
 
     def __getitem__(self, rows: slice):
         view = object.__new__(type(self))
@@ -283,6 +290,7 @@ class _QuadraticFamily(_Family):
     shape = property(lambda self: self.shift.shape)
 
     def __init__(self, members):
+        self.members = tuple(members)
         self.inverse = np.stack([m._inverse for m in members])
         self.hessian = np.stack([m.hessian for m in members])
         self.shift = np.stack([m._shift for m in members])
@@ -307,6 +315,7 @@ class _KLFamily(_Family):
     shape = property(lambda self: self.reference.shape)
 
     def __init__(self, members):
+        self.members = tuple(members)
         self.reference = np.stack([m.reference for m in members])
 
     def conjugate(self, z, out=None):
@@ -326,7 +335,7 @@ KLLocal._family = _KLFamily
 
 
 def stacked_family(objectives):
-    """The stacked parameters of a one-family list, built per call (a family is returned as it is).
+    """The stacked parameters of a one-family list, its ``members``, built per call (a family is returned as it is).
 
     Raises ``TypeError`` for a list that mixes families or holds a type
     without stacked kernels.

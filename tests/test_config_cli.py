@@ -168,6 +168,20 @@ def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, key, method, 
     assert err.startswith(f"config error: {key} must be") and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["reproduce fig3 --seed -1", "verify --seed -1", "run {config} --seed -1", "run {negative}"]
+)
+def test_negative_seed_exits_2_without_traceback(tmp_path, capsys, command):
+    # The seeded streams reject a negative seed; argparse or the config check must, before they see it.
+    config, negative = _write_config(tmp_path / "cfg.txt"), _write_config(tmp_path / "neg.txt", seed=-3)
+    try:
+        code = main(command.format(config=config, negative=negative).split())
+    except SystemExit as exit_:  # argparse's usage error
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code == 2 and "seed" in err and "nonnegative" in err and "Traceback" not in err
+
+
 def test_baseline_methods_run_from_config(tmp_path):
     for method in ("cgd", "dgd", "dual_nag"):
         path = _write_config(tmp_path / f"{method}.txt", method=method, iterations=30)

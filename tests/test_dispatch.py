@@ -90,6 +90,20 @@ def test_reproduce_reaches_each_patched_runner_once_per_figure(tmp_path, monkeyp
         assert len(read_metrics_csv(tmp_path / f"fig1_cycle_{method}.csv")) == iterations
 
 
+def test_traced_reproduce_reports_each_run_size_and_restores_every_patch(tmp_path):
+    # The benchmark's after-hooks read a baseline's size from its objectives, here one row slice or the union family.
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        reproduce("fig1", out_dir=tmp_path, rounds_budget=40)
+    finally:
+        assert tracer.uninstall() == []
+    sizes = {name: meta["n"] for name, meta, _ in tracer.counts_by_method()}
+    assert sizes == {
+        "baselines.cgd_run": 20, "baselines.dgd_run": 60, "baselines.dual_nag_run": 60, "simulator.run_heavy_ball": 60,
+    }
+
+
 @pytest.mark.parametrize("method, runner", [
     ("heavy_ball_rk", "run_heavy_ball"), ("cgd", "cgd_run"), ("dgd", "dgd_run"), ("dual_nag", "dual_nag_run"),
 ])

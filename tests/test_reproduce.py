@@ -46,14 +46,17 @@ def test_fig3_order_sweep_slopes_are_ordered(tmp_path):
 
 
 def test_figure_setup_stacks_its_instance_once(tmp_path, monkeypatch):
-    # Every graph kind certifies the one shared instance, through one family.
-    from dualrk import cli, harness, objectives
+    # A figure binds one family over the union of its graph kinds: every part is certified on a
+    # row view of it, and every method runs on it.  A run stacks its instance once too.
+    from dualrk import harness, objectives
+    from dualrk.cli import run_experiment
+    from dualrk.config import METHODS, ExperimentConfig
 
     stacked, certified = [], []
     init, verify = objectives._QuadraticFamily.__init__, harness.verify_reference
 
     def counting_init(self, members):
-        stacked.append(len(members))
+        stacked.append((len(members), self))
         init(self, members)
 
     def counting_verify(family, reference):
@@ -62,11 +65,17 @@ def test_figure_setup_stacks_its_instance_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(objectives._QuadraticFamily, "__init__", counting_init)
     monkeypatch.setattr(harness, "verify_reference", counting_verify)
-    # The set-up alone: every method run returns one empty trace per graph part.
-    monkeypatch.setattr(cli, "_run_method", lambda cfg, graph, *args: [[] for _ in graph.part_rows])
-    reproduce("fig1", out_dir=tmp_path, rounds_budget=400)
-    assert stacked == [20]
-    assert len(certified) == 3 and all(family is certified[0] for family in certified)
+    reproduce("fig1", out_dir=tmp_path, rounds_budget=40)
+    assert [rows for rows, _ in stacked] == [60]
+    family = stacked[0][1]
+    assert len(certified) == 3
+    for view, nodes in zip(certified, (slice(0, 20), slice(20, 40), slice(40, 60))):
+        assert view.shape == (20, 10) and list(view) == list(family)[nodes]
+        assert np.shares_memory(view.inverse, family.inverse)
+    for method in METHODS:
+        stacked.clear()
+        run_experiment(ExperimentConfig(method=method, iterations=12, ridge=1e-3, out=str(tmp_path / "run.csv")))
+        assert len(stacked) == 1, method
 
 
 def test_unknown_figure_rejected(tmp_path):

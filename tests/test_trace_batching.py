@@ -17,7 +17,7 @@ import pytest
 
 from dualrk import baselines, cli, simulator
 from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
-from dualrk.config import load_config, resolve_instance
+from dualrk.config import METHODS, ExperimentConfig, load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
 from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
 from dualrk.harness import (
@@ -291,8 +291,16 @@ def _dual_nag_old(graph, objs, step, num_iterations, normalized):
 def test_every_runner_takes_a_stacked_family(family):
     graph = build_graph(Topology("cycle", 6))
     objs = random_regression_instance(6, 3, 4, seed=6) if family == "quadratic" else random_kl_instance(6, 3, seed=6)
+    stacked = stacked_family(objs)
+    # The family stands in for its list: it iterates and counts its members, and so does a row slice.
+    assert list(stacked) == objs and len(stacked) == 6
+    assert len(stacked[2:5]) == 3 and list(stacked[2:5]) == objs[2:5]
     tab = tableau("rk4")
     h0 = suggested_h0(graph, objs, tab, 5)
+    assert suggested_h0(graph, stacked, tab, 5) == h0
+    for method in METHODS:  # the same constants, read in the same order: every default step is bitwise
+        cfg = ExperimentConfig(method=method)
+        assert cli._method_step(cfg, graph, stacked, tab, 5) == cli._method_step(cfg, graph, objs, tab, 5)
     runs = [
         lambda o: run_heavy_ball(graph, o, tab, 5, h0=h0),
         lambda o: cgd_run(o, 0.05, 5),
@@ -300,7 +308,7 @@ def test_every_runner_takes_a_stacked_family(family):
         lambda o: dual_nag_run(graph, o, 0.1, 5),
     ]
     for run in runs:
-        want, got = run(objs), run(stacked_family(objs))
+        want, got = run(objs), run(stacked)
         _assert_bitwise(got.records, want.records)
         assert got.final_state.tobytes() == want.final_state.tobytes()
 
