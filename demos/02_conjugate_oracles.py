@@ -10,7 +10,7 @@ and differentiates the induced dual function numerically.
 
 import numpy as np
 
-from dualrk import KLLocal, QuadraticLocal, Topology, build_graph, dual_value
+from dualrk import KLLocal, QuadraticLocal, Topology, build_graph, dual_value_transformed
 from dualrk.graph import sqrt_apply, sqrt_laplacian
 from dualrk.objectives import stacked_conjugate
 
@@ -47,6 +47,9 @@ worst = 0.0
 for j in range(15):
     unit = np.zeros(15)
     unit[j] = step
-    fd = (dual_value(graph, objs, y + unit, root) - dual_value(graph, objs, y - unit, root)) / (2 * step)
+    fd = (
+        dual_value_transformed(objs, sqrt_apply(root, y + unit, 3))
+        - dual_value_transformed(objs, sqrt_apply(root, y - unit, 3))
+    ) / (2 * step)
     worst = max(worst, abs(fd - closed[j]))
 print(f"\ndual gradient, finite differences vs closed form: max deviation {worst:.2e}")

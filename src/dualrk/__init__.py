@@ -17,7 +17,7 @@ console script drives experiments from config files; the ``demos/``
 directory walks through each capability.
 """
 
-from .baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from .baselines import cgd_run, dgd_run, dual_nag_run
 from .config import ExperimentConfig, load_config, resolve_instance
 from .dynamics import agent_field, heavy_ball_field, kernel_residual
 from .errors import (
@@ -56,7 +56,6 @@ from .objectives import (
     DualFriendlyObjective,
     KLLocal,
     QuadraticLocal,
-    dual_value,
     dual_value_transformed,
     random_kl_instance,
     random_regression_instance,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import harness
 from .dynamics import kernel_residual
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import InvalidArgument
 # laplacian_apply is not called here; perfbench's tracer patches it under this name.
 from .graph import LaplacianGraph, laplacian_apply, laplacian_rows
 from .objectives import floored_projection, stacked_conjugate, stacked_family, stacked_value
@@ -41,7 +41,6 @@ __all__ = [
     "cgd_run",
     "dgd_run",
     "dual_nag_run",
-    "dual_gd_run",
 ]
 
 
@@ -69,7 +68,6 @@ def cgd_run(
     step: float,
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
-    start: np.ndarray | None = None,
 ) -> harness.RunResult:
     """Centralized (projected) gradient descent on the shared variable.
 
@@ -81,9 +79,7 @@ def cgd_run(
     check_step(step)
     family = stacked_family(objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
-    x = family.initial_point() if start is None else np.asarray(start, dtype=float)
-    if x.shape != (p,):
-        raise DimensionMismatch(f"expected a start of {p} entries, got {x.shape}")
+    x = family.initial_point()
     replicated, grads = np.tile(x, (n, 1)), np.empty((n, p))  # the consensus stack of x, rewritten in place
     recorder = harness.TraceRecorder(reference, None, family)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
@@ -104,7 +100,6 @@ def dgd_run(
     num_iterations: int,
     reference: harness.ReferenceOptimum | None = None,
     decaying_step: bool = True,
-    start: np.ndarray | None = None,
 ) -> harness.RunResult:
     """Distributed gradient descent with Laplacian-based mixing.
 
@@ -126,11 +121,9 @@ def dgd_run(
     # Bound once per run: the pad buffer's first n rows are the iterate, which the round broadcasts.
     family, plan, padded = harness.bind_run(graph, objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
-    if start is not None and np.size(start) != n * p:
-        raise DimensionMismatch(f"expected a start of {n * p} entries, got {np.shape(start)}")
     recorder = harness.TraceRecorder(reference, graph, family)
     blocks, (mixed, grads) = padded[:n], np.empty((2, n, p))
-    blocks[:] = family.initial_point() if start is None else np.reshape(start, (n, p))
+    blocks[:] = family.initial_point()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
@@ -143,52 +136,6 @@ def dgd_run(
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
             recorder.push(blocks.reshape(-1), k, k)
     return recorder.result(blocks.copy(), steps)
-
-
-def _dual_descent(
-    graph: LaplacianGraph,
-    objectives,
-    step: float,
-    num_iterations: int,
-    reference: harness.ReferenceOptimum | None,
-    record_dual_gap: bool,
-    momentum: bool,
-    method: str,
-) -> harness.RunResult:
-    steps = graph.per_part(step)
-    for part_step in steps:
-        check_step(part_step)
-    step = graph.node_values(steps)
-    # Bound once per run: the pad buffer's first n rows take the broadcast, the conjugate
-    # at the anchor; each iterate's y_hat is written over the one before last.
-    family, plan, padded = harness.bind_run(graph, objectives)
-    n, p = family.shape
-    broadcast, x_stack = padded[:n], padded[:n].reshape(-1)
-    recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)
-    lap, y_hat, y_prev, z_hat = np.zeros((4, n, p))
-    # Conjugate at the current y_hat: it feeds the metrics, the dual gap, the
-    # next plain-descent anchor and the final state, so each is solved once.
-    stacked_conjugate(family, y_hat, out=broadcast)
-    gaps = [[] for _ in recorder.parts] if record_dual_gap else None
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
-        for k in range(1, num_iterations + 1):
-            # At k = 1 the momentum anchor z_hat is still y_hat, whose conjugate is the broadcast.
-            if momentum and k > 1:
-                stacked_conjugate(family, z_hat, out=broadcast)
-            laplacian_rows(plan, padded, lap)
-            np.subtract(z_hat if momentum else y_hat, np.multiply(step, lap, out=lap), out=y_prev)
-            y_hat, y_prev = y_prev, y_hat
-            if momentum:
-                np.subtract(y_hat, y_prev, out=z_hat)
-                np.add(y_hat, np.multiply((k - 1.0) / (k + 2.0), z_hat, out=z_hat), out=z_hat)
-            harness.check_finite(y_hat, graph, f"{method}: non-finite iterate at iteration {k}", k)
-            stacked_conjugate(family, y_hat, out=broadcast)
-            for part_gaps, trace in zip(gaps or (), recorder.parts):
-                y_part, x_part = y_hat.reshape(-1)[trace.columns], x_stack[trace.columns]
-                dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
-                part_gaps.append(dual + trace.reference.f_star)
-            recorder.push(x_stack, k, k, y_hat)
-    return recorder.result(broadcast.copy(), steps, gaps)
 
 
 def dual_nag_run(
@@ -212,25 +159,36 @@ def dual_nag_run(
     With ``record_dual_gap=True`` the per-iteration dual suboptimality
     ``phi(y_k) - phi(y*)`` is recorded in ``dual_gaps``.
     """
-    return _dual_descent(
-        graph, objectives, step, num_iterations, reference, record_dual_gap, momentum=True, method="dual_nag"
-    )
-
-
-def dual_gd_run(
-    graph: LaplacianGraph,
-    objectives,
-    step: float,
-    num_iterations: int,
-    reference: harness.ReferenceOptimum | None = None,
-    record_dual_gap: bool = False,
-) -> harness.RunResult:
-    """Plain gradient descent on the transformed dual (momentum-free control).
-
-    Same step rule and recording as :func:`dual_nag_run` without the
-    momentum combination; used as the side-by-side comparison that the
-    accelerated variant must beat.
-    """
-    return _dual_descent(
-        graph, objectives, step, num_iterations, reference, record_dual_gap, momentum=False, method="dual_gd"
-    )
+    steps = graph.per_part(step)
+    for part_step in steps:
+        check_step(part_step)
+    step = graph.node_values(steps)
+    # Bound once per run: the pad buffer's first n rows take the broadcast, the conjugate
+    # at the anchor; each iterate's y_hat is written over the one before last.
+    family, plan, padded = harness.bind_run(graph, objectives)
+    n, p = family.shape
+    broadcast, x_stack = padded[:n], padded[:n].reshape(-1)
+    recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)
+    lap, y_hat, y_prev, z_hat = np.zeros((4, n, p))
+    # Conjugate at the current y_hat: it feeds the metrics, the dual gap and
+    # the final state, so each is solved once.
+    stacked_conjugate(family, y_hat, out=broadcast)
+    gaps = [[] for _ in recorder.parts] if record_dual_gap else None
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
+        for k in range(1, num_iterations + 1):
+            # At k = 1 the momentum anchor z_hat is still y_hat, whose conjugate is the broadcast.
+            if k > 1:
+                stacked_conjugate(family, z_hat, out=broadcast)
+            laplacian_rows(plan, padded, lap)
+            np.subtract(z_hat, np.multiply(step, lap, out=lap), out=y_prev)
+            y_hat, y_prev = y_prev, y_hat
+            np.subtract(y_hat, y_prev, out=z_hat)
+            np.add(y_hat, np.multiply((k - 1.0) / (k + 2.0), z_hat, out=z_hat), out=z_hat)
+            harness.check_finite(y_hat, graph, f"dual_nag: non-finite iterate at iteration {k}", k)
+            stacked_conjugate(family, y_hat, out=broadcast)
+            for part_gaps, trace in zip(gaps or (), recorder.parts):
+                y_part, x_part = y_hat.reshape(-1)[trace.columns], x_stack[trace.columns]
+                dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
+                part_gaps.append(dual + trace.reference.f_star)
+            recorder.push(x_stack, k, k, y_hat)
+    return recorder.result(broadcast.copy(), steps, gaps)

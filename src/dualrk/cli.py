@@ -196,10 +196,17 @@ def _print_run_summary(records) -> None:
             print(f"rate {metric}: slope={fit.slope:.4f} over rounds {fit.window}")
 
 
+def _check_seed(seed: int) -> int:
+    """Return ``seed``; the seeded streams take nonnegative integers only."""
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _check_seed(args.seed)
     if args.out is not None:
         cfg.out = args.out
     if args.dry_run:
@@ -273,6 +280,7 @@ def reproduce(
         raise ConfigError(f"unknown figure {figure!r}, expected one of {_FIGURES}")
     if scale not in _SCALES:
         raise ConfigError(f"unknown scale {scale!r}, expected one of {_SCALES}")
+    _check_seed(seed)
     budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,7 +332,7 @@ def verify(seed: int = 0) -> int:
     """Run the invariant suite, print one line per check, return an exit code."""
     from .selfcheck import run_invariant_suite  # here: no other command pays for its import
 
-    results = run_invariant_suite(seed=seed)
+    results = run_invariant_suite(seed=_check_seed(seed))
     failed = [r for r in results if not r.passed]
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -333,13 +341,6 @@ def verify(seed: int = 0) -> int:
         print(f"invariant violation: {failed[0].name}", file=sys.stderr)
         return 1
     return 0
-
-
-def _seed(text: str) -> int:
-    """A ``--seed`` value: the seeded streams take nonnegative integers only."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,18 +353,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("config", help="path to the key = value config file")
     run_p.add_argument("--dry-run", action="store_true", help="validate and print the resolved step")
-    run_p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the config output path")
     run_p.add_argument("--timings", action="store_true", help="record wall times in the CSV")
 
     rep_p = sub.add_parser("reproduce", help="reproduce a benchmark figure's trace bundle")
     rep_p.add_argument("figure", choices=_FIGURES)
     rep_p.add_argument("--scale", choices=_SCALES, default="desk")
-    rep_p.add_argument("--seed", type=_seed, default=0)
+    rep_p.add_argument("--seed", type=int, default=0)
     rep_p.add_argument("--out", default=".", help="output directory")
 
     ver_p = sub.add_parser("verify", help="run the fast invariant suite")
-    ver_p.add_argument("--seed", type=_seed, default=0)
+    ver_p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -42,7 +42,6 @@ from .objectives import stacked_conjugate, stacked_family
 
 __all__ = [
     "initial_agent_states",
-    "initial_stacked_state",
     "stack_agent_states",
     "agent_field",
     "round_field",
@@ -61,13 +60,6 @@ def initial_agent_states(n: int, block_dim: int) -> np.ndarray:
     states = np.zeros((n, 2 * block_dim + 1))
     states[:, -1] = 1.0
     return states
-
-
-def initial_stacked_state(n: int, block_dim: int) -> np.ndarray:
-    """Monolithic start state, shape ``(2np + 1,)`` with time 1."""
-    state = np.zeros(2 * n * block_dim + 1)
-    state[-1] = 1.0
-    return state
 
 
 def stack_agent_states(states: np.ndarray, block_dim: int) -> np.ndarray:

@@ -27,7 +27,6 @@ import abc
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem
-from .graph import LaplacianGraph, sqrt_apply, sqrt_laplacian
 
 __all__ = [
     "DualFriendlyObjective",
@@ -38,7 +37,6 @@ __all__ = [
     "stacked_family",
     "stacked_conjugate",
     "stacked_value",
-    "dual_value",
     "dual_value_transformed",
     "random_regression_instance",
     "random_kl_instance",
@@ -389,26 +387,6 @@ def stacked_value(objectives, x: np.ndarray):
     family, rows = _rows(objectives, x)
     total = family.values(rows).sum(axis=-1)
     return float(total) if rows.ndim == 2 else total
-
-
-def dual_value(
-    graph: LaplacianGraph,
-    objectives,
-    y: np.ndarray,
-    sqrt_lap: np.ndarray | None = None,
-) -> float:
-    """Dual function ``phi(y) = max_x { <y, sqrt(L) x> - F(x) }``.
-
-    Test oracle only: it materializes the Laplacian square root by
-    eigendecomposition, so keep the node count small.  ``phi(0)`` equals
-    ``-min_x F(x)`` and ``phi(y*) = -F(x*)`` at a consensus-feasible optimum.
-    """
-    p = objectives[0].dim
-    if sqrt_lap is None:
-        sqrt_lap = sqrt_laplacian(graph)
-    z = sqrt_apply(sqrt_lap, np.asarray(y, dtype=float), p)
-    x = stacked_conjugate(objectives, z)
-    return float(z @ x) - stacked_value(objectives, x)
 
 
 def dual_value_transformed(objectives, y_hat: np.ndarray) -> float:

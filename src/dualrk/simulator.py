@@ -64,7 +64,6 @@ from .dynamics import (
     agent_field,
     heavy_ball_field,
     initial_agent_states,
-    initial_stacked_state,
     kernel_residual,
     round_field,
     stack_agent_states,
@@ -264,6 +263,7 @@ def run_heavy_ball_monolithic(
     :func:`run_heavy_ball`'s to roundoff.
     """
     h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
-    state = initial_stacked_state(graph.node_count, objectives[0].dim)
+    p = objectives[0].dim
+    state = stack_agent_states(initial_agent_states(graph.node_count, p), p)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         return integrate(tableau, heavy_ball_field(graph, objectives), state, h, num_iterations)

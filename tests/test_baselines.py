@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualrk import baselines
-from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from dualrk.baselines import cgd_run, dgd_run, dual_nag_run
 from dualrk.errors import DimensionMismatch, InvalidArgument
 from dualrk.graph import Topology, build_graph, dense_laplacian, laplacian_apply
 from dualrk.harness import evaluate_metrics, reference_optimum
@@ -24,15 +24,15 @@ from dualrk.simulator import run_heavy_ball
 
 def test_cgd_stationary_at_optimum():
     objs = [QuadraticLocal(np.eye(2), np.array([1.0, -2.0])) for _ in range(3)]
-    result = cgd_run(objs, 0.1, 5, start=np.array([1.0, -2.0]))
+    result = cgd_run(objs, 1.0 / 3.0, 5)  # the first step from zero lands on the optimum
     for record in result.records:
         assert record.suboptimality <= 1e-12
         assert record.dist_to_optimum_sq <= 1e-12
 
 
 def test_cgd_one_step_on_scalar_quadratic():
-    objs = [QuadraticLocal(np.array([[1.0]]), np.array([0.0]))]
-    result = cgd_run(objs, 1.0, 3, start=np.array([5.0]))
+    objs = [QuadraticLocal(np.array([[1.0]]), np.array([5.0]))]
+    result = cgd_run(objs, 1.0, 3)
     assert result.records[0].dist_to_optimum_sq == pytest.approx(0.0, abs=1e-28)
 
 
@@ -48,10 +48,9 @@ def test_cgd_matches_normal_equations_and_descends():
 
 
 def test_dgd_stationary_with_zero_steps():
-    objs = [QuadraticLocal(np.eye(2), np.array([0.5, 0.5])) for _ in range(4)]
+    objs = [KLLocal(np.array([0.5, 0.5])) for _ in range(4)]
     graph = build_graph(Topology("cycle", 4))
-    start = np.tile([0.5, 0.5], 4)  # consensus at the shared optimum
-    result = dgd_run(graph, objs, 0.0, 0.2, 10, start=start)
+    result = dgd_run(graph, objs, 0.0, 0.2, 10)  # the simplex center: consensus at the shared optimum
     assert result.records[-1].dist_to_optimum_sq <= 1e-28
     assert result.records[-1].consensus_quadratic <= 1e-28
 
@@ -85,22 +84,13 @@ def test_dgd_matches_dense_matrix_iteration_oracle():
 def test_dgd_mixing_preserves_block_mean():
     graph = build_graph(Topology("erdos_renyi", 6, edge_probability=0.6, rng_seed=3))
     objs = random_regression_instance(6, 2, 4, seed=3)
-    rng = np.random.default_rng(3)
-    start = rng.normal(size=12)
-    result = dgd_run(graph, objs, 0.0, 0.25, 1, start=start)
-    before = start.reshape(6, 2).mean(axis=0)
-    after = result.final_state.mean(axis=0)
+    # One step leaves consensus; the second step's mixing must keep the block mean.
+    start = dgd_run(graph, objs, 0.5, 0.25, 1, decaying_step=False).final_state
+    result = dgd_run(graph, objs, 0.5, 0.25, 2, decaying_step=False)
+    grads = np.array([obj.gradient(block) for obj, block in zip(objs, start)])
+    before = start.mean(axis=0)
+    after = (result.final_state + 0.5 * grads).mean(axis=0)
     assert np.abs(before - after).max() <= 1e-12
-
-
-def test_start_of_the_wrong_size_is_a_dimension_mismatch():
-    graph = build_graph(Topology("cycle", 4))
-    objs = random_regression_instance(4, 2, 3, seed=0)
-    for num_iterations in (0, 3):  # checked before the first iteration
-        with pytest.raises(DimensionMismatch, match="expected a start of 8 entries"):
-            dgd_run(graph, objs, 0.1, 0.2, num_iterations, start=np.zeros(7))
-        with pytest.raises(DimensionMismatch, match="expected a start of 2 entries"):
-            cgd_run(objs, 0.1, num_iterations, start=np.zeros(3))
 
 
 def test_objectives_for_another_node_count_are_a_dimension_mismatch():
@@ -153,10 +143,11 @@ def test_dual_nag_stays_at_zero_when_unconstrained_min_is_consensus():
 def test_first_nag_step_is_plain_gradient():
     graph = build_graph(Topology("cycle", 5))
     objs = random_kl_instance(5, 3, seed=5)
-    nag = dual_nag_run(graph, objs, 0.05, 1)
-    gd = dual_gd_run(graph, objs, 0.05, 1)
-    assert nag.records[0].suboptimality == gd.records[0].suboptimality
-    assert np.array_equal(nag.final_state, gd.final_state)
+    reference = reference_optimum(objs)
+    nag = dual_nag_run(graph, objs, 0.05, 1, reference=reference)
+    records, _, final_stack = _dual_descent_reference(graph, objs, 0.05, 1, reference, momentum=False)
+    assert nag.records[0].suboptimality == records[0].suboptimality
+    assert np.array_equal(nag.final_state.reshape(-1), final_stack)
 
 
 def test_nag_dual_gap_beats_plain_gradient():
@@ -164,18 +155,18 @@ def test_nag_dual_gap_beats_plain_gradient():
     graph = build_graph(Topology("erdos_renyi", 8, edge_probability=0.5, rng_seed=6))
     mu = min(o.strong_convexity for o in objs)
     h = mu / graph.lambda_max
-    nag = dual_nag_run(graph, objs, h, 800, record_dual_gap=True)
-    gd = dual_gd_run(graph, objs, h, 800, record_dual_gap=True)
-    assert nag.dual_gaps[-1] < gd.dual_gaps[-1]
+    reference = reference_optimum(objs)
+    nag = dual_nag_run(graph, objs, h, 800, reference=reference, record_dual_gap=True)
+    _, gd_gaps, _ = _dual_descent_reference(graph, objs, h, 800, reference, momentum=False)
+    assert nag.dual_gaps[-1] < gd_gaps[-1]
     assert nag.dual_gaps[-1] >= -1e-10  # phi(y*) is the dual minimum
 
 
 def test_dual_methods_keep_kernel_sums_zero():
     graph = build_graph(Topology("cycle", 6))
     objs = random_kl_instance(6, 3, seed=7)
-    for runner in (dual_nag_run, dual_gd_run):
-        result = runner(graph, objs, 0.05, 100)
-        assert result.max_kernel_residual <= 1e-9
+    result = dual_nag_run(graph, objs, 0.05, 100)
+    assert result.max_kernel_residual <= 1e-9
 
 
 def test_baselines_share_record_schema():
@@ -219,7 +210,7 @@ def _dual_descent_reference(graph, objs, step, num_iterations, reference, moment
 
 
 @pytest.mark.parametrize(
-    "runner, momentum, sweeps", [(dual_gd_run, False, 13), (dual_nag_run, True, 24)]
+    "runner, momentum, sweeps", [(dual_nag_run, True, 24)]
 )
 def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, sweeps):
     graph = build_graph(Topology("erdos_renyi", 6, edge_probability=0.6, rng_seed=4))
@@ -233,8 +224,8 @@ def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, 
 
     monkeypatch.setattr(baselines, "stacked_conjugate", counting)
     result = runner(graph, objs, 0.5, 12, reference=reference, record_dual_gap=True)
-    # dual_gd: N + 1 sweeps (start, then one per iterate); dual_nag adds the
-    # N - 1 momentum anchors that differ from the iterate.
+    # N + 1 sweeps (start, then one per iterate) and the N - 1 momentum
+    # anchors that differ from the iterate.
     assert len(calls) == sweeps
     records, gaps, final_stack = _dual_descent_reference(graph, objs, 0.5, 12, reference, momentum)
     fields = (

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualrk.cli import main
+from dualrk.cli import main, reproduce, verify
 from dualrk.config import load_config, parse_config_text, resolve_instance
 from dualrk.errors import ConfigError
 from dualrk.harness import read_metrics_csv
@@ -180,6 +180,15 @@ def test_negative_seed_exits_2_without_traceback(tmp_path, capsys, command):
         code = exit_.code
     err = capsys.readouterr().err
     assert code == 2 and "seed" in err and "nonnegative" in err and "Traceback" not in err
+
+
+def test_negative_seed_from_python_is_a_config_error(tmp_path):
+    # The Python entry points check the seed as the CLI does, before any output is written.
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        reproduce("fig3", out_dir=tmp_path / "out", seed=-1, rounds_budget=40)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        verify(seed=-1)
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_methods_run_from_config(tmp_path):

@@ -61,6 +61,32 @@ def test_every_benchmark_patch_target_resolves():
             assert getattr(owner, attr) is getattr(importlib.import_module(f"dualrk.{module}"), name)
 
 
+def test_every_import_in_the_package_is_read_or_exported():
+    # An imported name that its module neither reads nor lists in __all__ is dead,
+    # unless the benchmark's tracer patches it there.
+    patched = {
+        (owner.__name__, attr)
+        for owner, attr, _ in _load_tracer().patch_targets()
+        if isinstance(owner, types.ModuleType)
+    }
+    dead = []
+    for path in sorted(Path(dualrk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        module = f"dualrk.{path.stem}"
+        dead.extend(f"{module}.{name}" for name in sorted(imported - read) if (module, name) not in patched)
+    assert dead == []
+
+
 def test_every_benchmark_package_name_resolves():
     # The benchmark worker reads these through the package; each must survive a change to its exports.
     tree = ast.parse(WORKER.read_text(encoding="utf-8"))

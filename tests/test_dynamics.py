@@ -7,7 +7,6 @@ from dualrk.dynamics import (
     agent_field,
     heavy_ball_field,
     initial_agent_states,
-    initial_stacked_state,
     kernel_residual,
     stack_agent_states,
     transform_state,
@@ -82,7 +81,7 @@ def test_agent_fields_stack_to_monolithic_field():
 def test_monolithic_field_at_initial_state():
     graph = build_graph(Topology("star", 5))
     objs = random_regression_instance(5, 2, 4, seed=3)
-    state = initial_stacked_state(5, 2)
+    state = stack_agent_states(initial_agent_states(5, 2), 2)
     out = heavy_ball_field(graph, objs)(state)
     x0 = stacked_conjugate(objs, np.zeros(10))
     assert np.array_equal(out[:10], -4.0 * laplacian_apply(graph, x0, 2))
@@ -99,7 +98,7 @@ def test_monolithic_field_damping_only_when_conjugates_consensus():
     objs = [KLLocal(q) for _ in range(4)]
     graph = build_graph(Topology("cycle", 4))
     rng = np.random.default_rng(5)
-    state = initial_stacked_state(4, 2)
+    state = stack_agent_states(initial_agent_states(4, 2), 2)
     state[:8] = rng.normal(size=8)  # v_hat arbitrary, y_hat stays 0
     state[-1] = 2.0
     out = heavy_ball_field(graph, objs)(state)
@@ -110,7 +109,7 @@ def test_untransformed_field_at_origin():
     graph = build_graph(Topology("cycle", 4))
     objs = random_regression_instance(4, 2, 4, seed=4)
     root = sqrt_laplacian(graph)
-    state = initial_stacked_state(4, 2)
+    state = stack_agent_states(initial_agent_states(4, 2), 2)
     out = untransformed_field(graph, objs, root)(state)
     x0 = stacked_conjugate(objs, np.zeros(8))
     assert np.allclose(out[:8], -4.0 * sqrt_apply(root, x0, 2), atol=1e-14)
@@ -135,7 +134,7 @@ def test_change_of_variable_commutes_with_field():
 def test_non_positive_time_raises():
     graph = build_graph(Topology("cycle", 3))
     objs = random_kl_instance(3, 2, seed=7)
-    state = initial_stacked_state(3, 2)
+    state = stack_agent_states(initial_agent_states(3, 2), 2)
     state[-1] = 0.0
     with pytest.raises(NonPositiveTime):
         heavy_ball_field(graph, objs)(state)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dualrk import baselines, cli, simulator
-from dualrk.baselines import cgd_run, dgd_run, dual_gd_run, dual_nag_run
+from dualrk.baselines import cgd_run, dgd_run, dual_nag_run
 from dualrk.config import METHODS, ExperimentConfig, load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
 from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
@@ -260,16 +260,14 @@ def _dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step=T
         yield blocks.reshape(-1)
 
 
-def _dual_old_y_hats(graph, objs, step, num_iterations, momentum=True):
-    """Dual descent's iterates ``y_hat``; ``step`` is a scalar or an ``(n, 1)`` column."""
+def _dual_old_y_hats(graph, objs, step, num_iterations):
+    """Dual Nesterov's iterates ``y_hat``; ``step`` is a scalar or an ``(n, 1)`` column."""
     n, p = len(objs), objs[0].dim
-    y_hat = y_prev = z_hat = np.zeros(n * p)
+    y_prev = z_hat = np.zeros(n * p)
     for k in range(1, num_iterations + 1):
-        anchor = z_hat if momentum else y_hat
-        lap = laplacian_apply(graph, stacked_conjugate(objs, anchor), p).reshape(n, p)
-        y_hat = anchor - (step * lap).reshape(-1)
-        if momentum:
-            z_hat = y_hat + ((k - 1.0) / (k + 2.0)) * (y_hat - y_prev)
+        lap = laplacian_apply(graph, stacked_conjugate(objs, z_hat), p).reshape(n, p)
+        y_hat = z_hat - (step * lap).reshape(-1)
+        z_hat = y_hat + ((k - 1.0) / (k + 2.0)) * (y_hat - y_prev)
         y_prev = y_hat
         yield y_hat
 
@@ -380,16 +378,15 @@ def test_baselines_match_the_old_loop_per_part(case):
         result = dgd_run(graph, objs, dgd_steps, mixings, num_iterations, decaying_step=decaying_step)
         iterates = list(_dgd_old_iterates(graph, objs, step, mixing, num_iterations, decaying_step))
         runs.append((result, _part_records(iterates, graph, objs), iterates[-1], None))
-    for runner, momentum in ((dual_nag_run, True), (dual_gd_run, False)):
-        result = runner(graph, objs, dual_steps, num_iterations, record_dual_gap=True)
-        y_hats = list(_dual_old_y_hats(graph, objs, graph.node_values(dual_steps), num_iterations, momentum))
-        iterates = [stacked_conjugate(objs, y) for y in y_hats]
-        gaps = [
-            [dual_value_transformed(objs[nodes], y[nodes.start * p : nodes.stop * p]) + reference_optimum(objs[nodes]).f_star
-             for y in y_hats]
-            for nodes, _ in graph.part_rows
-        ]
-        runs.append((result, _part_records(iterates, graph, objs), iterates[-1], gaps))
+    result = dual_nag_run(graph, objs, dual_steps, num_iterations, record_dual_gap=True)
+    y_hats = list(_dual_old_y_hats(graph, objs, graph.node_values(dual_steps), num_iterations))
+    iterates = [stacked_conjugate(objs, y) for y in y_hats]
+    gaps = [
+        [dual_value_transformed(objs[nodes], y[nodes.start * p : nodes.stop * p]) + reference_optimum(objs[nodes]).f_star
+         for y in y_hats]
+        for nodes, _ in graph.part_rows
+    ]
+    runs.append((result, _part_records(iterates, graph, objs), iterates[-1], gaps))
     if not graph.parts:  # cgd never reads a graph
         iterates = list(_cgd_old_iterates(objs, dgd_steps[0], num_iterations))
         want = [_records(iterates, None, objs)]
