@@ -26,6 +26,7 @@ dispatch :func:`_run_method` (its runner and rounds per iteration, shared by
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -198,6 +199,8 @@ def _print_run_summary(records) -> None:
 
 def _check_seed(seed: int) -> int:
     """Return ``seed``; the seeded streams take nonnegative integers only."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError("seed must be an integer")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     return seed
@@ -269,7 +272,7 @@ def reproduce(
     Every method is billed in communication rounds: a method with ``S``
     stage broadcasts per iteration runs ``budget / S`` iterations, so all
     traces share the figure's x-axis.  Each graph cell's reference optimum
-    is certified against the projected-gradient oracle before any trace
+    is certified against the first-order oracle before any trace
     runs.  Each method runs once on the union of the figure's graphs; a
     diverging heavy-ball part is rerun at half ``h0``, at most
     ``_H0_SWEEP_ATTEMPTS`` runs per part, and a diverging baseline raises.
@@ -282,6 +285,8 @@ def reproduce(
         raise ConfigError(f"unknown scale {scale!r}, expected one of {_SCALES}")
     _check_seed(seed)
     budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
+    if budget <= 0:
+        raise ConfigError("rounds_budget must be positive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds, graphs, objectives, runs = _figure_cells(figure, scale, seed)

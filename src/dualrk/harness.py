@@ -1,9 +1,10 @@
 """Reference optima, metric evaluation and rate fitting, plus the run bind.
 
 Everything downstream of a run lives here: the consensus-problem reference
-solution (closed form checked against an independent projected-gradient
-solver with a restarted-momentum polish), the per-iteration metric record
-and its CSV schema, and log-log slope fitting over trace tails.
+solution (closed form checked against an independent gradient-only solver:
+conjugate gradient on the reals, projected gradient on the simplex), the
+per-iteration metric record and its CSV schema, and log-log slope fitting
+over trace tails.
 
 A distributed run binds its family, degree-bucket plan and pad buffer once
 with :func:`bind_run`.  Run loops push their iterates into a
@@ -60,10 +61,10 @@ CSV_COLUMNS = (
     "wall_time_ms",
 )
 
-# Iteration budgets of the projected-gradient oracle's Armijo and polish
-# phases, and the rate-fit window: the share of the round range dropped as
-# transient, the fewest points a fit takes, and the value at or below which
-# a point ends the window.
+# Iteration budgets of the oracle's conjugate-gradient (or simplex Armijo)
+# phase and of its simplex polish, and the rate-fit window: the share of the
+# round range dropped as transient, the fewest points a fit takes, and the
+# value at or below which a point ends the window.
 _ORACLE_ITERATIONS = 20_000
 _ORACLE_POLISH_ITERATIONS = 300_000
 _FIT_WINDOW_START = 0.2
@@ -144,28 +145,31 @@ def reference_optimum(objectives) -> ReferenceOptimum:
 
 
 def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
-    """Independent projected-gradient solver for the consensus problem.
+    """Independent first-order solver for the consensus problem.
 
-    Brute-force oracle: uses only value/gradient/projection, never the
-    closed forms or conjugates, so it can certify :func:`reference_optimum`
-    outputs.  An Armijo phase (at most 20,000 steps) gets near the optimum,
-    until a step moves the iterate by less than 1e-4 relative.  A
-    gradient-only polish phase (at most 300,000 steps) then pushes the error
-    to roundoff level, where value comparisons would drown in cancellation
-    noise: accelerated projected-gradient steps of a fixed size from a
-    power-iteration curvature estimate, with Nesterov extrapolation restarted
-    whenever a step goes uphill along the gradient (the gradient restart of
-    O'Donoghue and Candes, which needs no strong-convexity estimate), until
-    a step moves the iterate by at most 1e-15 relative.  Simplex iterates are
-    floored at 1e-16 (then renormalized, by
-    :func:`~dualrk.objectives.floored_projection`) to keep the entropy
-    gradient finite; gradients are taken at points floored at 1e-12, as an extrapolated point
-    may leave the simplex.  ``objectives`` is one family, listed or stacked;
-    every evaluation calls the bound family's ``values`` or ``gradients`` on
-    one buffer that replicates the point to every block.
+    Brute-force oracle: uses only values and gradients, never the closed
+    forms or conjugates, so it can certify :func:`reference_optimum` outputs.
+    ``objectives`` is one family, listed or stacked; every evaluation calls
+    the bound family's ``values`` or ``gradients`` on one buffer that
+    replicates the point to every block.  Both paths stop once a step moves
+    the iterate by at most 1e-15 relative (roundoff level).
+
+    Real domain: Polak-Ribiere+ conjugate gradient, restarted along ``-grad``
+    off descent directions.  Its step is the secant step on the directional
+    derivative between ``x`` and a point ``reach * (1 + |x|)`` along the
+    direction (a quadratic's exact line minimum); ``reach`` doubles while the
+    measured curvature is not positive, and a non-finite gradient stops it.
+
+    Simplex: Armijo steps (at most 20,000) until one moves less than 1e-4
+    relative, then fixed-size accelerated projected-gradient steps from a
+    power-iteration curvature estimate (at most 300,000), whose Nesterov
+    momentum restarts whenever a step goes uphill along the gradient
+    (O'Donoghue and Candes).  Iterates are floored at 1e-16 and renormalized
+    (:func:`~dualrk.objectives.floored_projection`); gradients are taken at
+    points floored at 1e-12, as an extrapolated point may leave the simplex.
     """
     family = stacked_family(objectives)
-    (n, p), simplex = family.shape, family.domain == "simplex"
+    n, p = family.shape
     x = family.initial_point()
     replicated = np.empty((n, p))
 
@@ -180,16 +184,43 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     def norm(v):
         return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
 
+    if family.domain != "simplex":
+        grad = total_gradient(x)
+        direction, reach = -grad, 1.0
+        for _ in range(_ORACLE_ITERATIONS):
+            squared, slope = float(grad @ grad), float(grad @ direction)
+            if not 0.0 < squared < math.inf:
+                break  # a zero gradient, or a non-finite one
+            if not slope < 0.0:  # not a descent direction: restart along -grad
+                direction, slope = -grad, -squared
+            trial = reach * (1.0 + norm(x)) / norm(direction)
+            secant = float((total_gradient(x + trial * direction) - grad) @ direction)  # trial * curvature
+            if not math.isfinite(secant):
+                break
+            if secant <= 0.0:
+                reach *= 2.0
+                continue
+            step = (-slope * trial / secant) * direction
+            new_grad = total_gradient(x + step)
+            if not np.isfinite(new_grad).all():
+                break
+            x = x + step
+            beta = max(float(new_grad @ (new_grad - grad)) / squared, 0.0)
+            direction, grad = beta * direction - new_grad, new_grad
+            if norm(step) <= 1e-15 * (1.0 + norm(x)):
+                break
+        return x, total_value(x)
+
     def gradient_probe(v):
         # Curvature probes and extrapolated points may step outside the simplex.
-        return total_gradient(np.maximum(v, 1e-12) if simplex else v)
+        return total_gradient(np.maximum(v, 1e-12))
 
     fx = total_value(x)
     step = 1.0
     for _ in range(_ORACLE_ITERATIONS):
         grad = total_gradient(x)
         while True:
-            trial = floored_projection(x - step * grad, simplex)
+            trial = floored_projection(x - step * grad, True)
             diff = trial - x
             f_trial = total_value(trial)
             if f_trial <= fx + float(grad @ diff) + float(diff @ diff) / (2.0 * step) + 1e-18:
@@ -228,7 +259,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
     y, t = x, 1.0
     for _ in range(_ORACLE_POLISH_ITERATIONS):
         grad = gradient_probe(y)
-        trial = floored_projection(y - step * grad, simplex)
+        trial = floored_projection(y - step * grad, True)
         diff = trial - x
         moved = norm(diff)
         scale = 1.0 + norm(x)
@@ -250,7 +281,7 @@ def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
 
 
 def verify_reference(objectives, reference: ReferenceOptimum) -> float:
-    """Distance between the closed-form optimum and the projected-gradient oracle (one family, list or stacked)."""
+    """Distance between the closed-form optimum and the first-order oracle (one family, list or stacked)."""
     x_oracle, _ = projected_gradient_optimum(objectives)
     return float(np.linalg.norm(reference.x_star - x_oracle))
 

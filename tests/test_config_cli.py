@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualrk.cli import main, reproduce, verify
+from dualrk.cli import _check_seed, main, reproduce, verify
 from dualrk.config import load_config, parse_config_text, resolve_instance
 from dualrk.errors import ConfigError
 from dualrk.harness import read_metrics_csv
@@ -188,6 +188,19 @@ def test_negative_seed_from_python_is_a_config_error(tmp_path):
         reproduce("fig3", out_dir=tmp_path / "out", seed=-1, rounds_budget=40)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         verify(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        reproduce("fig3", out_dir=tmp_path / "out", seed=1.5, rounds_budget=40)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        verify(seed=1.5)
+    assert not (tmp_path / "out").exists()
+    assert _check_seed(np.int64(3)) == 3  # numpy integers seed the streams too
+
+
+@pytest.mark.parametrize("figure, budget", [("fig1", 0), ("fig3", -5)])
+def test_nonpositive_rounds_budget_is_a_config_error(tmp_path, figure, budget):
+    # Heavy ball would still run one iteration and each baseline none, so no trace shares the budget.
+    with pytest.raises(ConfigError, match="rounds_budget must be positive"):
+        reproduce(figure, out_dir=tmp_path / "out", rounds_budget=budget)
     assert not (tmp_path / "out").exists()
 
 

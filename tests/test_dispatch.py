@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -63,28 +64,35 @@ def test_every_benchmark_patch_target_resolves():
 
 def test_every_import_in_the_package_is_read_or_exported():
     # An imported name that its module neither reads nor lists in __all__ is dead,
-    # unless the benchmark's tracer patches it there.
+    # unless the benchmark's tracer patches it there.  And the package needs numpy
+    # alone: any other module it imports, at any depth, is from the standard library.
     patched = {
         (owner.__name__, attr)
         for owner, attr, _ in _load_tracer().patch_targets()
         if isinstance(owner, types.ModuleType)
     }
-    dead = []
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dualrk"}
+    dead, foreign = [], []
     for path in sorted(Path(dualrk.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = f"dualrk.{path.stem}"
         imported, read = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                if isinstance(node, ast.Import):
+                    sources = [alias.name for alias in node.names]
+                else:
+                    sources = [node.module] if node.level == 0 else []  # relative imports are the package's
+                foreign.extend(f"{module}: {name}" for name in sources if name.split(".")[0] not in allowed)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 read.update(ast.literal_eval(node.value))
-        module = f"dualrk.{path.stem}"
-        dead.extend(f"{module}.{name}" for name in sorted(imported - read) if (module, name) not in patched)
+        if path.name != "__init__.py":
+            dead.extend(f"{module}.{name}" for name in sorted(imported - read) if (module, name) not in patched)
     assert dead == []
+    assert foreign == []
 
 
 def test_every_benchmark_package_name_resolves():

@@ -344,8 +344,19 @@ def test_projected_gradient_oracle_agrees_with_the_fixed_step_iteration(monkeypa
     assert np.linalg.norm(x - reference.x_star) <= 1e-12
     assert value == pytest.approx(want_value, rel=1e-12)
     if family == "quadratic":
-        # The restarted-momentum polish: at most a third of the fixed-step sweeps.
+        # Conjugate gradient: a few dozen gradients, where the fixed-step sweeps take thousands.
         assert 0 < 3 * new_calls <= old_calls, (new_calls, old_calls)
+        assert new_calls <= 60, new_calls
+
+
+class _OracleView:
+    """A family's first-order interface: all the oracle may read (no Hessian, inverse or reference)."""
+
+    __slots__ = ("values", "gradients", "shape", "domain", "initial_point")
+
+    def __init__(self, family):
+        for name in self.__slots__:
+            setattr(self, name, getattr(family, name))
 
 
 @pytest.mark.parametrize("family", ["quadratic", "kl"])
@@ -360,14 +371,36 @@ def test_projected_gradient_oracle_needs_no_closed_form(monkeypatch, family):
     monkeypatch.setattr(objectives_module, "stacked_conjugate", forbidden)
     monkeypatch.setattr(objectives_module, "_quadratic_conjugate", forbidden)
     monkeypatch.setattr(objectives_module, "_kl_conjugate", forbidden)
+    bind = harness.stacked_family
+    monkeypatch.setattr(harness, "stacked_family", lambda objectives: _OracleView(bind(objectives)))
     x, _ = projected_gradient_optimum(objs)
     assert np.linalg.norm(x - x_star) <= 1e-12
 
 
+def test_projected_gradient_oracle_stops_at_a_non_finite_gradient(monkeypatch):
+    objs = _desk_instance("quadratic", 3)
+    family_type = type(stacked_family(objs))
+    gradients, calls = family_type.gradients, [0]
+
+    def overflowing(self, x, out=None):
+        calls[0] += 1
+        grads = gradients(self, x, out)
+        return np.full_like(grads, np.inf) if calls[0] > 4 else grads
+
+    monkeypatch.setattr(family_type, "gradients", overflowing)
+    x, value = projected_gradient_optimum(objs)
+    # The loop ends at the first non-finite gradient, at its last finite iterate.
+    assert calls[0] == 5
+    assert np.isfinite(x).all() and math.isfinite(value)
+
+
 @pytest.mark.parametrize("family", ["quadratic", "kl"])
-def test_paper_shape_reference_is_certified(family):
+def test_paper_shape_reference_is_certified(monkeypatch, family):
     if family == "quadratic":
         objs = random_regression_instance(100, 100, 100, seed=0, ridge=1e-3)
     else:
         objs = random_kl_instance(100, 100, seed=0)
+    calls = _count_gradients(monkeypatch, objs)
     assert verify_reference(objs, reference_optimum(objs)) <= 1e-9
+    if family == "quadratic":
+        assert calls[0] <= 120, calls[0]
