@@ -9,7 +9,8 @@ Subcommands
 ``reproduce <fig1|fig2|fig3> [--scale desk|paper]``
     Run the method/baseline matrix behind one of the benchmark figures and
     emit one CSV per (graph, method) pair plus a rate-fit summary JSON.
-    fig1/fig2 run each method once on the union of their three graphs.
+    fig1/fig2 run each method once on the union of their three graphs, and
+    fig3 its three integrator orders as one run on three copies of its graph.
 ``verify``
     Run the fast invariant suite; nonzero exit names the violated invariant.
 
@@ -37,7 +38,7 @@ from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
 from .graph import Topology, build_graph, disjoint_union
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance, stacked_family
-from .simulator import run_heavy_ball, step_size, suggested_h0
+from .simulator import run_heavy_ball, run_heavy_ball_orders, step_size, suggested_h0
 
 __all__ = ["main", "run_experiment", "reproduce", "verify"]
 
@@ -106,24 +107,27 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     It runs ``cfg.iterations`` iterations, or as many as ``rounds_budget``
     communication rounds pay for (heavy ball broadcasts once per stage, a
     baseline once per iteration), each part of a disjoint-union ``graph`` at
-    :func:`_method_step`'s checked step and mixing for that part.  A
-    diverging heavy-ball run is rerun at half the ``h0`` of each part it
-    names, until one part failed ``attempts`` runs.  cgd reads no graph:
-    parts with the same objective objects, step and reference share one
-    run.  Runners are looked up at call time (``cli.run_heavy_ball``,
+    :func:`_method_step`'s checked step and mixing for that part.  A tuple
+    ``tab`` (and ``safety``) gives one per part: heavy ball then runs the
+    parts' orders in lockstep.  A diverging heavy-ball run is rerun at half
+    the ``h0`` of each part it names, until one part failed ``attempts``
+    runs.  cgd reads no graph: parts with the same objective objects, step
+    and reference share one run.  Runners are looked up at call time
+    (``cli.run_heavy_ball``, ``cli.run_heavy_ball_orders``,
     ``baselines.*_run``), so a replacement is seen.  ``report_style =
     theorem1`` divides the suboptimality (signed too) and squared distance
     by the part's agent count.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
-    iterations = cfg.iterations
+    parts, tabs = graph.part_rows, graph.per_part(tab)
+    counts = [cfg.iterations] * len(parts)  # iterations per part
     if rounds_budget is not None:
-        iterations = max(rounds_budget // tab.stages, 1) if heavy_ball else rounds_budget
-    parts = graph.part_rows
+        counts = [max(rounds_budget // t.stages, 1) if heavy_ball else rounds_budget for t in tabs]
+    iterations = counts[0]  # every part's, but for lockstep orders
     steps, mixings = [], []
-    for nodes, part in parts:
-        step, mixing, _ = _method_step(cfg, part, objectives[nodes], tab, iterations, safety)
+    for (nodes, part), part_tab, part_iterations, part_safety in zip(parts, tabs, counts, graph.per_part(safety)):
+        step, mixing, _ = _method_step(cfg, part, objectives[nodes], part_tab, part_iterations, part_safety)
         steps.append(step)
         mixings.append(mixing)
 
@@ -131,7 +135,10 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
         failures = [0] * len(parts)
         while True:
             try:
-                runs = [run_heavy_ball(graph, objectives, tab, iterations, h0=steps, reference=reference)]
+                if isinstance(tab, tuple):
+                    runs = run_heavy_ball_orders(graph, objectives, tabs, counts, h0=steps, reference=reference)
+                else:
+                    runs = [run_heavy_ball(graph, objectives, tab, iterations, h0=steps, reference=reference)]
                 break
             except NonFiniteState as err:
                 for i in range(len(parts)) if err.parts is None else err.parts:
@@ -226,25 +233,25 @@ def _cmd_run(args) -> int:
 
 
 def _figure_cells(figure: str, scale: str, seed: int):
-    """A figure's graph kinds, their graphs, the instance they share, and its ``(method, order)`` runs."""
+    """A figure's union parts as ``(graph kind, order)``, a graph per kind, the instance they share, and its methods."""
     shape = _SCALE_SHAPE[scale]
-    kinds = ("erdos_renyi",) if figure == "fig3" else ("star", "cycle", "erdos_renyi")
-    graphs = [
-        build_graph(Topology(kind, shape["n"], edge_probability=_ER_PROBABILITY[scale], rng_seed=seed))
-        for kind in kinds
-    ]
+    if figure == "fig3":
+        parts, methods = [("erdos_renyi", order) for order in (1, 2, 4)], ("heavy_ball_rk",)
+    else:
+        parts = [(kind, 4) for kind in ("star", "cycle", "erdos_renyi")]
+        methods = ("cgd", "dgd", "dual_nag") if figure == "fig1" else ("dual_nag", "dgd")
+        methods = (*methods, "heavy_ball_rk")
+    graphs = {
+        kind: build_graph(Topology(kind, shape["n"], edge_probability=_ER_PROBABILITY[scale], rng_seed=seed))
+        for kind in dict.fromkeys(kind for kind, _ in parts)
+    }
     if figure == "fig1":
         objectives = random_regression_instance(
             shape["n"], shape["p"], shape["l"], seed=seed, ridge=_REGRESSION_RIDGE
         )
     else:
         objectives = random_kl_instance(shape["n"], shape["p"], seed=seed)
-    if figure == "fig3":
-        runs = [("heavy_ball_rk", order) for order in (1, 2, 4)]
-    else:
-        methods = ("cgd", "dgd", "dual_nag") if figure == "fig1" else ("dual_nag", "dgd")
-        runs = [(method, 4) for method in (*methods, "heavy_ball_rk")]
-    return kinds, graphs, objectives, runs
+    return parts, graphs, objectives, methods
 
 
 def _write_trace(records, path: Path):
@@ -271,11 +278,12 @@ def reproduce(
 
     Every method is billed in communication rounds: a method with ``S``
     stage broadcasts per iteration runs ``budget / S`` iterations, so all
-    traces share the figure's x-axis.  Each graph cell's reference optimum
-    is certified against the first-order oracle before any trace
-    runs.  Each method runs once on the union of the figure's graphs; a
-    diverging heavy-ball part is rerun at half ``h0``, at most
-    ``_H0_SWEEP_ATTEMPTS`` runs per part, and a diverging baseline raises.
+    traces share the figure's x-axis.  Each graph kind's reference optimum
+    is certified against the first-order oracle before any trace runs.
+    Each method runs once on the union of the figure's parts (fig3: one
+    copy of its graph per order); a diverging heavy-ball part is rerun at
+    half ``h0``, at most ``_H0_SWEEP_ATTEMPTS`` runs per part, and a
+    diverging baseline raises.
 
     Returns the list of written paths (traces plus the rate-fit summary).
     """
@@ -285,37 +293,40 @@ def reproduce(
         raise ConfigError(f"unknown scale {scale!r}, expected one of {_SCALES}")
     _check_seed(seed)
     budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
+    if not isinstance(budget, numbers.Integral):
+        raise ConfigError("rounds_budget must be an integer")
     if budget <= 0:
         raise ConfigError("rounds_budget must be positive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kinds, graphs, objectives, runs = _figure_cells(figure, scale, seed)
-    union = disjoint_union(graphs)
-    family, references = stacked_family(objectives * len(kinds)), []  # bound once, for every part and run
-    for nodes, _ in union.part_rows:
-        reference = harness.reference_optimum(family[nodes])
-        deviation = harness.verify_reference(family[nodes], reference)
-        if deviation > 1e-9:
-            raise DualRKError(
-                f"reference optimum failed oracle verification ({deviation:.3e} > 1e-9)"
-            )
-        references.append(reference)
+    parts, graphs, objectives, methods = _figure_cells(figure, scale, seed)
+    union = disjoint_union([graphs[kind] for kind, _ in parts])
+    family, certified = stacked_family(objectives * len(parts)), {}  # bound once, for every part and run
+    for (kind, _), (nodes, _) in zip(parts, union.part_rows):
+        if kind not in certified:  # one certification per graph kind
+            reference = harness.reference_optimum(family[nodes])
+            deviation = harness.verify_reference(family[nodes], reference)
+            if not deviation <= 1e-9:  # NaN fails too
+                raise DualRKError(f"reference optimum failed oracle verification (deviation {deviation:.3e} > 1e-9)")
+            certified[kind] = reference
+    references = [certified[kind] for kind, _ in parts]
+    tabs = tuple(tableau_for_order(order) for _, order in parts)  # fig3's differ: its orders run in lockstep
+    tab, safety = (tabs, tuple(_ORDER_SWEEP_SAFETY[o] for _, o in parts)) if figure == "fig3" else (tabs[0], None)
     cells = {}  # (kind, method, order) -> (trace name, fits)
-    for method, order in runs:
+    for method in methods:
         # a figure runs each method at its default step
         part_records = _run_method(
-            ExperimentConfig(method=method), union, family, tableau_for_order(order),
-            references, budget, _ORDER_SWEEP_SAFETY.get(order) if figure == "fig3" else None, _H0_SWEEP_ATTEMPTS,
+            ExperimentConfig(method=method), union, family, tab, references, budget, safety, _H0_SWEEP_ATTEMPTS
         )
-        for kind in kinds:  # written and dropped before the next run
+        for kind, order in parts:  # written and dropped before the next run
             name = f"{figure}_{kind}_{method}" + (f"_s{order}" if figure == "fig3" else "")
             cells[kind, method, order] = name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv")
     written: list[Path] = []
     fits: list[harness.RateFit] = []
     fit_labels: list[str] = []
     slope_by_order: dict[int, float] = {}
-    for kind in kinds:  # the summary lists the traces graph by graph
-        for method, order in runs:
+    for kind, order in parts:  # the summary lists the traces graph by graph
+        for method in methods:
             name, cell_fits = cells[kind, method, order]
             written.append(out_dir / f"{name}.csv")
             fits.extend(cell_fits)

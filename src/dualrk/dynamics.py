@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPositiveTime
-from .graph import LaplacianGraph, laplacian_apply, sqrt_apply, sqrt_laplacian
+from .graph import LaplacianGraph, laplacian_apply
 from .objectives import stacked_conjugate, stacked_family
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "agent_field",
     "round_field",
     "heavy_ball_field",
-    "untransformed_field",
-    "transform_state",
     "kernel_residual",
 ]
 
@@ -161,45 +159,6 @@ def heavy_ball_field(graph: LaplacianGraph, objectives):
         return out
 
     return field
-
-
-def untransformed_field(graph: LaplacianGraph, objectives, sqrt_lap: np.ndarray | None = None):
-    """Original-coordinate field ``[v, y, t]`` (test oracle only).
-
-    Needs the materialized Laplacian square root, so keep the node count
-    small.  Used to verify that transforming states commutes with the field:
-    applying ``sqrt(L)`` block-wise to this field's ``(v, y)`` derivative
-    equals :func:`heavy_ball_field` at the transformed state.
-    """
-    block_dim = objectives[0].dim
-    total = graph.node_count * block_dim
-    if sqrt_lap is None:
-        sqrt_lap = sqrt_laplacian(graph)
-
-    def field(state: np.ndarray) -> np.ndarray:
-        t = state[-1]
-        if t <= 0.0:
-            raise NonPositiveTime(f"time coordinate {t} is not positive")
-        v = state[:total]
-        y = state[total : 2 * total]
-        x_star = stacked_conjugate(objectives, sqrt_apply(sqrt_lap, y, block_dim))
-        out = np.empty_like(state)
-        out[:total] = -(DAMPING / t) * v - GRADIENT_WEIGHT * sqrt_apply(sqrt_lap, x_star, block_dim)
-        out[total : 2 * total] = v
-        out[-1] = 1.0
-        return out
-
-    return field
-
-
-def transform_state(state: np.ndarray, sqrt_lap: np.ndarray, n: int, block_dim: int) -> np.ndarray:
-    """Map ``[v, y, t]`` to ``[sqrt(L) v, sqrt(L) y, t]`` (oracle helper)."""
-    total = n * block_dim
-    out = np.empty_like(np.asarray(state, dtype=float))
-    out[:total] = sqrt_apply(sqrt_lap, state[:total], block_dim)
-    out[total : 2 * total] = sqrt_apply(sqrt_lap, state[total : 2 * total], block_dim)
-    out[-1] = state[-1]
-    return out
 
 
 def kernel_residual(rows: np.ndarray, block_dim: int) -> np.ndarray:

@@ -399,7 +399,10 @@ class TraceRecorder:
     iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
-    and callbacks is left out of every iteration's time.
+    and callbacks is left out of every iteration's time.  Orders run in
+    lockstep have a recorder each, so a part's time covers the whole rounds
+    it shares with the other orders, their pushes included (the CSVs write
+    it only for ``run --timings``, and ``run`` runs one tableau).
     Each part of a disjoint-union ``graph`` is evaluated on its own columns,
     graph, objectives and ``reference`` (one for all parts or one per part;
     None is computed with :func:`reference_optimum`), as its run alone is.

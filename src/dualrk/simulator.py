@@ -8,33 +8,34 @@ slice of the vector field.  After the last stage each agent applies the
 weighted Runge-Kutta combination locally.  The only inter-agent coupling is
 the per-stage broadcast.
 
-:func:`run_heavy_ball` executes a round as three array operations over the
-``(n, 2p + 1)`` agent states: one :func:`~dualrk.objectives.stacked_conjugate`
-over the stage points, one :func:`~dualrk.graph.laplacian_rows` (the
-broadcast and neighbor sum), and one :func:`~dualrk.dynamics.round_field`.
-Row ``i`` of each operation is agent ``i``'s own computation, so any
-schedule honoring the stage barrier gives the same result.  The conjugate
-solved at an iteration's end state (the primal iterate its metrics use) is
-reused as the first stage of the next iteration, which starts at that same
-state, so a run makes ``n (S N + 1)`` conjugate evaluations.  Each
-iteration pushes that iterate and the agents' ``[v_hat, y_hat]`` rows into
-a :class:`~dualrk.harness.TraceRecorder`, which times the iteration and,
-a block at a time (or before the next iteration when ``on_record`` is
+One loop runs every round, as three array operations over the ``(n, 2p + 1)``
+agent states: one :func:`~dualrk.objectives.stacked_conjugate` over the
+stage points, one :func:`~dualrk.graph.laplacian_rows` (the broadcast and
+neighbor sum), and one :func:`~dualrk.dynamics.round_field`.  Row ``i`` of
+each is agent ``i``'s own computation, so any schedule honoring the stage
+barrier gives the same result.  On a :func:`~dualrk.graph.disjoint_union`
+one round serves every part, each at its own step (a per-row array: a
+broadcast multiply is the same IEEE operation per element) and, in
+:func:`run_heavy_ball_orders`, at its own stage of its own tableau (a part
+that has finished sits idle), so each part's result is its run alone's.
+The conjugate solved at an iteration's end state (the primal iterate its
+metrics use) is reused as the first stage of the next iteration, so each
+part still solves ``n (S N + 1)`` conjugate rows.  Each iteration pushes
+that iterate and the agents' ``[v_hat, y_hat]`` rows into the part's
+:class:`~dualrk.harness.TraceRecorder`, which times the iteration and, a
+block at a time (or before the next iteration when ``on_record`` is
 given), evaluates the metric records and the kernel-sum residual.
-
-On a :func:`~dualrk.graph.disjoint_union` one round serves every part,
-each at its own step (a per-row array: a broadcast multiply is the same
-IEEE operation per element), so each part's result is its run alone's.
 
 At the desk shape a round costs numpy per-call overhead more than
 arithmetic, so a run binds its family, plan and buffers once
 (:func:`~dualrk.harness.bind_run`), and every kernel writes into them
 through ``out=``: the conjugate solves the stage points' strided ``y_hat``
-straight into the pad buffer's first ``n`` rows (the broadcasts).
-The stage derivatives and the end state share one ``(S + 1, n, 2p + 1)``
-slab, so one finiteness check covers an iteration (a zero-weight stage,
-which :func:`~dualrk.integrator.rk_combine` skips, included); only a
-failure seeks its stage.  A result copies the state it returns.
+straight into the pad buffer's first ``n`` rows (the broadcasts).  Each
+round's field goes to a ring of derivative slots indexed by round, so an
+iteration's stages sit in consecutive slots; the ring and the states share
+one slab, so one finiteness check covers a part's iteration (a zero-weight
+stage, which :func:`~dualrk.integrator.rk_combine` skips, included), and
+only a failure seeks its stage.  A result copies the state it returns.
 
 Two reference paths check the engine:
 
@@ -55,6 +56,7 @@ neighbor sum may run pairwise.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -77,6 +79,7 @@ __all__ = [
     "step_size",
     "suggested_h0",
     "run_heavy_ball",
+    "run_heavy_ball_orders",
     "run_heavy_ball_per_agent",
     "run_heavy_ball_monolithic",
 ]
@@ -157,62 +160,115 @@ def run_heavy_ball(
         derivative or state leaves the finite range (diagnoses a too-large
         ``h0``).
     """
+    cohort = (slice(0, graph.node_count), graph, tableau, num_iterations, h0, reference)
+    return _run_lockstep(graph, objectives, [cohort], keep_trajectory, on_record)[0]
+
+
+def run_heavy_ball_orders(graph: LaplacianGraph, objectives, tableaus, num_iterations, h0, reference=None):
+    """:func:`run_heavy_ball` on each part of a union at its own tableau, in shared rounds.
+
+    ``tableaus`` has one entry per part of ``graph``; ``num_iterations``,
+    ``h0`` and ``reference`` one per part or one for all.  Returns one
+    :class:`~dualrk.harness.RunResult` per part, bitwise its run alone's.
+    """
+    values = [graph.per_part(value) for value in (tableaus, num_iterations, h0, reference)]
+    return _run_lockstep(graph, objectives, [(*part, *row) for part, *row in zip(graph.part_rows, *values)])
+
+
+class _Cohort:
+    """Consecutive rows at one tableau: their steps, recorder, and views of the run's buffers."""
+
+    def __init__(self, rows, graph, tableau, num_iterations, h0, reference, family, slab, broadcast, on_record):
+        self.rows, self.stages, self.num_iterations = rows, tableau.stages, num_iterations
+        # Every part's h0 is checked; a zero-iteration run returns the initial state and no step.
+        steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
+        self.steps = steps if num_iterations else [float("nan")] * len(steps)
+        self.h = graph.node_values(self.steps)
+        self.points = slab[0, rows]
+        self.state = self.points if self.stages == 1 else slab[-1, rows]  # an Euler state is its stage point
+        self.x, self.duals = broadcast[rows].reshape(-1), self.state[:, : broadcast.shape[1] * 2]
+        self.recorder = harness.TraceRecorder(reference, graph, family[rows], on_record, kernel_residual)
+        # Per ring slot, the combine after its round: ``(weights, stage derivatives, out, check)``.  An
+        # iteration's last stage writes the state and checks its derivatives and the state (and slots
+        # in between, which earlier checks found finite; an Euler state is non-finite when its one
+        # derivative is); any other writes the next stage point.
+        self.slots = []
+        for slot in range(len(slab) - 2):
+            start, stage = slot - slot % self.stages, slot % self.stages + 1
+            derivs = slab[1 + start : 1 + start + self.stages, rows]
+            if stage < self.stages:
+                self.slots.append((tableau.a[stage], derivs, self.points, None))
+            else:
+                check = self.state if self.stages == 1 else slab[1 + start :, rows]
+                self.slots.append((tableau.b, derivs, self.state, check))
+
+
+def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=False, on_record=None):
+    """The round loop; ``cohorts`` lists ``(rows, graph, tableau, N, h0, reference)`` in row order."""
     n = graph.node_count
     if n == 1:
-        warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=2)
-    # Every part's h0 is checked; a zero-iteration run returns the initial state and no step.
-    steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
-    steps = steps if num_iterations else [float("nan")] * len(steps)
-    h = graph.node_values(steps)
-    stages = tableau.stages
-    a, b = tableau.a, tableau.b
-    # Bound once per run: the pad buffer's first n rows take the broadcasts, and one
-    # slab holds the stage derivatives and then the state (one finiteness check).
+        warnings.warn("single-node network: Laplacian is zero (smoke-test only)", stacklevel=3)
+    # Bound once per run: the pad buffer's first n rows take the broadcasts, and one slab holds the
+    # stage points, a ring of derivative slots indexed by round, and the states.
     family, plan, padded = harness.bind_run(graph, objectives)
     p = family.shape[1]
-    lap_rows, broadcast, points = np.empty((n, p)), padded[:n], np.empty((n, 2 * p + 1))
-    slab = np.zeros((stages + 1, n, 2 * p + 1))
-    derivs, states = slab[:stages], slab[stages]
-    states[:] = initial_agent_states(n, p)
-    # Per stage: its point (stage 0 sits at the state), the point's y_hat columns, its derivative slot.
-    stage_rows = [(x, x[:, p : 2 * p], slot) for x, slot in zip([states] + [points] * (stages - 1), derivs)]
-    state_y_hat, duals, x_stack = stage_rows[0][1], states[:, : 2 * p], broadcast.reshape(-1)
-    recorder = harness.TraceRecorder(reference, graph, family, on_record, kernel_residual)
-    trajectory = [stack_agent_states(states, p)] if keep_trajectory else None
-    rounds = 0
+    period = math.lcm(*(cohort[2].stages for cohort in cohorts))
+    slab = np.zeros((period + 2, n, 2 * p + 1))
+    points, ring, store = slab[0], slab[1:-1], slab[-1]
+    points[:] = store[:] = initial_agent_states(n, p)
+    broadcast, lap_rows = padded[:n], np.empty((n, p))
+    cohorts = [_Cohort(*cohort, family, slab, broadcast, on_record) for cohort in cohorts]
+    active = [cohort for cohort in cohorts if cohort.num_iterations]
+    ends = {cohort.stages * cohort.num_iterations for cohort in active}
+    trajectory = [stack_agent_states(cohorts[0].state, p)] if keep_trajectory else None
+    # A round's stage points are the states themselves when every running part is at stage 0 and
+    # none is an Euler state (the states of finished parts hold still); else the point rows.
+    buffers = [(buffer, buffer[:, p : 2 * p]) for buffer in (points, store)]
+    euler = any(cohort.stages == 1 for cohort in cohorts)
 
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Stage 0 of every iteration sits at the current state, whose
-        # conjugate the previous iteration already solved for its metrics.
-        stacked_conjugate(family, state_y_hat, out=broadcast)
-        for k in range(1, num_iterations + 1):
-            finite = False
+        # Every part starts at stage 0: the conjugate at its state, which also serves its metrics.
+        x = buffers[not euler]
+        stacked_conjugate(family, x[1], out=broadcast)
+        for r in range(max(ends, default=0)):
+            slot, ended, finite = r % period, [], False
+            x_next = buffers[not euler and all((r + 1) % cohort.stages == 0 for cohort in active)]
             try:
-                for l, (point, y_hat, slot) in enumerate(stage_rows):
-                    if l:
-                        rk_combine(states, h, a[l], derivs, out=point)
-                        stacked_conjugate(family, y_hat, out=broadcast)
-                    # One broadcast round, then every agent's field slice.
-                    rounds += 1
-                    round_field(point, laplacian_rows(plan, padded, lap_rows), slot)
-                rk_combine(states, h, b, derivs, out=states)
-                finite = np.isfinite(slab).all()
-            finally:  # one check per iteration; a failure (or a stage that raised) seeks its stage
-                if not finite:
-                    for l in range(stages):
-                        message = f"non-finite stage derivative at iteration {k}, stage {l + 1}"
-                        harness.check_finite(derivs[l], graph, message, k)
-                    harness.check_finite(states, graph, f"non-finite state at iteration {k}", k)
+                # One broadcast round, then every agent's field slice.
+                round_field(x[0], laplacian_rows(plan, padded, lap_rows), ring[slot])
+                for cohort in active:
+                    weights, derivs, out, covered = cohort.slots[slot]
+                    rk_combine(cohort.state, cohort.h, weights, derivs, out=out)
+                    if covered is None:
+                        continue
+                    if not np.isfinite(covered).all():
+                        break  # one check per iteration
+                    ended.append(cohort)
+                    if x_next[0] is points and cohort.stages > 1:
+                        np.copyto(cohort.points, cohort.state)
+                else:
+                    stacked_conjugate(family, x_next[1], out=broadcast)
+                    finite = True
+            finally:  # a failure (or a round that raised) seeks its part and stage, on the union's rows
+                for cohort in active if not finite else ():
+                    k, seen = r // cohort.stages + 1, np.zeros((cohort.stages + 1, n, 2 * p + 1))
+                    seen[:-1, cohort.rows], seen[-1, cohort.rows] = cohort.slots[slot][1], cohort.state
+                    where = [f"stage derivative at iteration {k}, stage {l + 1}" for l in range(cohort.stages)]
+                    for values, what in zip(seen, where + [f"state at iteration {k}"]):
+                        harness.check_finite(values, graph, f"non-finite {what}", k)
 
-            stacked_conjugate(family, state_y_hat, out=broadcast)
-            recorder.push(x_stack, k, rounds, duals)
-            if trajectory is not None:
-                trajectory.append(stack_agent_states(states, p))
+            x = x_next
+            for cohort in ended:
+                cohort.recorder.push(cohort.x, (r + 1) // cohort.stages, r + 1, cohort.duals)
+                if trajectory is not None:
+                    trajectory.append(stack_agent_states(cohort.state, p))
+            if r + 1 in ends:
+                active = [cohort for cohort in active if cohort.stages * cohort.num_iterations > r + 1]
 
     trajectory = np.array(trajectory) if trajectory is not None else None
-    return recorder.result(states.copy(), steps, trajectory=trajectory)
+    return [cohort.recorder.result(cohort.state.copy(), cohort.steps, trajectory=trajectory) for cohort in cohorts]
 
 
 def run_heavy_ball_per_agent(

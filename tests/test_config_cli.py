@@ -204,6 +204,14 @@ def test_nonpositive_rounds_budget_is_a_config_error(tmp_path, figure, budget):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("budget", [40.5, 40.0, "40"])
+def test_non_integral_rounds_budget_is_a_config_error(tmp_path, budget):
+    # The budget sets each order's iteration count, so it must be an integer before it gets there.
+    with pytest.raises(ConfigError, match="rounds_budget must be an integer"):
+        reproduce("fig3", out_dir=tmp_path / "out", rounds_budget=budget)
+    assert not (tmp_path / "out").exists()
+
+
 def test_baseline_methods_run_from_config(tmp_path):
     for method in ("cgd", "dgd", "dual_nag"):
         path = _write_config(tmp_path / f"{method}.txt", method=method, iterations=30)

@@ -162,15 +162,30 @@ def _diverging_heavy_ball(monkeypatch, failures):
     return seen
 
 
+def _diverging_orders(monkeypatch, part, failures):
+    """Patch ``cli.run_heavy_ball_orders`` to name ``part`` diverged ``failures`` times; return the calls' arguments."""
+    seen = []
+    original = cli.run_heavy_ball_orders
+
+    def diverging(graph, objectives, tableaus, num_iterations, h0, **kwargs):
+        seen.append((graph, objectives, tableaus, num_iterations, list(h0)))
+        if len(seen) <= failures:
+            raise NonFiniteState("patched divergence", iteration=1, parts=(part,))
+        return original(graph, objectives, tableaus, num_iterations, h0=h0, **kwargs)
+
+    monkeypatch.setattr(cli, "run_heavy_ball_orders", diverging)
+    return seen
+
+
 def test_reproduce_halves_h0_until_a_heavy_ball_run_stays_finite(tmp_path, monkeypatch):
-    seen = _diverging_heavy_ball(monkeypatch, failures=2)
+    # fig3 runs its three orders as one lockstep call; only the order that diverged halves its h0.
+    seen = _diverging_orders(monkeypatch, part=0, failures=2)
     reproduce("fig3", out_dir=tmp_path, rounds_budget=60)
-    graph, objectives, tab, iterations, (h0,) = seen[0]
-    assert tab.order == 1 and iterations == 60
-    assert h0 == suggested_h0(graph, objectives, tab, iterations, safety=cli._ORDER_SWEEP_SAFETY[1])
-    # s = 1 diverges twice, then s = 2 and s = 4 run once each at their own h0
-    assert [call[4] for call in seen[:3]] == [[h0], [h0 / 2], [h0 / 4]]
-    assert [call[2].order for call in seen] == [1, 1, 1, 2, 4]
+    graph, objectives, tabs, iterations, (a, b, c) = seen[0]
+    assert [tab.order for tab in tabs] == [1, 2, 4] and iterations == [60, 30, 15]
+    for (nodes, part), tab, count, h0 in zip(graph.part_rows, tabs, iterations, (a, b, c)):
+        assert h0 == suggested_h0(part, objectives[nodes], tab, count, safety=cli._ORDER_SWEEP_SAFETY[tab.order])
+    assert [call[4] for call in seen] == [[a, b, c], [a / 2, b, c], [a / 4, b, c]]
     assert (tmp_path / "fig3_erdos_renyi_heavy_ball_rk_s1.csv").exists()
 
 
@@ -207,10 +222,10 @@ def test_always_diverging_union_part_exits_3_after_eight_runs(tmp_path, monkeypa
 
 
 def test_exhausted_h0_sweep_exits_3_after_eight_runs(tmp_path, monkeypatch, capsys):
-    seen = _diverging_heavy_ball(monkeypatch, failures=100)
+    seen = _diverging_orders(monkeypatch, part=1, failures=100)
     assert main(["reproduce", "fig3", "--out", str(tmp_path)]) == 3
-    h0 = seen[0][4][0]
-    assert [call[4] for call in seen] == [[h0 / 2**k] for k in range(8)]
+    a, b, c = seen[0][4]
+    assert [call[4] for call in seen] == [[a, b / 2**k, c] for k in range(8)]
     assert capsys.readouterr().err.startswith("diverged: patched divergence")
     assert not any(tmp_path.glob("*.csv"))
 

@@ -4,17 +4,56 @@ import numpy as np
 import pytest
 
 from dualrk.dynamics import (
+    DAMPING,
+    GRADIENT_WEIGHT,
     agent_field,
     heavy_ball_field,
     initial_agent_states,
     kernel_residual,
     stack_agent_states,
-    transform_state,
-    untransformed_field,
 )
 from dualrk.errors import NonPositiveTime
 from dualrk.graph import Topology, build_graph, laplacian_apply, sqrt_apply, sqrt_laplacian
 from dualrk.objectives import random_kl_instance, random_regression_instance, stacked_conjugate
+
+
+def untransformed_field(graph, objectives, sqrt_lap=None):
+    """Original-coordinate field ``[v, y, t]``.
+
+    Needs the materialized Laplacian square root, so keep the node count
+    small.  Used to verify that transforming states commutes with the field:
+    applying ``sqrt(L)`` block-wise to this field's ``(v, y)`` derivative
+    equals :func:`heavy_ball_field` at the transformed state.
+    """
+    block_dim = objectives[0].dim
+    total = graph.node_count * block_dim
+    if sqrt_lap is None:
+        sqrt_lap = sqrt_laplacian(graph)
+
+    def field(state):
+        t = state[-1]
+        if t <= 0.0:
+            raise NonPositiveTime(f"time coordinate {t} is not positive")
+        v = state[:total]
+        y = state[total : 2 * total]
+        x_star = stacked_conjugate(objectives, sqrt_apply(sqrt_lap, y, block_dim))
+        out = np.empty_like(state)
+        out[:total] = -(DAMPING / t) * v - GRADIENT_WEIGHT * sqrt_apply(sqrt_lap, x_star, block_dim)
+        out[total : 2 * total] = v
+        out[-1] = 1.0
+        return out
+
+    return field
+
+
+def transform_state(state, sqrt_lap, n, block_dim):
+    """Map ``[v, y, t]`` to ``[sqrt(L) v, sqrt(L) y, t]`` (oracle helper)."""
+    total = n * block_dim
+    out = np.empty_like(np.asarray(state, dtype=float))
+    out[:total] = sqrt_apply(sqrt_lap, state[:total], block_dim)
+    out[total : 2 * total] = sqrt_apply(sqrt_lap, state[total : 2 * total], block_dim)
+    out[-1] = state[-1]
+    return out
 
 
 def _stack_agent_derivatives(graph, objs, states, p):

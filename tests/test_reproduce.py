@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualrk import harness
 from dualrk.cli import main, reproduce
-from dualrk.errors import ConfigError
+from dualrk.errors import ConfigError, DualRKError
+from dualrk.objectives import stacked_family
 from dualrk.harness import read_metrics_csv
 
 
@@ -76,6 +78,19 @@ def test_figure_setup_stacks_its_instance_once(tmp_path, monkeypatch):
         stacked.clear()
         run_experiment(ExperimentConfig(method=method, iterations=12, ridge=1e-3, out=str(tmp_path / "run.csv")))
         assert len(stacked) == 1, method
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3"])
+def test_a_nan_certification_deviation_writes_no_bundle(tmp_path, monkeypatch, figure):
+    # A NaN deviation fails the certification, as any deviation above 1e-9 does.
+    def nan_oracle(objectives):
+        p = stacked_family(objectives).shape[1]
+        return np.full(p, np.nan), float("nan")
+
+    monkeypatch.setattr(harness, "projected_gradient_optimum", nan_oracle)
+    with pytest.raises(DualRKError, match="failed oracle verification"):
+        reproduce(figure, out_dir=tmp_path, rounds_budget=40)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_figure_rejected(tmp_path):

@@ -266,13 +266,13 @@ def test_on_record_takes_a_one_graph_run_only():
 
 def _cells_alone(figure, out_dir, budget):
     """A figure's bundle with every (graph, method) cell run on its own graph."""
-    kinds, graphs, objectives, runs = cli._figure_cells(figure, "desk", 0)
+    parts, graphs, objectives, methods = cli._figure_cells(figure, "desk", 0)
     fits, labels = [], []
-    for kind, graph in zip(kinds, graphs):
+    for kind, order in parts:
         reference = reference_optimum(objectives)
-        for method, order in runs:
+        for method in methods:
             (records,) = cli._run_method(
-                ExperimentConfig(method=method), graph, objectives, tableau_for_order(order),
+                ExperimentConfig(method=method), graphs[kind], objectives, tableau_for_order(order),
                 reference, budget, None, cli._H0_SWEEP_ATTEMPTS,
             )
             name = f"{figure}_{kind}_{method}"
