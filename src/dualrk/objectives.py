@@ -110,6 +110,8 @@ class QuadraticLocal(DualFriendlyObjective):
 
     Raises
     ------
+    ValueError
+        If ``design`` or ``targets`` holds a NaN or an infinity.
     SingularSystem
         If ``scale D^T D + ridge I`` is not positive definite, which signals
         fewer rows than columns without a ridge term.
@@ -122,6 +124,8 @@ class QuadraticLocal(DualFriendlyObjective):
             raise DimensionMismatch(
                 f"design has {design.shape[0]} rows but targets has {targets.shape[0]} entries"
             )
+        if not (np.isfinite(design).all() and np.isfinite(targets).all()):
+            raise ValueError("design and targets must be finite")
         if ridge < 0:
             raise ValueError("ridge must be nonnegative")
         self.design = design

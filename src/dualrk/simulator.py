@@ -184,14 +184,12 @@ class _Cohort:
         steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
         self.steps = steps if num_iterations else [float("nan")] * len(steps)
         self.h = graph.node_values(self.steps)
-        self.points = slab[0, rows]
-        self.state = self.points if self.stages == 1 else slab[-1, rows]  # an Euler state is its stage point
+        self.points, self.state = slab[0, rows], slab[-1, rows]
         self.x, self.duals = broadcast[rows].reshape(-1), self.state[:, : broadcast.shape[1] * 2]
         self.recorder = harness.TraceRecorder(reference, graph, family[rows], on_record, kernel_residual)
         # Per ring slot, the combine after its round: ``(weights, stage derivatives, out, check)``.  An
         # iteration's last stage writes the state and checks its derivatives and the state (and slots
-        # in between, which earlier checks found finite; an Euler state is non-finite when its one
-        # derivative is); any other writes the next stage point.
+        # in between, which earlier checks found finite); any other writes the next stage point.
         self.slots = []
         for slot in range(len(slab) - 2):
             start, stage = slot - slot % self.stages, slot % self.stages + 1
@@ -199,8 +197,7 @@ class _Cohort:
             if stage < self.stages:
                 self.slots.append((tableau.a[stage], derivs, self.points, None))
             else:
-                check = self.state if self.stages == 1 else slab[1 + start :, rows]
-                self.slots.append((tableau.b, derivs, self.state, check))
+                self.slots.append((tableau.b, derivs, self.state, slab[1 + start :, rows]))
 
 
 def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=False, on_record=None):
@@ -214,30 +211,24 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
     p = family.shape[1]
     period = math.lcm(*(cohort[2].stages for cohort in cohorts))
     slab = np.zeros((period + 2, n, 2 * p + 1))
-    points, ring, store = slab[0], slab[1:-1], slab[-1]
-    points[:] = store[:] = initial_agent_states(n, p)
-    broadcast, lap_rows = padded[:n], np.empty((n, p))
+    points, ring = slab[0], slab[1:-1]
+    points[:] = slab[-1] = initial_agent_states(n, p)
+    y_hat, broadcast, lap_rows = points[:, p : 2 * p], padded[:n], np.empty((n, p))
     cohorts = [_Cohort(*cohort, family, slab, broadcast, on_record) for cohort in cohorts]
     active = [cohort for cohort in cohorts if cohort.num_iterations]
     ends = {cohort.stages * cohort.num_iterations for cohort in active}
     trajectory = [stack_agent_states(cohorts[0].state, p)] if keep_trajectory else None
-    # A round's stage points are the states themselves when every running part is at stage 0 and
-    # none is an Euler state (the states of finished parts hold still); else the point rows.
-    buffers = [(buffer, buffer[:, p : 2 * p]) for buffer in (points, store)]
-    euler = any(cohort.stages == 1 for cohort in cohorts)
 
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
         # Every part starts at stage 0: the conjugate at its state, which also serves its metrics.
-        x = buffers[not euler]
-        stacked_conjugate(family, x[1], out=broadcast)
+        stacked_conjugate(family, y_hat, out=broadcast)
         for r in range(max(ends, default=0)):
             slot, ended, finite = r % period, [], False
-            x_next = buffers[not euler and all((r + 1) % cohort.stages == 0 for cohort in active)]
             try:
                 # One broadcast round, then every agent's field slice.
-                round_field(x[0], laplacian_rows(plan, padded, lap_rows), ring[slot])
+                round_field(points, laplacian_rows(plan, padded, lap_rows), ring[slot])
                 for cohort in active:
                     weights, derivs, out, covered = cohort.slots[slot]
                     rk_combine(cohort.state, cohort.h, weights, derivs, out=out)
@@ -246,10 +237,9 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
                     if not np.isfinite(covered).all():
                         break  # one check per iteration
                     ended.append(cohort)
-                    if x_next[0] is points and cohort.stages > 1:
-                        np.copyto(cohort.points, cohort.state)
+                    np.copyto(cohort.points, cohort.state)  # the next iteration's first stage point
                 else:
-                    stacked_conjugate(family, x_next[1], out=broadcast)
+                    stacked_conjugate(family, y_hat, out=broadcast)
                     finite = True
             finally:  # a failure (or a round that raised) seeks its part and stage, on the union's rows
                 for cohort in active if not finite else ():
@@ -259,7 +249,6 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
                     for values, what in zip(seen, where + [f"state at iteration {k}"]):
                         harness.check_finite(values, graph, f"non-finite {what}", k)
 
-            x = x_next
             for cohort in ended:
                 cohort.recorder.push(cohort.x, (r + 1) // cohort.stages, r + 1, cohort.duals)
                 if trajectory is not None:

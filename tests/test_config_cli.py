@@ -291,6 +291,17 @@ def test_nan_reference_csv_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("name, value", [("h.csv", np.nan), ("b.csv", np.inf)])
+def test_non_finite_quadratic_csv_exits_2(tmp_path, capsys, name, value, dry_run):
+    path = _custom_quadratic_config(tmp_path, 8, 8)
+    data = np.loadtxt(tmp_path / name, delimiter=",")
+    data.flat[3] = value
+    np.savetxt(tmp_path / name, data, delimiter=",")
+    assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
+    assert "design and targets must be finite" in capsys.readouterr().err
+
+
 def test_single_node_config_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path / "cfg.txt", n=1)
     assert main(["run", str(path)]) == 2

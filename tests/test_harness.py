@@ -347,6 +347,9 @@ def test_projected_gradient_oracle_agrees_with_the_fixed_step_iteration(monkeypa
         # Conjugate gradient: a few dozen gradients, where the fixed-step sweeps take thousands.
         assert 0 < 3 * new_calls <= old_calls, (new_calls, old_calls)
         assert new_calls <= 60, new_calls
+    else:
+        # Exponentiated gradient halves the log-coordinate error per step: about 50 steps to roundoff.
+        assert new_calls <= 50, new_calls
 
 
 class _OracleView:
@@ -402,5 +405,15 @@ def test_paper_shape_reference_is_certified(monkeypatch, family):
         objs = random_kl_instance(100, 100, seed=0)
     calls = _count_gradients(monkeypatch, objs)
     assert verify_reference(objs, reference_optimum(objs)) <= 1e-9
-    if family == "quadratic":
-        assert calls[0] <= 120, calls[0]
+    assert calls[0] <= (120 if family == "quadratic" else 50), calls[0]
+
+
+def test_skewed_kl_reference_is_certified_in_fifty_gradients(monkeypatch):
+    # References with entries down to about 1e-12: the contraction of the
+    # exponentiated-gradient step does not depend on how skewed they are.
+    rng = np.random.default_rng(0)
+    objs = [KLLocal.from_weights(rng.uniform(1e-4, 1.0, size=10) ** 3) for _ in range(20)]
+    calls = _count_gradients(monkeypatch, objs)
+    x, _ = projected_gradient_optimum(objs)
+    assert np.linalg.norm(x - reference_optimum(objs).x_star) <= 1e-12
+    assert calls[0] <= 50, calls[0]
