@@ -10,9 +10,9 @@ and differentiates the induced dual function numerically.
 
 import numpy as np
 
-from dualrk import KLLocal, QuadraticLocal, Topology, build_graph, dual_value_transformed
-from dualrk.graph import sqrt_apply, sqrt_laplacian
+from dualrk import KLLocal, QuadraticLocal, Topology, build_graph
 from dualrk.objectives import stacked_conjugate
+from dualrk.oracles import dual_value_transformed, sqrt_apply, sqrt_laplacian
 
 rng = np.random.default_rng(3)
 

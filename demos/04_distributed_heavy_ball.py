@@ -14,6 +14,7 @@ transformed blocks keep zero agent-sums in every coordinate.
 import numpy as np
 
 import dualrk
+from dualrk.oracles import run_heavy_ball_monolithic
 
 graph = dualrk.build_graph(dualrk.Topology("erdos_renyi", 12, edge_probability=0.4, rng_seed=5))
 objs = dualrk.random_regression_instance(12, 4, 8, seed=5)
@@ -36,7 +37,7 @@ for k in (0, 9, 49, 99, 199, 399):
 # The same trajectory, integrated as a single vector: the distributed run
 # reproduces it exactly because the per-agent arithmetic mirrors the
 # monolithic expressions term by term.
-mono = dualrk.run_heavy_ball_monolithic(graph, objs, tab, iterations, h0=h0)
+mono = run_heavy_ball_monolithic(graph, objs, tab, iterations, h0=h0)
 gap = np.abs(result.trajectory - mono).max()
 print(f"\ndistributed vs monolithic trajectory: max deviation {gap:.1e}"
       f" ({'bitwise identical' if gap == 0.0 else 'roundoff level'})")

@@ -14,12 +14,14 @@ Runge-Kutta machinery (:mod:`dualrk.integrator`), the transformed dynamics
 (:mod:`dualrk.simulator`), comparison baselines (:mod:`dualrk.baselines`),
 and the metrics/rate-fitting harness (:mod:`dualrk.harness`).  The ``dualrk``
 console script drives experiments from config files; the ``demos/``
-directory walks through each capability.
+directory walks through each capability.  The references the engine is
+checked against (:mod:`dualrk.oracles`) load only with ``dualrk verify``,
+the tests and the demos.
 """
 
 from .baselines import cgd_run, dgd_run, dual_nag_run
 from .config import ExperimentConfig, load_config, resolve_instance
-from .dynamics import agent_field, heavy_ball_field, kernel_residual
+from .dynamics import agent_field, kernel_residual
 from .errors import (
     ConfigError,
     ConnectivityFailure,
@@ -32,14 +34,7 @@ from .errors import (
     NonPositiveTime,
     SingularSystem,
 )
-from .graph import (
-    LaplacianGraph,
-    Topology,
-    build_graph,
-    dense_laplacian,
-    laplacian_apply,
-    sqrt_laplacian,
-)
+from .graph import LaplacianGraph, Topology, build_graph, dense_laplacian, laplacian_apply
 from .harness import (
     MetricsRecord,
     RateFit,
@@ -56,11 +51,10 @@ from .objectives import (
     DualFriendlyObjective,
     KLLocal,
     QuadraticLocal,
-    dual_value_transformed,
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
 )
-from .simulator import run_heavy_ball, run_heavy_ball_monolithic, step_size, suggested_h0
+from .simulator import run_heavy_ball, step_size, suggested_h0
 
 __version__ = "0.1.0"

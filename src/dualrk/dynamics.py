@@ -1,4 +1,4 @@
-"""The transformed heavy-ball vector field, agent-local and monolithic.
+"""The transformed heavy-ball vector field, per agent and for every agent at once.
 
 The dual flow being discretized is the damped second-order system
 
@@ -19,8 +19,9 @@ evaluate its slice of the field from received broadcasts alone.
 The field is available in three forms with the same per-element
 arithmetic: :func:`agent_field` (one agent, from a mailbox of broadcasts;
 the per-agent oracle), :func:`round_field` (every agent at once, from the
-Laplacian rows; the simulator's engine), and :func:`heavy_ball_field` (the
-monolithic single-vector field).
+Laplacian rows; the simulator's engine), and
+:func:`~dualrk.oracles.heavy_ball_field` (the monolithic single-vector
+field).
 
 State layouts
 -------------
@@ -37,15 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPositiveTime
-from .graph import LaplacianGraph, laplacian_apply
-from .objectives import stacked_conjugate, stacked_family
+from .graph import LaplacianGraph
 
 __all__ = [
     "initial_agent_states",
     "stack_agent_states",
     "agent_field",
     "round_field",
-    "heavy_ball_field",
     "kernel_residual",
 ]
 
@@ -131,34 +130,6 @@ def round_field(points: np.ndarray, lap_rows: np.ndarray, out: np.ndarray) -> np
     out[:, block_dim : 2 * block_dim] = v_hat
     out[:, -1] = 1.0
     return out
-
-
-def heavy_ball_field(graph: LaplacianGraph, objectives):
-    """Monolithic transformed field over the stacked state.
-
-    The single-vector reference path: the simulator's stacked trajectory
-    must coincide with integrating this field (see
-    :func:`~dualrk.simulator.run_heavy_ball_monolithic`).
-    """
-    family = stacked_family(objectives)
-    block_dim = family.shape[1]
-    total = graph.node_count * block_dim
-
-    def field(state: np.ndarray) -> np.ndarray:
-        t = state[-1]
-        if t <= 0.0:
-            raise NonPositiveTime(f"time coordinate {t} is not positive")
-        v_hat = state[:total]
-        y_hat = state[total : 2 * total]
-        x_star = stacked_conjugate(family, y_hat)
-        lap = laplacian_apply(graph, x_star, block_dim)
-        out = np.empty_like(state)
-        out[:total] = -(DAMPING / t) * v_hat - GRADIENT_WEIGHT * lap
-        out[total : 2 * total] = v_hat
-        out[-1] = 1.0
-        return out
-
-    return field
 
 
 def kernel_residual(rows: np.ndarray, block_dim: int) -> np.ndarray:

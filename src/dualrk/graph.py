@@ -2,8 +2,8 @@
 
 Graphs are static, undirected, unweighted, and connected.  The Laplacian
 ``L = D - A`` is carried row-wise through per-node *sorted* neighbor lists;
-the dense matrix (and its positive-semidefinite square root) is materialized
-only for spectra and test oracles.  Runtime code applies ``L`` block-wise
+the dense matrix is materialized only for spectra and test oracles (its
+square root is in :mod:`dualrk.oracles`).  Runtime code applies ``L`` block-wise
 through :func:`laplacian_apply`: each output row is exactly the operation a
 node can perform from its neighbors' broadcasts, and all rows are computed
 together, in one padded gather per degree bucket.
@@ -32,8 +32,6 @@ __all__ = [
     "laplacian_apply",
     "laplacian_rows",
     "dense_laplacian",
-    "sqrt_laplacian",
-    "sqrt_apply",
 ]
 
 GRAPH_KINDS = ("star", "cycle", "erdos_renyi")
@@ -75,7 +73,7 @@ class Topology:
             raise ValueError(f"edge_probability must be in (0, 1], got {self.edge_probability}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianGraph:
     """A connected graph together with its Laplacian spectra.
 
@@ -182,20 +180,6 @@ def _erdos_renyi_neighbors(n: int, prob: float, seed: int, attempt: int) -> list
     return [np.flatnonzero(adjacency[i]).astype(np.intp) for i in range(n)]
 
 
-def _is_connected(neighbor_lists: list[np.ndarray]) -> bool:
-    n = len(neighbor_lists)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in neighbor_lists[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
-
-
 def _dense_from_lists(neighbor_lists) -> np.ndarray:
     n = len(neighbor_lists)
     lap = np.zeros((n, n))
@@ -220,22 +204,23 @@ def build_graph(topology: Topology) -> LaplacianGraph:
         edge probability too low for the requested node count.
     """
     n = topology.node_count
-    if topology.kind == "star":
-        lists, resamples = _star_neighbors(n), 0
-    elif topology.kind == "cycle":
-        lists, resamples = _cycle_neighbors(n), 0
+    if topology.kind != "erdos_renyi":
+        lists = _star_neighbors(n) if topology.kind == "star" else _cycle_neighbors(n)
+        spectra, resamples = _spectral_from_lists(lists), 0
     else:
-        for attempt in range(ER_RETRY_BUDGET):
-            lists = _erdos_renyi_neighbors(n, topology.edge_probability, topology.rng_seed, attempt)
-            if _is_connected(lists):
-                resamples = attempt
+        for resamples in range(ER_RETRY_BUDGET):
+            lists = _erdos_renyi_neighbors(n, topology.edge_probability, topology.rng_seed, resamples)
+            try:  # a disconnected sample (zero spectral gap) is resampled
+                spectra = _spectral_from_lists(lists)
                 break
+            except ConnectivityFailure:
+                pass
         else:
             raise ConnectivityFailure(
                 f"no connected Erdos-Renyi sample with n={n}, "
                 f"p={topology.edge_probability} in {ER_RETRY_BUDGET} attempts"
             )
-    lam_max, lam_min_pos = _spectral_from_lists(lists)
+    lam_max, lam_min_pos = spectra
     return LaplacianGraph(
         node_count=n,
         neighbor_lists=tuple(lists),
@@ -324,25 +309,4 @@ def laplacian_rows(plan, padded: np.ndarray, out: np.ndarray | None = None) -> n
     neighbor_sum = sums[0] if inverse is None else np.concatenate(sums, axis=-2).take(inverse, axis=-2)
     # Without out the rows overwrite the sum, this call's own array: a temporary fewer.
     return np.subtract(degrees * padded[..., :-1, :], neighbor_sum, out=neighbor_sum if out is None else out)
-
-
-def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:
-    """Positive-semidefinite square root of the dense Laplacian.
-
-    Test-oracle use only: the runtime path never materializes the square
-    root because the change of variable in :mod:`dualrk.dynamics` removes it.
-    """
-    evals, evecs = np.linalg.eigh(dense_laplacian(graph))
-    root = np.sqrt(np.maximum(evals, 0.0))
-    mat = (evecs * root) @ evecs.T
-    return (mat + mat.T) / 2.0
-
-
-def sqrt_apply(sqrt_lap: np.ndarray, x: np.ndarray, block_dim: int) -> np.ndarray:
-    """Apply ``(sqrt(L) (x) I_p)`` to a stacked vector, block-wise."""
-    x = np.asarray(x, dtype=float)
-    n = sqrt_lap.shape[0]
-    if x.size != n * block_dim:
-        raise DimensionMismatch(f"expected {n * block_dim} entries, got {x.size}")
-    return (sqrt_lap @ x.reshape(n, block_dim)).reshape(x.shape)
 

@@ -91,7 +91,7 @@ class MetricsRecord:
     suboptimality_signed: float = field(default=float("nan"), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceOptimum:
     """Shared optimizer ``x*`` of the consensus problem and its value ``F*``."""
 
@@ -291,7 +291,7 @@ def evaluate_metrics(
 TRACE_BLOCK_BYTES = 32 * 1024
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """What every runner returns: its trace, end state and run facts.
 

@@ -37,7 +37,6 @@ __all__ = [
     "stacked_family",
     "stacked_conjugate",
     "stacked_value",
-    "dual_value_transformed",
     "random_regression_instance",
     "random_kl_instance",
     "load_regression_csv",
@@ -391,17 +390,6 @@ def stacked_value(objectives, x: np.ndarray):
     family, rows = _rows(objectives, x)
     total = family.values(rows).sum(axis=-1)
     return float(total) if rows.ndim == 2 else total
-
-
-def dual_value_transformed(objectives, y_hat: np.ndarray) -> float:
-    """Dual value expressed through the transformed variable ``y_hat = sqrt(L) y``.
-
-    ``phi(y) = <y_hat, x*(y_hat)> - F(x*(y_hat))`` needs no square root, so
-    it is usable at any scale.
-    """
-    y_hat = np.asarray(y_hat, dtype=float)
-    x = stacked_conjugate(objectives, y_hat)
-    return float(y_hat @ x) - stacked_value(objectives, x)
 
 
 def random_regression_instance(

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import agent_field, heavy_ball_field, stack_agent_states
+from .dynamics import agent_field, stack_agent_states
 from .graph import LaplacianGraph, Topology, build_graph, dense_laplacian
 from .integrator import ButcherTableau, certify_order, tableau
 from .objectives import random_kl_instance, random_regression_instance
-from .simulator import run_heavy_ball, run_heavy_ball_monolithic, run_heavy_ball_per_agent
+from .oracles import heavy_ball_field, run_heavy_ball_monolithic, run_heavy_ball_per_agent
+from .simulator import run_heavy_ball
 
 __all__ = ["CheckResult", "run_invariant_suite"]
 

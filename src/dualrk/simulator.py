@@ -36,22 +36,7 @@ iteration's stages sit in consecutive slots; the ring and the states share
 one slab, so one finiteness check covers a part's iteration (a zero-weight
 stage, which :func:`~dualrk.integrator.rk_combine` skips, included), and
 only a failure seeks its stage.  A result copies the state it returns.
-
-Two reference paths check the engine:
-
-- :func:`run_heavy_ball_per_agent` is the per-agent oracle: one
-  ``conjugate_argmax`` call per agent, then :func:`~dualrk.dynamics.agent_field`
-  per agent over the mailbox of broadcasts, with no stacked evaluation and
-  no Laplacian apply.
-- :func:`run_heavy_ball_monolithic` integrates the single-vector field
-  :func:`~dualrk.dynamics.heavy_ball_field` with
-  :func:`~dualrk.integrator.integrate`.
-
-Both return only the stacked trajectory.  All three combine stages with
-:func:`~dualrk.integrator.rk_combine`, and the tests and the invariant
-suite require trajectories equal to 1e-12 relative.  In fact they agree
-bitwise whenever ``p >= 2``; at ``p = 1`` the per-agent oracle's numpy
-neighbor sum may run pairwise.
+The reference paths the engine is checked against are in :mod:`dualrk.oracles`.
 """
 
 from __future__ import annotations
@@ -62,27 +47,14 @@ import warnings
 import numpy as np
 
 from . import harness
-from .dynamics import (
-    agent_field,
-    heavy_ball_field,
-    initial_agent_states,
-    kernel_residual,
-    round_field,
-    stack_agent_states,
-)
+# agent_field is not called here: perfbench/tracer.py patches simulator.agent_field.
+from .dynamics import agent_field, initial_agent_states, kernel_residual, round_field, stack_agent_states
 from .errors import InvalidArgument
 from .graph import LaplacianGraph, laplacian_rows
-from .integrator import ButcherTableau, integrate, rk_combine
+from .integrator import ButcherTableau, rk_combine
 from .objectives import stacked_conjugate
 
-__all__ = [
-    "step_size",
-    "suggested_h0",
-    "run_heavy_ball",
-    "run_heavy_ball_orders",
-    "run_heavy_ball_per_agent",
-    "run_heavy_ball_monolithic",
-]
+__all__ = ["step_size", "suggested_h0", "run_heavy_ball", "run_heavy_ball_orders"]
 
 
 def step_size(h0: float, num_iterations: int, order: int) -> float:
@@ -259,56 +231,3 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
     trajectory = np.array(trajectory) if trajectory is not None else None
     return [cohort.recorder.result(cohort.state.copy(), cohort.steps, trajectory=trajectory) for cohort in cohorts]
 
-
-def run_heavy_ball_per_agent(
-    graph: LaplacianGraph,
-    objectives,
-    tableau: ButcherTableau,
-    num_iterations: int,
-    h0: float,
-) -> np.ndarray:
-    """Stacked trajectory of the per-agent reference round (test oracle).
-
-    Runs the rounds agent by agent through a mailbox of broadcasts (see the
-    module docstring), solving ``S + 1`` sweeps per iteration, and returns
-    the ``(num_iterations + 1, 2np + 1)`` trajectory in the monolithic layout.
-    """
-    n = graph.node_count
-    p = objectives[0].dim
-    h = step_size(h0, num_iterations, tableau.order)
-    a, b = tableau.a, tableau.b
-    states = initial_agent_states(n, p)
-    derivs = np.zeros((tableau.stages, n, 2 * p + 1))
-    mailbox = np.empty((n, p))
-    trajectory = [stack_agent_states(states, p)]
-    for _ in range(num_iterations):
-        for l in range(tableau.stages):
-            points = states if l == 0 else rk_combine(states, h, a[l], derivs)
-            for i in range(n):
-                mailbox[i] = objectives[i].conjugate_argmax(points[i, p : 2 * p])
-            for i in range(n):
-                derivs[l, i] = agent_field(graph, i, points[i], mailbox[i], mailbox)
-        states = rk_combine(states, h, b, derivs)
-        trajectory.append(stack_agent_states(states, p))
-    return np.array(trajectory)
-
-
-def run_heavy_ball_monolithic(
-    graph: LaplacianGraph,
-    objectives,
-    tableau: ButcherTableau,
-    num_iterations: int,
-    h0: float,
-) -> np.ndarray:
-    """Stacked trajectory of the single-vector reference path (test oracle).
-
-    Integrates the monolithic field :func:`~dualrk.dynamics.heavy_ball_field`
-    with :func:`~dualrk.integrator.integrate`; returns the
-    ``(num_iterations + 1, 2np + 1)`` trajectory, which must agree with
-    :func:`run_heavy_ball`'s to roundoff.
-    """
-    h = step_size(h0, num_iterations, tableau.order) if num_iterations else float("nan")
-    p = objectives[0].dim
-    state = stack_agent_states(initial_agent_states(graph.node_count, p), p)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
-        return integrate(tableau, heavy_ball_field(graph, objectives), state, h, num_iterations)

@@ -15,10 +15,15 @@ import pytest
 
 import dualrk
 from dualrk.cli import reproduce
-from dualrk.graph import sqrt_apply, sqrt_laplacian
 from dualrk.harness import fit_rate, read_metrics_csv
 from dualrk.objectives import stacked_conjugate
-from dualrk.simulator import run_heavy_ball_per_agent
+from dualrk.oracles import (
+    dual_value_transformed,
+    run_heavy_ball_monolithic,
+    run_heavy_ball_per_agent,
+    sqrt_apply,
+    sqrt_laplacian,
+)
 
 # The desk regression instance: uniform square design blocks are nearly
 # singular (strong convexity ~1e-8, making the dual dynamics stiffer than
@@ -83,7 +88,7 @@ def equivalence_runs():
         tab = dualrk.tableau_for_order(order)
         h0 = dualrk.suggested_h0(graph, objs, tab, 15)
         sim = dualrk.run_heavy_ball(graph, objs, tab, 15, h0=h0, keep_trajectory=True)
-        mono = dualrk.run_heavy_ball_monolithic(graph, objs, tab, 15, h0=h0)
+        mono = run_heavy_ball_monolithic(graph, objs, tab, 15, h0=h0)
         oracle = run_heavy_ball_per_agent(graph, objs, tab, 15, h0=h0)
         runs.append((sim, mono, oracle, n, p))
     return runs, time.perf_counter() - start
@@ -120,7 +125,7 @@ def baseline_runs():
         y = y - h * dualrk.laplacian_apply(graph, stacked_conjugate(objs, y), p)
         y_hats.append(y)
     gd = SimpleNamespace(
-        dual_gaps=[dualrk.dual_value_transformed(objs, y) + f_star for y in y_hats],
+        dual_gaps=[dual_value_transformed(objs, y) + f_star for y in y_hats],
         max_kernel_residual=float(dualrk.kernel_residual(np.reshape(y_hats, (-1, n, p)), p).max()),
     )
 
@@ -275,8 +280,8 @@ def test_dual_gradient_and_smoothness():
             unit = np.zeros_like(y)
             unit[j] = step
             fd = (
-                dualrk.dual_value_transformed(objs, sqrt_apply(root, y + unit, p))
-                - dualrk.dual_value_transformed(objs, sqrt_apply(root, y - unit, p))
+                dual_value_transformed(objs, sqrt_apply(root, y + unit, p))
+                - dual_value_transformed(objs, sqrt_apply(root, y - unit, p))
             ) / (2.0 * step)
             assert abs(fd - grad[j]) <= 1e-5
         smoothness = graph.lambda_max / min(o.strong_convexity for o in objs)

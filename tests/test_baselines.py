@@ -14,11 +14,11 @@ from dualrk.integrator import tableau
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
-    dual_value_transformed,
     random_kl_instance,
     random_regression_instance,
     stacked_conjugate,
 )
+from dualrk.oracles import dual_value_transformed
 from dualrk.simulator import run_heavy_ball
 
 

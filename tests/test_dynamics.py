@@ -7,14 +7,14 @@ from dualrk.dynamics import (
     DAMPING,
     GRADIENT_WEIGHT,
     agent_field,
-    heavy_ball_field,
     initial_agent_states,
     kernel_residual,
     stack_agent_states,
 )
 from dualrk.errors import NonPositiveTime
-from dualrk.graph import Topology, build_graph, laplacian_apply, sqrt_apply, sqrt_laplacian
+from dualrk.graph import Topology, build_graph, laplacian_apply
 from dualrk.objectives import random_kl_instance, random_regression_instance, stacked_conjugate
+from dualrk.oracles import heavy_ball_field, sqrt_apply, sqrt_laplacian
 
 
 def untransformed_field(graph, objectives, sqrt_lap=None):

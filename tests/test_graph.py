@@ -14,9 +14,9 @@ from dualrk.graph import (
     dense_laplacian,
     disjoint_union,
     laplacian_apply,
-    sqrt_apply,
-    sqrt_laplacian,
+    _erdos_renyi_neighbors,
 )
+from dualrk.oracles import sqrt_apply, sqrt_laplacian
 
 
 def _eig_oracle(graph):
@@ -222,6 +222,40 @@ def test_er_resampling_is_recorded_and_deterministic():
     second = build_graph(topo)
     assert first.resample_count == second.resample_count
     assert all(np.array_equal(a, b) for a, b in zip(first.neighbor_lists, second.neighbor_lists))
+
+
+def _dfs_connected_sample(topology: Topology):
+    """The first sample a depth-first search finds connected, and its attempt index."""
+    for attempt in range(ER_RETRY_BUDGET):
+        lists = _erdos_renyi_neighbors(topology.node_count, topology.edge_probability, topology.rng_seed, attempt)
+        seen, stack = {0}, [0]
+        while stack:
+            for j in lists[stack.pop()]:
+                if int(j) not in seen:
+                    seen.add(int(j))
+                    stack.append(int(j))
+        if len(seen) == topology.node_count:
+            return lists, attempt
+    raise AssertionError("no connected sample")
+
+
+@pytest.mark.parametrize("n, prob", [(20, 0.3), (100, 0.1), (8, 0.5)])
+def test_spectral_gap_accepts_the_sample_a_depth_first_search_accepts(n, prob):
+    resampled = 0
+    for seed in range(300):
+        topology = Topology("erdos_renyi", n, edge_probability=prob, rng_seed=seed)
+        graph = build_graph(topology)
+        lists, attempt = _dfs_connected_sample(topology)
+        assert graph.resample_count == attempt, seed
+        assert all(np.array_equal(a, b) for a, b in zip(graph.neighbor_lists, lists, strict=True)), seed
+        resampled += attempt
+    assert resampled > 0 or n == 100  # every n=100, p=0.1 sample is connected at its first draw
+
+
+def test_graph_equality_and_hash_are_by_identity():
+    graph, twin = build_graph(Topology("cycle", 5)), build_graph(Topology("cycle", 5))
+    assert graph == graph and graph != twin
+    assert {graph: 1, twin: 2}[graph] == 1
 
 
 def test_er_connectivity_failure():

@@ -11,7 +11,7 @@ from dualrk import cli, harness
 from dualrk.config import ExperimentConfig
 from dualrk import objectives as objectives_module
 from dualrk.errors import InsufficientData, NonPositiveMetric
-from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
+from dualrk.graph import Topology, build_graph
 from dualrk.harness import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -34,6 +34,7 @@ from dualrk.objectives import (
     stacked_family,
     stacked_value,
 )
+from dualrk.oracles import sqrt_apply, sqrt_laplacian
 from dualrk.simulator import run_heavy_ball, suggested_h0
 
 
@@ -49,6 +50,13 @@ def _records_from_curve(rounds, values):
         )
         for k, (r, v) in enumerate(zip(rounds, values))
     ]
+
+
+def test_reference_equality_and_hash_are_by_identity():
+    reference = reference_optimum(random_regression_instance(5, 2, 3, seed=0))
+    twin = harness.ReferenceOptimum(reference.x_star.copy(), reference.f_star)
+    assert reference == reference and reference != twin
+    assert {reference: 1, twin: 2}[twin] == 2
 
 
 def test_reference_identical_quadratics():

@@ -11,13 +11,12 @@ import pytest
 
 import dualrk
 from dualrk.errors import DimensionMismatch, SingularSystem
-from dualrk.graph import Topology, build_graph, sqrt_apply, sqrt_laplacian
+from dualrk.graph import Topology, build_graph
 from dualrk.harness import reference_optimum
 from dualrk.objectives import (
     KLLocal,
     QuadraticLocal,
     _rel_entr,
-    dual_value_transformed,
     load_kl_csv,
     load_regression_csv,
     project_to_simplex,
@@ -27,6 +26,7 @@ from dualrk.objectives import (
     stacked_family,
     stacked_value,
 )
+from dualrk.oracles import dual_value_transformed, sqrt_apply, sqrt_laplacian
 
 
 def _inner_minimization_oracle(obj, z, iterations=300_000):

@@ -1,7 +1,13 @@
 """Invariant suite fault injection: corrupted inputs must be named."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import dualrk
 from dualrk import selfcheck
 from dualrk.graph import LaplacianGraph, Topology, build_graph
 from dualrk.integrator import ButcherTableau, tableau
@@ -12,6 +18,22 @@ def test_fresh_suite_passes():
     results = run_invariant_suite(seed=1)
     assert len(results) == 5
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_only_verify_loads_the_oracles():
+    src = str(Path(dualrk.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys, dualrk, dualrk.cli\n"
+        "print('dualrk.oracles' in sys.modules, 'dualrk.selfcheck' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert dualrk.cli.verify(seed=0) == 0\n"
+        "print('dualrk.oracles' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_perturbed_tableau_weights_fail_order_certification():

@@ -19,13 +19,8 @@ from dualrk.objectives import (
     random_regression_instance,
     stacked_conjugate,
 )
-from dualrk.simulator import (
-    run_heavy_ball,
-    run_heavy_ball_monolithic,
-    run_heavy_ball_per_agent,
-    step_size,
-    suggested_h0,
-)
+from dualrk.oracles import run_heavy_ball_monolithic, run_heavy_ball_per_agent
+from dualrk.simulator import run_heavy_ball, step_size, suggested_h0
 
 
 def test_step_size_formula():

@@ -33,7 +33,6 @@ from dualrk.harness import (
 )
 from dualrk.integrator import tableau
 from dualrk.objectives import (
-    dual_value_transformed,
     floored_projection,
     random_kl_instance,
     random_regression_instance,
@@ -41,11 +40,8 @@ from dualrk.objectives import (
     stacked_family,
     stacked_value,
 )
-from dualrk.simulator import (
-    run_heavy_ball,
-    run_heavy_ball_per_agent,
-    suggested_h0,
-)
+from dualrk.oracles import dual_value_transformed, run_heavy_ball_per_agent
+from dualrk.simulator import run_heavy_ball, suggested_h0
 
 FIELDS = (
     "iteration",
