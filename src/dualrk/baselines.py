@@ -20,7 +20,10 @@ Like :func:`~dualrk.simulator.run_heavy_ball`, a run binds its family, the
 degree-bucket plan and its buffers once and writes each update through
 ``out=`` in the formulas' operation order, bitwise; the pad buffer's first
 ``n`` rows hold the broadcast (dgd's iterate, or the dual conjugate at the
-anchor), and a result copies the buffer it returns.
+anchor), and a result copies the buffer it returns.  Once ``x_k`` is checked
+finite, dgd forms ``L x_k`` and (quadratic) ``H x_k`` for its next update
+and hands them to the recorder with ``x_k`` (cgd: its stack's ``H x``);
+dual_nag's metric point is no point its rounds broadcast.
 """
 
 from __future__ import annotations
@@ -80,15 +83,18 @@ def cgd_run(
     family = stacked_family(objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
     x = family.initial_point()
-    replicated, grads = np.tile(x, (n, 1)), np.empty((n, p))  # the consensus stack of x, rewritten in place
+    replicated, (grads, hx) = np.tile(x, (n, 1)), np.empty((2, n, p))  # the consensus stack of x, rewritten in place
+    hx = None if simplex else family.hessian_product(replicated, out=hx)
     recorder = harness.TraceRecorder(reference, None, family)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
-            grad = family.gradients(replicated, out=grads).sum(axis=0)
-            x = floored_projection(x - step * grad, simplex)
+            grads = family.gradients(replicated, out=grads) if simplex else np.subtract(hx, family.shift, out=grads)
+            x = floored_projection(x - step * grads.sum(axis=0), simplex)
             harness.check_finite(x, None, f"cgd: non-finite iterate at iteration {k}", k)
             replicated[:] = x
-            recorder.push(replicated.reshape(-1), k, k)
+            if not simplex:  # H x: this record and the next gradient read it
+                family.hessian_product(replicated, out=hx)
+            recorder.push(replicated.reshape(-1), k, k, hx=hx)
     return recorder.result(replicated.copy(), [step])
 
 
@@ -122,19 +128,23 @@ def dgd_run(
     family, plan, padded = harness.bind_run(graph, objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
     recorder = harness.TraceRecorder(reference, graph, family)
-    blocks, (mixed, grads) = padded[:n], np.empty((2, n, p))
+    blocks, (lap, hx, mixed, grads) = padded[:n], np.empty((4, n, p))
     blocks[:] = family.initial_point()
+    hx = None if simplex else family.hessian_product(blocks, out=hx)  # KL's gradient and value share no product
+    laplacian_rows(plan, padded, lap)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
-            laplacian_rows(plan, padded, mixed)
-            np.subtract(blocks, np.multiply(mixing, mixed, out=mixed), out=mixed)
-            family.gradients(blocks, out=grads)
+            np.subtract(blocks, np.multiply(mixing, lap, out=mixed), out=mixed)
+            grads = family.gradients(blocks, out=grads) if simplex else np.subtract(hx, family.shift, out=grads)
             np.subtract(mixed, np.multiply(step_k, grads, out=grads), out=blocks)
             if simplex:
                 blocks[:] = floored_projection(blocks, simplex)
             harness.check_finite(blocks, graph, f"dgd: non-finite iterate at iteration {k}", k)
-            recorder.push(blocks.reshape(-1), k, k)
+            laplacian_rows(plan, padded, lap)  # L x and H x: this record and the next update read them
+            if not simplex:
+                family.hessian_product(blocks, out=hx)
+            recorder.push(blocks.reshape(-1), k, k, lap=lap, hx=hx)
     return recorder.result(blocks.copy(), steps)
 
 

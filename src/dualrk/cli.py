@@ -254,16 +254,25 @@ def _figure_cells(figure: str, scale: str, seed: int):
     return parts, graphs, objectives, methods
 
 
-def _write_trace(records, path: Path):
-    """Write one trace's CSV; return its tail rate fits."""
-    harness.write_metrics_csv(records, path)
+def _write_trace(records, path: Path, seen: dict):
+    """Write one trace's CSV; return its tail rate fits.
+
+    ``seen`` maps each record list's id to its first CSV and fits, so a
+    list that parts share (a cgd run) is formatted and fitted once.
+    """
+    if id(records) in seen:
+        first, fits = seen[id(records)]
+        path.write_bytes(first.read_bytes())
+    else:
+        harness.write_metrics_csv(records, path)
+        fits = []
+        for metric in ("suboptimality", "consensus_quadratic"):
+            try:
+                fits.append(harness.fit_rate(records, metric))
+            except DualRKError:
+                continue
+        seen[id(records)] = path, fits
     print(f"{path.stem}: {len(records)} records -> {path}")
-    fits = []
-    for metric in ("suboptimality", "consensus_quadratic"):
-        try:
-            fits.append(harness.fit_rate(records, metric))
-        except DualRKError:
-            continue
     return fits
 
 
@@ -318,9 +327,10 @@ def reproduce(
         part_records = _run_method(
             ExperimentConfig(method=method), union, family, tab, references, budget, safety, _H0_SWEEP_ATTEMPTS
         )
+        seen = {}  # per run: the lists one run returns are alive together, so their ids differ
         for kind, order in parts:  # written and dropped before the next run
             name = f"{figure}_{kind}_{method}" + (f"_s{order}" if figure == "fig3" else "")
-            cells[kind, method, order] = name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv")
+            cells[kind, method, order] = name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv", seen)
     written: list[Path] = []
     fits: list[harness.RateFit] = []
     fit_labels: list[str] = []

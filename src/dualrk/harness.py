@@ -240,6 +240,8 @@ def evaluate_trace(
     graph: LaplacianGraph | None,
     objectives,
     stamps,
+    lap: np.ndarray | None = None,
+    hx: np.ndarray | None = None,
 ) -> list[MetricsRecord]:
     """Metric records of a ``(K, n p)`` block of stacked primal iterates.
 
@@ -249,16 +251,18 @@ def evaluate_trace(
     products, the same reductions a single row gets, so each record is
     bitwise independent of the rows it is batched with.  ``graph=None`` is
     allowed for replicated (consensus) stacks, whose consensus terms vanish
-    identically; centralized baselines use this.
+    identically; centralized baselines use this.  ``lap`` (``L x``) and
+    ``hx`` (a quadratic family's ``H x``), blocks of ``x_block``'s shape
+    that a run formed anyway (dgd, cgd), stand in for the pass's own.
     """
     x_block = np.asarray(x_block, dtype=float)
     p = reference.x_star.size
     rows, n = x_block.shape[0], x_block.shape[1] // p
-    signed = stacked_value(objectives, x_block) - reference.f_star
+    signed = stacked_value(objectives, x_block, hx) - reference.f_star
     if graph is None:
         norm = quad = np.zeros(rows)
     else:
-        lap_x = laplacian_apply(graph, x_block, p)
+        lap_x = laplacian_apply(graph, x_block, p) if lap is None else lap
         norm = np.sqrt(_row_dots(lap_x, lap_x))
         quad = _row_dots(x_block, lap_x)
         quad = np.where(quad < 0.0, 0.0, quad)  # max(quad, 0.0) row by row
@@ -365,21 +369,21 @@ class TraceRecorder:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
         width = max(part.columns.stop - part.columns.start for part in self.parts)
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
-        self._block = np.empty((self.capacity, n * p))
-        self._kernel, self._block_dim, self._duals = kernel, p, None
+        self._rows: dict[str, np.ndarray] = {}  # a block per pushed argument, made at its first push
+        self._kernel, self._block_dim = kernel, p
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
         self._rounds = 0
         self._clock = time.perf_counter()
 
-    def push(self, x_stack, iteration: int, comm_rounds: int, duals=None) -> None:
-        """Copy in one iteration's primal iterate, dual rows and time; flush once the block is full."""
+    def push(self, x_stack, iteration: int, comm_rounds: int, duals=None, lap=None, hx=None) -> None:
+        """Copy in one iteration's primal iterate, dual rows, products and time; flush once the block is full."""
         wall_time_ms = (time.perf_counter() - self._clock) * 1e3
-        self._block[len(self._stamps)] = x_stack
-        if self._kernel is not None:
-            if self._duals is None:
-                self._duals = np.empty((self.capacity, *np.shape(duals)))
-            self._duals[len(self._stamps)] = duals
+        for name, rows in (("x", x_stack), ("duals", duals), ("lap", lap), ("hx", hx)):
+            if rows is not None:
+                if name not in self._rows:
+                    self._rows[name] = np.empty((self.capacity, *np.shape(rows)))
+                self._rows[name][len(self._stamps)] = rows
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
         self._rounds = comm_rounds
         if len(self._stamps) == self.capacity:
@@ -389,16 +393,22 @@ class TraceRecorder:
     def flush(self) -> None:
         """Evaluate the pushed iterates into each part's records."""
         if self._stamps:
-            block = self._block[: len(self._stamps)]
+            count = len(self._stamps)
+            rows = {name: block[:count] for name, block in self._rows.items()}
             for part in self.parts:
-                # A contiguous copy, laid out as the part's own run lays out its block.
-                columns = np.ascontiguousarray(block[:, part.columns])
-                records = evaluate_trace(columns, part.reference, part.graph, part.family, self._stamps)
+                # Contiguous copies, laid out as the part's own run lays out its block.
+                columns = np.ascontiguousarray(rows["x"][:, part.columns])
+                lap, hx = (
+                    np.ascontiguousarray(rows[name][:, part.nodes]).reshape(count, -1) if name in rows else None
+                    for name in ("lap", "hx")
+                )
+                records = evaluate_trace(columns, part.reference, part.graph, part.family, self._stamps, lap, hx)
                 part.records.extend(records)
-                low = float(columns.min())
-                part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
+                if part.family.domain == "simplex":  # result() reads min_entry for simplex families only
+                    low = float(columns.min())
+                    part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
                 if self._kernel is not None:
-                    residuals = self._kernel(self._duals[: len(block), part.nodes], self._block_dim)
+                    residuals = self._kernel(rows["duals"][:, part.nodes], self._block_dim)
                     part.max_kernel_residual = max(part.max_kernel_residual, float(residuals.max()))
             self._stamps.clear()
             if self._on_record is not None:
@@ -412,11 +422,10 @@ class TraceRecorder:
         last push's.
         """
         self.flush()
-        simplex = self.parts[0].family.domain == "simplex"
         results = [
             RunResult(
                 part.records, final_state[part.nodes], self._rounds, step, part.max_kernel_residual,
-                part.min_entry if simplex else None, part_gaps,
+                part.min_entry, part_gaps,
             )
             for part, step, part_gaps in zip(self.parts, steps, gaps or [None] * len(self.parts))
         ]

@@ -300,13 +300,16 @@ class _QuadraticFamily(_Family):
     def conjugate(self, z, out=None):
         return _quadratic_conjugate(self.inverse, self.shift, z, out)
 
-    def values(self, x):
-        hx = np.matmul(self.hessian, x[..., None])[..., 0]
+    def hessian_product(self, x, out=None):
+        """Rows ``H_i x_i``, written into ``out`` if given: the product a value and a gradient share."""
+        return np.matmul(self.hessian, x[..., None], out=None if out is None else out[..., None])[..., 0]
+
+    def values(self, x, hx=None):
+        hx = self.hessian_product(x) if hx is None else hx
         return 0.5 * np.sum(x * hx, axis=-1) - np.sum(self.shift * x, axis=-1) + self.offset
 
     def gradients(self, x, out=None):
-        hx = np.matmul(self.hessian, x[..., None], out=None if out is None else out[..., None])[..., 0]
-        return np.subtract(hx, self.shift, out=out)
+        return np.subtract(self.hessian_product(x, out), self.shift, out=out)
 
 
 class _KLFamily(_Family):
@@ -382,13 +385,14 @@ def stacked_conjugate(objectives, z: np.ndarray, out: np.ndarray | None = None) 
     return family.conjugate(rows).reshape(*rows.shape[:-2], -1)
 
 
-def stacked_value(objectives, x: np.ndarray):
+def stacked_value(objectives, x: np.ndarray, hx: np.ndarray | None = None):
     """Aggregated objective ``F(x) = sum_i f_i(x_i)`` on a stacked vector, or per row of a block.
 
-    The list holds one family, as in :func:`stacked_conjugate`.
+    The list holds one family, as in :func:`stacked_conjugate`.  A quadratic
+    family's value reads ``hx``, of ``x``'s shape, as its Hessian product.
     """
     family, rows = _rows(objectives, x)
-    total = family.values(rows).sum(axis=-1)
+    total = (family.values(rows) if hx is None else family.values(rows, hx.reshape(rows.shape))).sum(axis=-1)
     return float(total) if rows.ndim == 2 else total
 
 

@@ -26,17 +26,9 @@ that iterate and the agents' ``[v_hat, y_hat]`` rows into the part's
 block at a time (or before the next iteration when ``on_record`` is
 given), evaluates the metric records and the kernel-sum residual.
 
-At the desk shape a round costs numpy per-call overhead more than
-arithmetic, so a run binds its family, plan and buffers once
-(:func:`~dualrk.harness.bind_run`), and every kernel writes into them
-through ``out=``: the conjugate solves the stage points' strided ``y_hat``
-straight into the pad buffer's first ``n`` rows (the broadcasts).  Each
-round's field goes to a ring of derivative slots indexed by round, so an
-iteration's stages sit in consecutive slots; the ring and the states share
-one slab, so one finiteness check covers a part's iteration (a zero-weight
-stage, which :func:`~dualrk.integrator.rk_combine` skips, included), and
-only a failure seeks its stage.  A result copies the state it returns.
-The reference paths the engine is checked against are in :mod:`dualrk.oracles`.
+A run binds its family, plan and buffers once (:func:`~dualrk.harness.bind_run`)
+and every kernel writes into them through ``out=`` (README's determinism
+note).  The engine's reference paths are in :mod:`dualrk.oracles`.
 """
 
 from __future__ import annotations

@@ -29,6 +29,33 @@ def test_fig1_trace_matrix(tmp_path):
     assert hb[-1].comm_rounds == 400 and hb[-1].iteration == 100
 
 
+def test_fig1_formats_and_fits_its_shared_cgd_trace_once(tmp_path, monkeypatch, capsys):
+    # cgd reads no graph, so fig1's three parts share one cgd run and one record list: it is
+    # formatted and fitted once, its bytes go to every part's CSV, and each part prints its line.
+    written, fitted = [], []
+    write, fit = harness.write_metrics_csv, harness.fit_rate
+
+    def counting_write(records, path, timings=False):
+        written.append(Path(path).stem)
+        write(records, path, timings)
+
+    def counting_fit(records, metric):
+        fitted.append(metric)
+        return fit(records, metric)
+
+    monkeypatch.setattr(harness, "write_metrics_csv", counting_write)
+    monkeypatch.setattr(harness, "fit_rate", counting_fit)
+    reproduce("fig1", out_dir=tmp_path, rounds_budget=400)
+    kinds = ("star", "cycle", "erdos_renyi")
+    names = [f"fig1_{kind}_{method}" for method in ("cgd", "dgd", "dual_nag", "heavy_ball_rk") for kind in kinds]
+    assert written == names[:1] + names[3:]
+    assert len(fitted) == 2 * len(written)
+    assert len({(tmp_path / f"fig1_{kind}_cgd.csv").read_bytes() for kind in kinds}) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"{name}: 400 records -> {tmp_path / name}.csv" for name in names[:3]]
+    assert [line.split(":")[0] for line in lines] == names
+
+
 def test_fig2_has_three_methods_and_no_cgd(tmp_path):
     paths = reproduce("fig2", out_dir=tmp_path, rounds_budget=400)
     traces = [p for p in paths if p.suffix == ".csv"]

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from dualrk import baselines, cli, simulator
+from dualrk import baselines, cli, harness, simulator
 from dualrk.baselines import cgd_run, dgd_run, dual_nag_run
 from dualrk.config import METHODS, ExperimentConfig, load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
@@ -334,6 +334,8 @@ def _baseline_case(case):
     """A graph, its objectives, and dgd steps, dgd mixings and dual steps (one per part on a union)."""
     if case == "union":  # three unequal parts, each at its own step and mixing
         graph, objs = _three_part_union()
+    elif case == "quadratic_union":  # dgd hands each part's records row slices of its union's L x and H x
+        graph, objs = _three_part_union("quadratic", 100)
     elif case == "wide":  # p = 100: the quadratic kernels' matmuls, out= included, run through BLAS
         graph = build_graph(Topology("cycle", 4))
         objs = random_regression_instance(4, 100, 100, seed=5, ridge=1e-3)
@@ -363,7 +365,7 @@ def _part_records(iterates, graph, objs):
     ]
 
 
-@pytest.mark.parametrize("case", ["quadratic", "kl", "union", "wide"])
+@pytest.mark.parametrize("case", ["quadratic", "kl", "union", "wide", "quadratic_union"])
 def test_baselines_match_the_old_loop_per_part(case):
     graph, objs, dgd_steps, mixings, dual_steps = _baseline_case(case)
     n, p = len(objs), objs[0].dim
@@ -395,6 +397,42 @@ def test_baselines_match_the_old_loop_per_part(case):
             assert part.dual_gaps == want  # floats compared exactly
         assert result.final_state.shape == (n, p)
         assert result.final_state.tobytes() == last.tobytes()
+
+
+@pytest.mark.parametrize("num_iterations", [1, K, K + 1, 2 * K + 3])
+def test_dgd_and_cgd_form_each_product_once_per_iterate(monkeypatch, num_iterations):
+    union, objs = _three_part_union("quadratic")
+    family = stacked_family(objs)
+    references = [reference_optimum(family[nodes]) for nodes, _ in union.part_rows]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # The names the runners and the metric pass read.
+    monkeypatch.setattr(baselines, "laplacian_rows", counted("laplacian_rows", baselines.laplacian_rows))
+    monkeypatch.setattr(harness, "laplacian_apply", counted("laplacian_apply", harness.laplacian_apply))
+    monkeypatch.setattr(type(family), "hessian_product", counted("hessian_product", type(family).hessian_product))
+    steps, mixings = [0.05] * 3, [0.5 / part.lambda_max for part in union.parts]
+    dgd_run(union, family, steps, mixings, num_iterations, reference=references)
+    # One of each per iterate, x_0 included; the flushes form neither.
+    assert sorted(calls) == ["hessian_product"] * (num_iterations + 1) + ["laplacian_rows"] * (num_iterations + 1)
+    calls.clear()
+    cgd_run(family[: N_AGENTS], 0.05, num_iterations, reference=references[0])
+    assert calls == ["hessian_product"] * (num_iterations + 1)
+    calls.clear()
+    kl_union, kl_objs = _three_part_union()
+    kl_references = [reference_optimum(kl_objs[nodes]) for nodes, _ in kl_union.part_rows]
+    dgd_run(kl_union, kl_objs, steps, mixings, num_iterations, reference=kl_references)
+    assert calls == ["laplacian_rows"] * (num_iterations + 1)
+    calls.clear()
+    # dual_nag's metric point is the conjugate at y_hat, which no round broadcasts: its flushes
+    # take L x from scratch, one call per block and part.
+    dual_nag_run(union, family, [0.01] * 3, num_iterations, reference=references)
+    assert calls.count("laplacian_apply") == 3 * math.ceil(num_iterations / K)
 
 
 def _run_csv(tmp_path, name, **keys):
@@ -503,13 +541,16 @@ def _kernel_oracles(rows_per_iterate, p):
     return one_row, old
 
 
-def _three_part_union():
-    sizes = (N_AGENTS, 12, 9)  # the widest part sets K = 16
+def _three_part_union(family="kl", dim=DIM):
+    sizes = (N_AGENTS, 12, 9)  # the widest part sets K (16 at dim = DIM)
     graphs = [
         build_graph(Topology(kind, n, edge_probability=0.5, rng_seed=n))
         for kind, n in zip(("star", "cycle", "erdos_renyi"), sizes)
     ]
-    objs = [obj for n in sizes for obj in random_kl_instance(n, DIM, seed=n)]
+    if family == "kl":
+        objs = [obj for n in sizes for obj in random_kl_instance(n, dim, seed=n)]
+    else:
+        objs = [obj for n in sizes for obj in random_regression_instance(n, dim, dim, seed=n, ridge=1e-3)]
     return disjoint_union(graphs), objs
 
 
