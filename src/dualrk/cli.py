@@ -206,7 +206,7 @@ def _print_run_summary(records) -> None:
 
 def _check_seed(seed: int) -> int:
     """Return ``seed``; the seeded streams take nonnegative integers only."""
-    if not isinstance(seed, numbers.Integral):
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
@@ -288,7 +288,8 @@ def reproduce(
     Every method is billed in communication rounds: a method with ``S``
     stage broadcasts per iteration runs ``budget / S`` iterations, so all
     traces share the figure's x-axis.  Each graph kind's reference optimum
-    is certified against the first-order oracle before any trace runs.
+    is certified before any trace runs: :func:`~dualrk.harness.verify_reference`
+    bounds its error by one gradient per member and must give at most 1e-9.
     Each method runs once on the union of the figure's parts (fig3: one
     copy of its graph per order); a diverging heavy-ball part is rerun at
     half ``h0``, at most ``_H0_SWEEP_ATTEMPTS`` runs per part, and a
@@ -302,7 +303,7 @@ def reproduce(
         raise ConfigError(f"unknown scale {scale!r}, expected one of {_SCALES}")
     _check_seed(seed)
     budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
-    if not isinstance(budget, numbers.Integral):
+    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool):
         raise ConfigError("rounds_budget must be an integer")
     if budget <= 0:
         raise ConfigError("rounds_budget must be positive")
@@ -383,7 +384,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="override the config output path")
     run_p.add_argument("--timings", action="store_true", help="record wall times in the CSV")
 
-    rep_p = sub.add_parser("reproduce", help="reproduce a benchmark figure's trace bundle")
+    rep_p = sub.add_parser(
+        "reproduce", help="reproduce a benchmark figure's trace bundle",
+        description="Seeded reruns write identical bytes at a fixed BLAS thread count.  At desk scale the bytes "
+        "are the same under 1 and 2 threads; at paper scale they can differ between counts, because the "
+        "LAPACK inverse of each 100 x 100 local Hessian depends on it (pin it, e.g. OPENBLAS_NUM_THREADS=1).",
+    )
     rep_p.add_argument("figure", choices=_FIGURES)
     rep_p.add_argument("--scale", choices=_SCALES, default="desk")
     rep_p.add_argument("--seed", type=int, default=0)

@@ -1,10 +1,9 @@
 """Reference optima, metric evaluation and rate fitting, plus the run bind.
 
 Everything downstream of a run lives here: the consensus-problem reference
-solution (closed form checked against an independent gradient-only solver:
-conjugate gradient on the reals, exponentiated gradient on the simplex), the
-per-iteration metric record and its CSV schema, and log-log slope fitting
-over trace tails.
+solution (closed form certified by one gradient per member and the members'
+strong-convexity moduli), the per-iteration metric record and its CSV schema,
+and log-log slope fitting over trace tails.
 
 A distributed run binds its family, degree-bucket plan and pad buffer once
 with :func:`bind_run`.  Run loops push their iterates into a
@@ -36,7 +35,6 @@ __all__ = [
     "ReferenceOptimum",
     "RunResult",
     "reference_optimum",
-    "projected_gradient_optimum",
     "verify_reference",
     "evaluate_trace",
     "evaluate_metrics",
@@ -61,11 +59,9 @@ CSV_COLUMNS = (
     "wall_time_ms",
 )
 
-# The oracle's iteration budget (conjugate gradient on the reals,
-# exponentiated gradient on the simplex), and the rate-fit window: the share
-# of the round range dropped as transient, the fewest points a fit takes, and
-# the value at or below which a point ends the window.
-_ORACLE_ITERATIONS = 20_000
+# The rate-fit window: the share of the round range dropped as transient, the
+# fewest points a fit takes, and the value at or below which a point ends the
+# window.
 _FIT_WINDOW_START = 0.2
 _FIT_MIN_POINTS = 50
 _FIT_FLOOR = 0.0
@@ -143,90 +139,28 @@ def reference_optimum(objectives) -> ReferenceOptimum:
     return ReferenceOptimum(x_star=x_star, f_star=f_star)
 
 
-def projected_gradient_optimum(objectives) -> tuple[np.ndarray, float]:
-    """Independent first-order solver for the consensus problem.
-
-    Brute-force oracle: uses only values and gradients, never the closed
-    forms or conjugates, so it can certify :func:`reference_optimum` outputs.
-    ``objectives`` is one family, listed or stacked; every evaluation calls
-    the bound family's ``values`` or ``gradients`` on one buffer that
-    replicates the point to every block.  Both paths stop once a step moves
-    the iterate by at most 1e-15 relative (roundoff level).
-
-    Real domain: Polak-Ribiere+ conjugate gradient, restarted along ``-grad``
-    off descent directions.  Its step is the secant step on the directional
-    derivative between ``x`` and a point ``reach * (1 + |x|)`` along the
-    direction (a quadratic's exact line minimum); ``reach`` doubles while the
-    measured curvature is not positive, and a non-finite gradient stops it.
-
-    Simplex: exponentiated gradient (mirror descent under the entropy),
-    ``x <- x exp(-g / (2n))`` renormalized, where ``g`` is the summed
-    gradient.  A sum of ``n`` KL terms is ``n``-smooth and ``n``-strongly
-    convex relative to the entropy (Lu, Freund and Nesterov 2018), so this
-    fixed step needs no line search or curvature estimate, and each step
-    halves the distance to the optimum in log coordinates.  The step is
-    ``1/(2n)`` and not ``1/n`` because a step of ``1/n`` lands on the
-    normalized geometric mean at once, which is the closed form's own
-    formula and would certify nothing.  A simplex family that is not a sum
-    of KL terms gets no such contraction, so its certification fails (a
-    deviation above 1e-9) rather than passing.
-    """
-    family = stacked_family(objectives)
-    n, p = family.shape
-    x = family.initial_point()
-    replicated = np.empty((n, p))
-
-    def total_value(v):
-        replicated[:] = v
-        return float(family.values(replicated).sum())
-
-    def total_gradient(v):
-        replicated[:] = v
-        return family.gradients(replicated).sum(axis=0)
-
-    def norm(v):
-        return math.sqrt(v.dot(v))  # as np.linalg.norm computes it, without its checks
-
-    if family.domain != "simplex":
-        grad = total_gradient(x)
-        direction, reach = -grad, 1.0
-        for _ in range(_ORACLE_ITERATIONS):
-            squared, slope = float(grad @ grad), float(grad @ direction)
-            if not 0.0 < squared < math.inf:
-                break  # a zero gradient, or a non-finite one
-            if not slope < 0.0:  # not a descent direction: restart along -grad
-                direction, slope = -grad, -squared
-            trial = reach * (1.0 + norm(x)) / norm(direction)
-            secant = float((total_gradient(x + trial * direction) - grad) @ direction)  # trial * curvature
-            if not math.isfinite(secant):
-                break
-            if secant <= 0.0:
-                reach *= 2.0
-                continue
-            step = (-slope * trial / secant) * direction
-            new_grad = total_gradient(x + step)
-            if not np.isfinite(new_grad).all():
-                break
-            x = x + step
-            beta = max(float(new_grad @ (new_grad - grad)) / squared, 0.0)
-            direction, grad = beta * direction - new_grad, new_grad
-            if norm(step) <= 1e-15 * (1.0 + norm(x)):
-                break
-        return x, total_value(x)
-
-    for _ in range(_ORACLE_ITERATIONS):
-        grad = total_gradient(x)
-        weights = x * np.exp((grad.min() - grad) / (2.0 * n))  # shifted so that no exponent is positive
-        previous, x = x, weights / weights.sum()
-        if norm(x - previous) <= 1e-15 * (1.0 + norm(x)):
-            break
-    return x, total_value(x)
-
-
 def verify_reference(objectives, reference: ReferenceOptimum) -> float:
-    """Distance between the closed-form optimum and the first-order oracle (one family, list or stacked)."""
-    x_oracle, _ = projected_gradient_optimum(objectives)
-    return float(np.linalg.norm(reference.x_star - x_oracle))
+    """Certified bound on ``||x* - argmin F||`` for the reference ``x*`` of one family, listed or stacked.
+
+    The bound is ``||sum_i grad f_i(x*)|| / sum_i mu_i``, one call to each
+    member's own ``gradient`` (the design form for least squares, so it
+    shares no kernel with the stacked family the closed form reads) over
+    the members' declared ``strong_convexity``.  On the simplex the summed
+    gradient loses its mean first (its projection onto the tangent space),
+    and a point that is not strictly positive or does not sum to 1 within
+    1e-12 gets ``inf``.  It bounds the error because ``F`` is
+    ``sum_i mu_i``-strongly convex along the domain, and ``grad F`` vanishes
+    along it at the optimum.  A non-finite gradient gives a non-finite bound.
+    """
+    x = reference.x_star
+    members = list(objectives)
+    simplex = members[0].domain == "simplex"
+    if simplex and not (np.all(x > 0.0) and abs(x.sum() - 1.0) <= 1e-12):
+        return math.inf
+    with np.errstate(all="ignore"):  # a non-finite bound fails the caller's gate, which says so itself
+        grad = sum(obj.gradient(x) for obj in members)
+        tangent = grad - grad.mean() if simplex else grad
+        return float(np.linalg.norm(tangent)) / sum(obj.strong_convexity for obj in members)
 
 
 def _row_dots(a, b):

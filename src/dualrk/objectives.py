@@ -173,7 +173,7 @@ class KLLocal(DualFriendlyObjective):
 
     ``strong_convexity`` is reported as 1: on the interior of the simplex
     the Hessian ``diag(1/x)`` dominates the identity along feasible
-    directions.  It feeds step-size heuristics only.
+    directions.  It feeds step-size heuristics and the reference certificate.
     """
 
     domain = "simplex"
@@ -434,7 +434,7 @@ def load_regression_csv(design_path, targets_path, n: int, ridge: float = 0.0) -
     length ``n * rows`` vector; agent ``i`` receives the ``i``-th row block.
     The standard ``1 / (n * rows)`` scaling is applied.
     """
-    design = np.atleast_2d(np.loadtxt(design_path, delimiter=","))
+    design = np.loadtxt(design_path, delimiter=",", ndmin=2)
     targets = np.atleast_1d(np.loadtxt(targets_path, delimiter=","))
     if targets.shape[0] != design.shape[0]:
         raise DimensionMismatch(

@@ -196,6 +196,15 @@ def test_negative_seed_from_python_is_a_config_error(tmp_path):
     assert _check_seed(np.int64(3)) == 3  # numpy integers seed the streams too
 
 
+def test_boolean_seed_is_a_config_error(tmp_path):
+    # bool is an Integral, but seed=True would run seed 1 and write "seed": true.
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        reproduce("fig3", out_dir=tmp_path / "out", seed=True, rounds_budget=40)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        verify(seed=False)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("figure, budget", [("fig1", 0), ("fig3", -5)])
 def test_nonpositive_rounds_budget_is_a_config_error(tmp_path, figure, budget):
     # Heavy ball would still run one iteration and each baseline none, so no trace shares the budget.
@@ -204,7 +213,7 @@ def test_nonpositive_rounds_budget_is_a_config_error(tmp_path, figure, budget):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("budget", [40.5, 40.0, "40"])
+@pytest.mark.parametrize("budget", [40.5, 40.0, "40", True])
 def test_non_integral_rounds_budget_is_a_config_error(tmp_path, budget):
     # The budget sets each order's iteration count, so it must be an integer before it gets there.
     with pytest.raises(ConfigError, match="rounds_budget must be an integer"):
@@ -245,6 +254,27 @@ def test_custom_quadratic_dataset(tmp_path):
         method="cgd",
     )
     assert main(["run", str(path)]) == 0
+
+
+def test_custom_quadratic_dataset_with_one_column(tmp_path):
+    # A one-column design CSV (p = 1) is one column of rows, not a single row.
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "h.csv", rng.uniform(0.5, 1.0, size=4), delimiter=",")
+    np.savetxt(tmp_path / "b.csv", rng.uniform(size=4), delimiter=",")
+    path = _write_config(
+        tmp_path / "cfg.txt",
+        experiment="custom",
+        objective="quadratic",
+        h_csv=str(tmp_path / "h.csv"),
+        b_csv=str(tmp_path / "b.csv"),
+        n=4,
+        p=1,
+        iterations=20,
+    )
+    _, objectives = resolve_instance(load_config(path))
+    assert [obj.design.shape for obj in objectives] == [(1, 1)] * 4
+    assert main(["run", str(path)]) == 0
+    assert len(read_metrics_csv(tmp_path / "trace.csv")) == 20
 
 
 def _custom_quadratic_config(tmp_path, design_rows, target_rows):

@@ -15,9 +15,9 @@ from dualrk.graph import Topology, build_graph
 from dualrk.harness import (
     CSV_COLUMNS,
     MetricsRecord,
+    ReferenceOptimum,
     evaluate_metrics,
     fit_rate,
-    projected_gradient_optimum,
     read_metrics_csv,
     reference_optimum,
     verify_reference,
@@ -78,8 +78,9 @@ def test_reference_kl_symmetric_pair():
     objs = [KLLocal(np.array([0.8, 0.2])), KLLocal(np.array([0.2, 0.8]))]
     ref = reference_optimum(objs)
     assert np.allclose(ref.x_star, [0.5, 0.5], atol=1e-12)
-    oracle, _ = projected_gradient_optimum(objs)
+    oracle, _ = _reference_projected_gradient(objs)
     assert np.linalg.norm(oracle - ref.x_star) <= 1e-9
+    assert verify_reference(objs, ref) <= 1e-15
 
 
 def test_reference_verified_against_oracle():
@@ -326,83 +327,110 @@ def _desk_instance(family, seed):
 
 
 def _count_gradients(monkeypatch, objectives):
-    """Count the calls to the ``gradients`` of the family type of ``objectives``; returns the one-entry counter."""
-    family_type = type(stacked_family(objectives))
-    gradients, calls = family_type.gradients, [0]
+    """Count the calls to the members' own ``gradient``; the stacked family's ``gradients`` may not run."""
+    member_type, family_type = type(objectives[0]), type(stacked_family(objectives))
+    gradient, calls = member_type.gradient, [0]
 
-    def counting(self, x, out=None):
+    def counting(self, x):
         calls[0] += 1
-        return gradients(self, x, out)
+        return gradient(self, x)
 
-    monkeypatch.setattr(family_type, "gradients", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate must not use the stacked gradients")
+
+    monkeypatch.setattr(member_type, "gradient", counting)
+    monkeypatch.setattr(family_type, "gradients", forbidden)
     return calls
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("family", ["quadratic", "kl"])
-def test_projected_gradient_oracle_agrees_with_the_fixed_step_iteration(monkeypatch, family, seed):
+def test_projected_gradient_oracle_agrees_with_the_fixed_step_iteration(family, seed):
+    # The iterative cross-check of the closed form: the test-only projected-gradient oracle, whose
+    # Armijo phase and fixed-step polish share no kernel with reference_optimum.
     objs = _desk_instance(family, seed)
-    calls = _count_gradients(monkeypatch, objs)
-    x, value = projected_gradient_optimum(objs)
-    new_calls, calls[0] = calls[0], 0
     want_x, want_value = _reference_projected_gradient(objs)
-    old_calls = calls[0]
     reference = reference_optimum(objs)
-    assert np.linalg.norm(x - want_x) <= 1e-12
-    assert np.linalg.norm(x - reference.x_star) <= 1e-12
-    assert value == pytest.approx(want_value, rel=1e-12)
-    if family == "quadratic":
-        # Conjugate gradient: a few dozen gradients, where the fixed-step sweeps take thousands.
-        assert 0 < 3 * new_calls <= old_calls, (new_calls, old_calls)
-        assert new_calls <= 60, new_calls
-    else:
-        # Exponentiated gradient halves the log-coordinate error per step: about 50 steps to roundoff.
-        assert new_calls <= 50, new_calls
-
-
-class _OracleView:
-    """A family's first-order interface: all the oracle may read (no Hessian, inverse or reference)."""
-
-    __slots__ = ("values", "gradients", "shape", "domain", "initial_point")
-
-    def __init__(self, family):
-        for name in self.__slots__:
-            setattr(self, name, getattr(family, name))
+    assert np.linalg.norm(reference.x_star - want_x) <= 1e-12
+    assert reference.f_star == pytest.approx(want_value, rel=1e-12)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "kl"])
-def test_projected_gradient_oracle_needs_no_closed_form(monkeypatch, family):
+def test_certificate_takes_one_gradient_per_member(monkeypatch, family):
+    # As a list, and as the row slice of a union family that reproduce certifies.
+    objs = _desk_instance(family, 4)
+    reference = reference_optimum(objs)
+    union = stacked_family(objs * 3)
+    calls = _count_gradients(monkeypatch, objs)
+    for view in (objs, union[20:40]):
+        calls[0] = 0
+        assert verify_reference(view, reference) <= 1e-9
+        assert calls[0] == len(objs)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_certificate_needs_no_closed_form(monkeypatch, family):
     objs = _desk_instance(family, 3)
-    x_star = reference_optimum(objs).x_star
+    reference = reference_optimum(objs)
+    family_type = type(stacked_family(objs))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle must not use a closed form or a conjugate")
+        raise AssertionError("the certificate must not use a closed form, a conjugate or a stacked kernel")
 
     monkeypatch.setattr(harness, "reference_optimum", forbidden)
+    monkeypatch.setattr(harness, "stacked_family", forbidden)
+    monkeypatch.setattr(harness, "stacked_value", forbidden)
     monkeypatch.setattr(objectives_module, "stacked_conjugate", forbidden)
+    monkeypatch.setattr(objectives_module, "stacked_value", forbidden)
     monkeypatch.setattr(objectives_module, "_quadratic_conjugate", forbidden)
     monkeypatch.setattr(objectives_module, "_kl_conjugate", forbidden)
-    bind = harness.stacked_family
-    monkeypatch.setattr(harness, "stacked_family", lambda objectives: _OracleView(bind(objectives)))
-    x, _ = projected_gradient_optimum(objs)
-    assert np.linalg.norm(x - x_star) <= 1e-12
+    monkeypatch.setattr(type(objs[0]), "conjugate_argmax", forbidden)
+    for name in ("conjugate", "values", "gradients", "hessian_product"):
+        monkeypatch.setattr(family_type, name, forbidden, raising=False)
+    assert verify_reference(objs, reference) <= 1e-9
 
 
-def test_projected_gradient_oracle_stops_at_a_non_finite_gradient(monkeypatch):
-    objs = _desk_instance("quadratic", 3)
-    family_type = type(stacked_family(objs))
-    gradients, calls = family_type.gradients, [0]
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_a_non_finite_member_gradient_gives_a_non_finite_deviation(monkeypatch, family, bad):
+    objs = _desk_instance(family, 3)
+    reference = reference_optimum(objs)
+    member_type = type(objs[0])
+    gradient, calls = member_type.gradient, [0]
 
-    def overflowing(self, x, out=None):
+    def overflowing(self, x):
         calls[0] += 1
-        grads = gradients(self, x, out)
-        return np.full_like(grads, np.inf) if calls[0] > 4 else grads
+        grad = gradient(self, x)
+        return np.full_like(grad, bad) if calls[0] == 5 else grad
 
-    monkeypatch.setattr(family_type, "gradients", overflowing)
-    x, value = projected_gradient_optimum(objs)
-    # The loop ends at the first non-finite gradient, at its last finite iterate.
-    assert calls[0] == 5
-    assert np.isfinite(x).all() and math.isfinite(value)
+    monkeypatch.setattr(member_type, "gradient", overflowing)
+    deviation = verify_reference(objs, reference)
+    assert not math.isfinite(deviation) and not deviation <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["quadratic", "kl"])
+def test_certificate_rejects_wrong_points(family):
+    objs = _desk_instance(family, 1)
+    x_star = reference_optimum(objs).x_star
+    rng = np.random.default_rng(7)
+    for size in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        for _ in range(5):
+            delta = rng.normal(size=x_star.size)
+            if family == "kl":
+                delta -= delta.mean()  # along the simplex
+            delta *= size / np.linalg.norm(delta)
+            bound = verify_reference(objs, ReferenceOptimum(x_star + delta, 0.0))
+            assert bound >= np.linalg.norm(delta), (size, bound)
+    if family == "kl":
+        mean = np.mean([obj.reference for obj in objs], axis=0)
+        assert verify_reference(objs, ReferenceOptimum(mean, 0.0)) > 1e-3
+        zero = x_star.copy()
+        zero[0], zero[1] = 0.0, zero[0] + zero[1]
+        negative = x_star.copy()
+        negative[0], negative[1] = -1e-3, negative[1] + negative[0] + 1e-3
+        off = x_star * (1.0 + 1e-10)
+        for point in (zero, negative, off):
+            assert verify_reference(objs, ReferenceOptimum(point, 0.0)) == math.inf
 
 
 @pytest.mark.parametrize("family", ["quadratic", "kl"])
@@ -411,17 +439,17 @@ def test_paper_shape_reference_is_certified(monkeypatch, family):
         objs = random_regression_instance(100, 100, 100, seed=0, ridge=1e-3)
     else:
         objs = random_kl_instance(100, 100, seed=0)
+    reference = reference_optimum(objs)
     calls = _count_gradients(monkeypatch, objs)
-    assert verify_reference(objs, reference_optimum(objs)) <= 1e-9
-    assert calls[0] <= (120 if family == "quadratic" else 50), calls[0]
+    assert verify_reference(objs, reference) <= 1e-9
+    assert calls[0] == 100
 
 
 def test_skewed_kl_reference_is_certified_in_fifty_gradients(monkeypatch):
-    # References with entries down to about 1e-12: the contraction of the
-    # exponentiated-gradient step does not depend on how skewed they are.
+    # References with entries down to about 1e-12: the KL modulus of 1 does not depend on how skewed they are.
     rng = np.random.default_rng(0)
     objs = [KLLocal.from_weights(rng.uniform(1e-4, 1.0, size=10) ** 3) for _ in range(20)]
+    reference = reference_optimum(objs)
     calls = _count_gradients(monkeypatch, objs)
-    x, _ = projected_gradient_optimum(objs)
-    assert np.linalg.norm(x - reference_optimum(objs).x_star) <= 1e-12
-    assert calls[0] <= 50, calls[0]
+    assert verify_reference(objs, reference) <= 1e-9
+    assert calls[0] == len(objs) <= 50

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualrk import harness
+from dualrk import harness, objectives
 from dualrk.cli import main, reproduce
 from dualrk.errors import ConfigError, DualRKError
-from dualrk.objectives import stacked_family
 from dualrk.harness import read_metrics_csv
 
 
@@ -110,11 +109,11 @@ def test_figure_setup_stacks_its_instance_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("figure", ["fig1", "fig3"])
 def test_a_nan_certification_deviation_writes_no_bundle(tmp_path, monkeypatch, figure):
     # A NaN deviation fails the certification, as any deviation above 1e-9 does.
-    def nan_oracle(objectives):
-        p = stacked_family(objectives).shape[1]
-        return np.full(p, np.nan), float("nan")
+    def nan_gradient(self, x):
+        return np.full(self.dim, np.nan)
 
-    monkeypatch.setattr(harness, "projected_gradient_optimum", nan_oracle)
+    for member_type in (objectives.QuadraticLocal, objectives.KLLocal):
+        monkeypatch.setattr(member_type, "gradient", nan_gradient)
     with pytest.raises(DualRKError, match="failed oracle verification"):
         reproduce(figure, out_dir=tmp_path, rounds_budget=40)
     assert list(tmp_path.iterdir()) == []

@@ -31,7 +31,7 @@ from dualrk.harness import (
     read_metrics_csv,
     reference_optimum,
 )
-from dualrk.integrator import tableau
+from dualrk.integrator import tableau, tableau_for_order
 from dualrk.objectives import (
     floored_projection,
     random_kl_instance,
@@ -41,7 +41,7 @@ from dualrk.objectives import (
     stacked_value,
 )
 from dualrk.oracles import dual_value_transformed, run_heavy_ball_per_agent
-from dualrk.simulator import run_heavy_ball, suggested_h0
+from dualrk.simulator import run_heavy_ball, run_heavy_ball_orders, suggested_h0
 
 FIELDS = (
     "iteration",
@@ -433,6 +433,58 @@ def test_dgd_and_cgd_form_each_product_once_per_iterate(monkeypatch, num_iterati
     # take L x from scratch, one call per block and part.
     dual_nag_run(union, family, [0.01] * 3, num_iterations, reference=references)
     assert calls.count("laplacian_apply") == 3 * math.ceil(num_iterations / K)
+
+
+@pytest.mark.parametrize("num_iterations", [1, K, K + 1, 2 * K + 3])
+def test_every_runner_broadcasts_and_evaluates_its_closed_form_counts(monkeypatch, num_iterations):
+    # One laplacian_rows per broadcast round, at the name each runner reads, and one
+    # evaluate_trace per part and block of pushed iterates, ceil(N / capacity) per part.
+    union, objs = _three_part_union()
+    family, N = stacked_family(objs), num_iterations
+    calls, recorders = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init = harness.TraceRecorder.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        recorders.append(self)
+
+    monkeypatch.setattr(simulator, "laplacian_rows", counted("simulator", simulator.laplacian_rows))
+    monkeypatch.setattr(baselines, "laplacian_rows", counted("baselines", baselines.laplacian_rows))
+    monkeypatch.setattr(harness, "evaluate_trace", counted("evaluate_trace", harness.evaluate_trace))
+    monkeypatch.setattr(harness.TraceRecorder, "__init__", kept)
+
+    def counts(iterations):
+        """The calls made since the last check, and those each recorder's parts and ``iterations`` give."""
+        want = sum(len(r.parts) * math.ceil(n / r.capacity) for r, n in zip(recorders, iterations, strict=True))
+        got = {name: calls.count(name) for name in ("simulator", "baselines", "evaluate_trace")}
+        calls.clear()
+        recorders.clear()
+        return got, want
+
+    tab = tableau("rk4")
+    run_heavy_ball(union, family, tab, N, h0=0.1)
+    got, want = counts([N])
+    assert got == {"simulator": tab.stages * N, "baselines": 0, "evaluate_trace": want} and want == 3 * math.ceil(N / K)
+    tabs, orders = tuple(tableau_for_order(order) for order in (1, 2, 4)), [4 * N, 2 * N, N]
+    run_heavy_ball_orders(union, family, tabs, orders, h0=1e-3)
+    got, want = counts(orders)  # one cohort, and one recorder, per order
+    assert got == {"simulator": 4 * N, "baselines": 0, "evaluate_trace": want}
+    dual_nag_run(union, family, 0.01, N)
+    got, want = counts([N])
+    assert got == {"simulator": 0, "baselines": N, "evaluate_trace": want} and want == 3 * math.ceil(N / K)
+    dgd_run(union, family, 0.05, [0.5 / part.lambda_max for part in union.parts], N)
+    got, want = counts([N])
+    assert got == {"simulator": 0, "baselines": N + 1, "evaluate_trace": want} and want == 3 * math.ceil(N / K)
+    cgd_run(family[:N_AGENTS], 0.05, N)
+    got, want = counts([N])
+    assert got == {"simulator": 0, "baselines": 0, "evaluate_trace": want} and want == math.ceil(N / K)
 
 
 def _run_csv(tmp_path, name, **keys):
