@@ -12,7 +12,7 @@ import numpy as np
 
 from dualrk import KLLocal, QuadraticLocal, Topology, build_graph
 from dualrk.objectives import stacked_conjugate
-from dualrk.oracles import dual_value_transformed, sqrt_apply, sqrt_laplacian
+from dualrk.oracles import dual_value_transformed, kkt_residual, sqrt_apply, sqrt_laplacian
 
 rng = np.random.default_rng(3)
 
@@ -23,7 +23,7 @@ for _ in range(3):
     z = rng.normal(size=3)
     x = quad.conjugate_argmax(z)
     print(f"  z = {np.round(z, 3)} -> x = {np.round(x, 3)}, "
-          f"stationarity residual {quad.kkt_residual(z, x):.2e}")
+          f"stationarity residual {kkt_residual(quad, z, x):.2e}")
 
 # KL to a reference distribution: the maximizer is a softmax reweighting and
 # always lands strictly inside the simplex.

@@ -11,7 +11,7 @@ close after a full period.
 import numpy as np
 
 from dualrk import empirical_order, rk_step, tableau
-from dualrk.integrator import integrate
+from dualrk.oracles import integrate
 
 for kind in ("euler", "midpoint", "rk4"):
     tab = tableau(kind)

@@ -48,7 +48,6 @@ from .harness import (
 )
 from .integrator import ButcherTableau, certify_order, empirical_order, rk_step, tableau, tableau_for_order
 from .objectives import (
-    DualFriendlyObjective,
     KLLocal,
     QuadraticLocal,
     random_kl_instance,

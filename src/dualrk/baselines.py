@@ -20,9 +20,9 @@ Like :func:`~dualrk.simulator.run_heavy_ball`, a run binds its family, the
 degree-bucket plan and its buffers once and writes each update through
 ``out=`` in the formulas' operation order, bitwise; the pad buffer's first
 ``n`` rows hold the broadcast (dgd's iterate, or the dual conjugate at the
-anchor), and a result copies the buffer it returns.  Once ``x_k`` is checked
-finite, dgd forms ``L x_k`` and (quadratic) ``H x_k`` for its next update
-and hands them to the recorder with ``x_k`` (cgd: its stack's ``H x``);
+anchor), and a result copies the buffer it returns.  Once ``x_k`` is
+checked finite, dgd forms ``L x_k`` and (quadratic) ``H x_k`` for its next
+update, which its recorder binds with ``x_k`` (cgd: its stack's ``H x``);
 dual_nag's metric point is no point its rounds broadcast.
 """
 
@@ -85,7 +85,7 @@ def cgd_run(
     x = family.initial_point()
     replicated, (grads, hx) = np.tile(x, (n, 1)), np.empty((2, n, p))  # the consensus stack of x, rewritten in place
     hx = None if simplex else family.hessian_product(replicated, out=hx)
-    recorder = harness.TraceRecorder(reference, None, family)
+    recorder = harness.TraceRecorder(reference, None, family, replicated, hx=hx)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             grads = family.gradients(replicated, out=grads) if simplex else np.subtract(hx, family.shift, out=grads)
@@ -94,7 +94,7 @@ def cgd_run(
             replicated[:] = x
             if not simplex:  # H x: this record and the next gradient read it
                 family.hessian_product(replicated, out=hx)
-            recorder.push(replicated.reshape(-1), k, k, hx=hx)
+            recorder.push(k, k)
     return recorder.result(replicated.copy(), [step])
 
 
@@ -127,11 +127,11 @@ def dgd_run(
     # Bound once per run: the pad buffer's first n rows are the iterate, which the round broadcasts.
     family, plan, padded = harness.bind_run(graph, objectives)
     (n, p), simplex = family.shape, family.domain == "simplex"
-    recorder = harness.TraceRecorder(reference, graph, family)
     blocks, (lap, hx, mixed, grads) = padded[:n], np.empty((4, n, p))
     blocks[:] = family.initial_point()
     hx = None if simplex else family.hessian_product(blocks, out=hx)  # KL's gradient and value share no product
     laplacian_rows(plan, padded, lap)
+    recorder = harness.TraceRecorder(reference, graph, family, blocks, lap=lap, hx=hx)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
@@ -144,7 +144,7 @@ def dgd_run(
             laplacian_rows(plan, padded, lap)  # L x and H x: this record and the next update read them
             if not simplex:
                 family.hessian_product(blocks, out=hx)
-            recorder.push(blocks.reshape(-1), k, k, lap=lap, hx=hx)
+            recorder.push(k, k)
     return recorder.result(blocks.copy(), steps)
 
 
@@ -174,12 +174,12 @@ def dual_nag_run(
         check_step(part_step)
     step = graph.node_values(steps)
     # Bound once per run: the pad buffer's first n rows take the broadcast, the conjugate
-    # at the anchor; each iterate's y_hat is written over the one before last.
+    # at the anchor; lap's buffer takes each new y_hat before it is copied into y_hat.
     family, plan, padded = harness.bind_run(graph, objectives)
     n, p = family.shape
-    broadcast, x_stack = padded[:n], padded[:n].reshape(-1)
-    recorder = harness.TraceRecorder(reference, graph, family, kernel=kernel_residual)
-    lap, y_hat, y_prev, z_hat = np.zeros((4, n, p))
+    broadcast = padded[:n]
+    lap, y_hat, z_hat = np.zeros((3, n, p))
+    recorder = harness.TraceRecorder(reference, graph, family, broadcast, y_hat, kernel=kernel_residual)
     # Conjugate at the current y_hat: it feeds the metrics, the dual gap and
     # the final state, so each is solved once.
     stacked_conjugate(family, y_hat, out=broadcast)
@@ -190,15 +190,15 @@ def dual_nag_run(
             if k > 1:
                 stacked_conjugate(family, z_hat, out=broadcast)
             laplacian_rows(plan, padded, lap)
-            np.subtract(z_hat, np.multiply(step, lap, out=lap), out=y_prev)
-            y_hat, y_prev = y_prev, y_hat
-            np.subtract(y_hat, y_prev, out=z_hat)
+            np.subtract(z_hat, np.multiply(step, lap, out=lap), out=lap)
+            np.subtract(lap, y_hat, out=z_hat)
+            np.copyto(y_hat, lap)
             np.add(y_hat, np.multiply((k - 1.0) / (k + 2.0), z_hat, out=z_hat), out=z_hat)
             harness.check_finite(y_hat, graph, f"dual_nag: non-finite iterate at iteration {k}", k)
             stacked_conjugate(family, y_hat, out=broadcast)
             for part_gaps, trace in zip(gaps or (), recorder.parts):
-                y_part, x_part = y_hat.reshape(-1)[trace.columns], x_stack[trace.columns]
+                y_part, x_part = y_hat[trace.nodes].reshape(-1), broadcast[trace.nodes].reshape(-1)
                 dual = float(y_part @ x_part) - stacked_value(trace.family, x_part)
                 part_gaps.append(dual + trace.reference.f_star)
-            recorder.push(x_stack, k, k, y_hat)
+            recorder.push(k, k)
     return recorder.result(broadcast.copy(), steps, gaps)

@@ -6,7 +6,7 @@ strong-convexity moduli), the per-iteration metric record and its CSV schema,
 and log-log slope fitting over trace tails.
 
 A distributed run binds its family, degree-bucket plan and pad buffer once
-with :func:`bind_run`.  Run loops push their iterates into a
+with :func:`bind_run`, and the buffers a record reads to a
 :class:`TraceRecorder`, which times each iteration, evaluates the records a
 block at a time and builds the :class:`RunResult` every runner returns.
 Records are unscaled: the CLI applies ``report_style = theorem1``.
@@ -258,9 +258,8 @@ class RunResult:
 class _PartTrace:
     """One graph part's rows, problem (a row slice of the run's family), records and run extremes."""
 
-    def __init__(self, nodes, p, reference, graph, family, kernel):
-        self.nodes, self.columns = nodes, slice(nodes.start * p, nodes.stop * p)
-        self.graph, self.family = graph, family
+    def __init__(self, nodes, reference, graph, family, kernel):
+        self.nodes, self.graph, self.family = nodes, graph, family
         self.reference = reference if reference is not None else reference_optimum(family)
         self.records: list[MetricsRecord] = []
         self.min_entry: float | None = None
@@ -270,12 +269,16 @@ class _PartTrace:
 class TraceRecorder:
     """A run's metric trace, evaluated by :func:`evaluate_trace` a block at a time.
 
-    The run loop pushes its primal iterate once per iteration, and ends with
-    :meth:`result`; a full block of :data:`TRACE_BLOCK_BYTES` (of the widest
-    part) flushes on its own.  A run given ``kernel`` (its module's
-    :func:`~dualrk.dynamics.kernel_residual`) pushes its agents' dual rows
-    too, and a flush takes each part's residuals in one call over its
-    ``(K, n_part, w)`` rows.  With ``on_record`` (one-graph runs only) every
+    It is built on the buffers a record reads, a row per agent each, which
+    the run rewrites in place: the primal iterate ``x``, and those the run
+    holds anyway of the agents' dual rows (``duals``), ``L x`` (``lap``) and
+    a quadratic family's ``H x`` (``hx``); None binds nothing.  The run loop
+    pushes once per iteration, which copies them into blocks made at the
+    start, and ends with :meth:`result`; a full block of
+    :data:`TRACE_BLOCK_BYTES` (of the widest part) flushes on its own.  A
+    run given ``kernel`` (its module's :func:`~dualrk.dynamics.kernel_residual`)
+    binds its dual rows, and a flush takes each part's residuals in one call
+    over its ``(K, n_part, w)`` rows.  With ``on_record`` (one-graph runs only) every
     push flushes and hands the record to the callback before the run's next
     iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
@@ -284,12 +287,12 @@ class TraceRecorder:
     lockstep have a recorder each, so a part's time covers the whole rounds
     it shares with the other orders, their pushes included (the CSVs write
     it only for ``run --timings``, and ``run`` runs one tableau).
-    Each part of a disjoint-union ``graph`` is evaluated on its own columns,
+    Each part of a disjoint-union ``graph`` is evaluated on its own rows,
     graph, objectives and ``reference`` (one for all parts or one per part;
     None is computed with :func:`reference_optimum`), as its run alone is.
     """
 
-    def __init__(self, reference, graph, objectives, on_record=None, kernel=None):
+    def __init__(self, reference, graph, objectives, x, duals=None, lap=None, hx=None, on_record=None, kernel=None):
         family = stacked_family(objectives)
         n, p = family.shape
         if graph is None:  # a replicated consensus stack: one part, no graph
@@ -297,27 +300,25 @@ class TraceRecorder:
         else:
             rows, references = graph.part_rows, graph.per_part(reference)
         self.parts = [
-            _PartTrace(nodes, p, ref, part, family[nodes], kernel) for (nodes, part), ref in zip(rows, references)
+            _PartTrace(nodes, ref, part, family[nodes], kernel) for (nodes, part), ref in zip(rows, references)
         ]
         if on_record is not None and len(self.parts) > 1:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
-        width = max(part.columns.stop - part.columns.start for part in self.parts)
+        width = max(part.nodes.stop - part.nodes.start for part in self.parts) * p
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
-        self._rows: dict[str, np.ndarray] = {}  # a block per pushed argument, made at its first push
+        named = (("x", x), ("duals", duals), ("lap", lap), ("hx", hx))
+        self._bound = {name: (buf, np.empty((self.capacity, *buf.shape))) for name, buf in named if buf is not None}
         self._kernel, self._block_dim = kernel, p
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
         self._rounds = 0
         self._clock = time.perf_counter()
 
-    def push(self, x_stack, iteration: int, comm_rounds: int, duals=None, lap=None, hx=None) -> None:
-        """Copy in one iteration's primal iterate, dual rows, products and time; flush once the block is full."""
+    def push(self, iteration: int, comm_rounds: int) -> None:
+        """Copy in the bound buffers and the iteration's time; flush once the block is full."""
         wall_time_ms = (time.perf_counter() - self._clock) * 1e3
-        for name, rows in (("x", x_stack), ("duals", duals), ("lap", lap), ("hx", hx)):
-            if rows is not None:
-                if name not in self._rows:
-                    self._rows[name] = np.empty((self.capacity, *np.shape(rows)))
-                self._rows[name][len(self._stamps)] = rows
+        for buf, block in self._bound.values():
+            block[len(self._stamps)] = buf
         self._stamps.append((iteration, comm_rounds, wall_time_ms))
         self._rounds = comm_rounds
         if len(self._stamps) == self.capacity:
@@ -328,18 +329,17 @@ class TraceRecorder:
         """Evaluate the pushed iterates into each part's records."""
         if self._stamps:
             count = len(self._stamps)
-            rows = {name: block[:count] for name, block in self._rows.items()}
+            rows = {name: block[:count] for name, (_, block) in self._bound.items()}
             for part in self.parts:
                 # Contiguous copies, laid out as the part's own run lays out its block.
-                columns = np.ascontiguousarray(rows["x"][:, part.columns])
-                lap, hx = (
+                x, lap, hx = (
                     np.ascontiguousarray(rows[name][:, part.nodes]).reshape(count, -1) if name in rows else None
-                    for name in ("lap", "hx")
+                    for name in ("x", "lap", "hx")
                 )
-                records = evaluate_trace(columns, part.reference, part.graph, part.family, self._stamps, lap, hx)
+                records = evaluate_trace(x, part.reference, part.graph, part.family, self._stamps, lap, hx)
                 part.records.extend(records)
                 if part.family.domain == "simplex":  # result() reads min_entry for simplex families only
-                    low = float(columns.min())
+                    low = float(x.min())
                     part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
                 if self._kernel is not None:
                     residuals = self._kernel(rows["duals"][:, part.nodes], self._block_dim)

@@ -34,7 +34,6 @@ __all__ = [
     "load_tableau",
     "rk_combine",
     "rk_step",
-    "integrate",
     "empirical_order",
     "certify_order",
 ]
@@ -170,17 +169,6 @@ def rk_step(tab: ButcherTableau, vector_field, state: np.ndarray, step: float) -
             raise NonFiniteState(f"non-finite derivative at stage {l + 1}")
         derivatives.append(deriv)
     return rk_combine(state, step, tab.b, derivatives)
-
-
-def integrate(tab: ButcherTableau, vector_field, state: np.ndarray, step: float, num_steps: int):
-    """Iterate :func:`rk_step` and return the trajectory, initial state included."""
-    trajectory = np.empty((num_steps + 1, np.asarray(state).size))
-    trajectory[0] = state
-    current = np.asarray(state, dtype=float)
-    for k in range(num_steps):
-        current = rk_step(tab, vector_field, current, step)
-        trajectory[k + 1] = current
-    return trajectory
 
 
 def empirical_order(

@@ -8,7 +8,9 @@ objective, and for strongly convex ``f`` it is single-valued and
 
 Two families are provided: regularized linear least squares
 (:class:`QuadraticLocal`) and KL divergence to a reference distribution on
-the probability simplex (:class:`KLLocal`).
+the probability simplex (:class:`KLLocal`).  Each is immutable after
+construction and carries its dimension ``dim``, its ``domain`` (``"real"``
+or ``"simplex"``) and its ``strong_convexity`` modulus over the domain.
 
 The stacked evaluations (:func:`stacked_conjugate`, :func:`stacked_value`)
 take a list of blocks of one family and evaluate them all in one array
@@ -22,14 +24,11 @@ a ``(K, n p)`` block of stacked vectors, row by row.  The family's
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem
 
 __all__ = [
-    "DualFriendlyObjective",
     "QuadraticLocal",
     "KLLocal",
     "project_to_simplex",
@@ -48,57 +47,7 @@ _REGRESSION_STREAM = 101
 _KL_STREAM = 202
 
 
-class DualFriendlyObjective(abc.ABC):
-    """A local objective paired with an exact conjugate-maximizer oracle.
-
-    Subclasses are immutable after construction; all evaluations are pure
-    functions and may run concurrently across agents.
-
-    Attributes
-    ----------
-    dim : int
-        Dimension ``p`` of the local decision variable.
-    domain : str
-        ``"real"`` for unconstrained objectives, ``"simplex"`` for
-        objectives restricted to the unit simplex.
-    strong_convexity : float
-        Strong convexity modulus ``mu > 0`` (over the domain).
-    """
-
-    dim: int
-    domain = "real"
-    strong_convexity: float
-
-    @abc.abstractmethod
-    def value(self, x: np.ndarray) -> float:
-        """Evaluate ``f(x)``."""
-
-    @abc.abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate ``grad f(x)`` (interior of the domain)."""
-
-    @abc.abstractmethod
-    def conjugate_argmax(self, z: np.ndarray) -> np.ndarray:
-        """Return ``argmax_x { <z, x> - f(x) }`` over the domain."""
-
-    def kkt_residual(self, z: np.ndarray, x: np.ndarray | None = None) -> float:
-        """Stationarity residual of the conjugate maximizer at ``z``.
-
-        For unconstrained objectives this is ``||grad f(x*(z)) - z||``.  On
-        the simplex the maximizer satisfies stationarity only up to the
-        multiplier of the sum constraint, so the residual is measured after
-        removing the all-ones component.
-        """
-        z = np.asarray(z, dtype=float)
-        if x is None:
-            x = self.conjugate_argmax(z)
-        residual = self.gradient(x) - z
-        if self.domain == "simplex":
-            residual = residual - residual.mean()
-        return float(np.linalg.norm(residual))
-
-
-class QuadraticLocal(DualFriendlyObjective):
+class QuadraticLocal:
     r"""Scaled linear least squares, ``f(x) = (scale/2)||targets - design x||^2
     + (ridge/2)||x||^2``.
 
@@ -115,6 +64,8 @@ class QuadraticLocal(DualFriendlyObjective):
         If ``scale D^T D + ridge I`` is not positive definite, which signals
         fewer rows than columns without a ridge term.
     """
+
+    domain = "real"
 
     def __init__(self, design, targets, scale: float = 1.0, ridge: float = 0.0):
         design = np.atleast_2d(np.asarray(design, dtype=float))
@@ -163,7 +114,7 @@ class QuadraticLocal(DualFriendlyObjective):
         return _quadratic_conjugate(self._inverse[None], self._shift[None], z[None])[0]
 
 
-class KLLocal(DualFriendlyObjective):
+class KLLocal:
     r"""KL divergence to a reference distribution on the unit simplex.
 
     ``f(x) = sum_j x_j log(x_j / q_j)`` for ``x`` in the simplex, where

@@ -10,7 +10,7 @@ Two reference paths check the engine:
   per agent over the mailbox of broadcasts, with no stacked evaluation and
   no Laplacian apply.
 - :func:`run_heavy_ball_monolithic` integrates the single-vector field
-  :func:`heavy_ball_field` with :func:`~dualrk.integrator.integrate`.
+  :func:`heavy_ball_field` with :func:`integrate`.
 
 Both return only the stacked trajectory.  They and
 :func:`~dualrk.simulator.run_heavy_ball` combine stages with
@@ -22,7 +22,8 @@ neighbor sum may run pairwise.
 The square root of the Laplacian (:func:`sqrt_laplacian`,
 :func:`sqrt_apply`) and the dual value in the transformed variable
 (:func:`dual_value_transformed`) check the change of variables the runtime
-works in (:mod:`dualrk.dynamics`).
+works in (:mod:`dualrk.dynamics`), and :func:`kkt_residual` each
+objective's conjugate maximizer.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ import numpy as np
 from .dynamics import DAMPING, GRADIENT_WEIGHT, agent_field, initial_agent_states, stack_agent_states
 from .errors import DimensionMismatch, NonPositiveTime
 from .graph import LaplacianGraph, dense_laplacian, laplacian_apply
-from .integrator import ButcherTableau, integrate, rk_combine
+from .integrator import ButcherTableau, rk_combine, rk_step
 from .objectives import stacked_conjugate, stacked_family, stacked_value
 from .simulator import step_size
 
 __all__ = [
-    "run_heavy_ball_per_agent", "run_heavy_ball_monolithic", "heavy_ball_field",
-    "sqrt_laplacian", "sqrt_apply", "dual_value_transformed",
+    "run_heavy_ball_per_agent", "run_heavy_ball_monolithic", "heavy_ball_field", "integrate",
+    "sqrt_laplacian", "sqrt_apply", "dual_value_transformed", "kkt_residual",
 ]
 
 
@@ -85,7 +86,7 @@ def run_heavy_ball_monolithic(
     """Stacked trajectory of the single-vector reference path (test oracle).
 
     Integrates the monolithic field :func:`heavy_ball_field`
-    with :func:`~dualrk.integrator.integrate`; returns the
+    with :func:`integrate`; returns the
     ``(num_iterations + 1, 2np + 1)`` trajectory, which must agree with
     :func:`~dualrk.simulator.run_heavy_ball`'s to roundoff.
     """
@@ -124,6 +125,17 @@ def heavy_ball_field(graph: LaplacianGraph, objectives):
     return field
 
 
+def integrate(tab: ButcherTableau, vector_field, state: np.ndarray, step: float, num_steps: int):
+    """Iterate :func:`~dualrk.integrator.rk_step` and return the trajectory, initial state included."""
+    trajectory = np.empty((num_steps + 1, np.asarray(state).size))
+    trajectory[0] = state
+    current = np.asarray(state, dtype=float)
+    for k in range(num_steps):
+        current = rk_step(tab, vector_field, current, step)
+        trajectory[k + 1] = current
+    return trajectory
+
+
 def sqrt_laplacian(graph: LaplacianGraph) -> np.ndarray:
     """Positive-semidefinite square root of the dense Laplacian.
 
@@ -154,3 +166,20 @@ def dual_value_transformed(objectives, y_hat: np.ndarray) -> float:
     y_hat = np.asarray(y_hat, dtype=float)
     x = stacked_conjugate(objectives, y_hat)
     return float(y_hat @ x) - stacked_value(objectives, x)
+
+
+def kkt_residual(objective, z: np.ndarray, x: np.ndarray | None = None) -> float:
+    """Stationarity residual of ``objective``'s conjugate maximizer ``x`` at ``z`` (solved when omitted).
+
+    For unconstrained objectives this is ``||grad f(x*(z)) - z||``.  On the
+    simplex the maximizer satisfies stationarity only up to the multiplier
+    of the sum constraint, so the residual is measured after removing the
+    all-ones component.
+    """
+    z = np.asarray(z, dtype=float)
+    if x is None:
+        x = objective.conjugate_argmax(z)
+    residual = objective.gradient(x) - z
+    if objective.domain == "simplex":
+        residual = residual - residual.mean()
+    return float(np.linalg.norm(residual))

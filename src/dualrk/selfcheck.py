@@ -16,7 +16,7 @@ from .dynamics import agent_field, stack_agent_states
 from .graph import LaplacianGraph, Topology, build_graph, dense_laplacian
 from .integrator import ButcherTableau, certify_order, tableau
 from .objectives import random_kl_instance, random_regression_instance
-from .oracles import heavy_ball_field, run_heavy_ball_monolithic, run_heavy_ball_per_agent
+from .oracles import heavy_ball_field, kkt_residual, run_heavy_ball_monolithic, run_heavy_ball_per_agent
 from .simulator import run_heavy_ball
 
 __all__ = ["CheckResult", "run_invariant_suite"]
@@ -57,7 +57,7 @@ def _check_conjugate_kkt(seed: int) -> CheckResult:
     for obj in quadratics + kls:
         for _ in range(25):
             z = rng.normal(scale=3.0, size=obj.dim)
-            residual = obj.kkt_residual(z)
+            residual = kkt_residual(obj, z)
             worst = max(worst, residual / (1.0 + float(np.linalg.norm(z))))
     if worst > 1e-8:
         return CheckResult(name, False, f"normalized KKT residual {worst:.3e} exceeds 1e-8")

@@ -20,11 +20,12 @@ broadcast multiply is the same IEEE operation per element) and, in
 that has finished sits idle), so each part's result is its run alone's.
 The conjugate solved at an iteration's end state (the primal iterate its
 metrics use) is reused as the first stage of the next iteration, so each
-part still solves ``n (S N + 1)`` conjugate rows.  Each iteration pushes
-that iterate and the agents' ``[v_hat, y_hat]`` rows into the part's
-:class:`~dualrk.harness.TraceRecorder`, which times the iteration and, a
-block at a time (or before the next iteration when ``on_record`` is
-given), evaluates the metric records and the kernel-sum residual.
+part still solves ``n (S N + 1)`` conjugate rows, each followed by its
+``L x``.  Each part's :class:`~dualrk.harness.TraceRecorder` is built on its
+rows of the broadcast, ``L x`` and ``[v_hat, y_hat]``, which a push copies;
+it times the iteration and, a block at a time (or before the next iteration
+when ``on_record`` is given), evaluates the metric records and the
+kernel-sum residual.
 
 A run binds its family, plan and buffers once (:func:`~dualrk.harness.bind_run`)
 and every kernel writes into them through ``out=`` (README's determinism
@@ -142,15 +143,18 @@ def run_heavy_ball_orders(graph: LaplacianGraph, objectives, tableaus, num_itera
 class _Cohort:
     """Consecutive rows at one tableau: their steps, recorder, and views of the run's buffers."""
 
-    def __init__(self, rows, graph, tableau, num_iterations, h0, reference, family, slab, broadcast, on_record):
+    def __init__(self, rows, graph, tableau, num_iterations, h0, reference, family, slab, broadcast, lap, on_record):
         self.rows, self.stages, self.num_iterations = rows, tableau.stages, num_iterations
         # Every part's h0 is checked; a zero-iteration run returns the initial state and no step.
         steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
         self.steps = steps if num_iterations else [float("nan")] * len(steps)
         self.h = graph.node_values(self.steps)
         self.points, self.state = slab[0, rows], slab[-1, rows]
-        self.x, self.duals = broadcast[rows].reshape(-1), self.state[:, : broadcast.shape[1] * 2]
-        self.recorder = harness.TraceRecorder(reference, graph, family[rows], on_record, kernel_residual)
+        # A record reads the broadcast (its x), the agents' [v_hat, y_hat] rows and the round-end L x.
+        self.recorder = harness.TraceRecorder(
+            reference, graph, family[rows], broadcast[rows], self.state[:, : 2 * broadcast.shape[1]], lap[rows],
+            on_record=on_record, kernel=kernel_residual,
+        )
         # Per ring slot, the combine after its round: ``(weights, stage derivatives, out, check)``.  An
         # iteration's last stage writes the state and checks its derivatives and the state (and slots
         # in between, which earlier checks found finite); any other writes the next stage point.
@@ -178,7 +182,7 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
     points, ring = slab[0], slab[1:-1]
     points[:] = slab[-1] = initial_agent_states(n, p)
     y_hat, broadcast, lap_rows = points[:, p : 2 * p], padded[:n], np.empty((n, p))
-    cohorts = [_Cohort(*cohort, family, slab, broadcast, on_record) for cohort in cohorts]
+    cohorts = [_Cohort(*cohort, family, slab, broadcast, lap_rows, on_record) for cohort in cohorts]
     active = [cohort for cohort in cohorts if cohort.num_iterations]
     ends = {cohort.stages * cohort.num_iterations for cohort in active}
     trajectory = [stack_agent_states(cohorts[0].state, p)] if keep_trajectory else None
@@ -186,13 +190,14 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
     # Divergence is detected and raised as NonFiniteState; the transient
     # overflow warnings numpy would emit on the way there are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Every part starts at stage 0: the conjugate at its state, which also serves its metrics.
+        # Every part starts at stage 0: the conjugate at its state, and its broadcast.
         stacked_conjugate(family, y_hat, out=broadcast)
+        laplacian_rows(plan, padded, lap_rows)
         for r in range(max(ends, default=0)):
             slot, ended, finite = r % period, [], False
             try:
-                # One broadcast round, then every agent's field slice.
-                round_field(points, laplacian_rows(plan, padded, lap_rows), ring[slot])
+                # The broadcast round formed last round, then every agent's field slice.
+                round_field(points, lap_rows, ring[slot])
                 for cohort in active:
                     weights, derivs, out, covered = cohort.slots[slot]
                     rk_combine(cohort.state, cohort.h, weights, derivs, out=out)
@@ -202,8 +207,9 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
                         break  # one check per iteration
                     ended.append(cohort)
                     np.copyto(cohort.points, cohort.state)  # the next iteration's first stage point
-                else:
+                else:  # the next round's broadcast: an ended iteration's record reads it
                     stacked_conjugate(family, y_hat, out=broadcast)
+                    laplacian_rows(plan, padded, lap_rows)
                     finite = True
             finally:  # a failure (or a round that raised) seeks its part and stage, on the union's rows
                 for cohort in active if not finite else ():
@@ -214,7 +220,7 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
                         harness.check_finite(values, graph, f"non-finite {what}", k)
 
             for cohort in ended:
-                cohort.recorder.push(cohort.x, (r + 1) // cohort.stages, r + 1, cohort.duals)
+                cohort.recorder.push((r + 1) // cohort.stages, r + 1)
                 if trajectory is not None:
                     trajectory.append(stack_agent_states(cohort.state, p))
             if r + 1 in ends:

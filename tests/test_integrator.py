@@ -13,13 +13,13 @@ from dualrk.integrator import (
     ButcherTableau,
     certify_order,
     empirical_order,
-    integrate,
     load_tableau,
     rk_combine,
     rk_step,
     tableau,
     tableau_for_order,
 )
+from dualrk.oracles import integrate
 
 
 def test_shipped_tableau_coefficients():

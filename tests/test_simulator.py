@@ -255,7 +255,8 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
     a, b = tab.a, tab.b
     states = initial_agent_states(n, p)
     derivs = np.empty((tab.stages, n, 2 * p + 1))
-    recorder = TraceRecorder(reference_optimum(objs), graph, objs)
+    x_rows = np.empty((n, p))  # the recorder's bound primal iterate
+    recorder = TraceRecorder(reference_optimum(objs), graph, objs, x_rows)
     rounds, max_kres = 0, 0.0
     x_stack = conjugates(states)
     for k in range(1, num_iterations + 1):
@@ -276,7 +277,8 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
         states = states + h * acc
         max_kres = max(max_kres, _reference_kernel_residual(stack_agent_states(states, p), n, p))
         x_stack = conjugates(states)
-        recorder.push(x_stack, k, rounds)
+        x_rows[:] = x_stack.reshape(n, p)
+        recorder.push(k, rounds)
     recorder.flush()
     (trace,) = recorder.parts
     min_entry = trace.min_entry if objs[0].domain == "simplex" else None

@@ -167,29 +167,31 @@ def test_stacked_kernels_over_a_batch_axis_are_bitwise_per_row():
 
 def test_recorder_block_size_is_bounded_by_bytes():
     objs = random_kl_instance(N_AGENTS, DIM, seed=0)
-    reference = reference_optimum(objs)
-    assert TraceRecorder(reference, None, objs).capacity == K == 16
-    assert TraceRecorder(reference, None, objs, on_record=print).capacity == 1
+    reference, x = reference_optimum(objs), np.empty((N_AGENTS, DIM))
+    assert TraceRecorder(reference, None, objs, x).capacity == K == 16
+    assert TraceRecorder(reference, None, objs, x, on_record=print).capacity == 1
     wide = random_kl_instance(64, 64, seed=0)  # 32 KiB per iterate, as at the paper shape
-    assert TraceRecorder(reference_optimum(wide), None, wide).capacity == 1
+    assert TraceRecorder(reference_optimum(wide), None, wide, np.empty((64, 64))).capacity == 1
 
 
 def test_recorder_computes_a_missing_reference():
     for objs in (random_kl_instance(N_AGENTS, DIM, seed=2), random_regression_instance(8, 3, 4, seed=2)):
         want = reference_optimum(objs)
-        got = TraceRecorder(None, None, objs).parts[0].reference
+        got = TraceRecorder(None, None, objs, np.empty((len(objs), objs[0].dim))).parts[0].reference
         assert got.x_star.tobytes() == want.x_star.tobytes()
         assert repr(got.f_star) == repr(want.f_star)
 
 
 def test_recorder_flushes_full_blocks_and_the_tail():
     objs = random_kl_instance(N_AGENTS, DIM, seed=1)
-    recorder = TraceRecorder(reference_optimum(objs), None, objs)
+    bound = np.empty((N_AGENTS, DIM))
+    recorder = TraceRecorder(reference_optimum(objs), None, objs, bound)
     (trace,) = recorder.parts
-    iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS * DIM))
-    iterates[K // 2, 5] = 0.01  # the smallest entry sits inside the first block
+    iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS, DIM))
+    iterates[K // 2, 0, 5] = 0.01  # the smallest entry sits inside the first block
     for k, x in enumerate(iterates, start=1):
-        recorder.push(x, k, 2 * k)
+        bound[:] = x
+        recorder.push(k, 2 * k)
         assert len(trace.records) == (k // K) * K
     assert trace.min_entry == 0.01
     recorder.flush()
@@ -200,13 +202,31 @@ def test_recorder_flushes_full_blocks_and_the_tail():
     assert trace.records is records and len(records) == K + 3
 
 
+def test_a_push_copies_the_bound_buffers():
+    # A run rewrites its bound buffers after each push; the pushed record keeps the values pushed.
+    objs = random_regression_instance(N_AGENTS, DIM, DIM, seed=3, ridge=1e-3)
+    graph, reference = build_graph(Topology("cycle", N_AGENTS)), reference_optimum(objs)
+    x, duals = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, N_AGENTS, DIM))
+    lap = laplacian_apply(graph, x.reshape(-1), DIM).reshape(N_AGENTS, DIM)
+    hx = stacked_family(objs).hessian_product(x)
+    want = _old_metrics(x.reshape(-1).copy(), reference, graph, objs, 1, 1)
+    (residual,) = kernel_residual(duals[None], DIM).tolist()
+    recorder = TraceRecorder(reference, graph, objs, x, duals, lap, hx, kernel=kernel_residual)
+    recorder.push(1, 1)
+    for buffer in (x, duals, lap, hx):
+        buffer[:] = np.nan
+    result = recorder.result(x, [0.1])
+    _assert_bitwise(result.records, [want])
+    assert repr(result.max_kernel_residual) == repr(residual)
+
+
 def test_recorder_times_iterations_without_flushes_and_callbacks():
     objs = random_kl_instance(4, 3, seed=0)
-    x = np.tile(stacked_family(objs).initial_point(), 4)
-    recorder = TraceRecorder(reference_optimum(objs), None, objs, on_record=lambda _: time.sleep(0.2))
+    x = np.tile(stacked_family(objs).initial_point(), (4, 1))
+    recorder = TraceRecorder(reference_optimum(objs), None, objs, x, on_record=lambda _: time.sleep(0.2))
     for k in range(1, 4):
         time.sleep(0.01)  # the iteration's own work
-        recorder.push(x, k, k)
+        recorder.push(k, k)
     # Every push flushes and runs the 0.2 s callback; no record's time holds it.
     assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.parts[0].records)
 
@@ -330,6 +350,18 @@ def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
         assert all(r.wall_time_ms > 0.0 for r in result.records)
 
 
+def test_lockstep_orders_match_the_per_iteration_loop():
+    # Each order's records read its own rows of the shared round-end L x: each part's old loop alone.
+    union, objs = _three_part_union()
+    tabs = [tableau_for_order(order) for order in (1, 2, 4)]
+    iterations = [4 * (K + 1) // tab.stages for tab in tabs]
+    cases = [(part, objs[nodes], tab, N) for (nodes, part), tab, N in zip(union.part_rows, tabs, iterations)]
+    h0s = [suggested_h0(*case) for case in cases]
+    results = run_heavy_ball_orders(union, objs, tabs, iterations, h0s)
+    for result, case, h0 in zip(results, cases, h0s, strict=True):
+        _assert_bitwise(result.records, _heavy_ball_old(*case, h0, False))
+
+
 def _baseline_case(case):
     """A graph, its objectives, and dgd steps, dgd mixings and dual steps (one per part on a union)."""
     if case == "union":  # three unequal parts, each at its own step and mixing
@@ -433,12 +465,28 @@ def test_dgd_and_cgd_form_each_product_once_per_iterate(monkeypatch, num_iterati
     # take L x from scratch, one call per block and part.
     dual_nag_run(union, family, [0.01] * 3, num_iterations, reference=references)
     assert calls.count("laplacian_apply") == 3 * math.ceil(num_iterations / K)
+    # Heavy ball's records read the L x its next round broadcasts, formed once more after the last
+    # round: on one graph, on a union and in lockstep orders, its flushes form none.
+    monkeypatch.setattr(simulator, "laplacian_rows", counted("laplacian_rows", simulator.laplacian_rows))
+    tab = tableau("rk4")
+    h0s = [suggested_h0(part, family[nodes], tab, num_iterations) for nodes, part in union.part_rows]
+    for graph, objectives, h0, reference in (
+        (union.parts[0], family[:N_AGENTS], h0s[0], references[0]), (union, family, h0s, references),
+    ):
+        calls.clear()
+        run_heavy_ball(graph, objectives, tab, num_iterations, h0=h0, reference=reference)
+        assert (calls.count("laplacian_rows"), calls.count("laplacian_apply")) == (tab.stages * num_iterations + 1, 0)
+    calls.clear()
+    tabs = tuple(tableau_for_order(order) for order in (1, 2, 4))
+    run_heavy_ball_orders(union, family, tabs, [4 * num_iterations // tab.stages for tab in tabs], 1e-3, references)
+    assert (calls.count("laplacian_rows"), calls.count("laplacian_apply")) == (4 * num_iterations + 1, 0)
 
 
 @pytest.mark.parametrize("num_iterations", [1, K, K + 1, 2 * K + 3])
 def test_every_runner_broadcasts_and_evaluates_its_closed_form_counts(monkeypatch, num_iterations):
-    # One laplacian_rows per broadcast round, at the name each runner reads, and one
-    # evaluate_trace per part and block of pushed iterates, ceil(N / capacity) per part.
+    # One laplacian_rows per broadcast round (heavy ball: and the last round's end state's, which
+    # its last records read), at the name each runner reads, and one evaluate_trace per part and
+    # block of pushed iterates, ceil(N / capacity) per part.
     union, objs = _three_part_union()
     family, N = stacked_family(objs), num_iterations
     calls, recorders = [], []
@@ -471,11 +519,12 @@ def test_every_runner_broadcasts_and_evaluates_its_closed_form_counts(monkeypatc
     tab = tableau("rk4")
     run_heavy_ball(union, family, tab, N, h0=0.1)
     got, want = counts([N])
-    assert got == {"simulator": tab.stages * N, "baselines": 0, "evaluate_trace": want} and want == 3 * math.ceil(N / K)
+    assert got == {"simulator": tab.stages * N + 1, "baselines": 0, "evaluate_trace": want}
+    assert want == 3 * math.ceil(N / K)
     tabs, orders = tuple(tableau_for_order(order) for order in (1, 2, 4)), [4 * N, 2 * N, N]
     run_heavy_ball_orders(union, family, tabs, orders, h0=1e-3)
     got, want = counts(orders)  # one cohort, and one recorder, per order
-    assert got == {"simulator": 4 * N, "baselines": 0, "evaluate_trace": want}
+    assert got == {"simulator": 4 * N + 1, "baselines": 0, "evaluate_trace": want}
     dual_nag_run(union, family, 0.01, N)
     got, want = counts([N])
     assert got == {"simulator": 0, "baselines": N, "evaluate_trace": want} and want == 3 * math.ceil(N / K)

@@ -1,7 +1,8 @@
 """Disjoint unions of graphs: a union run is each part run alone, bitwise.
 
 Property tests draw 2-3 random connected parts of 2-16 agents, a block
-dimension of 2-5, either objective family and a different step per part.
+dimension of 2-5, either objective family and a different step per part
+(and, for heavy ball in lockstep, its own order and iteration count).
 Each part's records (``repr`` of every field but the wall time), final
 state, rounds, step, kernel residual and least primal entry from one union
 run must equal that part's own run.  Criterion 1 (the engine against the per-agent oracle) stays on
@@ -31,7 +32,7 @@ from dualrk.graph import (
 from dualrk.harness import fit_rate, reference_optimum, write_metrics_csv, write_rate_fits_json
 from dualrk.integrator import tableau_for_order
 from dualrk.objectives import random_kl_instance, random_regression_instance
-from dualrk.simulator import run_heavy_ball, suggested_h0
+from dualrk.simulator import run_heavy_ball, run_heavy_ball_orders, suggested_h0
 
 PROPERTY = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -116,6 +117,43 @@ def test_heavy_ball_union_is_each_part_alone(union_case, order, iterations, data
     assert result.max_kernel_residual == max(single.max_kernel_residual for single in alone)
     assert result.comm_rounds == alone[0].comm_rounds == iterations * tab.stages
     assert result.records == []
+
+
+@PROPERTY
+@given(unions(), st.data())
+def test_heavy_ball_orders_union_is_each_part_alone(union_case, data):
+    # Lockstep: each part at its own order and iteration count; a part that has finished sits idle.
+    graphs, objective_lists, _ = union_case
+    tabs = [tableau_for_order(data.draw(st.sampled_from([1, 2, 4]))) for _ in graphs]
+    iterations = [data.draw(st.integers(0, 12)) for _ in graphs]
+    h0 = [
+        data.draw(st.floats(0.2, 1.5)) * suggested_h0(g, objs, tab, N or 1)
+        for g, objs, tab, N in zip(graphs, objective_lists, tabs, iterations)
+    ]
+    references = [reference_optimum(objs) for objs in objective_lists]
+    cases = list(zip(graphs, objective_lists, tabs, iterations, h0, references))
+    alone = []
+
+    def runner(i):
+        def run():
+            *case, step, reference = cases[i]
+            alone.append(run_heavy_ball(*case, h0=step, reference=reference))
+        return run
+
+    objectives = [obj for objs in objective_lists for obj in objs]
+    results = _union_or_divergence(
+        lambda: run_heavy_ball_orders(disjoint_union(graphs), objectives, tabs, iterations, h0, references),
+        [runner(i) for i in range(len(graphs))],
+    )
+    if results is None:
+        return
+    assert len(results) == len(alone)
+    for part, single, tab, count in zip(results, alone, tabs, iterations):
+        assert _fields(part.records) == _fields(single.records) and len(part.records) == count
+        assert part.final_state.tobytes() == single.final_state.tobytes()
+        assert part.comm_rounds == single.comm_rounds == count * tab.stages
+        for name in ("resolved_step", "max_kernel_residual", "min_primal_entry"):
+            assert repr(getattr(part, name)) == repr(getattr(single, name))
 
 
 @PROPERTY
