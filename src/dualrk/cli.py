@@ -7,10 +7,10 @@ Subcommands
     final record plus tail rate fits.  ``--dry-run`` validates the config
     and prints the resolved step without running.
 ``reproduce <fig1|fig2|fig3> [--scale desk|paper]``
-    Run the method/baseline matrix behind one of the benchmark figures and
-    emit one CSV per (graph, method) pair plus a rate-fit summary JSON.
-    fig1/fig2 run each method once on the union of their three graphs, and
-    fig3 its three integrator orders as one run on three copies of its graph.
+    Run the method/baseline matrix of a figure (a ``_FIGURES`` row) at a
+    scale (a ``_SCALES`` row) and emit one CSV per (graph, method) pair plus
+    a rate-fit summary JSON.  Each method runs once on the union of the
+    figure's parts; parts whose orders differ run in lockstep.
 ``verify``
     Run the fast invariant suite; nonzero exit names the violated invariant.
 
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import baselines, harness
 from .config import ExperimentConfig, load_config, resolve_instance
-from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState
+from .errors import ConfigError, DualRKError, InvalidArgument, NonFiniteState, SingularSystem
 from .graph import Topology, build_graph, disjoint_union
 from .integrator import tableau_for_order
 from .objectives import random_kl_instance, random_regression_instance, stacked_family
@@ -42,14 +42,18 @@ from .simulator import run_heavy_ball, run_heavy_ball_orders, step_size, suggest
 
 __all__ = ["main", "run_experiment", "reproduce", "verify"]
 
-_FIGURES = ("fig1", "fig2", "fig3")
-_SCALES = ("desk", "paper")
+# One row per figure: its union parts as ``(graph kind, order)`` (parts whose
+# orders differ run in lockstep), their instance family and its methods in run order.
+_GRAPH_SWEEP = (("star", 4), ("cycle", 4), ("erdos_renyi", 4))  # fig1's and fig2's parts
+_FIGURES = {
+    "fig1": (_GRAPH_SWEEP, "regression", ("cgd", "dgd", "dual_nag", "heavy_ball_rk")),
+    "fig2": (_GRAPH_SWEEP, "kl_barycenter", ("dual_nag", "dgd", "heavy_ball_rk")),
+    "fig3": ((("erdos_renyi", 1), ("erdos_renyi", 2), ("erdos_renyi", 4)), "kl_barycenter", ("heavy_ball_rk",)),
+}
 
-# One Erdos-Renyi probability per scale: sparse at paper scale, denser at
-# desk scale so small samples stay connected without many resamples.
-_ER_PROBABILITY = {"desk": 0.3, "paper": 0.1}
-_SCALE_SHAPE = {"desk": dict(n=20, p=10, l=10), "paper": dict(n=100, p=100, l=100)}
-_ROUNDS_BUDGET = {"desk": 5000, "paper": 10000}
+# One row per scale: (n, p, l), the Erdos-Renyi probability (denser at desk
+# scale, so small samples stay connected without many resamples), the rounds budget.
+_SCALES = {"desk": ((20, 10, 10), 0.3, 5000), "paper": ((100, 100, 100), 0.1, 10000)}
 
 # Square uniform design blocks are nearly singular, which makes the dual
 # dynamics arbitrarily stiff; the ridge restores a meaningful strong
@@ -221,6 +225,7 @@ def _cmd_run(args) -> int:
         cfg.out = args.out
     if args.dry_run:
         graph, objectives = resolve_instance(cfg)
+        harness.reference_optimum(objectives)  # as run computes it: an instance with none exits 2
         _, _, resolved = _method_step(cfg, graph, objectives, cfg.resolve_tableau(), cfg.iterations)
         p_note = f", p={cfg.edge_probability}" if cfg.graph_kind == "erdos_renyi" else ""
         print(f"config ok: {cfg.experiment} / {cfg.method} on {cfg.graph_kind}(n={cfg.node_count}{p_note})")
@@ -234,23 +239,16 @@ def _cmd_run(args) -> int:
 
 def _figure_cells(figure: str, scale: str, seed: int):
     """A figure's union parts as ``(graph kind, order)``, a graph per kind, the instance they share, and its methods."""
-    shape = _SCALE_SHAPE[scale]
-    if figure == "fig3":
-        parts, methods = [("erdos_renyi", order) for order in (1, 2, 4)], ("heavy_ball_rk",)
-    else:
-        parts = [(kind, 4) for kind in ("star", "cycle", "erdos_renyi")]
-        methods = ("cgd", "dgd", "dual_nag") if figure == "fig1" else ("dual_nag", "dgd")
-        methods = (*methods, "heavy_ball_rk")
+    parts, experiment, methods = _FIGURES[figure]
+    (n, p, l), edge_probability, _ = _SCALES[scale]
     graphs = {
-        kind: build_graph(Topology(kind, shape["n"], edge_probability=_ER_PROBABILITY[scale], rng_seed=seed))
+        kind: build_graph(Topology(kind, n, edge_probability=edge_probability, rng_seed=seed))
         for kind in dict.fromkeys(kind for kind, _ in parts)
     }
-    if figure == "fig1":
-        objectives = random_regression_instance(
-            shape["n"], shape["p"], shape["l"], seed=seed, ridge=_REGRESSION_RIDGE
-        )
+    if experiment == "regression":
+        objectives = random_regression_instance(n, p, l, seed=seed, ridge=_REGRESSION_RIDGE)
     else:
-        objectives = random_kl_instance(shape["n"], shape["p"], seed=seed)
+        objectives = random_kl_instance(n, p, seed=seed)
     return parts, graphs, objectives, methods
 
 
@@ -298,11 +296,11 @@ def reproduce(
     Returns the list of written paths (traces plus the rate-fit summary).
     """
     if figure not in _FIGURES:
-        raise ConfigError(f"unknown figure {figure!r}, expected one of {_FIGURES}")
+        raise ConfigError(f"unknown figure {figure!r}, expected one of {tuple(_FIGURES)}")
     if scale not in _SCALES:
-        raise ConfigError(f"unknown scale {scale!r}, expected one of {_SCALES}")
+        raise ConfigError(f"unknown scale {scale!r}, expected one of {tuple(_SCALES)}")
     _check_seed(seed)
-    budget = rounds_budget if rounds_budget is not None else _ROUNDS_BUDGET[scale]
+    budget = rounds_budget if rounds_budget is not None else _SCALES[scale][2]
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool):
         raise ConfigError("rounds_budget must be an integer")
     if budget <= 0:
@@ -320,39 +318,32 @@ def reproduce(
                 raise DualRKError(f"reference optimum failed oracle verification (deviation {deviation:.3e} > 1e-9)")
             certified[kind] = reference
     references = [certified[kind] for kind, _ in parts]
-    tabs = tuple(tableau_for_order(order) for _, order in parts)  # fig3's differ: its orders run in lockstep
-    tab, safety = (tabs, tuple(_ORDER_SWEEP_SAFETY[o] for _, o in parts)) if figure == "fig3" else (tabs[0], None)
-    cells = {}  # (kind, method, order) -> (trace name, fits)
+    orders = sorted({order for _, order in parts})
+    tabs = tuple(tableau_for_order(order) for _, order in parts)
+    lockstep = len(orders) > 1  # the parts' orders differ: one run advances them together
+    tab, safety = (tabs, tuple(_ORDER_SWEEP_SAFETY[o] for _, o in parts)) if lockstep else (tabs[0], None)
+    cells = []  # (part index, trace name, fits)
     for method in methods:
-        # a figure runs each method at its default step
-        part_records = _run_method(
+        part_records = _run_method(  # each method at its default step
             ExperimentConfig(method=method), union, family, tab, references, budget, safety, _H0_SWEEP_ATTEMPTS
         )
         seen = {}  # per run: the lists one run returns are alive together, so their ids differ
-        for kind, order in parts:  # written and dropped before the next run
-            name = f"{figure}_{kind}_{method}" + (f"_s{order}" if figure == "fig3" else "")
-            cells[kind, method, order] = name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv", seen)
-    written: list[Path] = []
-    fits: list[harness.RateFit] = []
-    fit_labels: list[str] = []
-    slope_by_order: dict[int, float] = {}
-    for kind, order in parts:  # the summary lists the traces graph by graph
-        for method in methods:
-            name, cell_fits = cells[kind, method, order]
-            written.append(out_dir / f"{name}.csv")
-            fits.extend(cell_fits)
-            fit_labels.extend(name for _ in cell_fits)
-            slope_by_order.update((order, fit.slope) for fit in cell_fits if fit.metric == "suboptimality")
-    extra = {"figure": figure, "scale": scale, "seed": seed, "traces": fit_labels}
-    if figure == "fig3" and len(slope_by_order) == 3:
-        extra["suboptimality_slopes_by_order"] = {str(s): slope_by_order[s] for s in (1, 2, 4)}
-        extra["order_speedup_monotone"] = bool(
-            slope_by_order[4] <= slope_by_order[2] <= slope_by_order[1]
-        )
+        for i, (kind, order) in enumerate(parts):  # written and dropped before the next run
+            name = f"{figure}_{kind}_{method}" + (f"_s{order}" if lockstep else "")
+            cells.append((i, name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv", seen)))
+    cells.sort(key=lambda cell: cell[0])  # stable: graph by graph, methods in run order
+    fits, labels, slopes = [], [], {}  # slopes: order -> suboptimality slope
+    for i, name, cell_fits in cells:
+        fits.extend(cell_fits)
+        labels.extend(name for _ in cell_fits)
+        slopes.update((parts[i][1], fit.slope) for fit in cell_fits if fit.metric == "suboptimality")
+    extra = {"figure": figure, "scale": scale, "seed": seed, "traces": labels}
+    if lockstep and len(slopes) == len(orders):
+        extra["suboptimality_slopes_by_order"] = {str(s): slopes[s] for s in orders}
+        extra["order_speedup_monotone"] = all(slopes[a] >= slopes[b] for a, b in zip(orders, orders[1:]))
     summary = out_dir / f"{figure}_rate_fits.json"
     harness.write_rate_fits_json(fits, summary, extra=extra)
-    written.append(summary)
-    return written
+    return [out_dir / f"{name}.csv" for _, name, _ in cells] + [summary]
 
 
 def verify(seed: int = 0) -> int:
@@ -409,7 +400,7 @@ def main(argv=None) -> int:
             reproduce(args.figure, scale=args.scale, out_dir=args.out, seed=args.seed)
             return 0
         return verify(seed=args.seed)
-    except ConfigError as err:
+    except (ConfigError, SingularSystem) as err:  # a singular or overflowing instance is the config's data
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NonFiniteState as err:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ConnectivityFailure, DimensionMismatch
+from .errors import ConfigError, ConnectivityFailure, DimensionMismatch, SingularSystem
 from .graph import LaplacianGraph, Topology, build_graph
 from .integrator import ButcherTableau, certify_order, load_tableau, tableau_for_order
 from .objectives import (
@@ -185,12 +185,12 @@ def load_config(path) -> ExperimentConfig:
     Raises
     ------
     ConfigError
-        On unreadable files, malformed lines, unknown keys, or invalid values.
+        On unreadable or non-UTF-8 files, malformed lines, unknown keys, or invalid values.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return _validate(_convert(parse_config_text(text)))
 
@@ -203,13 +203,13 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[LaplacianGraph, list]:
     ConfigError
         When the graph or an objective rejects a configured value, or a
         dataset file does not parse (both raise ``ValueError``) or does not
-        fit the configured agents (``DimensionMismatch``), or no connected
-        Erdos-Renyi graph exists at the configured edge probability
-        (``ConnectivityFailure``).
+        fit the configured agents (``DimensionMismatch``) or gives an agent a
+        singular quadratic (``SingularSystem``), or no connected Erdos-Renyi
+        graph exists at the configured edge probability (``ConnectivityFailure``).
     """
     try:
         return _build_instance(cfg)
-    except (ValueError, DimensionMismatch, ConnectivityFailure) as err:
+    except (ValueError, DimensionMismatch, SingularSystem, ConnectivityFailure) as err:
         raise ConfigError(str(err)) from err
 
 

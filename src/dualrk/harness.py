@@ -117,7 +117,7 @@ def reference_optimum(objectives) -> ReferenceOptimum:
     Raises
     ------
     SingularSystem
-        If the aggregated quadratic system is not positive definite.
+        If the aggregated quadratic system overflows or is not positive definite.
     """
     family = stacked_family(objectives)
     n, p = family.shape
@@ -128,9 +128,12 @@ def reference_optimum(objectives) -> ReferenceOptimum:
     else:
         system = np.zeros((p, p))
         rhs = np.zeros(p)
-        for hessian, shift in zip(family.hessian, family.shift):
-            system += hessian
-            rhs += shift
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below says so itself
+            for hessian, shift in zip(family.hessian, family.shift):
+                system += hessian
+                rhs += shift
+        if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+            raise SingularSystem("aggregated normal equations overflow; rescale the data or the ridge")
         evals = np.linalg.eigvalsh(system)
         if evals[0] <= p * np.finfo(float).eps * max(evals[-1], 0.0):
             raise SingularSystem("aggregated normal equations are singular; add a ridge")

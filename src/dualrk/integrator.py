@@ -107,7 +107,7 @@ def tableau_for_order(order: int) -> ButcherTableau:
 def load_tableau(path) -> ButcherTableau:
     """Load a user-supplied tableau from a JSON file.
 
-    Expected keys: ``order`` (int), ``a`` (list of lists, row ``l`` of
+    Expected keys: ``order`` (a JSON integer), ``a`` (list of lists, row ``l`` of
     length ``l``), ``b`` (list of weights), optional ``name``.  A missing or
     malformed key raises ``ValueError`` naming it.
     """
@@ -115,6 +115,8 @@ def load_tableau(path) -> ButcherTableau:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("expected a JSON object with keys 'order', 'a' and 'b'")
+    if "order" in raw and type(raw["order"]) is not int:  # int() takes 1.7 as 1, and JSON true is a Python int
+        raise ValueError(f"malformed key 'order': expected an integer, got {raw['order']!r}")
     parsers = {
         "order": int,
         "a": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),

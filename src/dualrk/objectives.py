@@ -59,7 +59,7 @@ class QuadraticLocal:
     Raises
     ------
     ValueError
-        If ``design`` or ``targets`` holds a NaN or an infinity.
+        If ``design`` or ``targets`` is not finite, or the Hessian overflows.
     SingularSystem
         If ``scale D^T D + ridge I`` is not positive definite, which signals
         fewer rows than columns without a ridge term.
@@ -83,7 +83,10 @@ class QuadraticLocal:
         self.scale = float(scale)
         self.ridge = float(ridge)
         self.dim = design.shape[1]
-        self.hessian = self.scale * design.T @ design + self.ridge * np.eye(self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below says so itself
+            self.hessian = self.scale * design.T @ design + self.ridge * np.eye(self.dim)
+        if not np.isfinite(self.hessian).all():
+            raise ValueError("the local Hessian overflows; rescale the design")
         evals = np.linalg.eigvalsh(self.hessian)
         if evals[0] <= self.dim * np.finfo(float).eps * max(evals[-1], 0.0):
             raise SingularSystem(

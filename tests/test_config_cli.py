@@ -80,6 +80,15 @@ def test_missing_config_exits_2(capsys):
     assert "/nonexistent/config.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_non_utf8_config_exits_2(tmp_path, capsys, dry_run):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"\xff\xfe graph = star\n")
+    assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out and err.startswith(f"config error: cannot read config file {path}: ")
+
+
 def test_dry_run_prints_resolved_step(tmp_path, capsys):
     path = _write_config(tmp_path / "cfg.txt", h0=2.0, order=1, iterations=4)
     assert main(["run", str(path), "--dry-run"]) == 0
@@ -277,7 +286,7 @@ def test_custom_quadratic_dataset_with_one_column(tmp_path):
     assert len(read_metrics_csv(tmp_path / "trace.csv")) == 20
 
 
-def _custom_quadratic_config(tmp_path, design_rows, target_rows):
+def _custom_quadratic_config(tmp_path, design_rows, target_rows, method="cgd", **overrides):
     rng = np.random.default_rng(0)
     np.savetxt(tmp_path / "h.csv", rng.uniform(size=(design_rows, 2)), delimiter=",")
     np.savetxt(tmp_path / "b.csv", rng.uniform(size=target_rows), delimiter=",")
@@ -290,7 +299,8 @@ def _custom_quadratic_config(tmp_path, design_rows, target_rows):
         n=4,
         p=2,
         iterations=5,
-        method="cgd",
+        method=method,
+        **overrides,
     )
 
 
@@ -330,6 +340,42 @@ def test_non_finite_quadratic_csv_exits_2(tmp_path, capsys, name, value, dry_run
     np.savetxt(tmp_path / name, data, delimiter=",")
     assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
     assert "design and targets must be finite" in capsys.readouterr().err
+
+
+def _exits_2_before_running(tmp_path, capsys, path, dry_run):
+    """``run`` (or its dry run) of ``path`` exits 2 with no trace written; returns its stderr."""
+    assert main(["run", str(path)] + ["--dry-run"] * dry_run) == 2
+    out, err = capsys.readouterr()
+    assert "config ok" not in out and not (tmp_path / "trace.csv").exists()
+    return err
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("method", ["heavy_ball_rk", "dgd"])
+def test_overflowing_local_hessian_exits_2(tmp_path, capsys, method, dry_run):
+    # A finite 1e200 squares past the float range: the local Hessian is not finite.
+    path = _custom_quadratic_config(tmp_path, 8, 8, method=method)
+    design = np.loadtxt(tmp_path / "h.csv", delimiter=",")
+    design[0, 0] = 1e200
+    np.savetxt(tmp_path / "h.csv", design, delimiter=",")
+    err = _exits_2_before_running(tmp_path, capsys, path, dry_run)
+    assert err == "config error: the local Hessian overflows; rescale the design\n"
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_overflowing_aggregated_system_exits_2(tmp_path, capsys, dry_run):
+    # Each local Hessian is finite, but 20 ridges of 1e307 sum past the float range.
+    path = _write_config(tmp_path / "cfg.txt", n=20, ridge=1e307)
+    err = _exits_2_before_running(tmp_path, capsys, path, dry_run)
+    assert err == "config error: aggregated normal equations overflow; rescale the data or the ridge\n"
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_singular_custom_quadratic_dataset_exits_2(tmp_path, capsys, dry_run):
+    # One row per agent at p = 2 and no ridge: every local quadratic is singular.
+    path = _custom_quadratic_config(tmp_path, 4, 4, ridge=0.0)
+    err = _exits_2_before_running(tmp_path, capsys, path, dry_run)
+    assert err.startswith("config error: local quadratic is not positive definite")
 
 
 def test_single_node_config_exits_2(tmp_path, capsys):
@@ -425,6 +471,8 @@ def test_tableau_file_declaring_wrong_order_exits_2(tmp_path, capsys, dry_run):
     ({"order": "one", "a": [[]], "b": [1.0]}, "malformed key 'order'"),
     ({"order": float("inf"), "a": [[]], "b": [1.0]}, "malformed key 'order'"),
     ([1, 2], "expected a JSON object"),
+    ({"order": 1.7, "a": [[]], "b": [1.0]}, "malformed key 'order'"),
+    ({"order": True, "a": [[]], "b": [1.0]}, "malformed key 'order'"),
 ])
 @pytest.mark.parametrize("dry_run", [False, True])
 def test_tableau_file_missing_or_malformed_key_exits_2(tmp_path, capsys, payload, key, dry_run):

@@ -69,6 +69,18 @@ def test_quadratic_singular_without_ridge():
     assert obj.strong_convexity >= 0.1 - 1e-12
 
 
+def test_overflowing_local_hessian_is_rejected():
+    # Each entry is finite, but 1e200 squared is not.
+    with pytest.raises(ValueError, match="the local Hessian overflows"):
+        QuadraticLocal([[1e200, 0.0], [0.0, 1.0]], [1.0, 0.0])
+
+
+def test_overflowing_aggregated_system_has_no_reference():
+    family = [QuadraticLocal(np.eye(2), np.ones(2), ridge=1e308) for _ in range(2)]
+    with pytest.raises(SingularSystem, match="overflow"):
+        reference_optimum(family)
+
+
 def test_kl_conjugate_at_zero_returns_reference():
     obj = KLLocal(np.array([0.2, 0.5, 0.3]))
     assert np.allclose(obj.conjugate_argmax(np.zeros(3)), obj.reference, atol=1e-15)
