@@ -37,6 +37,7 @@ from .errors import (
 from .graph import LaplacianGraph, Topology, build_graph, dense_laplacian, laplacian_apply
 from .harness import (
     MetricsRecord,
+    MetricsTrace,
     RateFit,
     ReferenceOptimum,
     RunResult,

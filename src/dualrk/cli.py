@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import numbers
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, harness
@@ -106,7 +105,7 @@ def _method_step(cfg: ExperimentConfig, graph, objectives, tab, iterations: int,
 
 
 def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safety=None, attempts=1):
-    """Run ``cfg.method``; return one record list per part of ``graph``: the one dispatch on a method's name.
+    """Run ``cfg.method``; return one trace per part of ``graph``: the one dispatch on a method's name.
 
     It runs ``cfg.iterations`` iterations, or as many as ``rounds_budget``
     communication rounds pay for (heavy ball broadcasts once per stage, a
@@ -115,12 +114,13 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     ``tab`` (and ``safety``) gives one per part: heavy ball then runs the
     parts' orders in lockstep.  A diverging heavy-ball run is rerun at half
     the ``h0`` of each part it names, until one part failed ``attempts``
-    runs.  cgd reads no graph: parts with the same objective objects, step
-    and reference share one run.  Runners are looked up at call time
-    (``cli.run_heavy_ball``, ``cli.run_heavy_ball_orders``,
+    runs; a non-finite metric record counts as its part diverging.  cgd
+    reads no graph: parts with the same objective objects, step and
+    reference share one run and its trace.  Runners are looked up at call
+    time (``cli.run_heavy_ball``, ``cli.run_heavy_ball_orders``,
     ``baselines.*_run``), so a replacement is seen.  ``report_style =
-    theorem1`` divides the suboptimality (signed too) and squared distance
-    by the part's agent count.
+    theorem1`` divides the signed suboptimality and squared distance
+    columns by the part's agent count, into a new trace per part.
     """
     method = cfg.method
     heavy_ball = method == "heavy_ball_rk"
@@ -166,10 +166,10 @@ def _run_method(cfg, graph, objectives, tab, reference, rounds_budget=None, safe
     else:
         runs = [baselines.dual_nag_run(graph, objectives, steps, iterations, reference=reference)]
     results = [part for run in runs for part in run.parts or [run]]  # one per graph part
-    if cfg.report_style == "theorem1":  # copies: parts may share a cgd run's records
-        scaled = ("suboptimality", "suboptimality_signed", "dist_to_optimum_sq")
+    if cfg.report_style == "theorem1":  # new traces: parts may share a cgd run's trace
+        scaled = ("suboptimality_signed", "dist_to_optimum_sq")
         return [
-            [replace(r, **{name: getattr(r, name) / part.node_count for name in scaled}) for r in result.records]
+            result.records.replace(**{name: result.records.column(name) / part.node_count for name in scaled})
             for result, (_, part) in zip(results, parts)
         ]
     return [result.records for result in results]
@@ -255,8 +255,8 @@ def _figure_cells(figure: str, scale: str, seed: int):
 def _write_trace(records, path: Path, seen: dict):
     """Write one trace's CSV; return its tail rate fits.
 
-    ``seen`` maps each record list's id to its first CSV and fits, so a
-    list that parts share (a cgd run) is formatted and fitted once.
+    ``seen`` maps each trace's id to its first CSV and fits, so a trace
+    that parts share (a cgd run's) is formatted and fitted once.
     """
     if id(records) in seen:
         first, fits = seen[id(records)]
@@ -327,7 +327,7 @@ def reproduce(
         part_records = _run_method(  # each method at its default step
             ExperimentConfig(method=method), union, family, tab, references, budget, safety, _H0_SWEEP_ATTEMPTS
         )
-        seen = {}  # per run: the lists one run returns are alive together, so their ids differ
+        seen = {}  # per run: the traces one run returns are alive together, so their ids differ
         for i, (kind, order) in enumerate(parts):  # written and dropped before the next run
             name = f"{figure}_{kind}_{method}" + (f"_s{order}" if lockstep else "")
             cells.append((i, name, _write_trace(part_records.pop(0), out_dir / f"{name}.csv", seen)))

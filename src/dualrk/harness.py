@@ -10,6 +10,16 @@ with :func:`bind_run`, and the buffers a record reads to a
 :class:`TraceRecorder`, which times each iteration, evaluates the records a
 block at a time and builds the :class:`RunResult` every runner returns.
 Records are unscaled: the CLI applies ``report_style = theorem1``.
+
+A trace is a :class:`MetricsTrace`: seven contiguous columns (the two counts
+as int64, the signed suboptimality, the three other metrics and the wall
+time as float64), 56 bytes a row, which the recorder fills a block at a time
+and grows by doubling.  It reads as a sequence of :class:`MetricsRecord`,
+made when a row is read; the CSV writer and the rate fit read its columns.
+A record object per row took about 320 bytes.  Peak RSS of ``reproduce
+fig3 --scale paper`` (seed 0, one BLAS thread, 2-vCPU Xeon, numpy 2.4.6)
+went from 48.1 to 45.7 MB at 4,000 rounds and from 52.4 to 46.9 MB at the
+full 10,000 when the trace moved from records to columns.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import csv
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,6 +42,8 @@ from .objectives import stacked_family, stacked_value
 __all__ = [
     "CSV_COLUMNS",
     "MetricsRecord",
+    "MetricsTrace",
+    "TRACE_COLUMNS",
     "RateFit",
     "ReferenceOptimum",
     "RunResult",
@@ -85,6 +98,80 @@ class MetricsRecord:
     dist_to_optimum_sq: float
     wall_time_ms: float = 0.0
     suboptimality_signed: float = field(default=float("nan"), repr=False)
+
+
+#: The columns a :class:`MetricsTrace` holds: the CSV's, with the signed
+#: suboptimality in place of its magnitude.
+TRACE_COLUMNS = (*CSV_COLUMNS[:2], "suboptimality_signed", *CSV_COLUMNS[3:])
+_COUNT_COLUMNS = TRACE_COLUMNS[:2]
+
+
+class MetricsTrace(Sequence):
+    """A trace as one contiguous array per column of :data:`TRACE_COLUMNS`, read as a sequence of records.
+
+    Indexing or iterating builds each :class:`MetricsRecord` from its row
+    (Python ints and floats, ``suboptimality`` the signed value's
+    magnitude); :meth:`column` reads a column without building any.
+    ``columns`` maps every name of :data:`TRACE_COLUMNS` to a one-dimensional
+    array of the trace's length; None starts an empty trace.
+    """
+
+    def __init__(self, columns=None):
+        if columns is None:
+            columns = {name: np.empty(0, np.int64 if name in _COUNT_COLUMNS else float) for name in TRACE_COLUMNS}
+        self._columns = {name: columns[name] for name in TRACE_COLUMNS}
+        self._size = len(self._columns["iteration"])
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._size)[index]]
+        row = range(self._size)[index]  # IndexError past either end
+        return _record(*(self._columns[name][row].item() for name in TRACE_COLUMNS))
+
+    def __iter__(self):
+        return (_record(*row) for row in zip(*(self.column(name).tolist() for name in TRACE_COLUMNS)))
+
+    def column(self, name: str) -> np.ndarray:
+        """A read-only view of the column ``name``, or the magnitude of the signed column for ``suboptimality``."""
+        if name == "suboptimality":
+            return np.abs(self.column("suboptimality_signed"))
+        view = self._columns[name][: self._size]
+        view.flags.writeable = False
+        return view
+
+    def append(self, *blocks) -> None:
+        """Append rows given as one equal-length block per column, in :data:`TRACE_COLUMNS` order.
+
+        A full column doubles its capacity, so appending ``N`` rows copies
+        ``O(N)`` values and leaves at most twice the rows' storage.
+        """
+        end = self._size + len(blocks[0])
+        for name, block in zip(TRACE_COLUMNS, blocks, strict=True):
+            column = self._columns[name]
+            if end > len(column):
+                grown = np.empty(max(end, 2 * len(column)), column.dtype)
+                grown[: self._size] = column[: self._size]
+                self._columns[name] = column = grown
+            column[self._size : end] = block
+        self._size = end
+
+    def replace(self, **columns) -> MetricsTrace:
+        """A new trace with the given columns in place of this one's (the others are shared views)."""
+        return MetricsTrace({name: columns.get(name, self.column(name)) for name in TRACE_COLUMNS})
+
+
+def _record(iteration, comm_rounds, signed, norm, quad, dist_sq, wall_time_ms) -> MetricsRecord:
+    return MetricsRecord(iteration, comm_rounds, abs(signed), norm, quad, dist_sq, wall_time_ms, signed)
+
+
+def _column(records, name: str) -> np.ndarray:
+    """Column ``name`` of a :class:`MetricsTrace`, or of any sequence of records (the counts as int64)."""
+    if isinstance(records, MetricsTrace):
+        return records.column(name)
+    return np.array([getattr(r, name) for r in records], dtype=np.int64 if name in _COUNT_COLUMNS else float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,21 +263,22 @@ def evaluate_trace(
     reference: ReferenceOptimum,
     graph: LaplacianGraph | None,
     objectives,
-    stamps,
     lap: np.ndarray | None = None,
     hx: np.ndarray | None = None,
-) -> list[MetricsRecord]:
-    """Metric records of a ``(K, n p)`` block of stacked primal iterates.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Metric columns of a ``(K, n p)`` block of stacked primal iterates.
 
-    ``stamps[k]`` is the ``(iteration, comm_rounds, wall_time_ms)`` of row
-    ``k``.  One array pass covers the block: the stacked values over its
-    leading axis, the batched block Laplacian, and row-wise BLAS dot
-    products, the same reductions a single row gets, so each record is
-    bitwise independent of the rows it is batched with.  ``graph=None`` is
-    allowed for replicated (consensus) stacks, whose consensus terms vanish
+    Returns four ``(K,)`` arrays: the signed suboptimality ``F(x) - F*``, the
+    consensus L-norm, the consensus quadratic and the squared distance to
+    the optimum.  One array pass covers the block: the stacked values over
+    its leading axis, the batched block Laplacian, and row-wise BLAS dot
+    products, the same reductions a single row gets, so each row is bitwise
+    independent of the rows it is batched with.  ``graph=None`` is allowed
+    for replicated (consensus) stacks, whose consensus terms vanish
     identically; centralized baselines use this.  ``lap`` (``L x``) and
     ``hx`` (a quadratic family's ``H x``), blocks of ``x_block``'s shape
     that a run formed anyway (dgd, cgd), stand in for the pass's own.
+    Overflow gives non-finite values, with numpy's warnings.
     """
     x_block = np.asarray(x_block, dtype=float)
     p = reference.x_star.size
@@ -204,12 +292,7 @@ def evaluate_trace(
         quad = _row_dots(x_block, lap_x)
         quad = np.where(quad < 0.0, 0.0, quad)  # max(quad, 0.0) row by row
     diff = (x_block.reshape(rows, n, -1) - reference.x_star).reshape(rows, -1)
-    dist_sq = _row_dots(diff, diff)
-    columns = zip(signed.tolist(), norm.tolist(), quad.tolist(), dist_sq.tolist())
-    return [
-        MetricsRecord(k, r, abs(s), c, q, d, ms, s)
-        for (k, r, ms), (s, c, q, d) in zip(stamps, columns)
-    ]
+    return signed, norm, quad, _row_dots(diff, diff)
 
 
 def evaluate_metrics(
@@ -222,9 +305,8 @@ def evaluate_metrics(
     wall_time_ms: float = 0.0,
 ) -> MetricsRecord:
     """Metric record of one stacked primal iterate: the one-row :func:`evaluate_trace`."""
-    x_block = np.asarray(x_stack, dtype=float)[None]
-    stamp = (iteration, comm_rounds, wall_time_ms)
-    return evaluate_trace(x_block, reference, graph, objectives, [stamp])[0]
+    columns = evaluate_trace(np.asarray(x_stack, dtype=float)[None], reference, graph, objectives)
+    return _record(iteration, comm_rounds, *(column.item() for column in columns), wall_time_ms)
 
 
 #: Bytes of primal iterates a :class:`TraceRecorder` evaluates as one block:
@@ -244,10 +326,12 @@ class RunResult:
     logged for simplex families only (None otherwise).  A run on a
     disjoint union of graphs holds in ``parts`` what each part's run alone
     returns; its own result has no records, a NaN step and the worst
-    part's kernel residual.
+    part's kernel residual.  ``records`` is a :class:`MetricsTrace`: it
+    reads as a sequence of :class:`MetricsRecord`, and holds 56 bytes a
+    record in columns (at most twice that while its columns grow by doubling).
     """
 
-    records: list[MetricsRecord]
+    records: MetricsTrace
     final_state: np.ndarray
     comm_rounds: int
     resolved_step: float
@@ -264,7 +348,7 @@ class _PartTrace:
     def __init__(self, nodes, reference, graph, family, kernel):
         self.nodes, self.graph, self.family = nodes, graph, family
         self.reference = reference if reference is not None else reference_optimum(family)
-        self.records: list[MetricsRecord] = []
+        self.records = MetricsTrace()
         self.min_entry: float | None = None
         self.max_kernel_residual = None if kernel is None else 0.0
 
@@ -293,9 +377,16 @@ class TraceRecorder:
     Each part of a disjoint-union ``graph`` is evaluated on its own rows,
     graph, objectives and ``reference`` (one for all parts or one per part;
     None is computed with :func:`reference_optimum`), as its run alone is.
+    A flush evaluates every block under one ``np.errstate`` and raises
+    :class:`~dualrk.errors.NonFiniteState` at the first record with a
+    non-finite metric, with its iteration and the parts whose record there
+    is non-finite, counted from ``first_part`` (the index of the recorder's
+    first part in a larger union the run belongs to).
     """
 
-    def __init__(self, reference, graph, objectives, x, duals=None, lap=None, hx=None, on_record=None, kernel=None):
+    def __init__(
+        self, reference, graph, objectives, x, duals=None, lap=None, hx=None, on_record=None, kernel=None, first_part=0,
+    ):
         family = stacked_family(objectives)
         n, p = family.shape
         if graph is None:  # a replicated consensus stack: one part, no graph
@@ -311,7 +402,7 @@ class TraceRecorder:
         self.capacity = 1 if on_record is not None else max(1, TRACE_BLOCK_BYTES // (8 * width))
         named = (("x", x), ("duals", duals), ("lap", lap), ("hx", hx))
         self._bound = {name: (buf, np.empty((self.capacity, *buf.shape))) for name, buf in named if buf is not None}
-        self._kernel, self._block_dim = kernel, p
+        self._kernel, self._block_dim, self._first_part = kernel, p, first_part
         self._stamps: list[tuple[int, int, float]] = []
         self._on_record = on_record
         self._rounds = 0
@@ -330,26 +421,38 @@ class TraceRecorder:
 
     def flush(self) -> None:
         """Evaluate the pushed iterates into each part's records."""
-        if self._stamps:
-            count = len(self._stamps)
-            rows = {name: block[:count] for name, (_, block) in self._bound.items()}
+        if not self._stamps:
+            return
+        count = len(self._stamps)
+        rows = {name: block[:count] for name, (_, block) in self._bound.items()}
+        blocks = []
+        with np.errstate(all="ignore"):  # a non-finite metric raises below
             for part in self.parts:
                 # Contiguous copies, laid out as the part's own run lays out its block.
                 x, lap, hx = (
                     np.ascontiguousarray(rows[name][:, part.nodes]).reshape(count, -1) if name in rows else None
                     for name in ("x", "lap", "hx")
                 )
-                records = evaluate_trace(x, part.reference, part.graph, part.family, self._stamps, lap, hx)
-                part.records.extend(records)
+                blocks.append(evaluate_trace(x, part.reference, part.graph, part.family, lap, hx))
                 if part.family.domain == "simplex":  # result() reads min_entry for simplex families only
                     low = float(x.min())
                     part.min_entry = low if part.min_entry is None else min(part.min_entry, low)
                 if self._kernel is not None:
                     residuals = self._kernel(rows["duals"][:, part.nodes], self._block_dim)
                     part.max_kernel_residual = max(part.max_kernel_residual, float(residuals.max()))
-            self._stamps.clear()
-            if self._on_record is not None:
-                self._on_record(self.parts[0].records[-1])
+        bad = ~np.isfinite(blocks).all(axis=1)  # (part, row)
+        if bad.any():
+            row = int(bad.any(axis=0).argmax())
+            iteration = self._stamps[row][0]
+            parts = tuple(self._first_part + int(i) for i in np.flatnonzero(bad[:, row]))
+            where = f" in union parts {list(parts)}" if len(self.parts) > 1 else ""
+            raise NonFiniteState(f"non-finite metric at iteration {iteration}{where}", iteration=iteration, parts=parts)
+        iterations, rounds, times = zip(*self._stamps)
+        for part, columns in zip(self.parts, blocks):
+            part.records.append(iterations, rounds, *columns, times)
+        self._stamps.clear()
+        if self._on_record is not None:
+            self._on_record(self.parts[0].records[-1])
 
     def result(self, final_state, steps, gaps=None, trajectory=None) -> RunResult:
         """Flush, and return the run's :class:`RunResult`: the one place a run is split into parts.
@@ -370,7 +473,9 @@ class TraceRecorder:
             results[0].trajectory = trajectory
             return results[0]
         worst = None if self._kernel is None else max(part.max_kernel_residual for part in self.parts)
-        return RunResult([], final_state, self._rounds, float("nan"), worst, trajectory=trajectory, parts=results)
+        return RunResult(
+            MetricsTrace(), final_state, self._rounds, float("nan"), worst, trajectory=trajectory, parts=results,
+        )
 
 
 def bind_run(graph: LaplacianGraph, objectives):
@@ -403,19 +508,22 @@ def check_finite(values, graph: LaplacianGraph | None, message: str, iteration: 
 def fit_rate(records, metric: str) -> RateFit:
     """Fit the tail log-log slope of a metric against communication rounds.
 
-    The window is fixed: it drops the first 20 % of the round range
-    (transient), and the first nonpositive point ends it early
-    (solver-tolerance plateau); the fit then runs on the part before it.
+    ``records`` is a :class:`MetricsTrace` (whose columns are read) or any
+    sequence of records.  The window is fixed: it drops the first 20 % of
+    the round range (transient), and the first nonpositive point ends it
+    early (solver-tolerance plateau); the fit then runs on the part before it.
 
     Raises
     ------
     NonPositiveMetric
         If no positive points remain in the window.
+    NonFiniteState
+        If the window holds an infinite or NaN value, which has no slope.
     InsufficientData
         If fewer than 50 usable points remain.
     """
-    rounds = np.array([r.comm_rounds for r in records], dtype=float)
-    values = np.array([getattr(r, metric) for r in records], dtype=float)
+    rounds = _column(records, "comm_rounds").astype(float)
+    values = _column(records, metric)
     if rounds.size == 0:
         raise InsufficientData("empty trace")
     cutoff = _FIT_WINDOW_START * rounds.max()
@@ -426,6 +534,10 @@ def fit_rate(records, metric: str) -> RateFit:
         if bad[0] == 0:
             raise NonPositiveMetric(f"{metric} is nonpositive at the window start")
         rounds, values = rounds[: bad[0]], values[: bad[0]]
+    infinite = np.flatnonzero(~np.isfinite(values))
+    if infinite.size:
+        first = infinite[0]
+        raise NonFiniteState(f"{metric} is {float(values[first])!r} at round {rounds[first]:.0f} in the fit window")
     if rounds.size < _FIT_MIN_POINTS:
         raise InsufficientData(
             f"{rounds.size} usable points in the tail window, need {_FIT_MIN_POINTS}"
@@ -445,34 +557,43 @@ def fit_rate(records, metric: str) -> RateFit:
     )
 
 
+# Rows formatted per write: the text of a long trace is never held whole.
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_metrics_csv(records, path, timings: bool = False) -> None:
-    """Write a trace in the fixed column schema.
+    """Write a trace (a :class:`MetricsTrace` or any sequence of records) in the fixed column schema.
 
     Timing is volatile, so by default the ``wall_time_ms`` column is written
     as zero, which keeps reruns of a seeded experiment byte-identical; pass
-    ``timings=True`` to record the measured values.  The bytes are those of
-    ``csv.writer``: no field needs quoting, and rows end with ``\\r\\n``.
+    ``timings=True`` to record the measured values.  Each float is written
+    as its ``repr`` and each count as an integer; the bytes are those of
+    ``csv.writer``: no field needs quoting, and rows end with ``\r\n``.
+    Rows are formatted from the columns a chunk at a time.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(
-        f"{int(rec.iteration)},{int(rec.comm_rounds)},{float(rec.suboptimality)!r},"
-        f"{float(rec.consensus_L_norm)!r},{float(rec.consensus_quadratic)!r},"
-        f"{float(rec.dist_to_optimum_sq)!r},{float(rec.wall_time_ms) if timings else 0.0!r}"
-        for rec in records
-    )
+    columns = [_column(records, name) for name in CSV_COLUMNS]
+    if not timings:
+        columns[-1] = np.zeros(len(columns[-1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            rows = zip(*(column[start : start + _CSV_CHUNK_ROWS].tolist() for column in columns))
+            fh.writelines(f"{k},{r},{s!r},{c!r},{q!r},{d!r},{ms!r}\r\n" for k, r, s, c, q, d, ms in rows)
 
 
-def read_metrics_csv(path) -> list[MetricsRecord]:
-    """Read a trace written by :func:`write_metrics_csv`."""
-    # CSV_COLUMNS names the record's first fields in order: two counts, then floats.
-    counts, values = CSV_COLUMNS[:2], CSV_COLUMNS[2:]
+def read_metrics_csv(path) -> MetricsTrace:
+    """Read a trace written by :func:`write_metrics_csv`.
+
+    The CSV holds the suboptimality's magnitude only, so the trace's signed
+    column holds that magnitude.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            MetricsRecord(*(int(row[c]) for c in counts), *(float(row[c]) for c in values))
-            for row in csv.DictReader(fh)
-        ]
+        rows = list(csv.DictReader(fh))
+    counts = {name: np.array([int(row[name]) for row in rows], np.int64) for name in _COUNT_COLUMNS}
+    values = {
+        name: np.array([float(row[key]) for row in rows]) for name, key in zip(TRACE_COLUMNS[2:], CSV_COLUMNS[2:])
+    }
+    return MetricsTrace(counts | values)
 
 
 def write_rate_fits_json(fits, path, extra: dict | None = None) -> None:

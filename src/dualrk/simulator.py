@@ -143,7 +143,9 @@ def run_heavy_ball_orders(graph: LaplacianGraph, objectives, tableaus, num_itera
 class _Cohort:
     """Consecutive rows at one tableau: their steps, recorder, and views of the run's buffers."""
 
-    def __init__(self, rows, graph, tableau, num_iterations, h0, reference, family, slab, broadcast, lap, on_record):
+    def __init__(
+        self, rows, graph, tableau, num_iterations, h0, reference, family, slab, broadcast, lap, on_record, first_part,
+    ):
         self.rows, self.stages, self.num_iterations = rows, tableau.stages, num_iterations
         # Every part's h0 is checked; a zero-iteration run returns the initial state and no step.
         steps = [step_size(part_h0, num_iterations or 1, tableau.order) for part_h0 in graph.per_part(h0)]
@@ -153,7 +155,7 @@ class _Cohort:
         # A record reads the broadcast (its x), the agents' [v_hat, y_hat] rows and the round-end L x.
         self.recorder = harness.TraceRecorder(
             reference, graph, family[rows], broadcast[rows], self.state[:, : 2 * broadcast.shape[1]], lap[rows],
-            on_record=on_record, kernel=kernel_residual,
+            on_record=on_record, kernel=kernel_residual, first_part=first_part,
         )
         # Per ring slot, the combine after its round: ``(weights, stage derivatives, out, check)``.  An
         # iteration's last stage writes the state and checks its derivatives and the state (and slots
@@ -182,7 +184,11 @@ def _run_lockstep(graph: LaplacianGraph, objectives, cohorts, keep_trajectory=Fa
     points, ring = slab[0], slab[1:-1]
     points[:] = slab[-1] = initial_agent_states(n, p)
     y_hat, broadcast, lap_rows = points[:, p : 2 * p], padded[:n], np.empty((n, p))
-    cohorts = [_Cohort(*cohort, family, slab, broadcast, lap_rows, on_record) for cohort in cohorts]
+    starts = [nodes.start for nodes, _ in graph.part_rows]  # a cohort's first part: the union part at its first row
+    cohorts = [
+        _Cohort(*cohort, family, slab, broadcast, lap_rows, on_record, starts.index(cohort[0].start))
+        for cohort in cohorts
+    ]
     active = [cohort for cohort in cohorts if cohort.num_iterations]
     ends = {cohort.stages * cohort.num_iterations for cohort in active}
     trajectory = [stack_agent_states(cohorts[0].state, p)] if keep_trajectory else None

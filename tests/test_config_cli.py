@@ -163,6 +163,21 @@ def test_divergent_baseline_exits_3_without_numpy_warnings(tmp_path, capsys, met
     assert err.startswith(f"diverged: {method}:") and "RuntimeWarning" not in err
 
 
+def test_overflowing_metric_records_exit_3_at_the_first_one(tmp_path, capsys):
+    # dgd at a constant step of 14000 keeps its iterates finite for all 80 iterations, but its
+    # metric records overflow from iteration 45 on: divergence, not a trace that ends in inf.
+    path = _write_config(
+        tmp_path / "cfg.txt", method="dgd", graph="cycle", n=6, p=3, l=3, step=14000, beta=0,
+        dgd_constant_step="true", iterations=80, seed=0,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path)]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == "diverged: non-finite metric at iteration 45 (iteration 45)\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("dry_run", [False, True])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(

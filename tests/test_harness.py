@@ -10,11 +10,12 @@ import pytest
 from dualrk import cli, harness
 from dualrk.config import ExperimentConfig
 from dualrk import objectives as objectives_module
-from dualrk.errors import InsufficientData, NonPositiveMetric
+from dualrk.errors import InsufficientData, NonFiniteState, NonPositiveMetric
 from dualrk.graph import Topology, build_graph
 from dualrk.harness import (
     CSV_COLUMNS,
     MetricsRecord,
+    MetricsTrace,
     ReferenceOptimum,
     evaluate_metrics,
     fit_rate,
@@ -50,6 +51,13 @@ def _records_from_curve(rounds, values):
         )
         for k, (r, v) in enumerate(zip(rounds, values))
     ]
+
+
+def _trace_from_curve(rounds, values):
+    """The trace of :func:`_records_from_curve`: ``values`` in every metric column, signed as given."""
+    trace = MetricsTrace()
+    trace.append(np.arange(1, len(rounds) + 1), rounds, values, values, values, values, np.zeros(len(rounds)))
+    return trace
 
 
 def test_reference_equality_and_hash_are_by_identity():
@@ -193,6 +201,37 @@ def test_fit_rate_nonpositive_and_floor_refit():
         fit_rate(_records_from_curve(rounds, np.zeros(500)), "suboptimality")
 
 
+def test_fit_rate_reads_a_trace_as_its_records():
+    rounds = np.arange(1, 1001)
+    values = 2.0 * rounds ** (-1.5) * (1.0 + 0.1 * np.sin(rounds))
+    trace, records = _trace_from_curve(rounds, values), _records_from_curve(rounds, values)
+    for metric in ("suboptimality", "consensus_quadratic"):
+        assert fit_rate(trace, metric) == fit_rate(records, metric)
+    # The suboptimality column is the signed column's magnitude.
+    assert fit_rate(_trace_from_curve(rounds, -values), "suboptimality").slope == fit_rate(
+        _records_from_curve(rounds, values), "suboptimality"
+    ).slope
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("as_trace", [False, True])
+def test_fit_rate_rejects_a_non_finite_window(capsys, bad, as_trace):
+    # A NaN or infinite point in the window has no slope: it raises, so no fit reads slope=nan.
+    build = _trace_from_curve if as_trace else _records_from_curve
+    rounds = np.arange(1, 301)
+    values = 1.0 / rounds
+    values[10] = bad  # in the dropped transient: no effect
+    assert fit_rate(build(rounds, values), "suboptimality").slope == pytest.approx(-1.0, abs=1e-12)
+    values[200] = bad
+    message = f"suboptimality is {bad!r} at round 201 in the fit window"
+    with pytest.raises(NonFiniteState, match=message):
+        fit_rate(build(rounds, values), "suboptimality")
+    cli._print_run_summary(build(rounds, values))
+    assert f"rate suboptimality: not fitted ({message})" in capsys.readouterr().out
+    values[150] = 0.0  # a nonpositive point ends the window before the bad one
+    assert fit_rate(build(rounds, values), "suboptimality").window == (61.0, 150.0)
+
+
 def test_consensus_projection_lower_bounded_by_reference():
     objs = random_kl_instance(5, 3, seed=7)
     graph = build_graph(Topology("star", 5))
@@ -238,17 +277,84 @@ def _csv_writer_bytes(records, timings):
     return buffer.getvalue().encode("utf-8")
 
 
+def _per_record_csv_bytes(records, timings):
+    """A trace as the per-record f-string wrote it before traces were held in columns."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(
+        f"{int(rec.iteration)},{int(rec.comm_rounds)},{float(rec.suboptimality)!r},"
+        f"{float(rec.consensus_L_norm)!r},{float(rec.consensus_quadratic)!r},"
+        f"{float(rec.dist_to_optimum_sq)!r},{float(rec.wall_time_ms) if timings else 0.0!r}"
+        for rec in records
+    )
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+_SPECIAL_VALUES = [
+    math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1.0, 7.0, -3.0, 1e16, 123456789.0, 1.0 / 3.0, -2.5e-7,
+]
+
+
+def _special_trace():
+    """A trace with every special float in every float column and counts past ``2**31``."""
+    n = len(_SPECIAL_VALUES)
+    iterations = np.array([1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 7, 2**53 + 1, 2**62] + list(range(8, n + 1)))
+    trace = MetricsTrace()
+    columns = [np.roll(_SPECIAL_VALUES, shift) for shift in range(5)]
+    trace.append(iterations, iterations + 1, *columns)
+    return trace
+
+
 @pytest.mark.parametrize("timings", [False, True])
-def test_csv_bytes_equal_csv_writer(tmp_path, timings):
+def test_csv_bytes_equal_csv_writer(tmp_path, monkeypatch, timings):
+    # And the per-record f-string that wrote them before traces were held in columns, for record
+    # lists and for traces (counts past 2**31, every special float), over several write chunks.
+    monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", 5)
     values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e-7, 1e16, 123456789.0, 7.0]
     records = [
         MetricsRecord(np.int64(i), 3 * i, *np.roll(values, i)[:4].tolist(), wall_time_ms=np.float64(values[-1 - i]))
         for i in range(len(values))
     ]
-    for rows in (records, records[:1], []):
-        path = tmp_path / f"trace{len(rows)}.csv"
+    trace = _special_trace()
+    for rows in (records, records[:1], [], trace, list(trace), MetricsTrace()):
+        path = tmp_path / "trace.csv"
         write_metrics_csv(rows, path, timings=timings)
-        assert path.read_bytes() == _csv_writer_bytes(rows, timings)
+        assert path.read_bytes() == _csv_writer_bytes(rows, timings) == _per_record_csv_bytes(rows, timings)
+
+
+def test_read_metrics_csv_round_trips_a_trace(tmp_path):
+    trace = _special_trace()
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_metrics_csv(trace, first, timings=True)
+    read = read_metrics_csv(first)
+    assert isinstance(read, MetricsTrace) and len(read) == len(trace)
+    write_metrics_csv(read, second, timings=True)
+    assert second.read_bytes() == first.read_bytes()
+    for name in CSV_COLUMNS:
+        assert read.column(name).tobytes() == trace.column(name).tobytes()
+    # The CSV keeps the suboptimality's magnitude only: that is the read trace's signed column.
+    assert read.column("suboptimality_signed").tobytes() == trace.column("suboptimality").tobytes()
+    write_metrics_csv([], first)
+    assert len(read_metrics_csv(first)) == 0
+
+
+def test_trace_reads_as_a_sequence_of_records():
+    trace = _special_trace()
+    records = list(trace)
+    by_index = [repr(trace[i]) for i in range(len(trace))]  # repr: NaN fields compare unequal
+    assert by_index == [repr(trace[i - len(trace)]) for i in range(len(trace))] == [repr(r) for r in records]
+    assert repr(trace[3:5]) == repr(records[3:5])
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    for record in (trace[4], records[4]):
+        assert type(record.iteration) is int and type(record.consensus_L_norm) is float
+        assert record.suboptimality == abs(record.suboptimality_signed)
+    with pytest.raises(ValueError):
+        trace.column("consensus_L_norm")[0] = 1.0  # a read-only view
+    halved = trace.replace(dist_to_optimum_sq=trace.column("dist_to_optimum_sq") / 2)
+    assert halved.column("iteration").tobytes() == trace.column("iteration").tobytes()
+    assert halved.column("dist_to_optimum_sq").tobytes() == (trace.column("dist_to_optimum_sq") / 2).tobytes()
+    halved.append([9], [9], [1.0], [1.0], [1.0], [1.0], [1.0])  # grows into its own columns
+    assert len(halved) == len(trace) + 1 and trace.column("iteration")[-1] != 9
 
 
 def _reference_projected_gradient(objectives, max_iterations=20_000, polish_iterations=300_000):

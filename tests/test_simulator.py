@@ -35,7 +35,7 @@ def test_zero_iterations_is_a_no_op():
     graph = build_graph(Topology("cycle", 3))
     objs = random_kl_instance(3, 2, seed=0)
     result = run_heavy_ball(graph, objs, tableau("rk4"), 0, h0=1.0)
-    assert result.records == []
+    assert len(result.records) == 0
     assert result.comm_rounds == 0
     assert np.array_equal(result.final_state[:, :4], np.zeros((3, 4)))
     assert np.array_equal(result.final_state[:, -1], np.ones(3))

@@ -9,8 +9,10 @@ bytes of a trace must not depend on how its records were batched or where
 they were scaled.
 """
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dualrk import baselines, cli, harness, simulator
 from dualrk.baselines import cgd_run, dgd_run, dual_nag_run
 from dualrk.config import METHODS, ExperimentConfig, load_config, resolve_instance
 from dualrk.dynamics import kernel_residual
+from dualrk.errors import NonFiniteState
 from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
 from dualrk.harness import (
     CSV_COLUMNS,
@@ -77,6 +80,12 @@ def _old_metrics(x_stack, reference, graph, objectives, iteration, comm_rounds, 
     return MetricsRecord(iteration, comm_rounds, abs(signed), norm, quad, dist_sq, 0.0, signed)
 
 
+def _block_records(columns, stamps):
+    """An evaluate_trace block's records: its four metric columns with each row's ``(k, rounds, ms)`` stamp."""
+    rows = zip(*(column.tolist() for column in columns))
+    return [MetricsRecord(k, r, abs(s), c, q, d, ms, s) for (k, r, ms), (s, c, q, d) in zip(stamps, rows, strict=True)]
+
+
 def _assert_bitwise(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -106,7 +115,7 @@ def test_evaluate_trace_matches_per_row_metrics(case):
     block = rng.uniform(0.01, 1.0, size=(9, 60)) * 10.0 ** rng.uniform(-3, 3, size=(9, 60))
     block[4] = np.tile(reference.x_star, 12)  # a consensus row at the reference point
     stamps = [(k, 3 * k, 0.5) for k in range(1, 10)]
-    records = evaluate_trace(block, reference, graph, objs, stamps)
+    records = _block_records(evaluate_trace(block, reference, graph, objs), stamps)
     want = [
         _old_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1))
         for k, x in enumerate(block)
@@ -122,7 +131,7 @@ def test_evaluate_trace_matches_per_row_metrics(case):
     assert [r.wall_time_ms for r in records] == [0.5] * 9
     # A record does not depend on the rows batched with it.
     _assert_bitwise(
-        evaluate_trace(block[3:5], reference, graph, objs, stamps[3:5]),
+        _block_records(evaluate_trace(block[3:5], reference, graph, objs), stamps[3:5]),
         want[3:5],
     )
 
@@ -135,7 +144,7 @@ def test_batched_laplacian_sums_neighbors_in_sorted_order():
     reference = reference_optimum(objs)
     rng = np.random.default_rng(8)
     block = rng.normal(size=(5, 120)) * 10.0 ** rng.uniform(-6, 6, size=(5, 120))
-    records = evaluate_trace(block, reference, graph, objs, [(k, k, 0.0) for k in range(5)])
+    records = _block_records(evaluate_trace(block, reference, graph, objs), [(k, k, 0.0) for k in range(5)])
     for x, record in zip(block, records):
         blocks = x.reshape(40, 3)
         want = np.empty_like(blocks)
@@ -229,6 +238,79 @@ def test_recorder_times_iterations_without_flushes_and_callbacks():
         recorder.push(k, k)
     # Every push flushes and runs the 0.2 s callback; no record's time holds it.
     assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.parts[0].records)
+
+
+def test_a_run_result_keeps_at_most_128_bytes_a_record():
+    # A record object per row kept about 320 bytes.  The trace's seven 8-byte columns take 56 a
+    # record, and growth by doubling can leave up to twice that.
+    graph, objs = build_graph(Topology("cycle", 6)), random_regression_instance(6, 3, 3, seed=0, ridge=1e-3)
+    reference, iterations = reference_optimum(objs), 2000
+    dgd_run(graph, objs, 0.01, 0.1, 10, reference=reference)  # lazy imports and caches, before counting
+    tracemalloc.start()
+    try:
+        result = dgd_run(graph, objs, 0.01, 0.1, iterations, reference=reference)
+        assert len(result.records) == iterations
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 56 * iterations <= retained <= 128 * iterations
+
+
+def test_a_non_finite_metric_raises_at_its_record_naming_its_parts():
+    # Finite iterates whose metrics overflow: the flush, under its own errstate (a numpy warning
+    # fails this suite), raises at the first such record with its iteration and union parts.
+    union, objs = _three_part_union("quadratic")
+    _, second, third = (nodes for nodes, _ in union.part_rows)
+    x = np.zeros((union.node_count, DIM))
+    recorder = TraceRecorder(None, union, objs, x)
+    for k in range(1, 6):
+        x[second] = 1e200 if k >= 3 else 0.5  # from iteration 3 the second part's squares overflow
+        x[third] = 1e200 if k >= 4 else 0.5
+        recorder.push(k, 2 * k)
+    with pytest.raises(NonFiniteState, match=r"^non-finite metric at iteration 3 in union parts \[1\]$") as err:
+        recorder.result(x, [0.1] * 3)
+    assert (err.value.iteration, err.value.parts) == (3, (1,))
+    # A recorder for one part of a larger union names it by its index there.
+    recorder = TraceRecorder(None, union.parts[2], objs[third], x[third], first_part=2)
+    recorder.push(1, 1)
+    with pytest.raises(NonFiniteState, match=r"^non-finite metric at iteration 1$") as err:
+        recorder.flush()
+    assert (err.value.iteration, err.value.parts) == (1, (2,))
+
+
+def test_a_non_finite_metric_record_halves_only_its_order(monkeypatch):
+    # The records of the cycle part (s = 2) overflow in the first run, its state does not: that
+    # order's recorder raises at the record's iteration, naming its union part, and the h0 sweep
+    # halves that part's h0 alone.
+    union, objs = _three_part_union()
+    target, evaluate, runs, errors = union.parts[1], harness.evaluate_trace, [], []
+
+    def overflowing(x_block, reference, graph, *args):
+        signed, *rest = evaluate(x_block, reference, graph, *args)
+        if graph is target and len(runs) == 1 and len(signed) > 2:
+            signed[2] = np.inf  # the part's third record
+        return signed, *rest
+
+    def recorded(graph, objectives, tabs, counts, h0, **kwargs):
+        runs.append(list(h0))
+        try:
+            return run_heavy_ball_orders(graph, objectives, tabs, counts, h0, **kwargs)
+        except NonFiniteState as err:
+            errors.append(err)
+            raise
+
+    monkeypatch.setattr(harness, "evaluate_trace", overflowing)
+    monkeypatch.setattr(cli, "run_heavy_ball_orders", recorded)
+    tabs = tuple(tableau_for_order(order) for order in (1, 2, 4))
+    traces = cli._run_method(ExperimentConfig(method="heavy_ball_rk"), union, objs, tabs, None, 4 * K, None, 8)
+    a, b, c = runs[0]
+    assert runs == [[a, b, c], [a, b / 2, c]]
+    assert [(err.iteration, err.parts) for err in errors] == [(3, (1,))]
+    assert [len(trace) for trace in traces] == [4 * K, 2 * K, K]
 
 
 def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
@@ -602,7 +684,7 @@ def test_on_record_fires_before_the_next_iteration(monkeypatch):
 
     result = run_heavy_ball(graph, objs, tab, K + 3, h0=h0, on_record=sink)
     assert events == [e for k in range(1, K + 4) for e in ["round"] * tab.stages + [k]]
-    assert all(a is b for a, b in zip(seen, result.records)) and len(seen) == K + 3
+    _assert_bitwise(seen, result.records)  # the callback's records are the trace's rows
     monkeypatch.setattr(simulator, "round_field", round_field)
     _assert_bitwise(result.records, run_heavy_ball(graph, objs, tab, K + 3, h0=h0).records)
 

@@ -116,7 +116,7 @@ def test_heavy_ball_union_is_each_part_alone(union_case, order, iterations, data
     _assert_parts_match(result, alone)
     assert result.max_kernel_residual == max(single.max_kernel_residual for single in alone)
     assert result.comm_rounds == alone[0].comm_rounds == iterations * tab.stages
-    assert result.records == []
+    assert len(result.records) == 0
 
 
 @PROPERTY
