@@ -85,7 +85,7 @@ def cgd_run(
     x = family.initial_point()
     replicated, (grads, hx) = np.tile(x, (n, 1)), np.empty((2, n, p))  # the consensus stack of x, rewritten in place
     hx = None if simplex else family.hessian_product(replicated, out=hx)
-    recorder = harness.TraceRecorder(reference, None, family, replicated, hx=hx)
+    recorder = harness.TraceRecorder(reference, None, family, replicated, hx=hx, iterations=num_iterations)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             grads = family.gradients(replicated, out=grads) if simplex else np.subtract(hx, family.shift, out=grads)
@@ -131,7 +131,7 @@ def dgd_run(
     blocks[:] = family.initial_point()
     hx = None if simplex else family.hessian_product(blocks, out=hx)  # KL's gradient and value share no product
     laplacian_rows(plan, padded, lap)
-    recorder = harness.TraceRecorder(reference, graph, family, blocks, lap=lap, hx=hx)
+    recorder = harness.TraceRecorder(reference, graph, family, blocks, lap=lap, hx=hx, iterations=num_iterations)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises NonFiniteState
         for k in range(1, num_iterations + 1):
             step_k = step / math.sqrt(k) if decaying_step else step
@@ -179,7 +179,9 @@ def dual_nag_run(
     n, p = family.shape
     broadcast = padded[:n]
     lap, y_hat, z_hat = np.zeros((3, n, p))
-    recorder = harness.TraceRecorder(reference, graph, family, broadcast, y_hat, kernel=kernel_residual)
+    recorder = harness.TraceRecorder(
+        reference, graph, family, broadcast, y_hat, iterations=num_iterations, kernel=kernel_residual,
+    )
     # Conjugate at the current y_hat: it feeds the metrics, the dual gap and
     # the final state, so each is solved once.
     stacked_conjugate(family, y_hat, out=broadcast)

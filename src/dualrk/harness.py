@@ -13,18 +13,22 @@ Records are unscaled: the CLI applies ``report_style = theorem1``.
 
 A trace is a :class:`MetricsTrace`: seven contiguous columns (the two counts
 as int64, the signed suboptimality, the three other metrics and the wall
-time as float64), 56 bytes a row, which the recorder fills a block at a time
-and grows by doubling.  It reads as a sequence of :class:`MetricsRecord`,
-made when a row is read; the CSV writer and the rate fit read its columns.
-A record object per row took about 320 bytes.  Peak RSS of ``reproduce
-fig3 --scale paper`` (seed 0, one BLAS thread, 2-vCPU Xeon, numpy 2.4.6)
-went from 48.1 to 45.7 MB at 4,000 rounds and from 52.4 to 46.9 MB at the
-full 10,000 when the trace moved from records to columns.
+time as float64), 56 bytes a row.  The recorder makes each part's columns
+once, at the length the run's iteration count gives, and fills them a block
+at a time, so no column is ever copied to grow.  It reads as a sequence of
+:class:`MetricsRecord`, made when a row is read; the CSV writer and the
+rate fit read its columns, the writer 128 rows at a time, and the reader
+fills exact-length columns from ``csv.reader`` rows.  A record object per
+row took about 320 bytes.  Peak RSS of ``reproduce fig3 --scale paper``
+(seed 0, one BLAS thread, 2-vCPU Xeon, numpy 2.4.6) went from 48.1 to 45.7
+MB at 4,000 rounds and from 52.4 to 46.9 MB at the full 10,000 when the
+trace moved from records to columns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -113,14 +117,20 @@ class MetricsTrace(Sequence):
     (Python ints and floats, ``suboptimality`` the signed value's
     magnitude); :meth:`column` reads a column without building any.
     ``columns`` maps every name of :data:`TRACE_COLUMNS` to a one-dimensional
-    array of the trace's length; None starts an empty trace.
+    array, all of one length (else ``DimensionMismatch``), the trace's; None
+    starts an empty trace with room for ``rows`` rows.
     """
 
-    def __init__(self, columns=None):
+    def __init__(self, columns=None, rows: int = 0):
         if columns is None:
-            columns = {name: np.empty(0, np.int64 if name in _COUNT_COLUMNS else float) for name in TRACE_COLUMNS}
+            columns = {name: np.empty(rows, np.int64 if name in _COUNT_COLUMNS else float) for name in TRACE_COLUMNS}
+            self._size = 0
+        else:
+            lengths = {name: len(columns[name]) for name in TRACE_COLUMNS}
+            if len(set(lengths.values())) > 1:
+                raise DimensionMismatch(f"trace columns of unequal lengths: {lengths}")
+            self._size = lengths["iteration"]
         self._columns = {name: columns[name] for name in TRACE_COLUMNS}
-        self._size = len(self._columns["iteration"])
 
     def __len__(self) -> int:
         return self._size
@@ -145,21 +155,28 @@ class MetricsTrace(Sequence):
     def append(self, *blocks) -> None:
         """Append rows given as one equal-length block per column, in :data:`TRACE_COLUMNS` order.
 
-        A full column doubles its capacity, so appending ``N`` rows copies
-        ``O(N)`` values and leaves at most twice the rows' storage.
+        Rows fill the room the trace was made with; past it, every column
+        is copied into one of exactly the new length, so a trace never holds
+        more than its rows' storage once its room is full.
         """
         end = self._size + len(blocks[0])
         for name, block in zip(TRACE_COLUMNS, blocks, strict=True):
             column = self._columns[name]
             if end > len(column):
-                grown = np.empty(max(end, 2 * len(column)), column.dtype)
+                grown = np.empty(end, column.dtype)
                 grown[: self._size] = column[: self._size]
                 self._columns[name] = column = grown
             column[self._size : end] = block
         self._size = end
 
     def replace(self, **columns) -> MetricsTrace:
-        """A new trace with the given columns in place of this one's (the others are shared views)."""
+        """A new trace with the given columns in place of this one's (the others are shared views).
+
+        Raises ``InvalidArgument`` for a name outside :data:`TRACE_COLUMNS`.
+        """
+        unknown = sorted(columns.keys() - set(TRACE_COLUMNS))
+        if unknown:
+            raise InvalidArgument(f"not trace columns: {unknown}; a trace holds {list(TRACE_COLUMNS)}")
         return MetricsTrace({name: columns.get(name, self.column(name)) for name in TRACE_COLUMNS})
 
 
@@ -311,6 +328,8 @@ def evaluate_metrics(
 
 #: Bytes of primal iterates a :class:`TraceRecorder` evaluates as one block:
 #: 20 iterates at the desk shape (n = 20, p = 10), one at the paper shape.
+#: The blocks of the other bound buffers (the duals, ``L x`` and ``H x``),
+#: of as many rows, come on top of the ``x`` block.
 TRACE_BLOCK_BYTES = 32 * 1024
 
 
@@ -328,7 +347,7 @@ class RunResult:
     returns; its own result has no records, a NaN step and the worst
     part's kernel residual.  ``records`` is a :class:`MetricsTrace`: it
     reads as a sequence of :class:`MetricsRecord`, and holds 56 bytes a
-    record in columns (at most twice that while its columns grow by doubling).
+    record in columns made at the run's iteration count.
     """
 
     records: MetricsTrace
@@ -345,10 +364,10 @@ class RunResult:
 class _PartTrace:
     """One graph part's rows, problem (a row slice of the run's family), records and run extremes."""
 
-    def __init__(self, nodes, reference, graph, family, kernel):
+    def __init__(self, nodes, reference, graph, family, kernel, iterations):
         self.nodes, self.graph, self.family = nodes, graph, family
         self.reference = reference if reference is not None else reference_optimum(family)
-        self.records = MetricsTrace()
+        self.records = MetricsTrace(rows=iterations)
         self.min_entry: float | None = None
         self.max_kernel_residual = None if kernel is None else 0.0
 
@@ -362,7 +381,9 @@ class TraceRecorder:
     a quadratic family's ``H x`` (``hx``); None binds nothing.  The run loop
     pushes once per iteration, which copies them into blocks made at the
     start, and ends with :meth:`result`; a full block of
-    :data:`TRACE_BLOCK_BYTES` (of the widest part) flushes on its own.  A
+    :data:`TRACE_BLOCK_BYTES` (of the widest part) flushes on its own.
+    ``iterations``, the run's own iteration count, sizes each part's trace
+    columns once, so a run that pushes that many times copies no column.  A
     run given ``kernel`` (its module's :func:`~dualrk.dynamics.kernel_residual`)
     binds its dual rows, and a flush takes each part's residuals in one call
     over its ``(K, n_part, w)`` rows.  With ``on_record`` (one-graph runs only) every
@@ -385,7 +406,8 @@ class TraceRecorder:
     """
 
     def __init__(
-        self, reference, graph, objectives, x, duals=None, lap=None, hx=None, on_record=None, kernel=None, first_part=0,
+        self, reference, graph, objectives, x, duals=None, lap=None, hx=None, *,
+        iterations, on_record=None, kernel=None, first_part=0,
     ):
         family = stacked_family(objectives)
         n, p = family.shape
@@ -394,7 +416,8 @@ class TraceRecorder:
         else:
             rows, references = graph.part_rows, graph.per_part(reference)
         self.parts = [
-            _PartTrace(nodes, ref, part, family[nodes], kernel) for (nodes, part), ref in zip(rows, references)
+            _PartTrace(nodes, ref, part, family[nodes], kernel, iterations)
+            for (nodes, part), ref in zip(rows, references)
         ]
         if on_record is not None and len(self.parts) > 1:
             raise InvalidArgument(f"on_record takes a one-graph run, not a union of {len(self.parts)} parts")
@@ -557,8 +580,8 @@ def fit_rate(records, metric: str) -> RateFit:
     )
 
 
-# Rows formatted per write: the text of a long trace is never held whole.
-_CSV_CHUNK_ROWS = 1024
+# Rows formatted per write: a chunk's columns and the text of its rows are all a write holds.
+_CSV_CHUNK_ROWS = 128
 
 
 def write_metrics_csv(records, path, timings: bool = False) -> None:
@@ -569,15 +592,24 @@ def write_metrics_csv(records, path, timings: bool = False) -> None:
     ``timings=True`` to record the measured values.  Each float is written
     as its ``repr`` and each count as an integer; the bytes are those of
     ``csv.writer``: no field needs quoting, and rows end with ``\r\n``.
-    Rows are formatted from the columns a chunk at a time.
+    Rows are formatted from the columns a chunk at a time; a trace's
+    suboptimality magnitude and zero wall times are formed a chunk at a
+    time too, so a write holds no column of the trace's length.
     """
-    columns = [_column(records, name) for name in CSV_COLUMNS]
-    if not timings:
-        columns[-1] = np.zeros(len(columns[-1]))
+    signed = isinstance(records, MetricsTrace)  # read as views, the signed column in place of the magnitude
+    columns = [records.column(name) if signed else _column(records, csv_name)
+               for name, csv_name in zip(TRACE_COLUMNS, CSV_COLUMNS)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            rows = zip(*(column[start : start + _CSV_CHUNK_ROWS].tolist() for column in columns))
+            chunk = [column[start : start + _CSV_CHUNK_ROWS] for column in columns]
+            if signed:
+                chunk[2] = np.abs(chunk[2])
+            if not timings:
+                chunk[-1] = np.zeros(len(chunk[-1]))
+            # A list, not a generator: star-unpacking a generator leaves one more 7-tuple per chunk on
+            # CPython's tuple freelist (up to 2,000 of them), so the peak would grow with the trace.
+            rows = zip(*[column.tolist() for column in chunk])
             fh.writelines(f"{k},{r},{s!r},{c!r},{q!r},{d!r},{ms!r}\r\n" for k, r, s, c, q, d, ms in rows)
 
 
@@ -585,15 +617,21 @@ def read_metrics_csv(path) -> MetricsTrace:
     """Read a trace written by :func:`write_metrics_csv`.
 
     The CSV holds the suboptimality's magnitude only, so the trace's signed
-    column holds that magnitude.
+    column holds that magnitude.  The file's lines are counted first, and
+    its rows fill columns of that length 128 rows at a time.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    counts = {name: np.array([int(row[name]) for row in rows], np.int64) for name in _COUNT_COLUMNS}
-    values = {
-        name: np.array([float(row[key]) for row in rows]) for name, key in zip(TRACE_COLUMNS[2:], CSV_COLUMNS[2:])
-    }
-    return MetricsTrace(counts | values)
+        lines = sum(1 for _ in fh)
+        fh.seek(0)
+        reader = filter(None, csv.reader(fh))  # no blank lines, as csv.DictReader
+        header = next(reader, CSV_COLUMNS)
+        fields = [header.index(name) for name in CSV_COLUMNS]
+        kinds = [int if name in _COUNT_COLUMNS else float for name in TRACE_COLUMNS]
+        trace = MetricsTrace(rows=max(lines - 1, 0))
+        while chunk := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
+            columns = list(zip(*chunk))
+            trace.append(*[list(map(kind, columns[i])) for kind, i in zip(kinds, fields)])
+    return trace
 
 
 def write_rate_fits_json(fits, path, extra: dict | None = None) -> None:

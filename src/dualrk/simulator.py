@@ -155,7 +155,7 @@ class _Cohort:
         # A record reads the broadcast (its x), the agents' [v_hat, y_hat] rows and the round-end L x.
         self.recorder = harness.TraceRecorder(
             reference, graph, family[rows], broadcast[rows], self.state[:, : 2 * broadcast.shape[1]], lap[rows],
-            on_record=on_record, kernel=kernel_residual, first_part=first_part,
+            iterations=num_iterations, on_record=on_record, kernel=kernel_residual, first_part=first_part,
         )
         # Per ring slot, the combine after its round: ``(weights, stage derivatives, out, check)``.  An
         # iteration's last stage writes the state and checks its derivatives and the state (and slots

@@ -1,8 +1,10 @@
 """Reference optima, metric evaluation, rate fitting."""
 
 import csv
+import gc
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ import pytest
 from dualrk import cli, harness
 from dualrk.config import ExperimentConfig
 from dualrk import objectives as objectives_module
-from dualrk.errors import InsufficientData, NonFiniteState, NonPositiveMetric
+from dualrk.errors import DimensionMismatch, InsufficientData, InvalidArgument, NonFiniteState, NonPositiveMetric
 from dualrk.graph import Topology, build_graph
 from dualrk.harness import (
     CSV_COLUMNS,
+    TRACE_COLUMNS,
     MetricsRecord,
     MetricsTrace,
     ReferenceOptimum,
@@ -355,6 +358,61 @@ def test_trace_reads_as_a_sequence_of_records():
     assert halved.column("dist_to_optimum_sq").tobytes() == (trace.column("dist_to_optimum_sq") / 2).tobytes()
     halved.append([9], [9], [1.0], [1.0], [1.0], [1.0], [1.0])  # grows into its own columns
     assert len(halved) == len(trace) + 1 and trace.column("iteration")[-1] != 9
+
+
+def test_replace_rejects_a_name_outside_the_trace_columns():
+    # column() reads "suboptimality" (the signed column's magnitude), but a trace holds no such
+    # column, so replacing it would change nothing: it raises, as any other unknown name does.
+    trace = _special_trace()
+    for name in ("suboptimality", "wall_time", "x"):
+        with pytest.raises(InvalidArgument, match=rf"\['{name}'\]"):
+            trace.replace(**{name: trace.column("suboptimality")})
+
+
+def test_a_trace_rejects_columns_of_unequal_length():
+    trace = _special_trace()
+    columns = {name: trace.column(name) for name in TRACE_COLUMNS}
+    for name in (TRACE_COLUMNS[0], TRACE_COLUMNS[-1]):
+        with pytest.raises(DimensionMismatch, match="unequal"):
+            MetricsTrace(columns | {name: columns[name][:-1]})
+
+
+def _long_trace(rows):
+    k = np.arange(1, rows + 1)
+    values = np.random.default_rng(rows).standard_normal((5, rows))
+    return MetricsTrace({"iteration": k, "comm_rounds": 4 * k, **dict(zip(TRACE_COLUMNS[2:], values))})
+
+
+def _traced_peak(call, *args):
+    """``call(*args)``'s result, and the tracemalloc peak over it and what it held when it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+def test_writing_a_trace_peaks_at_a_bound_its_length_does_not_move(tmp_path):
+    # The magnitude, the zero wall times and the text are formed a chunk at a time: one bound, fixed
+    # before the chunks were, holds at 10,000 and at 100,000 rows (full-length columns took 634 KB
+    # and 2.1 MB).
+    for rows in (10_000, 100_000):
+        trace, path = _long_trace(rows), tmp_path / f"{rows}.csv"
+        write_metrics_csv(trace, path)  # the file exists, as when it is written again
+        _, peak, _ = _traced_peak(write_metrics_csv, trace, path)
+        assert peak <= 128 * 1024, (rows, peak)
+
+
+def test_reading_a_trace_peaks_at_twice_what_it_keeps(tmp_path):
+    # A dict per row peaked at 14 times the trace's columns.
+    path = tmp_path / "trace.csv"
+    write_metrics_csv(_long_trace(10_000), path)
+    read, peak, held = _traced_peak(read_metrics_csv, path)
+    assert len(read) == 10_000 and 56 * 10_000 <= held
+    assert peak <= 2 * held, (peak, held)
 
 
 def _reference_projected_gradient(objectives, max_iterations=20_000, polish_iterations=300_000):

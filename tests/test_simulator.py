@@ -256,7 +256,7 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
     states = initial_agent_states(n, p)
     derivs = np.empty((tab.stages, n, 2 * p + 1))
     x_rows = np.empty((n, p))  # the recorder's bound primal iterate
-    recorder = TraceRecorder(reference_optimum(objs), graph, objs, x_rows)
+    recorder = TraceRecorder(reference_optimum(objs), graph, objs, x_rows, iterations=num_iterations)
     rounds, max_kres = 0, 0.0
     x_stack = conjugates(states)
     for k in range(1, num_iterations + 1):

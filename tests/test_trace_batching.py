@@ -177,16 +177,16 @@ def test_stacked_kernels_over_a_batch_axis_are_bitwise_per_row():
 def test_recorder_block_size_is_bounded_by_bytes():
     objs = random_kl_instance(N_AGENTS, DIM, seed=0)
     reference, x = reference_optimum(objs), np.empty((N_AGENTS, DIM))
-    assert TraceRecorder(reference, None, objs, x).capacity == K == 16
-    assert TraceRecorder(reference, None, objs, x, on_record=print).capacity == 1
+    assert TraceRecorder(reference, None, objs, x, iterations=1).capacity == K == 16
+    assert TraceRecorder(reference, None, objs, x, iterations=1, on_record=print).capacity == 1
     wide = random_kl_instance(64, 64, seed=0)  # 32 KiB per iterate, as at the paper shape
-    assert TraceRecorder(reference_optimum(wide), None, wide, np.empty((64, 64))).capacity == 1
+    assert TraceRecorder(reference_optimum(wide), None, wide, np.empty((64, 64)), iterations=1).capacity == 1
 
 
 def test_recorder_computes_a_missing_reference():
     for objs in (random_kl_instance(N_AGENTS, DIM, seed=2), random_regression_instance(8, 3, 4, seed=2)):
         want = reference_optimum(objs)
-        got = TraceRecorder(None, None, objs, np.empty((len(objs), objs[0].dim))).parts[0].reference
+        got = TraceRecorder(None, None, objs, np.empty((len(objs), objs[0].dim)), iterations=0).parts[0].reference
         assert got.x_star.tobytes() == want.x_star.tobytes()
         assert repr(got.f_star) == repr(want.f_star)
 
@@ -194,7 +194,7 @@ def test_recorder_computes_a_missing_reference():
 def test_recorder_flushes_full_blocks_and_the_tail():
     objs = random_kl_instance(N_AGENTS, DIM, seed=1)
     bound = np.empty((N_AGENTS, DIM))
-    recorder = TraceRecorder(reference_optimum(objs), None, objs, bound)
+    recorder = TraceRecorder(reference_optimum(objs), None, objs, bound, iterations=K + 3)
     (trace,) = recorder.parts
     iterates = np.random.default_rng(1).uniform(0.2, 0.8, size=(K + 3, N_AGENTS, DIM))
     iterates[K // 2, 0, 5] = 0.01  # the smallest entry sits inside the first block
@@ -220,7 +220,7 @@ def test_a_push_copies_the_bound_buffers():
     hx = stacked_family(objs).hessian_product(x)
     want = _old_metrics(x.reshape(-1).copy(), reference, graph, objs, 1, 1)
     (residual,) = kernel_residual(duals[None], DIM).tolist()
-    recorder = TraceRecorder(reference, graph, objs, x, duals, lap, hx, kernel=kernel_residual)
+    recorder = TraceRecorder(reference, graph, objs, x, duals, lap, hx, iterations=1, kernel=kernel_residual)
     recorder.push(1, 1)
     for buffer in (x, duals, lap, hx):
         buffer[:] = np.nan
@@ -232,7 +232,7 @@ def test_a_push_copies_the_bound_buffers():
 def test_recorder_times_iterations_without_flushes_and_callbacks():
     objs = random_kl_instance(4, 3, seed=0)
     x = np.tile(stacked_family(objs).initial_point(), (4, 1))
-    recorder = TraceRecorder(reference_optimum(objs), None, objs, x, on_record=lambda _: time.sleep(0.2))
+    recorder = TraceRecorder(reference_optimum(objs), None, objs, x, iterations=3, on_record=lambda _: time.sleep(0.2))
     for k in range(1, 4):
         time.sleep(0.01)  # the iteration's own work
         recorder.push(k, k)
@@ -242,7 +242,7 @@ def test_recorder_times_iterations_without_flushes_and_callbacks():
 
 def test_a_run_result_keeps_at_most_128_bytes_a_record():
     # A record object per row kept about 320 bytes.  The trace's seven 8-byte columns take 56 a
-    # record, and growth by doubling can leave up to twice that.
+    # record; the bound leaves room for twice that.
     graph, objs = build_graph(Topology("cycle", 6)), random_regression_instance(6, 3, 3, seed=0, ridge=1e-3)
     reference, iterations = reference_optimum(objs), 2000
     dgd_run(graph, objs, 0.01, 0.1, 10, reference=reference)  # lazy imports and caches, before counting
@@ -260,13 +260,80 @@ def test_a_run_result_keeps_at_most_128_bytes_a_record():
     assert 56 * iterations <= retained <= 128 * iterations
 
 
+def _retained_by(run):
+    """Rows and tracemalloc bytes that the traces ``run()`` returns keep, and how many traces those are.
+
+    ``run`` returns a result, a list of results or a list of traces; a first call, not counted,
+    takes the lazy imports and caches.
+    """
+    def traces(kept):
+        for item in kept if isinstance(kept, list) else [kept]:
+            yield item if isinstance(item, harness.MetricsTrace) else item.records
+
+    run()
+    tracemalloc.start()
+    try:
+        kept = run()
+        rows, count = sum(len(trace) for trace in traces(kept)), len(list(traces(kept)))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del kept
+        gc.collect()
+        return rows, held - tracemalloc.get_traced_memory()[0], count
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_result_keeps_56_bytes_a_record(monkeypatch):
+    # Each runner sizes its trace's seven 8-byte columns at its own iteration count, so a result
+    # keeps 56 bytes a record and, per trace, no more than 4 KiB besides (its end state, the
+    # result, trace and array objects), with no spare capacity from growth.
+    graph, objs = build_graph(Topology("cycle", 6)), random_regression_instance(6, 3, 3, seed=0, ridge=1e-3)
+    reference, tab, N = reference_optimum(objs), tableau("rk4"), 2000
+    h0, mu = suggested_h0(graph, objs, tab, N), min(obj.strong_convexity for obj in objs)
+    union, union_objs = _three_part_union(dim=3)
+    tabs = tuple(tableau_for_order(order) for order in (1, 2, 4))
+    counts = [N // t.stages for t in tabs]
+    union_h0 = [suggested_h0(part, union_objs[nodes], t, n) for (nodes, part), t, n in zip(union.part_rows, tabs, counts)]
+    evaluate, overflowed = harness.evaluate_trace, []
+
+    def overflowing(x_block, reference, graph, *args):
+        signed, *rest = evaluate(x_block, reference, graph, *args)
+        if graph is union.parts[1] and not overflowed and len(signed) > 2:
+            overflowed.append(True)
+            signed[2] = np.inf  # the cycle part's third record: its h0 is halved and the orders rerun
+        return signed, *rest
+
+    def swept():
+        overflowed.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "evaluate_trace", overflowing)
+            traces = cli._run_method(ExperimentConfig(method="heavy_ball_rk"), union, union_objs, tabs, None, N, None, 2)
+        assert overflowed
+        return traces
+
+    runs = {
+        "cgd": lambda: cgd_run(objs, 0.01, N, reference=reference),
+        "dgd": lambda: dgd_run(graph, objs, 0.01, 0.1, N, reference=reference),
+        "dual_nag": lambda: dual_nag_run(graph, objs, mu / graph.lambda_max, N, reference=reference),
+        "heavy ball": lambda: run_heavy_ball(graph, objs, tab, N, h0, reference=reference),
+        "lockstep orders": lambda: run_heavy_ball_orders(union, union_objs, tabs, counts, union_h0),
+        "zero iterations": lambda: [dgd_run(graph, objs, 0.01, 0.1, 0), run_heavy_ball(graph, objs, tab, 0, h0)],
+        "h0 sweep rerun": swept,
+    }
+    for name, run in runs.items():
+        rows, retained, traces = _retained_by(run)
+        assert rows == {"lockstep orders": sum(counts), "zero iterations": 0, "h0 sweep rerun": sum(counts)}.get(name, N)
+        assert 56 * rows <= retained <= 56 * rows + 4096 * traces, (name, rows, retained)
+
+
 def test_a_non_finite_metric_raises_at_its_record_naming_its_parts():
     # Finite iterates whose metrics overflow: the flush, under its own errstate (a numpy warning
     # fails this suite), raises at the first such record with its iteration and union parts.
     union, objs = _three_part_union("quadratic")
     _, second, third = (nodes for nodes, _ in union.part_rows)
     x = np.zeros((union.node_count, DIM))
-    recorder = TraceRecorder(None, union, objs, x)
+    recorder = TraceRecorder(None, union, objs, x, iterations=5)
     for k in range(1, 6):
         x[second] = 1e200 if k >= 3 else 0.5  # from iteration 3 the second part's squares overflow
         x[third] = 1e200 if k >= 4 else 0.5
@@ -275,7 +342,7 @@ def test_a_non_finite_metric_raises_at_its_record_naming_its_parts():
         recorder.result(x, [0.1] * 3)
     assert (err.value.iteration, err.value.parts) == (3, (1,))
     # A recorder for one part of a larger union names it by its index there.
-    recorder = TraceRecorder(None, union.parts[2], objs[third], x[third], first_part=2)
+    recorder = TraceRecorder(None, union.parts[2], objs[third], x[third], iterations=1, first_part=2)
     recorder.push(1, 1)
     with pytest.raises(NonFiniteState, match=r"^non-finite metric at iteration 1$") as err:
         recorder.flush()
