@@ -31,15 +31,17 @@ dgd = dualrk.dgd_run(graph, objs, 0.1, 1.0 / graph.lambda_max, budget, reference
 
 print(f"KL barycenter, n=16 agents, p=8, {budget} communication rounds\n")
 print(f"{'method':>14s} {'suboptimality':>14s} {'consensus xLx':>14s} {'dist^2 to opt':>14s}")
-for name, records in (("heavy-ball s=4", heavy.records), ("dual NAG", nag.records), ("DGD", dgd.records)):
-    final = records[-1]
-    print(f"{name:>14s} {final.suboptimality:14.3e} "
-          f"{final.consensus_quadratic:14.3e} {final.dist_to_optimum_sq:14.3e}")
+traces = (("heavy-ball s=4", heavy.records), ("dual NAG", nag.records), ("DGD", dgd.records))
+for name, trace in traces:
+    sub, quad, dist_sq = (
+        trace.column(metric)[-1] for metric in ("suboptimality", "consensus_quadratic", "dist_to_optimum_sq")
+    )
+    print(f"{name:>14s} {sub:14.3e} {quad:14.3e} {dist_sq:14.3e}")
 
 print("\ndecay along the run (suboptimality at round checkpoints):")
 checkpoints = [200, 1000, 2000, 4000]
-for name, records in (("heavy-ball s=4", heavy.records), ("dual NAG", nag.records), ("DGD", dgd.records)):
-    by_round = {r.comm_rounds: r.suboptimality for r in records}
+for name, trace in traces:
+    by_round = dict(zip(trace.column("comm_rounds").tolist(), trace.column("suboptimality").tolist()))
     row = "  ".join(f"{by_round[c]:.2e}" for c in checkpoints if c in by_round)
     print(f"{name:>14s}  {row}")
 

@@ -31,7 +31,7 @@ for order in (1, 2, 4):
     result = dualrk.run_heavy_ball(graph, objs, tab, iterations, h0=h0, reference=reference)
     slopes[order] = fit_rate(result.records, "suboptimality").slope
     print(f"{order:5d} {iterations:10d} {result.resolved_step:9.4f} "
-          f"{slopes[order]:11.3f} {result.records[-1].suboptimality:13.3e}")
+          f"{slopes[order]:11.3f} {result.records.column('suboptimality')[-1]:13.3e}")
 
 ordered = slopes[4] <= slopes[2] <= slopes[1]
 print(f"\nslope ordering s4 <= s2 <= s1: {ordered}")

@@ -189,19 +189,21 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False):
     return records, reference, out_path
 
 
-def _print_run_summary(records) -> None:
-    if not records:
+def _print_run_summary(trace) -> None:
+    if not trace:
         print("empty run (0 iterations)")
         return
-    last = records[-1]
+    iteration, rounds, sub, quad, dist_sq = (
+        trace.column(name)[-1].item()
+        for name in ("iteration", "comm_rounds", "suboptimality", "consensus_quadratic", "dist_to_optimum_sq")
+    )
     print(
-        f"final: iteration={last.iteration} comm_rounds={last.comm_rounds} "
-        f"suboptimality={last.suboptimality:.6e} consensus_quadratic={last.consensus_quadratic:.6e} "
-        f"dist_to_optimum_sq={last.dist_to_optimum_sq:.6e}"
+        f"final: iteration={iteration} comm_rounds={rounds} "
+        f"suboptimality={sub:.6e} consensus_quadratic={quad:.6e} dist_to_optimum_sq={dist_sq:.6e}"
     )
     for metric in ("suboptimality", "consensus_quadratic"):
         try:
-            fit = harness.fit_rate(records, metric)
+            fit = harness.fit_rate(trace, metric)
         except DualRKError as err:
             print(f"rate {metric}: not fitted ({err})")
         else:

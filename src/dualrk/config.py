@@ -120,26 +120,20 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-# Only a field is a key: a method or dunder name must not shadow the config's own.
-_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+# Only a field is a key (a method or dunder name must not shadow the config's own), parsed by its
+# annotation; the values of the choice keys and of the flag are case-folded first.
+_PARSERS = {"int": int, "float": float, "bool": _BOOL_VALUES.__getitem__, "str": str}
+_FIELDS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
+_CASE_FOLDED = {"experiment", "method", "graph_kind", "report_style", "objective", "dgd_constant_step"}
 
 
 def _convert(raw: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    int_keys = {"node_count", "dim", "rows_per_agent", "order", "iterations", "seed"}
-    float_keys = {"edge_probability", "h0", "step", "mixing", "ridge"}
     for key, value in raw.items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in int_keys:
-                setattr(cfg, key, int(value))
-            elif key in float_keys:
-                setattr(cfg, key, float(value))
-            elif key == "dgd_constant_step":
-                setattr(cfg, key, _BOOL_VALUES[value.lower()])
-            else:
-                setattr(cfg, key, value.lower() if key in {"experiment", "method", "graph_kind", "report_style", "objective"} else value)
+            setattr(cfg, key, _FIELDS[key](value.lower() if key in _CASE_FOLDED else value))
         except (ValueError, KeyError) as err:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from err
     return cfg

@@ -2,22 +2,21 @@
 
 Everything downstream of a run lives here: the consensus-problem reference
 solution (closed form certified by one gradient per member and the members'
-strong-convexity moduli), the per-iteration metric record and its CSV schema,
-and log-log slope fitting over trace tails.
+strong-convexity moduli), the metric trace and its CSV schema, and log-log
+slope fitting over trace tails.
 
 A distributed run binds its family, degree-bucket plan and pad buffer once
-with :func:`bind_run`, and the buffers a record reads to a
-:class:`TraceRecorder`, which times each iteration, evaluates the records a
+with :func:`bind_run`, and the buffers its metrics read to a
+:class:`TraceRecorder`, which times each iteration, evaluates the metrics a
 block at a time and builds the :class:`RunResult` every runner returns.
-Records are unscaled: the CLI applies ``report_style = theorem1``.
+Traces are unscaled: the CLI applies ``report_style = theorem1``.
 
 A trace is a :class:`MetricsTrace`: seven contiguous columns (the two counts
 as int64, the signed suboptimality, the three other metrics and the wall
-time as float64), 56 bytes a row.  The recorder makes each part's columns
-once, at the length the run's iteration count gives, and fills them a block
-at a time, so no column is ever copied to grow.  It reads as a sequence of
-:class:`MetricsRecord`, made when a row is read; the CSV writer and the
-rate fit read its columns, the writer 128 rows at a time, and the reader
+time as float64), 56 bytes a row, read a column at a time.  The recorder
+makes each part's columns once, at the length the run's iteration count
+gives, and fills them a block at a time, so no column is ever copied to
+grow.  The CSV writer writes the columns 128 rows at a time, and the reader
 fills exact-length columns from ``csv.reader`` rows.  A record object per
 row took about 320 bytes.  Peak RSS of ``reproduce fig3 --scale paper``
 (seed 0, one BLAS thread, 2-vCPU Xeon, numpy 2.4.6) went from 48.1 to 45.7
@@ -32,7 +31,6 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,7 +43,6 @@ from .objectives import stacked_family, stacked_value
 
 __all__ = [
     "CSV_COLUMNS",
-    "MetricsRecord",
     "MetricsTrace",
     "TRACE_COLUMNS",
     "RateFit",
@@ -84,41 +81,22 @@ _FIT_MIN_POINTS = 50
 _FIT_FLOOR = 0.0
 
 
-@dataclass
-class MetricsRecord:
-    """One trace row per iteration, uniform across all methods.
-
-    ``suboptimality`` is reported as ``|F(x_k) - F*|`` (the usual figure
-    axis); the signed value is kept alongside but is not part of the CSV
-    schema.  ``wall_time_ms`` is the iteration's own method time, stamped by
-    :class:`TraceRecorder`; its metrics are evaluated later, in blocks.
-    """
-
-    iteration: int
-    comm_rounds: int
-    suboptimality: float
-    consensus_L_norm: float
-    consensus_quadratic: float
-    dist_to_optimum_sq: float
-    wall_time_ms: float = 0.0
-    suboptimality_signed: float = field(default=float("nan"), repr=False)
-
-
 #: The columns a :class:`MetricsTrace` holds: the CSV's, with the signed
 #: suboptimality in place of its magnitude.
 TRACE_COLUMNS = (*CSV_COLUMNS[:2], "suboptimality_signed", *CSV_COLUMNS[3:])
 _COUNT_COLUMNS = TRACE_COLUMNS[:2]
 
 
-class MetricsTrace(Sequence):
-    """A trace as one contiguous array per column of :data:`TRACE_COLUMNS`, read as a sequence of records.
+class MetricsTrace:
+    """A trace as one contiguous array per column of :data:`TRACE_COLUMNS`, one row per iteration.
 
-    Indexing or iterating builds each :class:`MetricsRecord` from its row
-    (Python ints and floats, ``suboptimality`` the signed value's
-    magnitude); :meth:`column` reads a column without building any.
-    ``columns`` maps every name of :data:`TRACE_COLUMNS` to a one-dimensional
-    array, all of one length (else ``DimensionMismatch``), the trace's; None
-    starts an empty trace with room for ``rows`` rows.
+    The signed suboptimality ``F(x_k) - F*`` is kept; :meth:`column` reads
+    its magnitude (the usual figure axis) as ``suboptimality``.
+    ``wall_time_ms`` is each iteration's own method time, stamped by
+    :class:`TraceRecorder`.  ``columns`` maps every name of
+    :data:`TRACE_COLUMNS` to a one-dimensional array, all of one length
+    (else ``DimensionMismatch``), the trace's; None starts an empty trace
+    with room for ``rows`` rows.
     """
 
     def __init__(self, columns=None, rows: int = 0):
@@ -134,15 +112,6 @@ class MetricsTrace(Sequence):
 
     def __len__(self) -> int:
         return self._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(self._size)[index]]
-        row = range(self._size)[index]  # IndexError past either end
-        return _record(*(self._columns[name][row].item() for name in TRACE_COLUMNS))
-
-    def __iter__(self):
-        return (_record(*row) for row in zip(*(self.column(name).tolist() for name in TRACE_COLUMNS)))
 
     def column(self, name: str) -> np.ndarray:
         """A read-only view of the column ``name``, or the magnitude of the signed column for ``suboptimality``."""
@@ -178,17 +147,6 @@ class MetricsTrace(Sequence):
         if unknown:
             raise InvalidArgument(f"not trace columns: {unknown}; a trace holds {list(TRACE_COLUMNS)}")
         return MetricsTrace({name: columns.get(name, self.column(name)) for name in TRACE_COLUMNS})
-
-
-def _record(iteration, comm_rounds, signed, norm, quad, dist_sq, wall_time_ms) -> MetricsRecord:
-    return MetricsRecord(iteration, comm_rounds, abs(signed), norm, quad, dist_sq, wall_time_ms, signed)
-
-
-def _column(records, name: str) -> np.ndarray:
-    """Column ``name`` of a :class:`MetricsTrace`, or of any sequence of records (the counts as int64)."""
-    if isinstance(records, MetricsTrace):
-        return records.column(name)
-    return np.array([getattr(r, name) for r in records], dtype=np.int64 if name in _COUNT_COLUMNS else float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,10 +278,12 @@ def evaluate_metrics(
     iteration: int,
     comm_rounds: int,
     wall_time_ms: float = 0.0,
-) -> MetricsRecord:
-    """Metric record of one stacked primal iterate: the one-row :func:`evaluate_trace`."""
+) -> MetricsTrace:
+    """One stacked primal iterate's metrics as a one-row trace: the one-row :func:`evaluate_trace`."""
+    trace = MetricsTrace(rows=1)
     columns = evaluate_trace(np.asarray(x_stack, dtype=float)[None], reference, graph, objectives)
-    return _record(iteration, comm_rounds, *(column.item() for column in columns), wall_time_ms)
+    trace.append([iteration], [comm_rounds], *columns, [wall_time_ms])
+    return trace
 
 
 #: Bytes of primal iterates a :class:`TraceRecorder` evaluates as one block:
@@ -344,10 +304,9 @@ class RunResult:
     otherwise), and ``min_primal_entry`` the least primal entry evaluated,
     logged for simplex families only (None otherwise).  A run on a
     disjoint union of graphs holds in ``parts`` what each part's run alone
-    returns; its own result has no records, a NaN step and the worst
-    part's kernel residual.  ``records`` is a :class:`MetricsTrace`: it
-    reads as a sequence of :class:`MetricsRecord`, and holds 56 bytes a
-    record in columns made at the run's iteration count.
+    returns; its own result has an empty trace, a NaN step and the worst
+    part's kernel residual.  ``records`` is the run's :class:`MetricsTrace`,
+    56 bytes a row in columns made at the run's iteration count.
     """
 
     records: MetricsTrace
@@ -362,7 +321,7 @@ class RunResult:
 
 
 class _PartTrace:
-    """One graph part's rows, problem (a row slice of the run's family), records and run extremes."""
+    """One graph part's rows, problem (a row slice of the run's family), trace and run extremes."""
 
     def __init__(self, nodes, reference, graph, family, kernel, iterations):
         self.nodes, self.graph, self.family = nodes, graph, family
@@ -375,7 +334,7 @@ class _PartTrace:
 class TraceRecorder:
     """A run's metric trace, evaluated by :func:`evaluate_trace` a block at a time.
 
-    It is built on the buffers a record reads, a row per agent each, which
+    It is built on the buffers the metrics read, a row per agent each, which
     the run rewrites in place: the primal iterate ``x``, and those the run
     holds anyway of the agents' dual rows (``duals``), ``L x`` (``lap``) and
     a quadratic family's ``H x`` (``hx``); None binds nothing.  The run loop
@@ -387,7 +346,8 @@ class TraceRecorder:
     run given ``kernel`` (its module's :func:`~dualrk.dynamics.kernel_residual`)
     binds its dual rows, and a flush takes each part's residuals in one call
     over its ``(K, n_part, w)`` rows.  With ``on_record`` (one-graph runs only) every
-    push flushes and hands the record to the callback before the run's next
+    push flushes and hands the part's :class:`MetricsTrace`, whose last row
+    is the iteration just pushed, to the callback before the run's next
     iteration starts.
     A push stamps ``wall_time_ms`` with the time since the previous push
     returned (or since the recorder was built), so the time spent in flushes
@@ -399,8 +359,8 @@ class TraceRecorder:
     graph, objectives and ``reference`` (one for all parts or one per part;
     None is computed with :func:`reference_optimum`), as its run alone is.
     A flush evaluates every block under one ``np.errstate`` and raises
-    :class:`~dualrk.errors.NonFiniteState` at the first record with a
-    non-finite metric, with its iteration and the parts whose record there
+    :class:`~dualrk.errors.NonFiniteState` at the first row with a
+    non-finite metric, with its iteration and the parts whose row there
     is non-finite, counted from ``first_part`` (the index of the recorder's
     first part in a larger union the run belongs to).
     """
@@ -443,7 +403,7 @@ class TraceRecorder:
         self._clock = time.perf_counter()
 
     def flush(self) -> None:
-        """Evaluate the pushed iterates into each part's records."""
+        """Evaluate the pushed iterates into each part's trace."""
         if not self._stamps:
             return
         count = len(self._stamps)
@@ -475,7 +435,7 @@ class TraceRecorder:
             part.records.append(iterations, rounds, *columns, times)
         self._stamps.clear()
         if self._on_record is not None:
-            self._on_record(self.parts[0].records[-1])
+            self._on_record(self.parts[0].records)
 
     def result(self, final_state, steps, gaps=None, trajectory=None) -> RunResult:
         """Flush, and return the run's :class:`RunResult`: the one place a run is split into parts.
@@ -528,13 +488,12 @@ def check_finite(values, graph: LaplacianGraph | None, message: str, iteration: 
     raise NonFiniteState(f"{message} in union parts {list(parts)}", iteration=iteration, parts=parts)
 
 
-def fit_rate(records, metric: str) -> RateFit:
-    """Fit the tail log-log slope of a metric against communication rounds.
+def fit_rate(trace: MetricsTrace, metric: str) -> RateFit:
+    """Fit the tail log-log slope of a trace's ``metric`` column against communication rounds.
 
-    ``records`` is a :class:`MetricsTrace` (whose columns are read) or any
-    sequence of records.  The window is fixed: it drops the first 20 % of
-    the round range (transient), and the first nonpositive point ends it
-    early (solver-tolerance plateau); the fit then runs on the part before it.
+    The window is fixed: it drops the first 20 % of the round range
+    (transient), and the first nonpositive point ends it early
+    (solver-tolerance plateau); the fit then runs on the part before it.
 
     Raises
     ------
@@ -545,8 +504,8 @@ def fit_rate(records, metric: str) -> RateFit:
     InsufficientData
         If fewer than 50 usable points remain.
     """
-    rounds = _column(records, "comm_rounds").astype(float)
-    values = _column(records, metric)
+    rounds = trace.column("comm_rounds").astype(float)
+    values = trace.column(metric)
     if rounds.size == 0:
         raise InsufficientData("empty trace")
     cutoff = _FIT_WINDOW_START * rounds.max()
@@ -584,27 +543,24 @@ def fit_rate(records, metric: str) -> RateFit:
 _CSV_CHUNK_ROWS = 128
 
 
-def write_metrics_csv(records, path, timings: bool = False) -> None:
-    """Write a trace (a :class:`MetricsTrace` or any sequence of records) in the fixed column schema.
+def write_metrics_csv(trace: MetricsTrace, path, timings: bool = False) -> None:
+    """Write a trace in the fixed column schema.
 
     Timing is volatile, so by default the ``wall_time_ms`` column is written
     as zero, which keeps reruns of a seeded experiment byte-identical; pass
     ``timings=True`` to record the measured values.  Each float is written
     as its ``repr`` and each count as an integer; the bytes are those of
     ``csv.writer``: no field needs quoting, and rows end with ``\r\n``.
-    Rows are formatted from the columns a chunk at a time; a trace's
+    Rows are formatted from the columns a chunk at a time; the
     suboptimality magnitude and zero wall times are formed a chunk at a
     time too, so a write holds no column of the trace's length.
     """
-    signed = isinstance(records, MetricsTrace)  # read as views, the signed column in place of the magnitude
-    columns = [records.column(name) if signed else _column(records, csv_name)
-               for name, csv_name in zip(TRACE_COLUMNS, CSV_COLUMNS)]
+    columns = [trace.column(name) for name in TRACE_COLUMNS]  # views, the signed column in place of the magnitude
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunk = [column[start : start + _CSV_CHUNK_ROWS] for column in columns]
-            if signed:
-                chunk[2] = np.abs(chunk[2])
+            chunk[2] = np.abs(chunk[2])
             if not timings:
                 chunk[-1] = np.zeros(len(chunk[-1]))
             # A list, not a generator: star-unpacking a generator leaves one more 7-tuple per chunk on

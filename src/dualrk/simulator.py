@@ -24,7 +24,7 @@ part still solves ``n (S N + 1)`` conjugate rows, each followed by its
 ``L x``.  Each part's :class:`~dualrk.harness.TraceRecorder` is built on its
 rows of the broadcast, ``L x`` and ``[v_hat, y_hat]``, which a push copies;
 it times the iteration and, a block at a time (or before the next iteration
-when ``on_record`` is given), evaluates the metric records and the
+when ``on_record`` is given), evaluates the metric trace's rows and the
 kernel-sum residual.
 
 A run binds its family, plan and buffers once (:func:`~dualrk.harness.bind_run`)
@@ -112,9 +112,10 @@ def run_heavy_ball(
         Precomputed reference optimum (like ``h0``, per part or for all);
         computed on the fly when omitted.
     on_record : callable, optional
-        Metric sink invoked with each :class:`~dualrk.harness.MetricsRecord`
-        before the next iteration starts; a one-graph run only (a union of
-        several parts raises ``InvalidArgument``).
+        Metric sink invoked after each iteration, before the next starts,
+        with the run's :class:`~dualrk.harness.MetricsTrace`, whose last row
+        is that iteration's; a one-graph run only (a union of several parts
+        raises ``InvalidArgument``).
 
     Raises
     ------

@@ -9,7 +9,7 @@ from dualrk import baselines
 from dualrk.baselines import cgd_run, dgd_run, dual_nag_run
 from dualrk.errors import DimensionMismatch, InvalidArgument
 from dualrk.graph import Topology, build_graph, dense_laplacian, laplacian_apply
-from dualrk.harness import evaluate_metrics, reference_optimum
+from dualrk.harness import TRACE_COLUMNS, MetricsTrace, evaluate_metrics, reference_optimum
 from dualrk.integrator import tableau
 from dualrk.objectives import (
     KLLocal,
@@ -25,15 +25,14 @@ from dualrk.simulator import run_heavy_ball
 def test_cgd_stationary_at_optimum():
     objs = [QuadraticLocal(np.eye(2), np.array([1.0, -2.0])) for _ in range(3)]
     result = cgd_run(objs, 1.0 / 3.0, 5)  # the first step from zero lands on the optimum
-    for record in result.records:
-        assert record.suboptimality <= 1e-12
-        assert record.dist_to_optimum_sq <= 1e-12
+    assert (result.records.column("suboptimality") <= 1e-12).all()
+    assert (result.records.column("dist_to_optimum_sq") <= 1e-12).all()
 
 
 def test_cgd_one_step_on_scalar_quadratic():
     objs = [QuadraticLocal(np.array([[1.0]]), np.array([5.0]))]
     result = cgd_run(objs, 1.0, 3)
-    assert result.records[0].dist_to_optimum_sq == pytest.approx(0.0, abs=1e-28)
+    assert result.records.column("dist_to_optimum_sq")[0] == pytest.approx(0.0, abs=1e-28)
 
 
 def test_cgd_matches_normal_equations_and_descends():
@@ -42,7 +41,7 @@ def test_cgd_matches_normal_equations_and_descends():
     step = 1.0 / np.linalg.eigvalsh(total)[-1]
     ref = reference_optimum(objs)
     result = cgd_run(objs, step, 4000, reference=ref)
-    subs = [r.suboptimality for r in result.records]
+    subs = result.records.column("suboptimality").tolist()
     assert all(b <= a + 1e-15 for a, b in zip(subs, subs[1:]))
     assert np.linalg.norm(result.final_state[0] - ref.x_star) <= 1e-8
 
@@ -51,8 +50,8 @@ def test_dgd_stationary_with_zero_steps():
     objs = [KLLocal(np.array([0.5, 0.5])) for _ in range(4)]
     graph = build_graph(Topology("cycle", 4))
     result = dgd_run(graph, objs, 0.0, 0.2, 10)  # the simplex center: consensus at the shared optimum
-    assert result.records[-1].dist_to_optimum_sq <= 1e-28
-    assert result.records[-1].consensus_quadratic <= 1e-28
+    assert result.records.column("dist_to_optimum_sq")[-1] <= 1e-28
+    assert result.records.column("consensus_quadratic")[-1] <= 1e-28
 
 
 def test_dgd_zero_mixing_decouples_into_local_descent():
@@ -135,9 +134,8 @@ def test_dual_nag_stays_at_zero_when_unconstrained_min_is_consensus():
     objs = [KLLocal(q) for _ in range(4)]
     graph = build_graph(Topology("star", 4))
     result = dual_nag_run(graph, objs, 0.05, 20)
-    for record in result.records:
-        assert record.consensus_quadratic <= 1e-28
-        assert record.suboptimality <= 1e-14
+    assert (result.records.column("consensus_quadratic") <= 1e-28).all()
+    assert (result.records.column("suboptimality") <= 1e-14).all()
 
 
 def test_first_nag_step_is_plain_gradient():
@@ -146,7 +144,7 @@ def test_first_nag_step_is_plain_gradient():
     reference = reference_optimum(objs)
     nag = dual_nag_run(graph, objs, 0.05, 1, reference=reference)
     records, _, final_stack = _dual_descent_reference(graph, objs, 0.05, 1, reference, momentum=False)
-    assert nag.records[0].suboptimality == records[0].suboptimality
+    assert nag.records.column("suboptimality")[0] == records.column("suboptimality")[0]
     assert np.array_equal(nag.final_state.reshape(-1), final_stack)
 
 
@@ -179,10 +177,9 @@ def test_baselines_share_record_schema():
     ]
     for result in runs:
         assert len(result.records) == 5
-        for k, record in enumerate(result.records, start=1):
-            assert record.iteration == k
-            assert record.comm_rounds == k  # one round per iteration
-            assert record.consensus_quadratic >= 0.0
+        assert result.records.column("iteration").tolist() == [1, 2, 3, 4, 5]
+        assert result.records.column("comm_rounds").tolist() == [1, 2, 3, 4, 5]  # one round per iteration
+        assert (result.records.column("consensus_quadratic") >= 0.0).all()
         assert result.comm_rounds == 5 and result.resolved_step == 0.05
         assert result.final_state.shape == (4, 2)  # one primal block per agent
         assert 0.0 < result.min_primal_entry < 1.0  # logged for the simplex family only
@@ -195,7 +192,7 @@ def _dual_descent_reference(graph, objs, step, num_iterations, reference, moment
     the metrics, the dual gap and the final stack."""
     n, p = graph.node_count, objs[0].dim
     y_hat = y_prev = z_hat = np.zeros(n * p)
-    records, gaps = [], []
+    records, gaps = MetricsTrace(rows=num_iterations), []
     for k in range(1, num_iterations + 1):
         anchor = z_hat if momentum else y_hat
         y_new = anchor - step * laplacian_apply(graph, stacked_conjugate(objs, anchor), p)
@@ -205,7 +202,8 @@ def _dual_descent_reference(graph, objs, step, num_iterations, reference, moment
         y_hat = y_new
         x_stack = stacked_conjugate(objs, y_hat)
         gaps.append(dual_value_transformed(objs, y_hat) + reference.f_star)
-        records.append(evaluate_metrics(x_stack, reference, graph, objs, k, k))
+        row = evaluate_metrics(x_stack, reference, graph, objs, k, k)
+        records.append(*(row.column(name) for name in TRACE_COLUMNS))
     return records, gaps, stacked_conjugate(objs, y_hat)
 
 
@@ -228,16 +226,8 @@ def test_dual_descent_solves_each_conjugate_once(monkeypatch, runner, momentum, 
     # anchors that differ from the iterate.
     assert len(calls) == sweeps
     records, gaps, final_stack = _dual_descent_reference(graph, objs, 0.5, 12, reference, momentum)
-    fields = (
-        "iteration",
-        "comm_rounds",
-        "suboptimality",
-        "consensus_L_norm",
-        "consensus_quadratic",
-        "dist_to_optimum_sq",
-        "suboptimality_signed",
-    )
-    for got, want in zip(result.records, records, strict=True):
-        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert len(result.records) == len(records)
+    for name in TRACE_COLUMNS[:-1]:  # every column but the wall time
+        assert result.records.column(name).tobytes() == records.column(name).tobytes()
     assert result.dual_gaps == gaps
     assert np.array_equal(result.final_state.reshape(-1), final_stack)

@@ -17,7 +17,6 @@ from dualrk.graph import Topology, build_graph
 from dualrk.harness import (
     CSV_COLUMNS,
     TRACE_COLUMNS,
-    MetricsRecord,
     MetricsTrace,
     ReferenceOptimum,
     evaluate_metrics,
@@ -42,22 +41,8 @@ from dualrk.oracles import sqrt_apply, sqrt_laplacian
 from dualrk.simulator import run_heavy_ball, suggested_h0
 
 
-def _records_from_curve(rounds, values):
-    return [
-        MetricsRecord(
-            iteration=k + 1,
-            comm_rounds=int(r),
-            suboptimality=v,
-            consensus_L_norm=v,
-            consensus_quadratic=v,
-            dist_to_optimum_sq=v,
-        )
-        for k, (r, v) in enumerate(zip(rounds, values))
-    ]
-
-
 def _trace_from_curve(rounds, values):
-    """The trace of :func:`_records_from_curve`: ``values`` in every metric column, signed as given."""
+    """A trace with ``values`` in every metric column, signed as given."""
     trace = MetricsTrace()
     trace.append(np.arange(1, len(rounds) + 1), rounds, values, values, values, values, np.zeros(len(rounds)))
     return trace
@@ -106,24 +91,25 @@ def test_metrics_vanish_at_replicated_optimum():
     objs = random_regression_instance(4, 3, 5, seed=2)
     graph = build_graph(Topology("cycle", 4))
     ref = reference_optimum(objs)
-    record = evaluate_metrics(
+    trace = evaluate_metrics(
         np.tile(ref.x_star, 4), ref, graph, objs, iteration=1, comm_rounds=1
     )
-    assert record.suboptimality <= 1e-12
-    assert record.consensus_L_norm <= 1e-12
-    assert record.consensus_quadratic <= 1e-12
-    assert record.dist_to_optimum_sq <= 1e-12
+    assert len(trace) == 1
+    assert trace.column("suboptimality")[0] <= 1e-12
+    assert trace.column("consensus_L_norm")[0] <= 1e-12
+    assert trace.column("consensus_quadratic")[0] <= 1e-12
+    assert trace.column("dist_to_optimum_sq")[0] <= 1e-12
 
 
 def test_metrics_edge_graph_hand_values():
     objs = [QuadraticLocal(np.array([[1.0]]), np.array([0.0])) for _ in range(2)]
     graph = build_graph(Topology("cycle", 2))
     ref = reference_optimum(objs)
-    record = evaluate_metrics(
+    trace = evaluate_metrics(
         np.array([1.0, 0.0]), ref, graph, objs, iteration=1, comm_rounds=1
     )
-    assert record.consensus_quadratic == pytest.approx(1.0, abs=1e-15)
-    assert record.consensus_L_norm == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert trace.column("consensus_quadratic")[0] == pytest.approx(1.0, abs=1e-15)
+    assert trace.column("consensus_L_norm")[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_consensus_quadratic_matches_sqrt_oracle():
@@ -134,9 +120,9 @@ def test_consensus_quadratic_matches_sqrt_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.normal(size=24)
-        record = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1)
+        quad = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1).column("consensus_quadratic")[0]
         oracle = float(np.linalg.norm(sqrt_apply(root, x, 3)) ** 2)
-        assert record.consensus_quadratic == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+        assert quad == pytest.approx(oracle, rel=1e-10, abs=1e-10)
 
 
 def test_consensus_quadratic_sandwich_bounds():
@@ -148,9 +134,9 @@ def test_consensus_quadratic_sandwich_bounds():
         x = rng.normal(size=14)
         blocks = x.reshape(7, -1)
         deviation = float(np.linalg.norm(blocks - blocks.mean(axis=0)) ** 2)
-        record = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1)
-        assert graph.lambda_min_pos * deviation <= record.consensus_quadratic + 1e-9
-        assert record.consensus_quadratic <= graph.lambda_max * deviation + 1e-9
+        quad = evaluate_metrics(x, ref, graph, objs, iteration=1, comm_rounds=1).column("consensus_quadratic")[0]
+        assert graph.lambda_min_pos * deviation <= quad + 1e-9
+        assert quad <= graph.lambda_max * deviation + 1e-9
 
 
 def test_per_agent_normalization():
@@ -159,22 +145,22 @@ def test_per_agent_normalization():
     graph = build_graph(Topology("star", 4))
     ref = reference_optimum(objs)
     cfg = ExperimentConfig(method="dgd", iterations=5)
-    # The dispatch returns one record list per graph part; a star is one part.
+    # The dispatch returns one trace per graph part; a star is one part.
     (raw,) = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
     cfg.report_style = "theorem1"
     (scaled,) = cli._run_method(cfg, graph, objs, tableau("rk4"), ref)
-    for r, s in zip(raw, scaled, strict=True):
-        assert s.suboptimality == r.suboptimality / 4.0
-        assert s.suboptimality_signed == r.suboptimality_signed / 4.0
-        assert s.dist_to_optimum_sq == r.dist_to_optimum_sq / 4.0
-        assert s.consensus_quadratic == r.consensus_quadratic > 0.0
+    assert len(raw) == len(scaled) == 5
+    for name in ("suboptimality", "suboptimality_signed", "dist_to_optimum_sq"):
+        assert (scaled.column(name) == raw.column(name) / 4.0).all()
+    assert (scaled.column("consensus_quadratic") == raw.column("consensus_quadratic")).all()
+    assert (raw.column("consensus_quadratic") > 0.0).all()
 
 
 def test_fit_rate_recovers_exact_power_law():
     rounds = np.arange(1, 2001)
-    fit = fit_rate(_records_from_curve(rounds, 3.7 * rounds ** (-4.0 / 3.0)), "suboptimality")
+    fit = fit_rate(_trace_from_curve(rounds, 3.7 * rounds ** (-4.0 / 3.0)), "suboptimality")
     assert fit.slope == pytest.approx(-4.0 / 3.0, abs=1e-6)
-    flat = fit_rate(_records_from_curve(rounds, np.full(2000, 2.5)), "suboptimality")
+    flat = fit_rate(_trace_from_curve(rounds, np.full(2000, 2.5)), "suboptimality")
     assert flat.slope == pytest.approx(0.0, abs=1e-12)
 
 
@@ -182,7 +168,7 @@ def test_fit_rate_excludes_leading_transient():
     rounds = np.arange(1, 1001)
     values = 2.0 * rounds ** (-1.5)
     values[:150] = 10.0  # transient garbage inside the first 20 percent
-    fit = fit_rate(_records_from_curve(rounds, values), "suboptimality")
+    fit = fit_rate(_trace_from_curve(rounds, values), "suboptimality")
     assert fit.slope == pytest.approx(-1.5, abs=1e-9)
     assert fit.window[0] > 200.0
 
@@ -190,37 +176,41 @@ def test_fit_rate_excludes_leading_transient():
 def test_fit_rate_insufficient_data():
     rounds = np.arange(1, 30)
     with pytest.raises(InsufficientData):
-        fit_rate(_records_from_curve(rounds, 1.0 / rounds), "suboptimality")
+        fit_rate(_trace_from_curve(rounds, 1.0 / rounds), "suboptimality")
 
 
 def test_fit_rate_nonpositive_and_floor_refit():
     rounds = np.arange(1, 501)
     values = 1.0 * rounds ** (-2.0)
     values[400:] = 0.0  # solver-tolerance floor
-    fit = fit_rate(_records_from_curve(rounds, values), "suboptimality")
+    fit = fit_rate(_trace_from_curve(rounds, values), "suboptimality")
     assert fit.slope == pytest.approx(-2.0, abs=1e-9)
     assert fit.window[1] <= 400.0
     with pytest.raises(NonPositiveMetric):
-        fit_rate(_records_from_curve(rounds, np.zeros(500)), "suboptimality")
+        fit_rate(_trace_from_curve(rounds, np.zeros(500)), "suboptimality")
 
 
-def test_fit_rate_reads_a_trace_as_its_records():
+def test_fit_rate_reads_a_trace_as_its_csv_rows(tmp_path):
     rounds = np.arange(1, 1001)
     values = 2.0 * rounds ** (-1.5) * (1.0 + 0.1 * np.sin(rounds))
-    trace, records = _trace_from_curve(rounds, values), _records_from_curve(rounds, values)
+    trace, path = _trace_from_curve(rounds, values), tmp_path / "trace.csv"
+    write_metrics_csv(trace, path)
     for metric in ("suboptimality", "consensus_quadratic"):
-        assert fit_rate(trace, metric) == fit_rate(records, metric)
+        assert fit_rate(trace, metric) == fit_rate(read_metrics_csv(path), metric)
     # The suboptimality column is the signed column's magnitude.
     assert fit_rate(_trace_from_curve(rounds, -values), "suboptimality").slope == fit_rate(
-        _records_from_curve(rounds, values), "suboptimality"
+        _trace_from_curve(rounds, values), "suboptimality"
     ).slope
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-@pytest.mark.parametrize("as_trace", [False, True])
-def test_fit_rate_rejects_a_non_finite_window(capsys, bad, as_trace):
+@pytest.mark.parametrize("negated", [False, True])
+def test_fit_rate_rejects_a_non_finite_window(capsys, bad, negated):
     # A NaN or infinite point in the window has no slope: it raises, so no fit reads slope=nan.
-    build = _trace_from_curve if as_trace else _records_from_curve
+    # The fit and the summary read the signed column's magnitude, so a negated one gives the same.
+    def build(rounds, values):
+        return _trace_from_curve(rounds, -values if negated else values)
+
     rounds = np.arange(1, 301)
     values = 1.0 / rounds
     values[10] = bad  # in the dropped transient: no effect
@@ -250,44 +240,45 @@ def test_consensus_projection_lower_bounded_by_reference():
 
 
 def test_csv_timings_flag(tmp_path):
-    records = _records_from_curve(np.arange(1, 60), np.linspace(1.0, 0.1, 59))
-    for rec in records:
-        rec.wall_time_ms = 12.5
+    trace = _trace_from_curve(np.arange(1, 60), np.linspace(1.0, 0.1, 59)).replace(wall_time_ms=np.full(59, 12.5))
     silent, timed = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_metrics_csv(records, silent)
-    write_metrics_csv(records, timed, timings=True)
-    assert all(r.wall_time_ms == 0.0 for r in read_metrics_csv(silent))
-    assert all(r.wall_time_ms == 12.5 for r in read_metrics_csv(timed))
+    write_metrics_csv(trace, silent)
+    write_metrics_csv(trace, timed, timings=True)
+    assert (read_metrics_csv(silent).column("wall_time_ms") == 0.0).all()
+    assert (read_metrics_csv(timed).column("wall_time_ms") == 12.5).all()
 
 
-def _csv_writer_bytes(records, timings):
+def _csv_rows(trace):
+    """A trace's rows as numpy scalars, read from its columns in the CSV's order."""
+    return zip(*(trace.column(name) for name in CSV_COLUMNS))
+
+
+def _csv_writer_bytes(trace, timings):
     """A trace as ``csv.writer`` writes it, the writer's former implementation."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
+    for k, r, s, c, q, d, ms in _csv_rows(trace):
         writer.writerow(
             [
-                int(rec.iteration),
-                int(rec.comm_rounds),
-                repr(float(rec.suboptimality)),
-                repr(float(rec.consensus_L_norm)),
-                repr(float(rec.consensus_quadratic)),
-                repr(float(rec.dist_to_optimum_sq)),
-                repr(float(rec.wall_time_ms)) if timings else "0.0",
+                int(k),
+                int(r),
+                repr(float(s)),
+                repr(float(c)),
+                repr(float(q)),
+                repr(float(d)),
+                repr(float(ms)) if timings else "0.0",
             ]
         )
     return buffer.getvalue().encode("utf-8")
 
 
-def _per_record_csv_bytes(records, timings):
+def _per_record_csv_bytes(trace, timings):
     """A trace as the per-record f-string wrote it before traces were held in columns."""
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(
-        f"{int(rec.iteration)},{int(rec.comm_rounds)},{float(rec.suboptimality)!r},"
-        f"{float(rec.consensus_L_norm)!r},{float(rec.consensus_quadratic)!r},"
-        f"{float(rec.dist_to_optimum_sq)!r},{float(rec.wall_time_ms) if timings else 0.0!r}"
-        for rec in records
+        f"{int(k)},{int(r)},{float(s)!r},{float(c)!r},{float(q)!r},{float(d)!r},{float(ms) if timings else 0.0!r}"
+        for k, r, s, c, q, d, ms in _csv_rows(trace)
     )
     return ("\r\n".join(lines) + "\r\n").encode("utf-8")
 
@@ -309,19 +300,21 @@ def _special_trace():
 
 @pytest.mark.parametrize("timings", [False, True])
 def test_csv_bytes_equal_csv_writer(tmp_path, monkeypatch, timings):
-    # And the per-record f-string that wrote them before traces were held in columns, for record
-    # lists and for traces (counts past 2**31, every special float), over several write chunks.
+    # And the per-record f-string that wrote them before traces were held in columns (counts past
+    # 2**31, every special float and 1e-300 in every metric and wall-time position), over several
+    # write chunks, and for one row and none.
     monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", 5)
     values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e-7, 1e16, 123456789.0, 7.0]
-    records = [
-        MetricsRecord(np.int64(i), 3 * i, *np.roll(values, i)[:4].tolist(), wall_time_ms=np.float64(values[-1 - i]))
-        for i in range(len(values))
-    ]
-    trace = _special_trace()
-    for rows in (records, records[:1], [], trace, list(trace), MetricsTrace()):
+    k = np.arange(len(values))
+    metrics = np.array([np.roll(values, i)[:4] for i in k]).T  # row i holds the values rolled by i
+    rolled = MetricsTrace(
+        {"iteration": k, "comm_rounds": 3 * k, **dict(zip(TRACE_COLUMNS[2:6], metrics)), "wall_time_ms": np.array(values[::-1])}
+    )
+    one_row = MetricsTrace({name: rolled.column(name)[:1] for name in TRACE_COLUMNS})
+    for trace in (rolled, one_row, _special_trace(), MetricsTrace()):
         path = tmp_path / "trace.csv"
-        write_metrics_csv(rows, path, timings=timings)
-        assert path.read_bytes() == _csv_writer_bytes(rows, timings) == _per_record_csv_bytes(rows, timings)
+        write_metrics_csv(trace, path, timings=timings)
+        assert path.read_bytes() == _csv_writer_bytes(trace, timings) == _per_record_csv_bytes(trace, timings)
 
 
 def test_read_metrics_csv_round_trips_a_trace(tmp_path):
@@ -336,21 +329,13 @@ def test_read_metrics_csv_round_trips_a_trace(tmp_path):
         assert read.column(name).tobytes() == trace.column(name).tobytes()
     # The CSV keeps the suboptimality's magnitude only: that is the read trace's signed column.
     assert read.column("suboptimality_signed").tobytes() == trace.column("suboptimality").tobytes()
-    write_metrics_csv([], first)
+    write_metrics_csv(MetricsTrace(), first)
     assert len(read_metrics_csv(first)) == 0
 
 
-def test_trace_reads_as_a_sequence_of_records():
+def test_a_trace_reads_read_only_columns_and_replaces_them_in_a_new_trace():
     trace = _special_trace()
-    records = list(trace)
-    by_index = [repr(trace[i]) for i in range(len(trace))]  # repr: NaN fields compare unequal
-    assert by_index == [repr(trace[i - len(trace)]) for i in range(len(trace))] == [repr(r) for r in records]
-    assert repr(trace[3:5]) == repr(records[3:5])
-    with pytest.raises(IndexError):
-        trace[len(trace)]
-    for record in (trace[4], records[4]):
-        assert type(record.iteration) is int and type(record.consensus_L_norm) is float
-        assert record.suboptimality == abs(record.suboptimality_signed)
+    assert trace.column("suboptimality").tobytes() == np.abs(trace.column("suboptimality_signed")).tobytes()
     with pytest.raises(ValueError):
         trace.column("consensus_L_norm")[0] = 1.0  # a read-only view
     halved = trace.replace(dist_to_optimum_sq=trace.column("dist_to_optimum_sq") / 2)

@@ -8,14 +8,14 @@ import pytest
 from dualrk import cli, simulator
 from dualrk.errors import DimensionMismatch, NonFiniteState
 from dualrk.graph import Topology, build_graph, disjoint_union
-from dualrk.harness import reference_optimum
+from dualrk.harness import TRACE_COLUMNS, reference_optimum
 from dualrk.integrator import load_tableau, tableau_for_order
 from dualrk.objectives import random_kl_instance, random_regression_instance, stacked_conjugate, stacked_family
 from dualrk.simulator import run_heavy_ball, run_heavy_ball_orders, suggested_h0
 
 
-def _fields(records):
-    return [[repr(v) for name, v in vars(r).items() if name != "wall_time_ms"] for r in records]
+def _fields(trace):
+    return [trace.column(name).tobytes() for name in TRACE_COLUMNS if name != "wall_time_ms"]
 
 
 def _kutta3(tmp_path):

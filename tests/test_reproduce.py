@@ -25,11 +25,11 @@ def test_fig1_trace_matrix(tmp_path):
             assert f"fig1_{kind}_{method}" in names
     # the order-4 method pays four rounds per iteration
     hb = read_metrics_csv(tmp_path / "fig1_star_heavy_ball_rk.csv")
-    assert hb[-1].comm_rounds == 400 and hb[-1].iteration == 100
+    assert hb.column("comm_rounds")[-1] == 400 and hb.column("iteration")[-1] == 100
 
 
 def test_fig1_formats_and_fits_its_shared_cgd_trace_once(tmp_path, monkeypatch, capsys):
-    # cgd reads no graph, so fig1's three parts share one cgd run and one record list: it is
+    # cgd reads no graph, so fig1's three parts share one cgd run and one trace: it is
     # formatted and fitted once, its bytes go to every part's CSV, and each part prints its line.
     written, fitted = [], []
     write, fit = harness.write_metrics_csv, harness.fit_rate

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dualrk.dynamics import initial_agent_states, stack_agent_states
 from dualrk.errors import NonFiniteState
 from dualrk.graph import Topology, build_graph, disjoint_union
-from dualrk.harness import TraceRecorder, read_metrics_csv, reference_optimum, write_metrics_csv
+from dualrk.harness import TRACE_COLUMNS, TraceRecorder, read_metrics_csv, reference_optimum, write_metrics_csv
 from dualrk.integrator import ButcherTableau, tableau, tableau_for_order
 from dualrk import simulator
 from dualrk.objectives import (
@@ -53,7 +53,8 @@ def test_edge_graph_consensus_shrinks():
     tab = tableau_for_order(1)
     h0 = suggested_h0(graph, objs, tab, 200)
     result = run_heavy_ball(graph, objs, tab, 200, h0=h0)
-    assert result.records[-1].consensus_quadratic < result.records[0].consensus_quadratic
+    quad = result.records.column("consensus_quadratic")
+    assert quad[-1] < quad[0]
 
 
 def test_simulator_matches_monolithic_reference():
@@ -108,16 +109,14 @@ def test_determinism_and_csv_bytes(tmp_path):
     tab = tableau("midpoint")
     a = run_heavy_ball(graph, objs, tab, 30, h0=0.1)
     b = run_heavy_ball(graph, objs, tab, 30, h0=0.1)
-    for rec_a, rec_b in zip(a.records, b.records):
-        assert rec_a.suboptimality == rec_b.suboptimality
-        assert rec_a.consensus_quadratic == rec_b.consensus_quadratic
-        assert rec_a.dist_to_optimum_sq == rec_b.dist_to_optimum_sq
+    for name in ("suboptimality", "consensus_quadratic", "dist_to_optimum_sq"):
+        assert (a.records.column(name) == b.records.column(name)).all()
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_metrics_csv(a.records, path_a)
     write_metrics_csv(b.records, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     parsed = read_metrics_csv(path_a)
-    assert len(parsed) == 30 and parsed[-1].comm_rounds == 60
+    assert len(parsed) == 30 and parsed.column("comm_rounds")[-1] == 60
 
 
 def test_time_coordinate_tracks_iterations():
@@ -285,8 +284,8 @@ def _reference_run(graph, objs, tab, num_iterations, h0):
     return trace.records, states, rounds, max_kres, min_entry
 
 
-def _bitwise_fields(record):
-    return [repr(v) for name, v in vars(record).items() if name != "wall_time_ms"]
+def _bitwise_fields(trace):
+    return [trace.column(name).tobytes() for name in TRACE_COLUMNS if name != "wall_time_ms"]
 
 
 @pytest.mark.parametrize("kind", ["star", "cycle", "erdos_renyi"])
@@ -303,7 +302,7 @@ def test_engine_matches_the_reference_round_loop_bitwise(kind, family, order):
     h0 = suggested_h0(graph, objs, tab, num_iterations)
     records, states, rounds, max_kres, min_entry = _reference_run(graph, objs, tab, num_iterations, h0)
     result = run_heavy_ball(graph, objs, tab, num_iterations, h0=h0)
-    assert [_bitwise_fields(r) for r in result.records] == [_bitwise_fields(r) for r in records]
+    assert _bitwise_fields(result.records) == _bitwise_fields(records)
     assert result.final_state.tobytes() == states.tobytes()
     assert result.comm_rounds == rounds == num_iterations * tab.stages
     assert repr(result.max_kernel_residual) == repr(max_kres)
@@ -383,7 +382,7 @@ def test_engine_is_the_per_agent_round_bitwise(case, tab, iterations, scale):
     assert result.trajectory.tobytes() == oracle.tobytes()
     assert result.max_kernel_residual <= 1e-9
     again = run_heavy_ball(graph, objs, tab, iterations, h0=h0, keep_trajectory=True)
-    assert [_bitwise_fields(r) for r in again.records] == [_bitwise_fields(r) for r in result.records]
+    assert _bitwise_fields(again.records) == _bitwise_fields(result.records)
     assert (again.final_state.tobytes(), again.trajectory.tobytes()) == (
         result.final_state.tobytes(), result.trajectory.tobytes(),
     )

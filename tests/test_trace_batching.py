@@ -26,7 +26,8 @@ from dualrk.graph import Topology, build_graph, disjoint_union, laplacian_apply
 from dualrk.harness import (
     CSV_COLUMNS,
     TRACE_BLOCK_BYTES,
-    MetricsRecord,
+    TRACE_COLUMNS,
+    MetricsTrace,
     ReferenceOptimum,
     TraceRecorder,
     evaluate_metrics,
@@ -46,15 +47,8 @@ from dualrk.objectives import (
 from dualrk.oracles import dual_value_transformed, run_heavy_ball_per_agent
 from dualrk.simulator import run_heavy_ball, run_heavy_ball_orders, suggested_h0
 
-FIELDS = (
-    "iteration",
-    "comm_rounds",
-    "suboptimality",
-    "consensus_L_norm",
-    "consensus_quadratic",
-    "dist_to_optimum_sq",
-    "suboptimality_signed",
-)
+# Every column but the wall time, which the run's clock stamps.
+COMPARED = tuple(name for name in TRACE_COLUMNS if name != "wall_time_ms")
 
 # 16 agents with 16-dimensional blocks: 2 KiB per iterate, so a block of
 # TRACE_BLOCK_BYTES holds K = 16 iterates.
@@ -63,7 +57,7 @@ K = TRACE_BLOCK_BYTES // (8 * N_AGENTS * DIM)
 
 
 def _old_metrics(x_stack, reference, graph, objectives, iteration, comm_rounds, normalized=False):
-    """The per-iterate metric record as it was computed before batching."""
+    """The per-iterate metrics as they were computed before batching: ``(k, rounds, signed, norm, quad, dist_sq)``."""
     n = len(objectives)
     signed = stacked_value(objectives, x_stack) - reference.f_star
     if graph is None:
@@ -77,21 +71,27 @@ def _old_metrics(x_stack, reference, graph, objectives, iteration, comm_rounds, 
     if normalized:
         signed /= n
         dist_sq /= n
-    return MetricsRecord(iteration, comm_rounds, abs(signed), norm, quad, dist_sq, 0.0, signed)
+    return iteration, comm_rounds, signed, norm, quad, dist_sq
 
 
-def _block_records(columns, stamps):
-    """An evaluate_trace block's records: its four metric columns with each row's ``(k, rounds, ms)`` stamp."""
-    rows = zip(*(column.tolist() for column in columns))
-    return [MetricsRecord(k, r, abs(s), c, q, d, ms, s) for (k, r, ms), (s, c, q, d) in zip(stamps, rows, strict=True)]
+def _trace(rows):
+    """The trace of :func:`_old_metrics` rows, at zero wall time."""
+    k, rounds, *metrics = np.array(rows, dtype=float).reshape(-1, 6).T
+    counts = {"iteration": k.astype(np.int64), "comm_rounds": rounds.astype(np.int64)}
+    return MetricsTrace({**counts, **dict(zip(TRACE_COLUMNS[2:6], metrics)), "wall_time_ms": np.zeros(len(k))})
+
+
+def _block_trace(columns, stamps):
+    """An evaluate_trace block's trace: its four metric columns with each row's ``(k, rounds, ms)`` stamp."""
+    k, rounds, ms = (np.array(stamp) for stamp in zip(*stamps))
+    return MetricsTrace(dict(zip(TRACE_COLUMNS, (k, rounds, *columns, ms))))
 
 
 def _assert_bitwise(got, want):
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in FIELDS:
-            x, y = getattr(a, name), getattr(b, name)
-            assert type(x) is type(y) and repr(x) == repr(y), (a.iteration, name, x, y)
+    for name in COMPARED:
+        x, y = got.column(name), want.column(name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, x, y)
 
 
 CASES = {
@@ -115,24 +115,21 @@ def test_evaluate_trace_matches_per_row_metrics(case):
     block = rng.uniform(0.01, 1.0, size=(9, 60)) * 10.0 ** rng.uniform(-3, 3, size=(9, 60))
     block[4] = np.tile(reference.x_star, 12)  # a consensus row at the reference point
     stamps = [(k, 3 * k, 0.5) for k in range(1, 10)]
-    records = _block_records(evaluate_trace(block, reference, graph, objs), stamps)
+    trace = _block_trace(evaluate_trace(block, reference, graph, objs), stamps)
     want = [
         _old_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1))
         for k, x in enumerate(block)
     ]
-    _assert_bitwise(records, want)
+    _assert_bitwise(trace, _trace(want))
+    for k, x in enumerate(block):  # each one-row trace is its row of the block
+        row = evaluate_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), 0.5)
+        _assert_bitwise(row, _trace(want[k : k + 1]))
+        assert row.column("wall_time_ms").tolist() == [0.5]
+    assert trace.column("wall_time_ms").tolist() == [0.5] * 9
+    # A row does not depend on the rows batched with it.
     _assert_bitwise(
-        records,
-        [
-            evaluate_metrics(x, reference, graph, objs, k + 1, 3 * (k + 1), 0.5)
-            for k, x in enumerate(block)
-        ],
-    )
-    assert [r.wall_time_ms for r in records] == [0.5] * 9
-    # A record does not depend on the rows batched with it.
-    _assert_bitwise(
-        _block_records(evaluate_trace(block[3:5], reference, graph, objs), stamps[3:5]),
-        want[3:5],
+        _block_trace(evaluate_trace(block[3:5], reference, graph, objs), stamps[3:5]),
+        _trace(want[3:5]),
     )
 
 
@@ -144,8 +141,8 @@ def test_batched_laplacian_sums_neighbors_in_sorted_order():
     reference = reference_optimum(objs)
     rng = np.random.default_rng(8)
     block = rng.normal(size=(5, 120)) * 10.0 ** rng.uniform(-6, 6, size=(5, 120))
-    records = _block_records(evaluate_trace(block, reference, graph, objs), [(k, k, 0.0) for k in range(5)])
-    for x, record in zip(block, records):
+    norms, quads = evaluate_trace(block, reference, graph, objs)[1:3]
+    for x, norm, quad in zip(block, norms.tolist(), quads.tolist(), strict=True):
         blocks = x.reshape(40, 3)
         want = np.empty_like(blocks)
         for i, nb in enumerate(graph.neighbor_lists):
@@ -154,8 +151,8 @@ def test_batched_laplacian_sums_neighbors_in_sorted_order():
                 acc = acc + blocks[j]
             want[i] = len(nb) * blocks[i] - acc
         want = want.reshape(-1)
-        assert repr(record.consensus_L_norm) == repr(float(np.linalg.norm(want)))
-        assert repr(record.consensus_quadratic) == repr(max(float(x @ want), 0.0))
+        assert repr(norm) == repr(float(np.linalg.norm(want)))
+        assert repr(quad) == repr(max(float(x @ want), 0.0))
     batched = laplacian_apply(graph, block, 3)
     assert batched.tobytes() == np.stack([laplacian_apply(graph, x, 3) for x in block]).tobytes()
 
@@ -205,14 +202,14 @@ def test_recorder_flushes_full_blocks_and_the_tail():
     assert trace.min_entry == 0.01
     recorder.flush()
     records = trace.records
-    assert [r.iteration for r in records] == list(range(1, K + 4))
-    assert [r.comm_rounds for r in records] == list(range(2, 2 * K + 7, 2))
+    assert records.column("iteration").tolist() == list(range(1, K + 4))
+    assert records.column("comm_rounds").tolist() == list(range(2, 2 * K + 7, 2))
     recorder.flush()
     assert trace.records is records and len(records) == K + 3
 
 
 def test_a_push_copies_the_bound_buffers():
-    # A run rewrites its bound buffers after each push; the pushed record keeps the values pushed.
+    # A run rewrites its bound buffers after each push; the pushed row keeps the values pushed.
     objs = random_regression_instance(N_AGENTS, DIM, DIM, seed=3, ridge=1e-3)
     graph, reference = build_graph(Topology("cycle", N_AGENTS)), reference_optimum(objs)
     x, duals = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, N_AGENTS, DIM))
@@ -225,7 +222,7 @@ def test_a_push_copies_the_bound_buffers():
     for buffer in (x, duals, lap, hx):
         buffer[:] = np.nan
     result = recorder.result(x, [0.1])
-    _assert_bitwise(result.records, [want])
+    _assert_bitwise(result.records, _trace([want]))
     assert repr(result.max_kernel_residual) == repr(residual)
 
 
@@ -236,8 +233,8 @@ def test_recorder_times_iterations_without_flushes_and_callbacks():
     for k in range(1, 4):
         time.sleep(0.01)  # the iteration's own work
         recorder.push(k, k)
-    # Every push flushes and runs the 0.2 s callback; no record's time holds it.
-    assert all(10.0 <= r.wall_time_ms < 200.0 for r in recorder.parts[0].records)
+    # Every push flushes and runs the 0.2 s callback; no row's time holds it.
+    assert all(10.0 <= ms < 200.0 for ms in recorder.parts[0].records.column("wall_time_ms").tolist())
 
 
 def test_a_run_result_keeps_at_most_128_bytes_a_record():
@@ -384,19 +381,19 @@ def _heavy_ball_old(graph, objs, tab, num_iterations, h0, normalized):
     trajectory = run_heavy_ball_per_agent(graph, objs, tab, num_iterations, h0=h0)
     total = len(objs) * objs[0].dim
     reference = reference_optimum(objs)
-    return [
+    return _trace([
         _old_metrics(
             stacked_conjugate(objs, state[total : 2 * total]),
             reference, graph, objs, k, k * tab.stages, normalized,
         )
         for k, state in enumerate(trajectory[1:], start=1)
-    ]
+    ])
 
 
 def _records(iterates, graph, objs, normalized=False):
-    """The old per-iterate records of a run's primal iterates, one communication round each."""
+    """The old per-iterate trace of a run's primal iterates, one communication round each."""
     reference = reference_optimum(objs)
-    return [_old_metrics(x, reference, graph, objs, k, k, normalized) for k, x in enumerate(iterates, start=1)]
+    return _trace([_old_metrics(x, reference, graph, objs, k, k, normalized) for k, x in enumerate(iterates, start=1)])
 
 
 def _cgd_old_iterates(objs, step, num_iterations):
@@ -496,7 +493,7 @@ def test_run_loops_match_the_per_iteration_loop(family, num_iterations):
     ]
     for result, want in runs:
         _assert_bitwise(result.records, want)
-        assert all(r.wall_time_ms > 0.0 for r in result.records)
+        assert (result.records.column("wall_time_ms") > 0.0).all()
 
 
 def test_lockstep_orders_match_the_per_iteration_loop():
@@ -538,7 +535,7 @@ def _baseline_case(case):
 
 
 def _part_records(iterates, graph, objs):
-    """The old records of each part of ``graph`` over its own columns, graph and objectives."""
+    """The old trace of each part of ``graph`` over its own columns, graph and objectives."""
     iterates, p = list(iterates), objs[0].dim
     return [
         _records([x[nodes.start * p : nodes.stop * p] for x in iterates], part, objs[nodes])
@@ -686,7 +683,7 @@ def test_every_runner_broadcasts_and_evaluates_its_closed_form_counts(monkeypatc
 
 
 def _run_csv(tmp_path, name, **keys):
-    """``dualrk run`` on a config of ``keys``; its config and CSV records."""
+    """``dualrk run`` on a config of ``keys``; its config and the trace its CSV holds."""
     path = tmp_path / f"{name}.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
     out = tmp_path / f"{name}.csv"
@@ -694,8 +691,8 @@ def _run_csv(tmp_path, name, **keys):
     return load_config(path), read_metrics_csv(out)
 
 
-def _csv_fields(record):
-    return [repr(getattr(record, name)) for name in CSV_COLUMNS]
+def _csv_fields(trace):
+    return [trace.column(name).tobytes() for name in CSV_COLUMNS]
 
 
 @pytest.mark.parametrize("method", ["heavy_ball_rk", "cgd", "dgd", "dual_nag"])
@@ -708,12 +705,10 @@ def test_theorem1_run_is_the_figure_run_over_n(tmp_path, capsys, experiment, met
     cfg, figure = _run_csv(tmp_path, "figure", **keys)
     _, theorem1 = _run_csv(tmp_path, "theorem1", report_style="theorem1", **keys)
     n = N_AGENTS
-    over_n = [
-        MetricsRecord(r.iteration, r.comm_rounds, r.suboptimality / n, r.consensus_L_norm,
-                      r.consensus_quadratic, r.dist_to_optimum_sq / n)
-        for r in figure
-    ]
-    assert [_csv_fields(r) for r in theorem1] == [_csv_fields(r) for r in over_n]
+    over_n = figure.replace(
+        suboptimality_signed=figure.column("suboptimality") / n, dist_to_optimum_sq=figure.column("dist_to_optimum_sq") / n,
+    )
+    assert _csv_fields(theorem1) == _csv_fields(over_n)
     # The scaling the metric code applied before it moved to the CLI.
     graph, objs = resolve_instance(cfg)
     tab = cfg.resolve_tableau()
@@ -724,9 +719,9 @@ def test_theorem1_run_is_the_figure_run_over_n(tmp_path, capsys, experiment, met
         "dgd": lambda: _dgd_old(graph, objs, step, mixing, cfg.iterations, True),
         "dual_nag": lambda: _dual_nag_old(graph, objs, step, cfg.iterations, True),
     }[method]()
-    assert [_csv_fields(r) for r in theorem1] == [_csv_fields(r) for r in old]
+    assert _csv_fields(theorem1) == _csv_fields(old)
     cfg.report_style = "theorem1"
-    (records,) = cli._run_method(cfg, graph, objs, tab, reference_optimum(objs))  # one record list per graph part
+    (records,) = cli._run_method(cfg, graph, objs, tab, reference_optimum(objs))  # one trace per graph part
     _assert_bitwise(records, old)
 
 
@@ -743,15 +738,19 @@ def test_on_record_fires_before_the_next_iteration(monkeypatch):
         return round_field(*args)
 
     monkeypatch.setattr(simulator, "round_field", logged_round)
-    seen = []
+    traces, seen = [], {name: [] for name in TRACE_COLUMNS}
 
-    def sink(record):
-        seen.append(record)
-        events.append(record.iteration)
+    def sink(trace):
+        traces.append(trace)
+        for name in TRACE_COLUMNS:  # the last row, as the callback sees it
+            seen[name].append(trace.column(name)[-1])
+        events.append(int(trace.column("iteration")[-1]))
 
     result = run_heavy_ball(graph, objs, tab, K + 3, h0=h0, on_record=sink)
     assert events == [e for k in range(1, K + 4) for e in ["round"] * tab.stages + [k]]
-    _assert_bitwise(seen, result.records)  # the callback's records are the trace's rows
+    assert all(trace is result.records for trace in traces)  # the callback is handed the run's trace
+    for name in TRACE_COLUMNS:  # whose last row, each time, is the row it keeps
+        assert np.array(seen[name]).tobytes() == result.records.column(name).tobytes()
     monkeypatch.setattr(simulator, "round_field", round_field)
     _assert_bitwise(result.records, run_heavy_ball(graph, objs, tab, K + 3, h0=h0).records)
 

@@ -3,7 +3,7 @@
 Property tests draw 2-3 random connected parts of 2-16 agents, a block
 dimension of 2-5, either objective family and a different step per part
 (and, for heavy ball in lockstep, its own order and iteration count).
-Each part's records (``repr`` of every field but the wall time), final
+Each part's trace (the bytes of every column but the wall time), final
 state, rounds, step, kernel residual and least primal entry from one union
 run must equal that part's own run.  Criterion 1 (the engine against the per-agent oracle) stays on
 single graphs, in ``test_simulator.py`` and ``test_acceptance.py``.
@@ -29,7 +29,7 @@ from dualrk.graph import (
     disjoint_union,
     laplacian_apply,
 )
-from dualrk.harness import fit_rate, reference_optimum, write_metrics_csv, write_rate_fits_json
+from dualrk.harness import TRACE_COLUMNS, fit_rate, reference_optimum, write_metrics_csv, write_rate_fits_json
 from dualrk.integrator import tableau_for_order
 from dualrk.objectives import random_kl_instance, random_regression_instance
 from dualrk.simulator import run_heavy_ball, run_heavy_ball_orders, suggested_h0
@@ -56,8 +56,8 @@ def unions(draw):
     return graphs, objective_lists, p
 
 
-def _fields(records):
-    return [[repr(v) for name, v in vars(r).items() if name != "wall_time_ms"] for r in records]
+def _fields(trace):
+    return [trace.column(name).tobytes() for name in TRACE_COLUMNS if name != "wall_time_ms"]
 
 
 def _union_or_divergence(run_union, runs_alone):
