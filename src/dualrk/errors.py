@@ -64,4 +64,4 @@ class ConfigError(DualRKError):
 
 
 class InvalidArgument(DualRKError, ValueError):
-    """A method argument (a step or a mixing weight) lies outside its valid range."""
+    """An argument lies outside its valid range: a method's step or mixing weight, or a trace column or its name."""

@@ -94,9 +94,11 @@ class MetricsTrace:
     its magnitude (the usual figure axis) as ``suboptimality``.
     ``wall_time_ms`` is each iteration's own method time, stamped by
     :class:`TraceRecorder`.  ``columns`` maps every name of
-    :data:`TRACE_COLUMNS` to a one-dimensional array, all of one length
-    (else ``DimensionMismatch``), the trace's; None starts an empty trace
-    with room for ``rows`` rows.
+    :data:`TRACE_COLUMNS` to a one-dimensional array-like, all of one length
+    (else ``DimensionMismatch``), the trace's; each is taken as an array of
+    its kind's dtype, int64 for the two counts (which must hold integers,
+    else ``InvalidArgument``) and float64 for the rest, with no copy when it
+    already is one.  None starts an empty trace with room for ``rows`` rows.
     """
 
     def __init__(self, columns=None, rows: int = 0):
@@ -104,11 +106,19 @@ class MetricsTrace:
             columns = {name: np.empty(rows, np.int64 if name in _COUNT_COLUMNS else float) for name in TRACE_COLUMNS}
             self._size = 0
         else:
-            lengths = {name: len(columns[name]) for name in TRACE_COLUMNS}
-            if len(set(lengths.values())) > 1:
-                raise DimensionMismatch(f"trace columns of unequal lengths: {lengths}")
-            self._size = lengths["iteration"]
-        self._columns = {name: columns[name] for name in TRACE_COLUMNS}
+            columns = {name: np.asarray(columns[name]) for name in TRACE_COLUMNS}
+            wrong = {name: str(columns[name].dtype) for name in _COUNT_COLUMNS if columns[name].dtype.kind not in "iu"}
+            if wrong:
+                raise InvalidArgument(f"count columns take integers, not {wrong}")
+            columns = {
+                name: np.asarray(column, np.int64 if name in _COUNT_COLUMNS else float)
+                for name, column in columns.items()
+            }
+            shapes = {name: column.shape for name, column in columns.items()}
+            if len(set(shapes.values())) > 1 or len(shapes["iteration"]) != 1:
+                raise DimensionMismatch(f"trace columns of unequal or not one-dimensional shapes: {shapes}")
+            self._size = len(columns["iteration"])
+        self._columns = columns
 
     def __len__(self) -> int:
         return self._size
@@ -117,6 +127,8 @@ class MetricsTrace:
         """A read-only view of the column ``name``, or the magnitude of the signed column for ``suboptimality``."""
         if name == "suboptimality":
             return np.abs(self.column("suboptimality_signed"))
+        if name not in self._columns:
+            raise InvalidArgument(f"a trace has no column {name!r}; it reads {['suboptimality', *TRACE_COLUMNS]}")
         view = self._columns[name][: self._size]
         view.flags.writeable = False
         return view
@@ -159,7 +171,11 @@ class ReferenceOptimum:
 
 @dataclass
 class RateFit:
-    """Least-squares slope of ``log(metric)`` against ``log(comm_rounds)``."""
+    """Least-squares slope of ``log(metric)`` against ``log(comm_rounds)``, in closed form.
+
+    ``residual`` is the root mean square of the fit's log residuals over
+    the ``points`` points of the ``window`` (its first and last round).
+    """
 
     metric: str
     slope: float
@@ -494,15 +510,21 @@ def fit_rate(trace: MetricsTrace, metric: str) -> RateFit:
     The window is fixed: it drops the first 20 % of the round range
     (transient), and the first nonpositive point ends it early
     (solver-tolerance plateau); the fit then runs on the part before it.
+    The fit is degree-1 least squares in closed form: the slope is
+    ``sum(c (y - mean y)) / sum(c c)`` with ``c = x - mean x``, formed with
+    numpy's summing reductions, so the fit's bytes depend on neither LAPACK
+    nor the BLAS thread count.
 
     Raises
     ------
+    InvalidArgument
+        If ``metric`` names no column of the trace.
     NonPositiveMetric
         If no positive points remain in the window.
     NonFiniteState
         If the window holds an infinite or NaN value, which has no slope.
     InsufficientData
-        If fewer than 50 usable points remain.
+        If fewer than 50 usable points remain, or all of them are at one round.
     """
     rounds = trace.column("comm_rounds").astype(float)
     values = trace.column(metric)
@@ -524,9 +546,14 @@ def fit_rate(trace: MetricsTrace, metric: str) -> RateFit:
         raise InsufficientData(
             f"{rounds.size} usable points in the tail window, need {_FIT_MIN_POINTS}"
         )
+    if rounds.min() == rounds.max():
+        raise InsufficientData(f"all {rounds.size} points of the tail window are at round {rounds[0]:.0f}")
     log_r = np.log(rounds)
     log_v = np.log(values)
-    slope, intercept = np.polyfit(log_r, log_v, 1)
+    mean_r, mean_v = log_r.mean(), log_v.mean()
+    centred = log_r - mean_r
+    slope = np.sum(centred * (log_v - mean_v)) / np.sum(centred * centred)
+    intercept = mean_v - slope * mean_r
     fitted = slope * log_r + intercept
     residual = float(np.sqrt(np.mean((log_v - fitted) ** 2)))
     return RateFit(

@@ -1,8 +1,10 @@
 """Reference optima, metric evaluation, rate fitting."""
 
 import csv
+import dataclasses
 import gc
 import io
+import json
 import math
 import tracemalloc
 
@@ -225,6 +227,90 @@ def test_fit_rate_rejects_a_non_finite_window(capsys, bad, negated):
     assert fit_rate(build(rounds, values), "suboptimality").window == (61.0, 150.0)
 
 
+# fit_rate against np.polyfit (LAPACK lstsq): the closed form sums in another order, so the two
+# agree to roundoff, not bitwise.  Fixed before comparing: rtol 1e-12, and atol 1e-13 (log units)
+# for fits whose value is 0 (a flat curve's slope, an exact power law's residual).
+_FIT_RTOL, _FIT_ATOL = 1e-12, 1e-13
+
+
+def _polyfit_oracle(trace, fit):
+    """``fit``'s slope, intercept and residual, redone with ``np.polyfit`` on the rows of its window."""
+    rounds = trace.column("comm_rounds").astype(float)
+    inside = (rounds >= fit.window[0]) & (rounds <= fit.window[1])
+    assert inside.sum() == fit.points
+    log_r, log_v = np.log(rounds[inside]), np.log(trace.column(fit.metric)[inside])
+    slope, intercept = np.polyfit(log_r, log_v, 1)
+    return slope, intercept, np.sqrt(np.mean((log_v - (slope * log_r + intercept)) ** 2))
+
+
+def _assert_fit_matches_polyfit(trace, fit):
+    np.testing.assert_allclose(
+        (fit.slope, fit.intercept, fit.residual), _polyfit_oracle(trace, fit), rtol=_FIT_RTOL, atol=_FIT_ATOL
+    )
+
+
+def test_fit_rate_matches_polyfit_on_synthetic_curves():
+    rounds = np.arange(1, 2001)
+    transient = 2.0 * rounds ** (-1.5)
+    transient[:150] = 10.0
+    floored = rounds ** (-2.0)
+    floored[1500:] = 0.0
+    curves = [
+        3.7 * rounds ** (-4.0 / 3.0),
+        np.full(2000, 2.5),
+        transient,
+        floored,
+        2.0 * rounds ** (-1.5) * (1.0 + 0.1 * np.sin(rounds)),
+        np.exp(np.random.default_rng(0).standard_normal(2000)) / rounds,
+    ]
+    for values in curves:
+        trace = _trace_from_curve(rounds, values)
+        _assert_fit_matches_polyfit(trace, fit_rate(trace, "suboptimality"))
+
+
+@pytest.mark.parametrize("figure, budget", [("fig1", 400), ("fig3", 1000)])
+def test_fit_rate_matches_polyfit_on_every_fit_of_a_bundle(tmp_path, figure, budget):
+    # Every fit of the bundle's rate-fits file, against np.polyfit on its trace as read back from
+    # its CSV (whose floats round-trip), and against fit_rate of that trace.
+    cli.reproduce(figure, out_dir=tmp_path, rounds_budget=budget)
+    summary = json.loads((tmp_path / f"{figure}_rate_fits.json").read_text())
+    assert summary["fits"] and len(summary["fits"]) == len(summary["traces"])
+    for name, written in zip(summary["traces"], summary["fits"]):
+        trace = read_metrics_csv(tmp_path / f"{name}.csv")
+        fit = fit_rate(trace, written["metric"])
+        assert json.loads(json.dumps(dataclasses.asdict(fit))) == written
+        _assert_fit_matches_polyfit(trace, fit)
+
+
+def test_fit_rate_uses_no_least_squares_routine(monkeypatch):
+    # The fit is closed form: it needs neither np.polyfit nor any np.linalg routine (LAPACK).
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_rate called a least-squares routine")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in set(np.linalg.__all__) - {"LinAlgError"}:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rounds = np.arange(1, 1001)
+    assert fit_rate(_trace_from_curve(rounds, 2.0 * rounds ** (-1.5)), "suboptimality").slope == pytest.approx(-1.5)
+
+
+def test_fit_rate_rejects_a_window_at_one_round(capsys):
+    # One round value leaves the slope undefined: no fit, where np.polyfit warned RankWarning
+    # and returned a slope of 0.0992 for this trace.
+    trace = _trace_from_curve(np.full(100, 7), 1.0 / np.arange(1, 101))
+    with pytest.raises(InsufficientData, match="all 100 points of the tail window are at round 7"):
+        fit_rate(trace, "suboptimality")
+    cli._print_run_summary(trace)
+    assert "rate suboptimality: not fitted (all 100 points" in capsys.readouterr().out
+
+
+def test_fit_rate_rejects_an_unknown_metric():
+    # An InvalidArgument (a DualRKError, which the CLI reports), naming the columns a trace reads.
+    trace = _trace_from_curve(np.arange(1, 101), 1.0 / np.arange(1, 101))
+    with pytest.raises(InvalidArgument, match=r"no column 'bogus'; it reads \['suboptimality', 'iteration'"):
+        fit_rate(trace, "bogus")
+
+
 def test_consensus_projection_lower_bounded_by_reference():
     objs = random_kl_instance(5, 3, seed=7)
     graph = build_graph(Topology("star", 5))
@@ -360,6 +446,44 @@ def test_a_trace_rejects_columns_of_unequal_length():
     for name in (TRACE_COLUMNS[0], TRACE_COLUMNS[-1]):
         with pytest.raises(DimensionMismatch, match="unequal"):
             MetricsTrace(columns | {name: columns[name][:-1]})
+
+
+def test_a_trace_takes_array_likes_as_columns_of_their_kind():
+    # A list column is taken as an array (its first column() read raised AttributeError), and
+    # a metric column of integers as float64.
+    trace = MetricsTrace({name: [1, 2] for name in TRACE_COLUMNS})
+    for name in TRACE_COLUMNS:
+        assert trace.column(name).dtype == (np.int64 if name in TRACE_COLUMNS[:2] else np.float64)
+        assert trace.column(name).tolist() == [1, 2]
+    # Columns that are arrays of their dtype already are held as given, not copied.
+    columns = {name: trace.column(name) for name in TRACE_COLUMNS}
+    again = MetricsTrace(columns)
+    assert all(np.shares_memory(again.column(name), columns[name]) for name in TRACE_COLUMNS)
+
+
+@pytest.mark.parametrize("name", TRACE_COLUMNS[:2])
+@pytest.mark.parametrize("counts", [[1.5, 2.0], np.array([1.0, 2.0]), [True, False]], ids=["fraction", "floats", "bools"])
+def test_a_trace_rejects_a_count_column_of_non_integers(name, counts):
+    # A float iteration column would be written to the CSV as 1.5 where a count belongs.
+    columns = {column: [1, 2] for column in TRACE_COLUMNS}
+    with pytest.raises(InvalidArgument, match=rf"count columns take integers, not \{{'{name}': "):
+        MetricsTrace(columns | {name: counts})
+
+
+def test_a_trace_rejects_columns_that_are_not_one_dimensional():
+    columns = {name: np.ones((2, 2)) for name in TRACE_COLUMNS[2:]}
+    with pytest.raises(DimensionMismatch, match="not one-dimensional"):
+        MetricsTrace({"iteration": np.ones((2, 2), int), "comm_rounds": np.ones((2, 2), int), **columns})
+    with pytest.raises(DimensionMismatch, match="not one-dimensional"):
+        MetricsTrace({name: 1 for name in TRACE_COLUMNS})
+
+
+def test_replace_shares_every_column_it_is_handed():
+    trace = _special_trace()
+    halved = trace.column("dist_to_optimum_sq") / 2
+    handed = {name: trace.column(name) for name in TRACE_COLUMNS} | {"dist_to_optimum_sq": halved}
+    replaced = trace.replace(dist_to_optimum_sq=halved)
+    assert all(np.shares_memory(replaced.column(name), handed[name]) for name in TRACE_COLUMNS)
 
 
 def _long_trace(rows):

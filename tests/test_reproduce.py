@@ -144,7 +144,7 @@ _DESK_SHA256 = {
     "fig1_erdos_renyi_dgd.csv": "3687c7ab6597704e4c4625dd00f5e16001963538ec83263cb76ea45e3da47305",
     "fig1_erdos_renyi_dual_nag.csv": "d87a6f9599104b44c435f771c18313109e6202ccd183f39039be8d2865f16831",
     "fig1_erdos_renyi_heavy_ball_rk.csv": "b16b44d11b62b4c4f3b422ff02fd2c5825650439a505523ceff6cfdfa861c88b",
-    "fig1_rate_fits.json": "fecc41542d6fbea276179776bcde53447341b66ed7f9e40919caecaac5b82879",
+    "fig1_rate_fits.json": "2f4c4d838c6183893f11dee97e20280815cb513dff61b61a614e61923d2a7480",
     "fig1_star_cgd.csv": "0467d9be612ae441b9921e882d8f3ff98ed4ab07164518e4f65da7ce5dbae0c8",
     "fig1_star_dgd.csv": "e1b4c17482fb7b4ebc4a505c1ae73b6dc70d4037caccb236ced8cb7aef762b2a",
     "fig1_star_dual_nag.csv": "bf0ba8a215e8b6d6398a672f876a9d25e1ce511890d35b4df00482742836bd79",
@@ -155,14 +155,14 @@ _DESK_SHA256 = {
     "fig2_erdos_renyi_dgd.csv": "def111d8e550c6e143a39d4897e90be8b970324afaf6399f00ed1af9888b4e3e",
     "fig2_erdos_renyi_dual_nag.csv": "2e8b0c72dc4b5e587f8b6783a4a15c7f831702d5726ea3f9e757a9f4a736b16b",
     "fig2_erdos_renyi_heavy_ball_rk.csv": "ce94da234d6ca1ad7b254f2a073ddd8032e7eacc5742c6c6cc730925678c20c1",
-    "fig2_rate_fits.json": "e2f6b18a44cd3b9efbe38caad3bac5afaa208ecc3e237c773d420b7821152318",
+    "fig2_rate_fits.json": "6af977a5d00c2245669ce99dc644b9009f992a5c240de2708ed93214a552149d",
     "fig2_star_dgd.csv": "7d2aa0fcc14856f2f8a6b901fa71499cffd3db66057dbfed18948637d57f7d62",
     "fig2_star_dual_nag.csv": "aebe4f1559810d9c31325d54f0e7454e3a639e63eac9552a129c297553fdd778",
     "fig2_star_heavy_ball_rk.csv": "71402a24e939bf355b86c2efcee72c850c3c363137e370c5fd08d69d51e7ee15",
     "fig3_erdos_renyi_heavy_ball_rk_s1.csv": "c23f2f38d681b7971dd2d53f9ebe267f16fd218888abdadb0fd6ae61cf9ada5d",
     "fig3_erdos_renyi_heavy_ball_rk_s2.csv": "ae6054f4a9ddeef03ac3d716cacc2d4e7cff25f6e82d75f0d34da9669bcf63df",
     "fig3_erdos_renyi_heavy_ball_rk_s4.csv": "d6c63c9ed93f6fc911a2ecea5d3123b6da409e7ed63edbbf9c3d303866e6bb2c",
-    "fig3_rate_fits.json": "1b440b6c1f46569c88ed067a071427ef8e2ef4e0fe8d20577aa995861b756d07",
+    "fig3_rate_fits.json": "8748a3c38c054c0c13051ef74a8582ea9785f124e74e26b2397e2ec883fcd928",
 }
 
 
